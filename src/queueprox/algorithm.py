@@ -17,6 +17,7 @@ is included for comparison runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +227,7 @@ def init_state(block: ConstraintBlock, geom: geo.Geometry, base: geo.BaseSet,
                x0: np.ndarray | None = None) -> AlgoState:
     """Fresh state anchored at the base-set center (or a supplied point)."""
     start = geo.center(base) if x0 is None else np.asarray(x0, dtype=float)
-    g0, jac0 = constraint_eval(block, start)
+    g0, jac0 = constraint_eval(block, start, round_index=0)
     return AlgoState(
         round_index=0, x_last=start, anchor=start.copy(),
         queue=np.zeros(block.size), alpha=0.0, queue_l1_max=0.0,
@@ -242,6 +243,16 @@ def _checked_grad(seq: LossSequence, t: int, x: np.ndarray) -> np.ndarray:
             oracle="loss-gradient", round_index=t,
         )
     return g
+
+
+def _checked_value(seq: LossSequence, t: int, x: np.ndarray) -> float:
+    value = seq.value(t, x)
+    if not math.isfinite(value):
+        raise OracleError(
+            f"loss value oracle returned a non-finite value at round {t}",
+            oracle="loss-value", round_index=t,
+        )
+    return value
 
 
 def _prox_round(
@@ -282,12 +293,12 @@ def _prox_round(
     h_primal = _checked_grad(seq, t - 1, state.x_last) + penalty
     decision = geo.mirror_step(geom, base, anchor, h_primal, alpha)
 
-    loss = seq.value(t, decision)
+    loss = _checked_value(seq, t, decision)
     grad_now = _checked_grad(seq, t, decision)
     h_mid = grad_now + penalty
     anchor_next = geo.mirror_step(geom, base, anchor, h_mid, alpha)
 
-    g_now, jac_now = constraint_eval(block, decision)
+    g_now, jac_now = constraint_eval(block, decision, round_index=t)
     output = RoundOutput(
         t=t, decision=decision, loss=loss, g_values=g_now,
         queue_l1=q_l1, queue_l2=float(np.sqrt(queue @ queue)),
@@ -329,8 +340,8 @@ def baseline_pd_round(state: AlgoState, problem: Problem, hp: HyperParams):
     direction = (_checked_grad(seq, t - 1, state.x_last)
                  + state.queue @ state.jac_last)
     decision = geo.project(state.base, state.x_last - step * direction)
-    loss = seq.value(t, decision)
-    g_now, jac_now = constraint_eval(block, decision)
+    loss = _checked_value(seq, t, decision)
+    g_now, jac_now = constraint_eval(block, decision, round_index=t)
     multipliers = np.maximum(state.queue + hp.gamma * g_now, 0.0)
     q_l1 = float(np.abs(multipliers).sum())
     output = RoundOutput(

@@ -20,6 +20,10 @@ from .trace import RunTrace
 
 CHECK_COLUMNS = ("check", "rounds", "samples", "max_residual", "pass")
 
+# Probe matrices are evaluated this many rows at a time: one numpy pass per
+# block, with temporaries that stay small however many probes are drawn.
+PROBE_BLOCK = 128
+
 
 @dataclass
 class CheckReport:
@@ -190,14 +194,15 @@ def check_dpp_bound(
 
     worst = -np.inf
     z_mat = np.atleast_2d(np.asarray(z_samples, dtype=float))
-    for z in z_mat:
-        g_z, _ = constraint_eval(block, z)
+    for lo in range(0, z_mat.shape[0], PROBE_BLOCK):
+        z_blk = z_mat[lo:lo + PROBE_BLOCK]
+        g_blk = np.array([constraint_eval(block, z)[0] for z in z_blk])
         rhs = (fixed_terms
-               + float(s.loss_grad_curr @ z)
-               + s.alpha * (geo.bregman(geom, base, z, s.anchor)
-                            - geo.bregman(geom, base, z, s.anchor_next))
-               + gamma * float(weights @ g_z))
-        worst = max(worst, lhs - rhs)
+               + z_blk @ s.loss_grad_curr
+               + s.alpha * (geo.bregman(geom, base, z_blk, s.anchor)
+                            - geo.bregman(geom, base, z_blk, s.anchor_next))
+               + gamma * (g_blk @ weights))
+        worst = max(worst, float(np.max(lhs - rhs)))
 
     return CheckReport(
         check="dpp", rounds=1, samples=z_mat.shape[0],
@@ -250,7 +255,9 @@ def check_pushback(
 
     For ``x* = argmin <h, x> + alpha D(x, anchor)`` and any probe ``z``:
     ``<h, x*> + alpha D(x*, anchor) <= <h, z> + alpha D(z, anchor) -
-    alpha D(z, x*)``.
+    alpha D(z, x*)``.  Each instance draws its anchor, ``h`` and
+    ``alpha``, then all ``n_z`` probes in one sample, and evaluates the
+    probes ``PROBE_BLOCK`` rows at a time.
     """
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -263,11 +270,13 @@ def check_pushback(
         alpha = float(rng.uniform(0.5, 5.0))
         x_opt = geo.mirror_step(geom, base, anchor, h, alpha)
         lhs = float(h @ x_opt) + alpha * geo.bregman(geom, base, x_opt, anchor)
-        for z in geo.sample(base, rng, n_z):
-            rhs = (float(h @ z)
-                   + alpha * (geo.bregman(geom, base, z, anchor)
-                              - geo.bregman(geom, base, z, x_opt)))
-            worst = max(worst, lhs - rhs)
+        z_mat = geo.sample(base, rng, n_z)
+        for lo in range(0, n_z, PROBE_BLOCK):
+            z_blk = z_mat[lo:lo + PROBE_BLOCK]
+            rhs = (z_blk @ h
+                   + alpha * (geo.bregman(geom, base, z_blk, anchor)
+                              - geo.bregman(geom, base, z_blk, x_opt)))
+            worst = max(worst, float(np.max(lhs - rhs)))
     return CheckReport(
         check="pushback", rounds=n_instances, samples=n_instances * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,

@@ -96,8 +96,9 @@ def _cmd_check(args) -> int:
             "checks certify the mirror-prox variants; the baseline makes "
             "no such guarantees", fields=["variant"])
 
+    # the checks need the trace only: no comparator, variation audit or CSV
     built = build_scenario(config)
-    trace, _ = run_scenario(config)
+    trace = alg.run(config.variant, built, horizon=config.horizon)
     rng = np.random.default_rng(config.seed + 104_729)
 
     reports = []

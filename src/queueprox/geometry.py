@@ -171,7 +171,8 @@ def dual_norm(geom: Geometry, v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def bregman(geom: Geometry, base: BaseSet, x: np.ndarray, y: np.ndarray) -> float:
+def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
+            y: np.ndarray) -> float | np.ndarray:
     """Bregman divergence ``D(x, y)`` of the distance-generating function.
 
     Parameters
@@ -179,40 +180,53 @@ def bregman(geom: Geometry, base: BaseSet, x: np.ndarray, y: np.ndarray) -> floa
     geom : Geometry
     base : BaseSet
         The set both points belong to; used for dimension validation.
-    x, y : ndarray
-        Points of matching dimension.  For the entropic geometry ``y`` must
-        be strictly positive on every coordinate where ``x`` is positive.
+    x : ndarray
+        One point of dimension ``d``, or an ``(n, d)`` stack of points.
+    y : ndarray
+        One point of dimension ``d``.  For the entropic geometry ``y`` must
+        be strictly positive on every coordinate where ``x`` (any row of
+        the stack) is positive.
 
     Returns
     -------
-    float
+    float or ndarray
         ``0.5 * ||x - y||_2^2`` for the euclidean pairing, the generalized
-        Kullback-Leibler divergence for the entropic pairing.
+        Kullback-Leibler divergence for the entropic pairing.  A float for
+        one point; for a stack, the ``(n,)`` array whose row ``i`` equals
+        the one-point call on ``x[i]``.
 
     Raises
     ------
+    DimensionMismatchError
+        ``y`` or a row of ``x`` does not have dimension ``geom.dim``.
     DomainError
-        Entropic pairing with some ``y_i == 0`` while ``x_i > 0``.
+        Entropic pairing with a negative input, or some ``y_i == 0`` while
+        ``x_i > 0`` in any row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if base.dim != geom.dim:
         raise DimensionMismatchError("geometry and base set disagree on dimension")
-    if x.shape != y.shape or x.shape != (geom.dim,):
+    if y.shape != (geom.dim,) or x.shape[-1:] != y.shape or x.ndim > 2:
         raise DimensionMismatchError(
-            f"bregman expects two vectors of dimension {geom.dim}"
+            f"bregman expects a vector or a stack of vectors of dimension "
+            f"{geom.dim} against one vector"
         )
     if geom.kind == EUCLIDEAN:
         diff = x - y
-        return 0.5 * float(diff @ diff)
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("entropic divergence needs nonnegative inputs")
-    pos = x > 0
-    if np.any(y[pos] == 0):
-        raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
-    val = float(np.sum(x[pos] * (np.log(x[pos]) - np.log(y[pos]))))
-    # generalized KL correction, exactly zero when both inputs are normalized
-    return val + float(y.sum() - x.sum())
+        # row-wise dot product, the same reduction as ``diff @ diff``
+        val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    else:
+        if np.any(x < 0) or np.any(y < 0):
+            raise DomainError("entropic divergence needs nonnegative inputs")
+        pos = x > 0
+        if np.any(pos & (y == 0)):
+            raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(pos, x * (np.log(x) - np.log(y)), 0.0)
+        # generalized KL correction, exactly zero when both inputs are normalized
+        val = terms.sum(axis=-1) + (y.sum() - x.sum(axis=-1))
+    return float(val) if x.ndim == 1 else val
 
 
 def project(base: BaseSet, y: np.ndarray) -> np.ndarray:

@@ -83,8 +83,14 @@ class Problem:
     block: ConstraintBlock
 
 
-def constraint_eval(block: ConstraintBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate constraint values and the stacked Jacobian at ``x``."""
+def constraint_eval(block: ConstraintBlock, x: np.ndarray,
+                    round_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate constraint values and the stacked Jacobian at ``x``.
+
+    ``round_index`` names the round whose decision ``x`` is (0 for a run's
+    start point); a non-finite oracle output raises an ``OracleError``
+    carrying it.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (block.dim,):
         raise DimensionMismatchError(f"expected a point of dimension {block.dim}")
@@ -92,8 +98,9 @@ def constraint_eval(block: ConstraintBlock, x: np.ndarray) -> tuple[np.ndarray, 
     values = np.asarray(values, dtype=float).reshape(block.size)
     jac = np.asarray(jac, dtype=float).reshape(block.size, block.dim)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(jac))):
-        raise OracleError("constraint oracle returned a non-finite value",
-                          oracle="constraint")
+        where = "" if round_index is None else f" at round {round_index}"
+        raise OracleError(f"constraint oracle returned a non-finite value{where}",
+                          oracle="constraint", round_index=round_index)
     return values, jac
 
 

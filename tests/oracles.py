@@ -103,3 +103,34 @@ GOLDEN = {
 
 def golden_config(horizon=3):
     return qp.shipped_scenario("golden-d2", horizon=horizon)
+
+
+# ---------------------------------------------------------------------------
+# pushback: the three-point inequality, one probe at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_pushback_worst(geom, base, n_instances, n_z, seed):
+    """Worst pushback residual from a plain loop over single probes.
+
+    Draws the instances and probes in the order ``checks.check_pushback``
+    documents (anchor, ``h``, ``alpha``, then all ``n_z`` probes), so the
+    same seed gives the same instances, and evaluates each probe with two
+    one-point divergence calls.
+    """
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(n_instances):
+        anchor = qp.sample(base, rng)[0]
+        if geom.kind == "entropic":
+            anchor = qp.mix_anchor(anchor, 1e-6)
+        h = rng.standard_normal(geom.dim)
+        alpha = float(rng.uniform(0.5, 5.0))
+        x_opt = qp.mirror_step(geom, base, anchor, h, alpha)
+        lhs = float(h @ x_opt) + alpha * qp.bregman(geom, base, x_opt, anchor)
+        for z in qp.sample(base, rng, n_z):
+            rhs = (float(h @ z)
+                   + alpha * (qp.bregman(geom, base, z, anchor)
+                              - qp.bregman(geom, base, z, x_opt)))
+            worst = max(worst, lhs - rhs)
+    return worst

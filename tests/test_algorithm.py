@@ -224,6 +224,51 @@ def test_nan_gradient_raises_oracle_error_with_round():
     assert err.value.round_index == 3
 
 
+def _custom_scenario(variant, value_fn, block=None):
+    """A five-round scenario on zero gradients, for oracle-failure tests."""
+    if variant == qp.VARIANT_SIMPLEX:
+        geom, base = qp.entropic(2), qp.Simplex(2)
+    else:
+        geom, base = EUC2, BALL
+    seq = qp.custom_sequence(geom, base, value_fn, lambda t, x: np.zeros(2),
+                             horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
+                             variation=0.0)
+    hp = qp.hyperparams_from_variation(0.0, 1.0, horizon=5, variant=variant)
+    return qp.Scenario(geom=geom, base=base, block=block or qp.empty_block(2),
+                       seq=seq, hp=hp)
+
+
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+def test_nan_loss_value_raises_oracle_error_with_round(variant):
+    scenario = _custom_scenario(
+        variant, lambda t, x: float("nan") if t == 5 else 0.0)
+    with pytest.raises(qp.OracleError) as err:
+        qp.run(variant, scenario)
+    assert err.value.oracle == "loss-value"
+    assert err.value.round_index == 5
+
+
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+@pytest.mark.parametrize("bad_call", [0, 3])
+def test_nan_constraint_raises_oracle_error_with_round(variant, bad_call):
+    calls = []
+
+    def eval_fn(x):
+        calls.append(x)
+        value = np.nan if len(calls) == bad_call + 1 else -1.0
+        return np.array([value]), np.zeros((1, 2))
+
+    block = qp.ConstraintBlock(size=1, dim=2, eval_fn=eval_fn,
+                               value_bounds=np.ones(1), lipschitz=np.zeros(1),
+                               curvature=0.0)
+    scenario = _custom_scenario(variant, lambda t, x: 0.0, block)
+    with pytest.raises(qp.OracleError) as err:
+        qp.run(variant, scenario)
+    # the start point is evaluated first, then round t's decision
+    assert err.value.oracle == "constraint"
+    assert err.value.round_index == bad_call
+
+
 def test_collapsed_schedule_raises(monkeypatch):
     built = qp.build_scenario(golden_config())
     monkeypatch.setattr(alg, "alpha_update", lambda *a, **k: 0.0)

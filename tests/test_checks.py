@@ -7,10 +7,17 @@ import pytest
 import queueprox as qp
 from queueprox import checks as chk
 from queueprox import geometry as geo
-from oracles import golden_config
+from oracles import golden_config, scalar_pushback_worst
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
+
+# the three pairings acceptance criterion 09 certifies
+PUSHBACK_PAIRINGS = [
+    (EUC2, BALL),
+    (qp.euclidean(3), qp.Box(lower=-np.ones(3), upper=np.ones(3))),
+    (qp.entropic(4), qp.Simplex(d=4)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +121,35 @@ def test_dpp_bound_on_simplex_variant(simplex_run):
 
 
 def test_pushback_sampled_instances():
-    for geom, base in [(EUC2, BALL),
-                       (qp.euclidean(3), qp.Box(lower=-np.ones(3),
-                                                upper=np.ones(3))),
-                       (qp.entropic(4), qp.Simplex(d=4))]:
+    for geom, base in PUSHBACK_PAIRINGS:
         report = chk.check_pushback(geom, base, n_instances=20, n_z=100,
                                     seed=1)
         assert report.passed, (base, report.max_residual)
         assert report.rounds == 20
+
+
+@pytest.mark.parametrize("n_z", [1000, 129])   # both end in a partial block
+@pytest.mark.parametrize("geom,base", PUSHBACK_PAIRINGS,
+                         ids=["ball", "box", "simplex"])
+def test_pushback_blocks_match_scalar_reference(geom, base, n_z):
+    report = chk.check_pushback(geom, base, n_instances=4, n_z=n_z, seed=23)
+    reference = scalar_pushback_worst(geom, base, 4, n_z, seed=23)
+    assert report.samples == 4 * n_z
+    assert abs(report.max_residual - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("geom,base", PUSHBACK_PAIRINGS,
+                         ids=["ball", "box", "simplex"])
+def test_pushback_fails_on_a_non_minimizer(geom, base, monkeypatch):
+    # step along +h instead of -h: the anchor moves uphill, so the
+    # returned point is no minimizer and the three-point inequality breaks
+    exact = geo.mirror_step
+    monkeypatch.setattr(geo, "mirror_step",
+                        lambda g, b, anchor, h, alpha:
+                        exact(g, b, anchor, -h, alpha))
+    report = chk.check_pushback(geom, base, n_instances=5, n_z=300, seed=1)
+    assert not report.passed
+    assert report.max_residual > 1e-3
 
 
 def test_pushback_equality_at_the_step_result():

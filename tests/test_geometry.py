@@ -50,6 +50,40 @@ def test_bregman_dimension_mismatch():
         qp.bregman(EUC2, BALL, np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("geom,base", PAIRINGS, ids=["ball", "box", "simplex"])
+def test_bregman_stack_matches_rows(geom, base):
+    rng = np.random.default_rng(4)
+    stack = qp.sample(base, rng, 40)
+    if base.kind == "simplex":
+        stack[0] = [1.0, 0.0, 0.0]    # a vertex: the 0 log 0 convention
+    y = qp.sample(base, rng, 1)[0]
+    vals = qp.bregman(geom, base, stack, y)
+    assert vals.shape == (40,)
+    rows = [qp.bregman(geom, base, x, y) for x in stack]
+    np.testing.assert_allclose(vals, rows, rtol=1e-13, atol=1e-15)
+
+
+def test_bregman_stack_domain_errors():
+    y = np.array([0.5, 0.5, 0.0])
+    ok = np.array([[0.2, 0.8, 0.0], [1.0, 0.0, 0.0]])
+    assert qp.bregman(ENT3, SIMPLEX3, ok, y).shape == (2,)
+    bad = np.vstack([ok, [0.2, 0.3, 0.5]])    # mass where y has none
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, bad, y)
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, np.vstack([ok, [1.1, 0.0, -0.1]]),
+                   np.full(3, 1 / 3))
+
+
+def test_bregman_stack_dimension_mismatch():
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(EUC2, BALL, np.zeros((4, 3)), np.zeros(2))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(EUC2, BALL, np.zeros((4, 2)), np.zeros((4, 2)))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(EUC2, BALL, np.zeros((3, 4, 2)), np.zeros(2))
+
+
 def test_mirror_step_euclidean_interior_gradient_step():
     out = qp.mirror_step(EUC2, BALL, np.zeros(2), np.array([2.0, 0.0]), 4.0)
     assert np.allclose(out, [-0.5, 0.0], atol=1e-15)

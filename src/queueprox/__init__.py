@@ -9,10 +9,8 @@ covers the probability simplex under the entropic geometry.
 
 from .algorithm import (VARIANT_BASELINE, VARIANT_GENERAL, VARIANT_SIMPLEX,
                         VARIANTS, HyperParams, Scenario, alpha_closed_form,
-                        alpha_update, baseline_pd_round,
-                        hyperparams_from_variation, init_state, mix_anchor,
-                        queue_update, round_general, round_simplex, run,
-                        xi_value)
+                        alpha_update, hyperparams_from_variation, mix_anchor,
+                        queue_update, run, xi_value)
 from .checks import (CheckReport, RoundSnapshot, check_descent_lemma,
                      check_dpp_bound, check_dpp_over_trace, check_mixing,
                      check_pushback, check_queue_lemma, snapshot_from_trace,
@@ -31,7 +29,7 @@ from .harness import (SHIPPED_SCENARIOS, BuiltScenario, ScenarioConfig,
 from .metrics import (MetricsReport, append_summary_row, clipped_violation,
                       empirical_variation, regret, violation,
                       violation_bound_check, write_round_csv)
-from .problems import (ConstraintBlock, LossSequence, Problem, alternating,
+from .problems import (ConstraintBlock, LossSequence, alternating,
                        builtin_constants, constraint_eval, custom_sequence,
                        empty_block, fixed_linear, fixed_quadratic,
                        gradient_variation, hindsight_comparator,
@@ -44,8 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "VARIANT_BASELINE", "VARIANT_GENERAL", "VARIANT_SIMPLEX", "VARIANTS",
     "HyperParams", "Scenario", "alpha_closed_form", "alpha_update",
-    "baseline_pd_round", "hyperparams_from_variation", "init_state",
-    "mix_anchor", "queue_update", "round_general", "round_simplex", "run",
+    "hyperparams_from_variation", "mix_anchor", "queue_update", "run",
     "xi_value",
     "CheckReport", "RoundSnapshot", "check_descent_lemma", "check_dpp_bound",
     "check_dpp_over_trace", "check_mixing", "check_pushback",
@@ -62,7 +59,7 @@ __all__ = [
     "MetricsReport", "append_summary_row", "clipped_violation",
     "empirical_variation", "regret", "violation", "violation_bound_check",
     "write_round_csv",
-    "ConstraintBlock", "LossSequence", "Problem", "alternating",
+    "ConstraintBlock", "LossSequence", "alternating",
     "builtin_constants", "constraint_eval", "custom_sequence", "empty_block",
     "fixed_linear", "fixed_quadratic", "gradient_variation",
     "hindsight_comparator", "linear_block", "linear_drift",

@@ -1,19 +1,12 @@
 """Online primal-dual mirror prox with virtual constraint queues.
 
-One round consists of four moves: a queue (dual) update driven by the
-previous decision's constraint values, a proximal-weight update, a primal
-mirror step whose linear term mixes the lookback loss gradient with
-queue-weighted constraint gradients, and an intermediate mirror step that
-repeats the primal step with the freshly observed gradient while keeping
-the same proximity anchor.  The intermediate point becomes the next
-round's anchor.
-
-Two variants are provided.  The general variant runs on euclidean
-geometries with a finite divergence diameter.  The simplex variant runs on
-the entropic geometry, shifts its anchor toward the uniform law before
-each round so divergences stay finite, and uses its own proximal-weight
-rule.  A plain primal-dual projected-gradient baseline with no guarantees
-is included for comparison runs.
+``run`` is the solver: one loop over rounds, each a queue (dual) update, a
+proximal-weight update and two mirror steps; its docstring spells the
+round out.  The general variant runs on euclidean geometries with a finite
+divergence diameter, the simplex variant on the entropic simplex, and a
+plain primal-dual projected-gradient baseline with no guarantees is
+included for comparison runs.  The remaining functions are the round's
+primitives, public so tests and audits can replay single steps.
 """
 from __future__ import annotations
 
@@ -23,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import OracleError, ScheduleError
-from .problems import ConstraintBlock, LossSequence, Problem, constraint_eval
+from .errors import DimensionMismatchError, DomainError, OracleError, ScheduleError
+from .problems import ConstraintBlock, LossSequence, constraint_eval
 from .trace import RunTrace
 
 VARIANT_GENERAL = "ompd"
@@ -192,49 +185,6 @@ def mix_anchor(anchor: np.ndarray, nu: float) -> np.ndarray:
     return (1.0 - nu) * anchor + nu / d
 
 
-@dataclass
-class AlgoState:
-    """Solver state after ``round_index`` completed rounds."""
-
-    round_index: int
-    x_last: np.ndarray
-    anchor: np.ndarray
-    queue: np.ndarray
-    alpha: float
-    queue_l1_max: float
-    g_last: np.ndarray
-    jac_last: np.ndarray
-    geom: geo.Geometry
-    base: geo.BaseSet
-    mixed_anchor: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class RoundOutput:
-    """Per-round record: the played decision and its audit quantities."""
-
-    t: int
-    decision: np.ndarray
-    loss: float
-    g_values: np.ndarray
-    queue_l1: float
-    queue_l2: float
-    alpha: float
-    xi: float
-
-
-def init_state(block: ConstraintBlock, geom: geo.Geometry, base: geo.BaseSet,
-               x0: np.ndarray | None = None) -> AlgoState:
-    """Fresh state anchored at the base-set center (or a supplied point)."""
-    start = geo.center(base) if x0 is None else np.asarray(x0, dtype=float)
-    g0, jac0 = constraint_eval(block, start, round_index=0)
-    return AlgoState(
-        round_index=0, x_last=start, anchor=start.copy(),
-        queue=np.zeros(block.size), alpha=0.0, queue_l1_max=0.0,
-        g_last=g0, jac_last=jac0, geom=geom, base=base,
-    )
-
-
 def _checked_grad(seq: LossSequence, t: int, x: np.ndarray) -> np.ndarray:
     g = seq.grad(t, x)
     if not np.all(np.isfinite(g)):
@@ -255,121 +205,41 @@ def _checked_value(seq: LossSequence, t: int, x: np.ndarray) -> float:
     return value
 
 
-def _prox_round(
-    state: AlgoState,
-    problem: Problem,
-    geom: geo.Geometry,
-    base: geo.BaseSet,
-    hp: HyperParams,
-    variant: str,
-) -> tuple[AlgoState, RoundOutput]:
-    seq, block = problem.seq, problem.block
-    t = state.round_index + 1
-    gamma = hp.gamma
-
-    queue = queue_update(state.queue, state.g_last, gamma)
-    q_l1 = float(np.abs(queue).sum())
-    q_l1_max = max(state.queue_l1_max, q_l1)
-    xi = xi_value(queue, gamma, block.curvature,
-                  block.value_bound_total, block.lipschitz_total)
-    alpha = alpha_update(state.alpha, xi, hp.eta, gamma, hp.rho,
-                         seq.grad_lipschitz, block.curvature,
-                         block.value_bound_total, variant)
-    if not alpha > 0:
-        raise ScheduleError(f"proximal weight collapsed to {alpha} at round {t}")
-
-    if variant == VARIANT_SIMPLEX:
-        anchor = mix_anchor(state.anchor, hp.nu)
-        mixed = anchor
-    else:
-        anchor = state.anchor
-        mixed = None
-
-    # queue-weighted constraint term; coefficients are nonnegative by the
-    # max rule, so the penalty never points inward
-    weights = queue + gamma * state.g_last
-    penalty = gamma * (weights @ state.jac_last)
-
-    h_primal = _checked_grad(seq, t - 1, state.x_last) + penalty
-    decision = geo.mirror_step(geom, base, anchor, h_primal, alpha)
-
-    loss = _checked_value(seq, t, decision)
-    grad_now = _checked_grad(seq, t, decision)
-    h_mid = grad_now + penalty
-    anchor_next = geo.mirror_step(geom, base, anchor, h_mid, alpha)
-
-    g_now, jac_now = constraint_eval(block, decision, round_index=t)
-    output = RoundOutput(
-        t=t, decision=decision, loss=loss, g_values=g_now,
-        queue_l1=q_l1, queue_l2=float(np.sqrt(queue @ queue)),
-        alpha=alpha, xi=xi,
-    )
-    new_state = AlgoState(
-        round_index=t, x_last=decision, anchor=anchor_next,
-        queue=queue, alpha=alpha, queue_l1_max=q_l1_max,
-        g_last=g_now, jac_last=jac_now, geom=geom, base=base,
-        mixed_anchor=mixed,
-    )
-    return new_state, output
-
-
-def round_general(state: AlgoState, problem: Problem, geom: geo.Geometry,
-                  base: geo.BaseSet, hp: HyperParams):
-    """One round of the general-geometry variant."""
-    return _prox_round(state, problem, geom, base, hp, VARIANT_GENERAL)
-
-
-def round_simplex(state: AlgoState, problem: Problem, geom: geo.Geometry,
-                  hp: HyperParams):
-    """One round of the simplex variant (uniform mixing, entropic steps)."""
-    return _prox_round(state, problem, geom, state.base, hp, VARIANT_SIMPLEX)
-
-
-def baseline_pd_round(state: AlgoState, problem: Problem, hp: HyperParams):
-    """Plain primal-dual projected-gradient round, no guarantees attached.
-
-    Primal: one projected gradient step on the lookback loss plus the
-    multiplier-weighted constraint linearization, with step ``1 /
-    (max(L_f, 1) * sqrt(t))``.  Dual: ascent ``lambda_k <- max(lambda_k +
-    gamma * g_k, 0)`` on the new decision's constraint values, so a zero
-    dual step leaves the multipliers at zero.
-    """
-    seq, block = problem.seq, problem.block
-    t = state.round_index + 1
-    step = 1.0 / (max(seq.grad_lipschitz, 1.0) * np.sqrt(t))
-    direction = (_checked_grad(seq, t - 1, state.x_last)
-                 + state.queue @ state.jac_last)
-    decision = geo.project(state.base, state.x_last - step * direction)
-    loss = _checked_value(seq, t, decision)
-    g_now, jac_now = constraint_eval(block, decision, round_index=t)
-    multipliers = np.maximum(state.queue + hp.gamma * g_now, 0.0)
-    q_l1 = float(np.abs(multipliers).sum())
-    output = RoundOutput(
-        t=t, decision=decision, loss=loss, g_values=g_now,
-        queue_l1=q_l1, queue_l2=float(np.sqrt(multipliers @ multipliers)),
-        alpha=1.0 / step, xi=0.0,
-    )
-    new_state = AlgoState(
-        round_index=t, x_last=decision, anchor=decision,
-        queue=multipliers, alpha=1.0 / step,
-        queue_l1_max=max(state.queue_l1_max, q_l1),
-        g_last=g_now, jac_last=jac_now, geom=state.geom, base=state.base,
-    )
-    return new_state, output
-
-
 def run(
     variant: str,
     scenario: Scenario,
     horizon: int | None = None,
     x0: np.ndarray | None = None,
 ) -> RunTrace:
-    """Run ``horizon`` rounds and collect the full trace.
+    """Run ``horizon`` rounds from ``x0`` and collect the full trace.
 
-    ``horizon`` defaults to the sequence horizon and may not exceed it.
-    A zero horizon returns an empty, well-formed trace.  After the loop
-    one extra dual update is applied so the final queue row certifies the
-    violation bound.
+    ``horizon`` defaults to the sequence horizon and may not exceed it; a
+    zero horizon returns an empty, well-formed trace.  ``x0`` must lie in
+    the base set and defaults to its center; it is also the first anchor.
+
+    Round ``t`` of the mirror-prox variants (``ompd``, ``ompd-simplex``):
+
+    1. Dual and weight update: ``Q(t) = queue_update(Q(t-1), g(x_{t-1}),
+       gamma)``, ``xi_t = xi_value(Q(t), ...)`` and ``alpha_t =
+       alpha_update(alpha_{t-1}, xi_t, ...)``.
+    2. Simplex variant only: ``anchor <- mix_anchor(anchor, nu)``, which
+       keeps entropic divergences finite.
+    3. Primal step: ``x_t = mirror_step(anchor, grad f_{t-1}(x_{t-1}) + p,
+       alpha_t)`` with the penalty ``p = gamma * (Q(t) + gamma *
+       g(x_{t-1})) @ J(x_{t-1})``, whose coefficients the max rule keeps
+       nonnegative, so it never points inward.
+    4. Intermediate step: the same anchor, weight and ``p`` with the fresh
+       gradient ``grad f_t(x_t)``; the result is the next round's anchor.
+
+    Round ``t`` of ``pd-baseline``: ``x_t = project(x_{t-1} - s_t *
+    (grad f_{t-1}(x_{t-1}) + lambda @ J(x_{t-1})))`` with step ``s_t = 1 /
+    (max(L_f, 1) * sqrt(t))``, then dual ascent ``lambda <- max(lambda +
+    gamma * g(x_t), 0)``, so a zero dual step keeps the multipliers at
+    zero.  Its trace holds ``lambda`` as the queue, ``x_t`` as the anchor,
+    ``1 / s_t`` as the weight and zero ``xi``.
+
+    One extra dual update after the loop gives the final queue row, which
+    certifies the violation bound.
     """
     geom, base = scenario.geom, scenario.base
     block, seq, hp = scenario.block, scenario.seq, scenario.hp
@@ -392,44 +262,69 @@ def run(
     if T < 0 or T > seq.horizon:
         raise ValueError("horizon must lie in [0, sequence horizon]")
 
-    problem = Problem(seq=seq, block=block)
-    state = init_state(block, geom, base, x0)
     d, K = base.dim, block.size
+    if x0 is None:
+        start = geo.center(base)
+    else:
+        start = np.array(x0, dtype=float)   # a copy: the trace keeps it
+        if start.shape != (d,):
+            raise DimensionMismatchError(
+                f"x0 must have shape ({d},), got {start.shape}")
+        if not geo.contains(base, start):
+            raise DomainError("x0 lies outside the base set")
 
     decisions = np.empty((T, d))
     anchors = np.empty((T + 1, d))
-    anchors[0] = state.anchor
+    anchors[0] = start
     mixed = np.empty((T, d)) if variant == VARIANT_SIMPLEX else None
     queues = np.zeros((T + 2, K))
     g_values = np.empty((T + 1, K))
-    g_values[0] = state.g_last
     losses = np.empty(T)
     alphas = np.empty(T)
-    xis = np.empty(T)
+    xis = np.zeros(T)
 
-    for i in range(T):
-        if variant == VARIANT_SIMPLEX:
-            state, out = round_simplex(state, problem, geom, hp)
-        elif variant == VARIANT_BASELINE:
-            state, out = baseline_pd_round(state, problem, hp)
+    gamma = hp.gamma
+    g_values[0], jac = constraint_eval(block, start, round_index=0)
+    x, anchor, alpha = start, anchors[0], 0.0
+    for t in range(1, T + 1):
+        # on entry x, jac and g_values[t - 1] belong to the previous decision
+        if variant == VARIANT_BASELINE:
+            step = 1.0 / (max(seq.grad_lipschitz, 1.0) * np.sqrt(t))
+            direction = _checked_grad(seq, t - 1, x) + queues[t - 1] @ jac
+            x = geo.project(base, x - step * direction)
+            losses[t - 1] = _checked_value(seq, t, x)
+            g_values[t], jac = constraint_eval(block, x, round_index=t)
+            queues[t] = np.maximum(queues[t - 1] + gamma * g_values[t], 0.0)
+            anchors[t] = x
+            alphas[t - 1] = 1.0 / step
         else:
-            state, out = round_general(state, problem, geom, base, hp)
-        decisions[i] = out.decision
-        anchors[i + 1] = state.anchor
-        if mixed is not None:
-            mixed[i] = state.mixed_anchor
-        queues[i + 1] = state.queue
-        g_values[i + 1] = out.g_values
-        losses[i] = out.loss
-        alphas[i] = out.alpha
-        xis[i] = out.xi
+            queue = queues[t] = queue_update(queues[t - 1], g_values[t - 1], gamma)
+            xi = xis[t - 1] = xi_value(queue, gamma, block.curvature,
+                                       block.value_bound_total,
+                                       block.lipschitz_total)
+            alpha = alpha_update(alpha, xi, hp.eta, gamma, hp.rho,
+                                 seq.grad_lipschitz, block.curvature,
+                                 block.value_bound_total, variant)
+            if not alpha > 0:
+                raise ScheduleError(
+                    f"proximal weight collapsed to {alpha} at round {t}")
+            alphas[t - 1] = alpha
+            if mixed is not None:
+                anchor = mixed[t - 1] = mix_anchor(anchor, hp.nu)
+            penalty = gamma * ((queue + gamma * g_values[t - 1]) @ jac)
+            x = geo.mirror_step(geom, base, anchor,
+                                _checked_grad(seq, t - 1, x) + penalty, alpha)
+            losses[t - 1] = _checked_value(seq, t, x)
+            anchor = anchors[t] = geo.mirror_step(
+                geom, base, anchor, _checked_grad(seq, t, x) + penalty, alpha)
+            g_values[t], jac = constraint_eval(block, x, round_index=t)
+        decisions[t - 1] = x
 
-    queues[T + 1] = queue_update(queues[T], g_values[T], hp.gamma)
+    queues[T + 1] = queue_update(queues[T], g_values[T], gamma)
 
     return RunTrace(
-        variant=variant, horizon=T, dim=d, n_constraints=K,
-        x0=geo.center(base) if x0 is None else np.asarray(x0, dtype=float),
+        variant=variant, horizon=T, dim=d, n_constraints=K, x0=start,
         decisions=decisions, anchors=anchors, queues=queues,
         g_values=g_values, losses=losses, alphas=alphas, xis=xis,
-        gamma=hp.gamma, eta=hp.eta, nu=hp.nu, mixed_anchors=mixed,
+        gamma=gamma, eta=hp.eta, nu=hp.nu, mixed_anchors=mixed,
     )

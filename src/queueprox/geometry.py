@@ -9,7 +9,7 @@ Two norm and divergence pairings are supported:
   simplex, measuring distances in the l1 norm with l-infinity dual norm.
 
 Both generating functions are 1-strongly convex with respect to their paired
-norm, so every geometry carries strong-convexity modulus 1.  The convention
+norm; the solver takes that modulus as ``HyperParams.rho``.  The convention
 ``0 * log 0 = 0`` is used throughout.
 """
 from __future__ import annotations
@@ -34,14 +34,10 @@ class Geometry:
         Either ``"euclidean"`` or ``"entropic"``.
     dim : int
         Ambient dimension.
-    modulus : float
-        Strong-convexity modulus of the distance-generating function with
-        respect to the paired norm.  Always 1 for the shipped pairings.
     """
 
     kind: str
     dim: int
-    modulus: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, ENTROPIC):

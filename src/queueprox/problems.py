@@ -75,14 +75,6 @@ class ConstraintBlock:
         return float(self.lipschitz.sum())
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A loss sequence paired with the constraint block it runs against."""
-
-    seq: "LossSequence"
-    block: ConstraintBlock
-
-
 def constraint_eval(block: ConstraintBlock, x: np.ndarray,
                     round_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate constraint values and the stacked Jacobian at ``x``.

@@ -1,7 +1,7 @@
 """Run traces: everything a finished run exposes for metrics and checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class RunTrace:
     seed: int | None = None
     config_hash: str = ""
     scenario_id: str = ""
-    extras: dict = field(default_factory=dict)
 
     @property
     def final_queue(self) -> np.ndarray:

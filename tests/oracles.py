@@ -5,6 +5,8 @@ central finite differences, and a straight-line transcription of the
 solver's round structure.  Slow and dumb is the point; the library must
 agree with these, not the other way around.
 """
+import hashlib
+
 import numpy as np
 
 import queueprox as qp
@@ -134,3 +136,56 @@ def scalar_pushback_worst(geom, base, n_instances, n_z, seed):
                               - qp.bregman(geom, base, z, x_opt)))
             worst = max(worst, lhs - rhs)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# frozen trace digests: every array of a T=500 run, bit for bit
+# ---------------------------------------------------------------------------
+
+TRACE_FIELDS = ("x0", "decisions", "anchors", "queues", "g_values", "losses",
+                "alphas", "xis", "mixed_anchors")
+
+
+def trace_digest(trace):
+    """SHA-256 over the shapes and bytes of a trace's arrays, in field order.
+
+    A missing ``mixed_anchors`` (every variant but the simplex one) hashes
+    as the tag ``None``.
+    """
+    digest = hashlib.sha256()
+    for name in TRACE_FIELDS:
+        arr = getattr(trace, name)
+        if arr is None:
+            digest.update(b"None")
+            continue
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+DIGEST_HORIZON = 500
+
+# (scenario, variant) -> digest of ``run(variant, build_scenario(shipped
+# scenario at DIGEST_HORIZON))``; recorded before the round loop was folded
+# into ``algorithm.run``, which had to keep every bit
+TRACE_DIGESTS = {
+    ("golden-d2", "ompd"):
+        "937cc9e0a443e174560ae9715fa6fe192894a5c68ea02f05937be929df313cf5",
+    ("fixed-quadratic-ball", "ompd"):
+        "e3da7042eda664f1fc81f80878451cb4f70f2bd234e8eb0c3f476b31a9c6e477",
+    ("drift-rotate-d2", "ompd"):
+        "e450421fc0b995d88823c452fd0201f442b2293c6c1d3dd4bbf5e68e47f99569",
+    ("alternating-d2", "ompd"):
+        "dd2b25ee4427ab8ba75d2d7e3c35c4656d6a7460e8e89559c1e8ff555f790df1",
+    ("box-mixed-d3", "ompd"):
+        "866b33eeb0e4cfde7fb43c20f7cfd6a8479aa3b35adeb2cb9e8059356e890e70",
+    ("simplex-d10", "ompd-simplex"):
+        "4ffed1ac5f73dd9c6b02d192c3be693e74496b8d9e0c43d71b18f5a2f1b81fab",
+    ("alternating-d2", "pd-baseline"):
+        "9f50c2d13297d3507644713036b08db709494991155c0326c14c9f7a46f2170d",
+    ("box-mixed-d3", "pd-baseline"):
+        "40d625be5bfb18bc22fe8f5e7c2e5d54ed6a09dd970607e7bfe64a2da18facc2",
+    ("drift-rotate-d2", "pd-baseline"):
+        "b8bf07df694c06ab4162c48731193ba3b5362f780dc3c6c21875363056d4c6d1",
+}

@@ -6,7 +6,8 @@ import pytest
 
 import queueprox as qp
 from queueprox import algorithm as alg
-from oracles import GOLDEN, golden_config
+from oracles import (DIGEST_HORIZON, GOLDEN, TRACE_DIGESTS, golden_config,
+                     trace_digest)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -132,29 +133,38 @@ def test_golden_trace_matches_frozen_oracle_exactly():
     assert float(trace.g_values[1:].sum()) == GOLDEN["violation"]
 
 
+@pytest.mark.parametrize("name, variant", sorted(TRACE_DIGESTS))
+def test_trace_matches_frozen_digest(name, variant):
+    cfg = qp.shipped_scenario(name, horizon=DIGEST_HORIZON)
+    trace = qp.run(variant, qp.build_scenario(cfg), horizon=cfg.horizon)
+    assert trace_digest(trace) == TRACE_DIGESTS[name, variant]
+
+
 # ---------------------------------------------------------------------------
 # rounds
 # ---------------------------------------------------------------------------
 
 
-def test_init_state_anchored_at_center():
-    block = qp.empty_block(2)
-    state = qp.init_state(block, EUC2, BALL)
-    assert np.allclose(state.x_last, qp.center(BALL))
-    assert np.allclose(state.anchor, qp.center(BALL))
-    assert state.alpha == 0.0 and state.round_index == 0
+def _free_quadratic_scenario(horizon):
+    seq = qp.fixed_quadratic(EUC2, BALL, [0.4, 0.2], horizon)
+    hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
+    return qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+                       seq=seq, hp=hp)
+
+
+def test_run_anchored_at_center():
+    trace = qp.run("ompd", _free_quadratic_scenario(5), horizon=0)
+    assert np.array_equal(trace.x0, qp.center(BALL))
+    assert np.array_equal(trace.anchors, [qp.center(BALL)])
+    assert trace.alphas.shape == (0,)
 
 
 def test_round_one_reduces_to_projected_gradient_without_constraints():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.4, 0.2], 5)
-    block = qp.empty_block(2)
-    problem = qp.Problem(seq=seq, block=block)
-    hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
-    state = qp.init_state(block, EUC2, BALL)
-    new_state, out = qp.round_general(state, problem, EUC2, BALL, hp)
-    expect = qp.project(BALL, -seq.grad(0, np.zeros(2)) / out.alpha)
-    assert np.allclose(out.decision, expect, atol=1e-15)
-    assert new_state.round_index == 1
+    scenario = _free_quadratic_scenario(5)
+    trace = qp.run("ompd", scenario, horizon=1)
+    expect = qp.project(BALL,
+                        -scenario.seq.grad(0, np.zeros(2)) / trace.alphas[0])
+    assert np.allclose(trace.decisions[0], expect, atol=1e-15)
 
 
 def test_gamma_zero_disables_queue_entirely():
@@ -192,12 +202,10 @@ def test_run_horizon_zero_and_one():
     assert empty.queues.shape == (2, 1)
 
     one = qp.run("ompd", built, horizon=1)
-    state = qp.init_state(built.block, built.geom, built.base)
-    problem = qp.Problem(seq=built.seq, block=built.block)
-    _, out = qp.round_general(state, problem, built.geom, built.base,
-                              built.hp)
-    assert np.allclose(one.decisions[0], out.decision, atol=0)
-    assert one.alphas[0] == out.alpha
+    assert tuple(one.decisions[0]) == GOLDEN["decisions"][0]
+    assert one.alphas[0] == GOLDEN["alphas"][0]
+    assert one.losses[0] == GOLDEN["losses"][0]
+    assert one.queues[1][0] == GOLDEN["queues"][1]
     with pytest.raises(ValueError):
         qp.run("ompd", built, horizon=4)    # beyond the sequence horizon
 
@@ -224,12 +232,12 @@ def test_nan_gradient_raises_oracle_error_with_round():
     assert err.value.round_index == 3
 
 
-def _custom_scenario(variant, value_fn, block=None):
-    """A five-round scenario on zero gradients, for oracle-failure tests."""
+def _custom_scenario(variant, value_fn, block=None, base=None):
+    """A five-round scenario on zero gradients, for oracle and start tests."""
     if variant == qp.VARIANT_SIMPLEX:
-        geom, base = qp.entropic(2), qp.Simplex(2)
+        geom, base = qp.entropic(2), base or qp.Simplex(2)
     else:
-        geom, base = EUC2, BALL
+        geom, base = EUC2, base or BALL
     seq = qp.custom_sequence(geom, base, value_fn, lambda t, x: np.zeros(2),
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
@@ -269,11 +277,102 @@ def test_nan_constraint_raises_oracle_error_with_round(variant, bad_call):
     assert err.value.round_index == bad_call
 
 
+BOX = qp.Box(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 2.0]))
+EUCLIDEAN_VARIANTS = (qp.VARIANT_GENERAL, qp.VARIANT_BASELINE)
+
+
+def _counting_block(calls):
+    def eval_fn(x):
+        calls.append(x)
+        return np.array([-1.0]), np.zeros((1, 2))
+
+    return qp.ConstraintBlock(size=1, dim=2, eval_fn=eval_fn,
+                              value_bounds=np.ones(1), lipschitz=np.zeros(1),
+                              curvature=0.0)
+
+
+@pytest.mark.parametrize("variant, base, x0", [
+    *[pytest.param(v, BALL, [5.0, 0.0], id=f"{v}-ball")
+      for v in EUCLIDEAN_VARIANTS],
+    *[pytest.param(v, BOX, [0.0, 2.5], id=f"{v}-box-above")
+      for v in EUCLIDEAN_VARIANTS],
+    *[pytest.param(v, BOX, [-1.5, 1.0], id=f"{v}-box-below")
+      for v in EUCLIDEAN_VARIANTS],
+    pytest.param(qp.VARIANT_SIMPLEX, qp.Simplex(2), [2.5, 2.5],
+                 id="ompd-simplex-sum-5"),
+    pytest.param(qp.VARIANT_SIMPLEX, qp.Simplex(2), [1.5, -0.5],
+                 id="ompd-simplex-negative"),
+])
+def test_run_rejects_start_outside_base_set(variant, base, x0):
+    calls = []
+    scenario = _custom_scenario(variant, lambda t, x: 0.0,
+                                _counting_block(calls), base)
+    with pytest.raises(qp.DomainError, match="x0"):
+        qp.run(variant, scenario, x0=np.array(x0))
+    assert calls == []      # rejected before any oracle call
+
+
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+def test_run_rejects_start_of_wrong_shape(variant):
+    calls = []
+    scenario = _custom_scenario(variant, lambda t, x: 0.0,
+                                _counting_block(calls))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.run(variant, scenario, x0=np.full(3, 1 / 3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant, base, x0", [
+    *[pytest.param(v, BALL, [1.0, 0.0], id=f"{v}-ball")
+      for v in EUCLIDEAN_VARIANTS],
+    *[pytest.param(v, BOX, [1.0, 2.0], id=f"{v}-box-corner")
+      for v in EUCLIDEAN_VARIANTS],
+    pytest.param(qp.VARIANT_SIMPLEX, qp.Simplex(2), [1.0, 0.0],
+                 id="ompd-simplex-vertex"),
+])
+def test_run_accepts_start_on_the_boundary(variant, base, x0):
+    scenario = _custom_scenario(variant, lambda t, x: 0.0, base=base)
+    start = np.array(x0)
+    trace = qp.run(variant, scenario, x0=start)
+    start[:] = 7.0      # the trace keeps its own copy of the start point
+    assert np.array_equal(trace.x0, x0)
+    assert np.array_equal(trace.anchors[0], x0)
+    assert trace.horizon == 5
+
+
 def test_collapsed_schedule_raises(monkeypatch):
     built = qp.build_scenario(golden_config())
     monkeypatch.setattr(alg, "alpha_update", lambda *a, **k: 0.0)
     with pytest.raises(qp.ScheduleError):
         qp.run("ompd", built, horizon=1)
+
+
+@pytest.mark.parametrize("name, variant, steps_per_round", [
+    ("golden-d2", "ompd", 2),
+    ("simplex-d10", "ompd-simplex", 2),
+    ("alternating-d2", "pd-baseline", 0),
+])
+def test_run_call_counts(monkeypatch, name, variant, steps_per_round):
+    # the call-count contract the benchmark's traced runs check: two mirror
+    # steps per mirror-prox round, and one constraint evaluation per round
+    # plus one at the start point
+    counts = {"mirror_step": 0, "constraint_eval": 0}
+
+    def counting(attr, fn):
+        def wrapped(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    horizon = 20
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=horizon))
+    monkeypatch.setattr(qp.geometry, "mirror_step",
+                        counting("mirror_step", qp.geometry.mirror_step))
+    monkeypatch.setattr(alg, "constraint_eval",
+                        counting("constraint_eval", alg.constraint_eval))
+    qp.run(variant, built, horizon=horizon)
+    assert counts == {"mirror_step": steps_per_round * horizon,
+                      "constraint_eval": horizon + 1}
 
 
 # ---------------------------------------------------------------------------

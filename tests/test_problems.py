@@ -260,10 +260,3 @@ def test_comparator_infeasible_instance_errors():
     seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 5)
     with pytest.raises((qp.InfeasibleError, qp.ConvergenceError)):
         qp.hindsight_comparator(seq, block, BALL)
-
-
-def test_problem_bundle_carries_its_parts():
-    seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 5)
-    block = qp.empty_block(2)
-    problem = qp.Problem(seq=seq, block=block)
-    assert problem.seq is seq and problem.block is block

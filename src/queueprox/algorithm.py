@@ -187,7 +187,7 @@ def mix_anchor(anchor: np.ndarray, nu: float) -> np.ndarray:
 
 def _checked_grad(seq: LossSequence, t: int, x: np.ndarray) -> np.ndarray:
     g = seq.grad(t, x)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise OracleError(
             f"loss gradient oracle returned a non-finite value at round {t}",
             oracle="loss-gradient", round_index=t,

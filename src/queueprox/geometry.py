@@ -159,12 +159,25 @@ def norm(geom: Geometry, v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
-def dual_norm(geom: Geometry, v: np.ndarray) -> float:
-    """Dual norm of the geometry: l2 for euclidean, l-infinity for entropic."""
+def dual_norm(geom: Geometry, v: np.ndarray) -> float | np.ndarray:
+    """Dual norm of the geometry: l2 for euclidean, l-infinity for entropic.
+
+    ``v`` is one vector, or an ``(n, d)`` stack of vectors.  Returns a
+    float for one vector; for a stack, the ``(n,)`` array whose row ``i``
+    equals the one-vector call on ``v[i]``.  A vector with no entries has
+    norm 0.
+    """
     v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DimensionMismatchError("dual_norm expects a vector or a stack "
+                                     "of vectors")
     if geom.kind == EUCLIDEAN:
-        return float(np.sqrt(v @ v))
-    return float(np.abs(v).max()) if v.size else 0.0
+        # row-wise dot products, the same reduction as ``v @ v``
+        val = np.sqrt(v @ v if v.ndim == 1
+                      else (v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    else:
+        val = np.abs(v).max(axis=-1, initial=0.0)
+    return float(val) if v.ndim == 1 else val
 
 
 def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
@@ -287,7 +300,7 @@ def mirror_step(
         )
     if alpha <= 0:
         raise ValueError("mirror_step needs alpha > 0")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("mirror_step got a non-finite coefficient vector")
     if geom.kind == EUCLIDEAN:
         return project(base, anchor - h / alpha)

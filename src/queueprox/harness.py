@@ -232,9 +232,9 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
 def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     """Materialize geometry, base set, constraints, losses, and constants."""
     config.validate()
-    geom = (geo.euclidean if config.geometry == "euclidean" else geo.entropic)(
-        _build_base(config).dim)
     base = _build_base(config)
+    geom = (geo.euclidean if config.geometry == "euclidean" else geo.entropic)(
+        base.dim)
     rng = np.random.default_rng(config.seed)
     block = _build_block(config, geom, base, rng)
     seq = _build_loss(config, geom, base, rng)

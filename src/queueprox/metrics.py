@@ -82,6 +82,11 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     probe lies in the base set.  A max over a subset never exceeds the
     true supremum, which makes this a certified lower bound able to
     validate overestimated variation caps.
+
+    The probes form one ``(n, d)`` stack: each round takes one stacked
+    ``LossSequence.grad`` call and one stacked ``dual_norm`` call on the
+    gradient deltas, and the rounds' squared maxima are summed in round
+    order.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -96,12 +101,10 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
         points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
     horizon = min(trace.horizon, seq.horizon)
     total = 0.0
-    prev = [seq.grad(1, p) for p in points]
+    prev = seq.grad(1, points)
     for t in range(2, horizon + 1):
-        cur = [seq.grad(t, p) for p in points]
-        total += max(
-            geo.dual_norm(geom, c - p) for c, p in zip(cur, prev)
-        ) ** 2
+        cur = seq.grad(t, points)
+        total += float(geo.dual_norm(geom, cur - prev).max()) ** 2
         prev = cur
     return total
 

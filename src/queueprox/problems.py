@@ -89,7 +89,7 @@ def constraint_eval(block: ConstraintBlock, x: np.ndarray,
     values, jac = block.eval_fn(x)
     values = np.asarray(values, dtype=float).reshape(block.size)
     jac = np.asarray(jac, dtype=float).reshape(block.size, block.dim)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(jac))):
+    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
         where = "" if round_index is None else f" at round {round_index}"
         raise OracleError(f"constraint oracle returned a non-finite value{where}",
                           oracle="constraint", round_index=round_index)
@@ -300,7 +300,7 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
     def eval_fn(x):
         parts = [b.eval_fn(x) for b in blocks]
         values = np.concatenate([p[0] for p in parts])
-        jac = np.vstack([p[1] for p in parts])
+        jac = np.concatenate([p[1] for p in parts])
         return values, jac
 
     slater = None
@@ -346,6 +346,10 @@ class LossSequence:
     grad_constant_in_x : bool
         True when gradients do not depend on the query point, which makes
         the gradient-variation total exactly computable.
+    grad_takes_stack : bool
+        True when ``grad_fn`` maps an ``(n, d)`` stack of points to their
+        ``(n, d)`` gradients in one call, row ``i`` equal to the one-point
+        call on row ``i``.  Otherwise ``grad`` calls it once per row.
     """
 
     family: str
@@ -356,6 +360,7 @@ class LossSequence:
     grad_bound: float
     grad_lipschitz: float
     grad_constant_in_x: bool = False
+    grad_takes_stack: bool = False
     variation_fn: Callable[[], float] | None = None
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -371,8 +376,22 @@ class LossSequence:
         return float(self.value_fn(self._index(t), np.asarray(x, dtype=float)))
 
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(self._index(t), np.asarray(x, dtype=float)),
-                          dtype=float)
+        """Gradient of ``f_t`` at one point ``x``, or at each row of an
+        ``(n, d)`` stack ``x``, shaped like ``x``; a stack row equals the
+        one-point call on it, bit for bit."""
+        t = self._index(t)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.asarray(self.grad_fn(t, x), dtype=float)
+        if self.grad_takes_stack:
+            g = np.asarray(self.grad_fn(t, x), dtype=float)
+            if g.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"stacked gradient oracle returned shape {g.shape} "
+                    f"for points of shape {x.shape}")
+            return g
+        return np.array([self.grad_fn(t, row) for row in x],
+                        dtype=float).reshape(x.shape)
 
 
 def _linear_family(
@@ -527,7 +546,8 @@ def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
         value_fn=value_fn,
         grad_fn=lambda t, x: scale * (x - target),
         grad_bound=scale * reach, grad_lipschitz=scale,
-        grad_constant_in_x=False, variation_fn=lambda: 0.0,
+        grad_constant_in_x=False, grad_takes_stack=True,
+        variation_fn=lambda: 0.0,
         mean_value_fn=lambda x: value_fn(1, x),
         mean_grad_fn=lambda x: scale * (x - target),
         mean_curvature=scale, params={"form": "quadratic"},
@@ -599,7 +619,8 @@ def quadratic_drift(
         family="quadratic-drift", horizon=horizon, dim=base.dim,
         value_fn=value_fn, grad_fn=grad_fn,
         grad_bound=grad_bound, grad_lipschitz=float(scales[1:].max()),
-        grad_constant_in_x=False, variation_fn=variation,
+        grad_constant_in_x=False, grad_takes_stack=True,
+        variation_fn=variation,
         mean_value_fn=lambda x: (0.5 * mean_scale * float(x @ x)
                                  - float(mean_m @ x) + mean_const),
         mean_grad_fn=lambda x: mean_scale * x - mean_m,
@@ -652,9 +673,16 @@ def gradient_variation(seq: LossSequence, base: geo.BaseSet | None = None) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _fista(value_fn, grad_fn, base, x0, *, lipschitz_guess=1.0,
+def _fista(objective, base, x0, *, lipschitz_guess=1.0,
            max_iter=20000, tol=1e-12, stall_limit=120):
     """Accelerated projected gradient with backtracking and restarts.
+
+    ``objective`` is the fused oracle: it maps a point to the pair
+    ``(value, gradient)``.  It is called once per point the solver visits:
+    once per extrapolated point, and once per backtracking candidate, whose
+    value then also serves the restart and best-value tests.  After a
+    function-value restart the next point is that candidate itself, and its
+    pair is reused.
 
     Returns ``(x, residual)`` where residual is the final squared
     gradient-mapping norm.  Stops early when the residual drops below
@@ -665,18 +693,20 @@ def _fista(value_fn, grad_fn, base, x0, *, lipschitz_guess=1.0,
     y = x.copy()
     momentum = 1.0
     step_inv = max(lipschitz_guess, 1e-12)
-    best_val = value_fn(x)
+    f_y, g = objective(y)
+    best_val = f_y
     best_x = x.copy()
     residual = np.inf
     stale = 0
     for _ in range(max_iter):
-        g = grad_fn(y)
-        f_y = value_fn(y)
+        if g is None:
+            f_y, g = objective(y)
         while True:
             candidate = geo.project(base, y - g / step_inv)
             delta = candidate - y
             quad = f_y + float(g @ delta) + 0.5 * step_inv * float(delta @ delta)
-            if value_fn(candidate) <= quad + 1e-15:
+            cand_val, cand_grad = objective(candidate)
+            if cand_val <= quad + 1e-15:
                 break
             step_inv *= 2.0
             if step_inv > 1e18:
@@ -685,11 +715,13 @@ def _fista(value_fn, grad_fn, base, x0, *, lipschitz_guess=1.0,
         if residual <= tol:
             return candidate, residual
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-        y = candidate + ((momentum - 1.0) / momentum_new) * (candidate - x)
-        cand_val = value_fn(candidate)
         if cand_val > best_val:          # function-value restart
             y = candidate.copy()
+            f_y, g = cand_val, cand_grad
             momentum_new = 1.0
+        else:
+            y = candidate + ((momentum - 1.0) / momentum_new) * (candidate - x)
+            g = None
         if cand_val < best_val - 1e-15 * (1.0 + abs(best_val)):
             best_val = cand_val
             best_x = candidate.copy()
@@ -702,6 +734,13 @@ def _fista(value_fn, grad_fn, base, x0, *, lipschitz_guess=1.0,
         momentum = momentum_new
         step_inv *= 0.5                  # allow the step to grow back
     return x, residual
+
+
+def _squared_violation(block: ConstraintBlock, x: np.ndarray):
+    """Value and gradient of ``sum_k max(g_k(x), 0)^2`` from one block call."""
+    values, jac = block.eval_fn(x)
+    hinge = np.maximum(values, 0.0)
+    return float((hinge ** 2).sum()), 2.0 * (hinge @ jac)
 
 
 def hindsight_comparator(
@@ -735,7 +774,7 @@ def hindsight_comparator(
 
     if block.size == 0:
         x, residual = _fista(
-            seq.mean_value_fn, seq.mean_grad_fn, base, x0,
+            lambda p: (seq.mean_value_fn(p), seq.mean_grad_fn(p)), base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
             max_iter=max_iter,
         )
@@ -743,17 +782,10 @@ def hindsight_comparator(
             raise ConvergenceError("comparator solve stalled", residual=residual)
         return x
 
-    def violation_sq(x):
-        values, _ = block.eval_fn(x)
-        return float(np.sum(np.maximum(values, 0.0) ** 2))
-
     if block.slater is None:
         # certify feasibility before optimizing
-        def feas_grad(x):
-            values, jac = block.eval_fn(x)
-            return 2.0 * (np.maximum(values, 0.0) @ jac)
-
-        probe, _ = _fista(violation_sq, feas_grad, base, x0, max_iter=max_iter)
+        probe, _ = _fista(lambda p: _squared_violation(block, p), base, x0,
+                          max_iter=max_iter)
         values, _ = block.eval_fn(probe)
         if np.max(values) > 1e-6:
             worst = int(np.argmax(values))
@@ -770,14 +802,12 @@ def hindsight_comparator(
     weight = 1000.0
     curvature_guess = max(seq.mean_curvature, 1.0)
     for _ in range(6):
-        def value_fn(p, w=weight):
-            return seq.mean_value_fn(p) + w * violation_sq(p)
+        def penalized(p, w=weight):
+            violation_sq, violation_grad = _squared_violation(block, p)
+            return (seq.mean_value_fn(p) + w * violation_sq,
+                    seq.mean_grad_fn(p) + w * violation_grad)
 
-        def grad_fn(p, w=weight):
-            values, jac = block.eval_fn(p)
-            return seq.mean_grad_fn(p) + 2.0 * w * (np.maximum(values, 0.0) @ jac)
-
-        x, residual = _fista(value_fn, grad_fn, base, x,
+        x, residual = _fista(penalized, base, x,
                              lipschitz_guess=curvature_guess, max_iter=max_iter)
         values, _ = block.eval_fn(x)
         if float(np.max(values, initial=0.0)) <= stage_target:
@@ -791,7 +821,6 @@ def hindsight_comparator(
                 residual=float(np.max(values, initial=0.0)),
             )
 
-    values, _ = block.eval_fn(x)
     worst = float(np.max(values, initial=0.0))
     if worst > 0.0 and block.slater is not None:
         # convex pull toward the certificate clears the residual violation

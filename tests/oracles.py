@@ -62,6 +62,30 @@ def brute_force_variation(seq, geom, base, n_samples=512, seed=0):
     return total
 
 
+def scalar_empirical_variation(trace, seq, sample_budget=32):
+    """``metrics.empirical_variation`` one probe point at a time.
+
+    Picks the same probes (the start point plus up to ``sample_budget``
+    evenly spaced decisions) and, per round, takes one gradient and one
+    dual norm per probe, keeping the running max and sum in plain floats.
+    """
+    geom = (qp.entropic(trace.dim) if trace.variant == "ompd-simplex"
+            else qp.euclidean(trace.dim))
+    points = [trace.x0]
+    if not seq.grad_constant_in_x:
+        count = min(sample_budget, trace.horizon)
+        points += [trace.decisions[i] for i in sorted(set(
+            np.linspace(0, trace.horizon - 1, count, dtype=int).tolist()))]
+    total = 0.0
+    for t in range(2, min(trace.horizon, seq.horizon) + 1):
+        worst = 0.0
+        for x in points:
+            delta = seq.grad(t, x) - seq.grad(t - 1, x)
+            worst = max(worst, qp.dual_norm(geom, delta))
+        total += worst ** 2
+    return total
+
+
 def finite_diff_grad(fn, x, eps=1e-6):
     """Central-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
@@ -188,4 +212,80 @@ TRACE_DIGESTS = {
         "40d625be5bfb18bc22fe8f5e7c2e5d54ed6a09dd970607e7bfe64a2da18facc2",
     ("drift-rotate-d2", "pd-baseline"):
         "b8bf07df694c06ab4162c48731193ba3b5362f780dc3c6c21875363056d4c6d1",
+}
+
+
+# ---------------------------------------------------------------------------
+# frozen report digests: comparator, variation estimate and regret
+# ---------------------------------------------------------------------------
+
+
+def _override(name, **fields):
+    """A shipped scenario at DIGEST_HORIZON with some fields replaced."""
+    cfg = qp.shipped_scenario(name, horizon=DIGEST_HORIZON)
+    return qp.ScenarioConfig.from_dict({**cfg.to_dict(), **fields})
+
+
+def digest_configs():
+    """Name -> config of every run whose audit numbers are frozen.
+
+    The six shipped scenarios, plus one box and one ball config shaped
+    like the benchmark's audit workload: moved caps and targets, so the
+    box's quadratic constraint binds at a different point.
+    """
+    configs = {name: qp.shipped_scenario(name, horizon=DIGEST_HORIZON)
+               for name in qp.SHIPPED_SCENARIOS}
+    configs["audit-box"] = _override(
+        "box-mixed-d3",
+        constraints=[
+            {"family": "linear", "A": [[1.0, 1.0, 1.0]], "b": [1.003],
+             "slater_point": [0.0, 0.0, 0.0]},
+            {"family": "quadratic", "centers": [[0.0, 0.0, 0.0]],
+             "offsets": [0.902], "slater_point": [0.0, 0.0, 0.0]}],
+        loss={"family": "quadratic-drift", "target0": [0.905, 0.894, 0.102],
+              "target_drift": [-0.395, 0.307, 0.198], "scale0": 1.006,
+              "scale_drift": 0.497})
+    configs["audit-ball"] = _override(
+        "fixed-quadratic-ball",
+        constraints={"family": "linear", "A": [[1.0, 0.0]], "b": [0.27],
+                     "slater_point": [0.0, 0.0]},
+        loss={"family": "fixed", "form": "quadratic",
+              "target": [0.13, 0.52], "scale": 0.9})
+    return configs
+
+
+def report_digest(report):
+    """SHA-256 over the comparator's bytes, ``repr(v_empirical)`` and
+    ``repr(regret)`` of a ``run_scenario`` report."""
+    digest = hashlib.sha256()
+    comparator = np.ascontiguousarray(report.extras["comparator"],
+                                      dtype=np.float64)
+    digest.update(repr(comparator.shape).encode())
+    digest.update(comparator.tobytes())
+    digest.update(repr(report.v_empirical).encode())
+    digest.update(repr(report.regret).encode())
+    return digest.hexdigest()
+
+
+# name in ``digest_configs()`` -> ``report_digest(run_scenario(config))``;
+# recorded before the comparator's solver took a fused value-and-gradient
+# oracle and the variation estimate took stacked gradients, both of which
+# had to keep every bit
+REPORT_DIGESTS = {
+    "golden-d2":
+        "0d439ded777e5e5d4fe66ac0bb2ba7ae5645b1476622c14bdcd9b7cd1abfb9a0",
+    "fixed-quadratic-ball":
+        "280ddb0d26f9f777e0785c735d8e5065e73cac5ddfafe8b3b4325cfdde4dc4cc",
+    "drift-rotate-d2":
+        "ad32743416ea29dfdd52388d66a2c60deb2ec8345a046861d43500dfc24c2112",
+    "alternating-d2":
+        "c3db72a12df74fb9850278e34cd304461e6821705a96094d56a30a03e1991022",
+    "box-mixed-d3":
+        "75ac6184018dec679278565d9e1601b0d85c0b30ce163e3bf166b6841590b933",
+    "simplex-d10":
+        "69f4fc4f60fef0234eb1415af036d0a2a23424cf328652433619369f8065079f",
+    "audit-box":
+        "328dece375cb187c70aa1f4c1dabb2a3efdd8efd6d285a0d7ef9a2fa59877063",
+    "audit-ball":
+        "dcbcb55041b9e6ce2d5132870339ee9cebc25e8f7db7a4a1336fa069b543f425",
 }

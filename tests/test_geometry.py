@@ -192,6 +192,29 @@ def test_dual_norm_pairings():
     assert qp.dual_norm(ENT2, v) == 4.0       # l1 primal, l-infinity dual
     assert qp.norm(ENT2, v) == 7.0
     assert qp.dual_norm(EUC2, np.zeros(0)) == 0.0
+    assert qp.dual_norm(ENT2, np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("geom", [EUC2, ENT2, qp.euclidean(40),
+                                  qp.entropic(40)])
+def test_dual_norm_stack_matches_rows(geom):
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((9, geom.dim)) * np.logspace(-8, 8, 9)[:, None]
+    stack[0] = 0.0
+    stack[1, 0] = -0.0
+    norms = qp.dual_norm(geom, stack)
+    assert norms.shape == (9,)
+    rows = np.array([qp.dual_norm(geom, v) for v in stack])
+    assert norms.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("geom", [EUC2, ENT2])
+def test_dual_norm_empty_stacks(geom):
+    assert qp.dual_norm(geom, np.zeros((0, geom.dim))).shape == (0,)
+    # rows with no entries have norm 0
+    assert qp.dual_norm(geom, np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.dual_norm(geom, np.zeros((2, 2, 2)))
 
 
 def test_diameter_bound_euclidean_only():

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import queueprox as qp
-from oracles import GOLDEN, golden_config
+from oracles import (REPORT_DIGESTS, GOLDEN, digest_configs, golden_config,
+                     report_digest, scalar_empirical_variation)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -133,6 +134,44 @@ def test_violation_bound_holds_on_every_shipped_run(name):
     holds, slack = qp.violation_bound_check(trace)
     assert holds
     assert np.all(qp.violation(trace) <= report.queue_bound + 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_matches_frozen_digest(name):
+    _, report = qp.run_scenario(digest_configs()[name])
+    assert report_digest(report) == REPORT_DIGESTS[name]
+
+
+def _x_dependent_run(variant, horizon):
+    """A run on a custom loss whose gradients move with ``x`` and ``t``,
+    through an oracle that only takes one point."""
+    if variant == qp.VARIANT_SIMPLEX:
+        geom, base = qp.entropic(3), qp.Simplex(3)
+    else:
+        geom, base = qp.euclidean(3), qp.Ball(center=np.zeros(3), radius=1.0)
+    weights = np.array([1.0, -2.0, 0.5])
+
+    def grad_fn(t, x):
+        assert x.shape == (3,)
+        return np.cos(t * x) * weights + 0.3 * np.sin(t) * x[::-1]
+
+    seq = qp.custom_sequence(geom, base, lambda t, x: float(weights @ x),
+                             grad_fn, horizon=horizon, grad_bound=3.0,
+                             grad_lipschitz=1.0, variation=0.0)
+    hp = qp.hyperparams_from_variation(1.0, 1.0, horizon=horizon,
+                                       variant=variant)
+    scenario = qp.Scenario(geom=geom, base=base, block=qp.empty_block(3),
+                           seq=seq, hp=hp)
+    return seq, qp.run(variant, scenario)
+
+
+@pytest.mark.parametrize("variant", [qp.VARIANT_GENERAL, qp.VARIANT_SIMPLEX])
+def test_empirical_variation_matches_per_point_reference(variant):
+    seq, trace = _x_dependent_run(variant, horizon=64)
+    for budget in (1, 32):
+        v = qp.empirical_variation(trace, seq, sample_budget=budget)
+        assert v > 0.0
+        assert v == scalar_empirical_variation(trace, seq, budget)
 
 
 def test_empirical_variation_fixed_losses_zero():

@@ -1,8 +1,11 @@
 """Constraint blocks, loss sequences, constants, variation, comparator."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import queueprox as qp
+from queueprox import geometry
 from oracles import (brute_force_variation, finite_diff_grad,
                      grid_comparator)
 
@@ -138,6 +141,52 @@ def test_loss_constants_hold_on_samples(make_seq):
                     <= seq.grad_lipschitz * np.linalg.norm(x - y) * slack)
 
 
+def _one_point_custom_sequence(horizon):
+    """An x-dependent custom sequence whose oracle rejects stacks."""
+
+    def grad_fn(t, x):
+        assert x.shape == (2,), "the user oracle must see one point"
+        return np.array([np.sin(t * x[0]) + x[1] ** 2, t * x[0] * x[1]])
+
+    return qp.custom_sequence(
+        EUC2, BALL, lambda t, x: float(x @ x), grad_fn, horizon=horizon,
+        grad_bound=10.0, grad_lipschitz=10.0)
+
+
+@pytest.mark.parametrize("make_seq", [
+    lambda: qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 20),
+    lambda: qp.fixed_quadratic(EUC2, BALL, [0.1, 0.55], 20, scale=0.7),
+    lambda: qp.linear_drift(EUC2, BALL, [0.5, 0.0], [0.0, 0.4], 20),
+    lambda: qp.rotating_drift(EUC2, BALL, amplitude=0.8, rate=0.6,
+                              horizon=20),
+    lambda: qp.alternating(EUC2, BALL, [0.3, 0.1], [-0.2, 0.4], 20),
+    lambda: qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 20,
+                               scale0=1.0, scale_drift=0.5),
+    lambda: _one_point_custom_sequence(20),
+], ids=["fixed-linear", "fixed-quadratic", "linear-drift", "rotating-drift",
+        "alternating", "quadratic-drift", "custom"])
+def test_loss_grad_on_a_stack_equals_its_rows(make_seq):
+    seq = make_seq()
+    points = qp.sample(BALL, np.random.default_rng(12), 7)
+    for t in (0, 1, 9, 20):
+        stacked = seq.grad(t, points)
+        assert stacked.shape == points.shape
+        rows = np.array([seq.grad(t, p) for p in points])
+        assert stacked.tobytes() == rows.tobytes()
+    assert seq.grad(3, points[:0]).shape == (0, 2)
+
+
+def test_stacked_grad_rejects_an_oracle_that_ignores_the_stack():
+    # the linear families' oracle returns one (d,) row whatever x is; a
+    # stack flag on it must not broadcast that row over the probes
+    seq = replace(qp.linear_drift(EUC2, BALL, [0.5, 0.0], [0.0, 0.4], 20),
+                  grad_takes_stack=True)
+    points = qp.sample(BALL, np.random.default_rng(13), 3)
+    assert seq.grad(2, points[0]).shape == (2,)
+    with pytest.raises(qp.DimensionMismatchError):
+        seq.grad(2, points)
+
+
 def test_quadratic_gradients_match_finite_differences():
     seq = qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 10,
                              scale0=1.0, scale_drift=0.5)
@@ -260,3 +309,31 @@ def test_comparator_infeasible_instance_errors():
     seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 5)
     with pytest.raises((qp.InfeasibleError, qp.ConvergenceError)):
         qp.hindsight_comparator(seq, block, BALL)
+
+
+@pytest.mark.parametrize("name", ["golden-d2", "box-mixed-d3", "simplex-d10"])
+def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    calls = {"eval": 0, "project": 0}
+
+    def counted_eval(x):
+        calls["eval"] += 1
+        return built.block.eval_fn(x)
+
+    project = geometry.project
+
+    def counted_project(base, y):
+        calls["project"] += 1
+        return project(base, y)
+
+    monkeypatch.setattr(geometry, "project", counted_project)
+    qp.hindsight_comparator(built.seq,
+                            replace(built.block, eval_fn=counted_eval),
+                            built.base)
+    # a FISTA iteration visits one projected point per backtracking
+    # candidate and at most one extrapolated point, so it has at most
+    # twice as many new points as projections; beyond one evaluation per
+    # new point, each of the at most six penalty stages evaluates its start
+    # and its result once more, and the pull toward the certificate once
+    assert calls["project"] > 0
+    assert calls["eval"] <= 2 * calls["project"] + 2 * 6 + 1

@@ -22,10 +22,10 @@ from .geometry import (Ball, Box, Geometry, Simplex, bregman, center,
                        compatible, contains, diameter_bound, dual_norm,
                        entropic, euclidean, mirror_step, norm, project,
                        sample)
-from .harness import (SHIPPED_SCENARIOS, BuiltScenario, ScenarioConfig,
-                      SweepResult, SweepSpec, build_scenario,
-                      fit_loglog_slope, run_scenario, shipped_scenario,
-                      sweep, write_shipped_configs)
+from .harness import (SHIPPED_SCENARIOS, ScenarioConfig, SweepResult,
+                      SweepSpec, build_scenario, fit_loglog_slope,
+                      run_scenario, shipped_scenario, sweep,
+                      write_shipped_configs)
 from .metrics import (MetricsReport, append_summary_row, clipped_violation,
                       empirical_variation, regret, violation,
                       violation_bound_check, write_round_csv)
@@ -53,8 +53,8 @@ __all__ = [
     "Ball", "Box", "Geometry", "Simplex", "bregman", "center", "compatible",
     "contains", "diameter_bound", "dual_norm", "entropic", "euclidean",
     "mirror_step", "norm", "project", "sample",
-    "SHIPPED_SCENARIOS", "BuiltScenario", "ScenarioConfig", "SweepResult",
-    "SweepSpec", "build_scenario", "fit_loglog_slope", "run_scenario",
+    "SHIPPED_SCENARIOS", "ScenarioConfig", "SweepResult", "SweepSpec",
+    "build_scenario", "fit_loglog_slope", "run_scenario",
     "shipped_scenario", "sweep", "write_shipped_configs",
     "MetricsReport", "append_summary_row", "clipped_violation",
     "empirical_variation", "regret", "violation", "violation_bound_check",

@@ -45,14 +45,6 @@ class Geometry:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
-    @property
-    def norm_tag(self) -> str:
-        return "l2" if self.kind == EUCLIDEAN else "l1"
-
-    @property
-    def dual_norm_tag(self) -> str:
-        return "l2" if self.kind == EUCLIDEAN else "linf"
-
 
 def euclidean(dim: int) -> Geometry:
     return Geometry(EUCLIDEAN, dim)

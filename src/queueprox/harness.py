@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,16 +19,18 @@ from . import algorithm as alg
 from . import geometry as geo
 from . import metrics as met
 from . import problems as prob
-from .errors import ConfigError
+from .errors import ConfigError, QueueproxError
 from .trace import RunTrace
-
-THREAD_ENV_VAR = "OPMP_THREADS"
 
 _VARIANTS = set(alg.VARIANTS)
 _GEOMETRIES = {"euclidean", "entropic"}
 _LOSS_FAMILIES = {"fixed", "linear-drift", "alternating", "quadratic-drift",
                   "custom"}
 _CONSTRAINT_FAMILIES = {"linear", "quadratic"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ class ScenarioConfig:
             bad.append("scenario_id")
         if self.geometry not in _GEOMETRIES:
             bad.append("geometry")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        if not _is_int(self.horizon) or self.horizon < 1:
             bad.append("horizon")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             bad.append("seed")
         if self.variant not in _VARIANTS:
             bad.append("variant")
@@ -133,13 +134,6 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"invalid config fields: {sorted(set(bad))}",
                               fields=sorted(set(bad)))
-
-
-@dataclass
-class BuiltScenario(alg.Scenario):
-    """A runnable scenario bundle plus the variation cap it was tuned to."""
-
-    v_cap: float = 0.0
 
 
 def _build_base(config: ScenarioConfig) -> geo.BaseSet:
@@ -229,15 +223,26 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
                       fields=["loss"])
 
 
-def build_scenario(config: ScenarioConfig) -> BuiltScenario:
+def _building(part: str, build, *args):
+    """``build(*args)``, with a malformed ``part`` spec as a ConfigError."""
+    try:
+        return build(*args)
+    except QueueproxError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {part} spec: {exc!r}",
+                          fields=[part]) from exc
+
+
+def build_scenario(config: ScenarioConfig) -> alg.Scenario:
     """Materialize geometry, base set, constraints, losses, and constants."""
     config.validate()
-    base = _build_base(config)
+    base = _building("base", _build_base, config)
     geom = (geo.euclidean if config.geometry == "euclidean" else geo.entropic)(
         base.dim)
     rng = np.random.default_rng(config.seed)
-    block = _build_block(config, geom, base, rng)
-    seq = _build_loss(config, geom, base, rng)
+    block = _building("constraints", _build_block, config, geom, base, rng)
+    seq = _building("loss", _build_loss, config, geom, base, rng)
     if config.v_cap["mode"] == "supplied":
         v_cap = float(config.v_cap["value"])
     else:
@@ -245,8 +250,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     hp = alg.hyperparams_from_variation(
         v_cap, seq.grad_lipschitz, horizon=config.horizon,
         variant=config.variant)
-    return BuiltScenario(geom=geom, base=base, block=block, seq=seq,
-                         hp=hp, v_cap=v_cap)
+    return alg.Scenario(geom=geom, base=base, block=block, seq=seq, hp=hp)
 
 
 def run_scenario(
@@ -277,7 +281,7 @@ def run_scenario(
         regret=met.regret(trace, comparator, built.seq, built.block),
         violations=met.violation(trace),
         clipped_violations=met.clipped_violation(trace),
-        queue_bound=queue_bound, v_cap=built.v_cap, v_empirical=v_emp,
+        queue_bound=queue_bound, v_cap=built.hp.v_cap, v_empirical=v_emp,
         extras={"runtime_s": elapsed, "comparator": comparator,
                 "seed": config.seed},
     )
@@ -345,44 +349,23 @@ def fit_loglog_slope(horizons, values) -> tuple[float, float]:
     return slope, offset
 
 
-def thread_cap(requested: int | None = None) -> int:
-    """Worker cap for sweep cells, honoring the OPMP_THREADS variable."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREAD_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{THREAD_ENV_VAR} must be an integer") from exc
-    return max(1, os.cpu_count() or 1)
+def thread_cap() -> int:
+    """1: sweep runs its cells one at a time (read by bench run metadata)."""
+    return 1
 
 
-def sweep(spec: SweepSpec, out_dir: str | None = None,
-          threads: int | None = None) -> SweepResult:
+def sweep(spec: SweepSpec, out_dir: str | None = None) -> SweepResult:
     """Run every (horizon, seed) cell and fit growth slopes.
 
-    Cells run in parallel up to the thread cap.  Regret and worst
+    Cells run one at a time in (T, seed) order.  Regret and worst
     cumulative violation are averaged over seeds at each horizon before
     the log-log fit.
     """
-    cells = [(T, s) for T in spec.horizons for s in spec.seeds]
-    workers = min(thread_cap(threads), len(cells))
-
-    def run_cell(cell):
-        T, seed = cell
+    reports = []
+    for T, seed in sorted((T, s) for T in spec.horizons for s in spec.seeds):
         config = replace(spec.config, horizon=T, seed=seed, out=None)
         _, report = run_scenario(config, out_dir=None)
-        return report
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(c) for c in cells]
-
-    order = sorted(range(len(cells)), key=lambda i: cells[i])
-    reports = [reports[i] for i in order]
+        reports.append(report)
 
     distinct = sorted(set(spec.horizons))
     mean_regret = []

@@ -13,7 +13,7 @@ but never correctness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,8 +52,6 @@ class ConstraintBlock:
         norm / dual-norm pairing.
     slater : tuple or None
         ``(point, margin)`` with ``g_k(point) <= -margin`` for every k.
-    kind : str
-        Family tag, for reporting only.
     """
 
     size: int
@@ -63,7 +61,6 @@ class ConstraintBlock:
     lipschitz: np.ndarray
     curvature: float
     slater: tuple[np.ndarray, float] | None = None
-    kind: str = "custom"
 
     @property
     def value_bound_total(self) -> float:
@@ -242,7 +239,7 @@ def linear_block(
     return ConstraintBlock(
         size=A.shape[0], dim=base.dim, eval_fn=eval_fn,
         value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
-        curvature=consts["curvature"], slater=slater, kind="linear",
+        curvature=consts["curvature"], slater=slater,
     )
 
 
@@ -272,7 +269,7 @@ def quadratic_block(
     return ConstraintBlock(
         size=centers.shape[0], dim=base.dim, eval_fn=eval_fn,
         value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
-        curvature=consts["curvature"], slater=slater, kind="quadratic",
+        curvature=consts["curvature"], slater=slater,
     )
 
 
@@ -285,7 +282,7 @@ def empty_block(dim: int) -> ConstraintBlock:
     return ConstraintBlock(
         size=0, dim=dim, eval_fn=eval_fn,
         value_bounds=np.zeros(0), lipschitz=np.zeros(0),
-        curvature=0.0, slater=None, kind="empty",
+        curvature=0.0, slater=None,
     )
 
 
@@ -315,7 +312,7 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
         value_bounds=np.concatenate([b.value_bounds for b in blocks]),
         lipschitz=np.concatenate([b.lipschitz for b in blocks]),
         curvature=max(b.curvature for b in blocks),
-        slater=slater, kind="stack",
+        slater=slater,
     )
 
 
@@ -335,9 +332,6 @@ class LossSequence:
 
     Attributes
     ----------
-    family : str
-        One of ``fixed``, ``linear-drift``, ``alternating``,
-        ``quadratic-drift``, ``custom``.
     grad_bound : float
         Bound on gradient dual norms over the base set.
     grad_lipschitz : float
@@ -352,7 +346,6 @@ class LossSequence:
         call on row ``i``.  Otherwise ``grad`` calls it once per row.
     """
 
-    family: str
     horizon: int
     dim: int
     value_fn: Callable[[int, np.ndarray], float]
@@ -365,7 +358,6 @@ class LossSequence:
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     mean_curvature: float = 0.0
-    params: dict = field(default_factory=dict)
 
     def _index(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
@@ -400,8 +392,6 @@ def _linear_family(
     coeff_at: Callable[[int], np.ndarray],
     horizon: int,
     grad_lipschitz: float,
-    family: str,
-    params: dict,
 ) -> LossSequence:
     """Assemble a loss sequence ``f_t(x) = <c_t, x>`` from a coefficient map."""
     if horizon < 1:
@@ -428,14 +418,14 @@ def _linear_family(
         return total
 
     return LossSequence(
-        family=family, horizon=horizon, dim=base.dim,
+        horizon=horizon, dim=base.dim,
         value_fn=lambda t, x: float(coeff_at(t) @ x),
         grad_fn=lambda t, x: coeff_at(t).copy(),
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
         grad_constant_in_x=True, variation_fn=variation,
         mean_value_fn=lambda x: float(mean @ x),
         mean_grad_fn=lambda x: mean.copy(),
-        mean_curvature=0.0, params=params,
+        mean_curvature=0.0,
     )
 
 
@@ -444,10 +434,7 @@ def fixed_linear(geom, base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequenc
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (base.dim,):
         raise DimensionMismatchError("loss coefficients do not match the base set")
-    return _linear_family(
-        geom, base, lambda t: c, horizon, grad_lipschitz,
-        family="fixed", params={"form": "linear"},
-    )
+    return _linear_family(geom, base, lambda t: c, horizon, grad_lipschitz)
 
 
 def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
@@ -460,10 +447,7 @@ def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossS
     def coeff_at(t: int) -> np.ndarray:
         return start + (t / horizon) * drift
 
-    return _linear_family(
-        geom, base, coeff_at, horizon, grad_lipschitz,
-        family="linear-drift", params={"schedule": "line"},
-    )
+    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
 
 
 def rotating_drift(
@@ -498,11 +482,7 @@ def rotating_drift(
     def coeff_at(t: int) -> np.ndarray:
         return amplitude * (np.cos(angles[t]) * e1 + np.sin(angles[t]) * e2)
 
-    return _linear_family(
-        geom, base, coeff_at, horizon, grad_lipschitz,
-        family="linear-drift",
-        params={"schedule": "rotate", "amplitude": amplitude, "rate": rate},
-    )
+    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
 
 
 def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossSequence:
@@ -515,10 +495,7 @@ def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossS
     def coeff_at(t: int) -> np.ndarray:
         return first if t % 2 == 1 else second
 
-    return _linear_family(
-        geom, base, coeff_at, horizon, grad_lipschitz,
-        family="alternating", params={},
-    )
+    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
 
 
 def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
@@ -542,7 +519,7 @@ def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
         return 0.5 * scale * float(diff @ diff)
 
     return LossSequence(
-        family="fixed", horizon=horizon, dim=base.dim,
+        horizon=horizon, dim=base.dim,
         value_fn=value_fn,
         grad_fn=lambda t, x: scale * (x - target),
         grad_bound=scale * reach, grad_lipschitz=scale,
@@ -550,7 +527,7 @@ def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
         variation_fn=lambda: 0.0,
         mean_value_fn=lambda x: value_fn(1, x),
         mean_grad_fn=lambda x: scale * (x - target),
-        mean_curvature=scale, params={"form": "quadratic"},
+        mean_curvature=scale,
     )
 
 
@@ -616,7 +593,7 @@ def quadratic_drift(
     ))
 
     return LossSequence(
-        family="quadratic-drift", horizon=horizon, dim=base.dim,
+        horizon=horizon, dim=base.dim,
         value_fn=value_fn, grad_fn=grad_fn,
         grad_bound=grad_bound, grad_lipschitz=float(scales[1:].max()),
         grad_constant_in_x=False, grad_takes_stack=True,
@@ -624,7 +601,7 @@ def quadratic_drift(
         mean_value_fn=lambda x: (0.5 * mean_scale * float(x @ x)
                                  - float(mean_m @ x) + mean_const),
         mean_grad_fn=lambda x: mean_scale * x - mean_m,
-        mean_curvature=mean_scale, params={},
+        mean_curvature=mean_scale,
     )
 
 
@@ -635,13 +612,13 @@ def custom_sequence(
 ) -> LossSequence:
     """Wrap user oracles; a variation total must be supplied to run adaptively."""
     return LossSequence(
-        family="custom", horizon=horizon, dim=base.dim,
+        horizon=horizon, dim=base.dim,
         value_fn=value_fn, grad_fn=grad_fn,
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
         grad_constant_in_x=False,
         variation_fn=(lambda: float(variation)) if variation is not None else None,
         mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
-        mean_curvature=mean_curvature, params={},
+        mean_curvature=mean_curvature,
     )
 
 

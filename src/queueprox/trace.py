@@ -53,7 +53,3 @@ class RunTrace:
     @property
     def queue_l2(self) -> np.ndarray:
         return np.sqrt((self.queues**2).sum(axis=1))
-
-    @property
-    def cumulative_loss(self) -> float:
-        return float(self.losses.sum())

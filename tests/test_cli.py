@@ -128,3 +128,28 @@ def test_infeasible_scenario_is_runtime_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("base", "center", _DROP),
+    ("loss", "coeffs", _DROP),
+    ("constraints", "A", _DROP),
+    ("base", "radius", -1),
+    (None, "horizon", True),
+    (None, "seed", True),
+], ids=["base-no-center", "loss-no-coeffs", "linear-no-A", "negative-radius",
+        "bool-horizon", "bool-seed"])
+def test_malformed_spec_is_usage_error(tmp_path, capsys, section, key, value):
+    data = qp.shipped_scenario("golden-d2", horizon=10).to_dict()
+    target = data if section is None else data[section]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert (section or key) in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Scenario configs, the shipped registry, sweeps, and CSV determinism."""
 import filecmp
+import threading
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import queueprox as qp
@@ -65,7 +68,7 @@ def test_every_shipped_scenario_validates_and_builds():
         cfg.validate()
         built = qp.build_scenario(cfg)
         assert built.seq.horizon == 10
-        assert built.v_cap >= 0.0
+        assert built.hp.v_cap >= 0.0
 
 
 def test_shipped_scenario_unknown_name():
@@ -139,16 +142,50 @@ def test_trace_metadata_stamped_by_run_scenario():
     assert report.horizon == 20
 
 
-def test_thread_cap_env_and_request(monkeypatch):
-    assert harness.thread_cap(4) == 4
-    assert harness.thread_cap(0) == 1
-    monkeypatch.setenv(harness.THREAD_ENV_VAR, "2")
-    assert harness.thread_cap() == 2
-    monkeypatch.setenv(harness.THREAD_ENV_VAR, "two")
-    with pytest.raises(qp.ConfigError):
-        harness.thread_cap()
-    monkeypatch.delenv(harness.THREAD_ENV_VAR)
-    assert harness.thread_cap() >= 1
+def test_sweep_runs_every_cell_on_the_calling_thread(monkeypatch):
+    threads = []
+    run_scenario = harness.run_scenario
+
+    def recording(config, out_dir=None):
+        threads.append(threading.get_ident())
+        return run_scenario(config, out_dir=out_dir)
+
+    monkeypatch.setattr(harness, "run_scenario", recording)
+    spec = qp.SweepSpec(config=small_config(), horizons=(20, 40), seeds=(0, 1))
+    qp.sweep(spec)
+    assert threads == [threading.get_ident()] * 4
+
+
+def _bits(value):
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return np.asarray(value).tobytes()
+
+
+def test_sweep_orders_unsorted_grid_and_matches_single_runs():
+    spec = qp.SweepSpec(config=qp.shipped_scenario("alternating-d2"),
+                        horizons=(60, 30, 60), seeds=(2, 0))
+    result = qp.sweep(spec)
+    cells = [(30, 0), (30, 2), (60, 0), (60, 0), (60, 2), (60, 2)]
+    assert [(r.horizon, r.extras["seed"]) for r in result.reports] == cells
+    for report, (T, seed) in zip(result.reports, cells):
+        _, single = qp.run_scenario(replace(spec.config, horizon=T, seed=seed))
+        for f in fields(single):
+            a, b = getattr(report, f.name), getattr(single, f.name)
+            if f.name == "extras":    # every extra but the wall time
+                assert a.keys() == b.keys()
+                a = [a[k] for k in a if k != "runtime_s"]
+                b = [b[k] for k in b if k != "runtime_s"]
+            assert _bits(a) == _bits(b), f.name
+
+
+def test_sweep_summary_csv_replay_is_byte_identical(tmp_path):
+    spec = qp.SweepSpec(config=small_config(), horizons=(30, 20), seeds=(1, 0))
+    dir_a, dir_b = str(tmp_path / "a"), str(tmp_path / "b")
+    qp.sweep(spec, out_dir=dir_a)
+    qp.sweep(spec, out_dir=dir_b)
+    assert filecmp.cmp(f"{dir_a}/summary.csv", f"{dir_b}/summary.csv",
+                       shallow=False)
 
 
 def test_write_shipped_configs_round_trip(tmp_path):

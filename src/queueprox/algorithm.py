@@ -185,24 +185,25 @@ def mix_anchor(anchor: np.ndarray, nu: float) -> np.ndarray:
     return (1.0 - nu) * anchor + nu / d
 
 
-def _checked_grad(seq: LossSequence, t: int, x: np.ndarray) -> np.ndarray:
-    g = seq.grad(t, x)
-    if not np.isfinite(g).all():
+def _check_grad(g: np.ndarray, t: int) -> None:
+    """Raise ``OracleError`` unless the gradient queried at index ``t`` is
+    finite: one scalar test, and the exact one only when it fails, so a
+    finite ``g`` whose ``g @ g`` overflows passes."""
+    if not math.isfinite(g @ g) and not np.isfinite(g).all():
         raise OracleError(
             f"loss gradient oracle returned a non-finite value at round {t}",
             oracle="loss-gradient", round_index=t,
         )
-    return g
 
 
-def _checked_value(seq: LossSequence, t: int, x: np.ndarray) -> float:
-    value = seq.value(t, x)
+def _check_value(value: float, t: int) -> None:
+    """Raise ``OracleError`` unless the loss value of round ``t`` is
+    finite."""
     if not math.isfinite(value):
         raise OracleError(
             f"loss value oracle returned a non-finite value at round {t}",
             oracle="loss-value", round_index=t,
         )
-    return value
 
 
 def run(
@@ -240,6 +241,17 @@ def run(
 
     One extra dual update after the loop gives the final queue row, which
     certifies the violation bound.
+
+    Each ``(t, x)`` gradient is queried once: the mirror-prox variants
+    reuse round ``t - 1``'s ``grad f_{t-1}(x_{t-1})`` for round ``t``'s
+    primal step (round 1 queries index 0 at ``x0``), so they make ``T + 1``
+    gradient and ``T`` value queries; the baseline makes ``T`` of each.
+    The oracles must therefore be pure functions of ``(t, x)``.  A
+    mirror-prox round tests its loss value and gradient together with one
+    scalar finiteness test; the baseline tests its gradient before
+    stepping on it and its value after.  The exact per-oracle test runs
+    only when a scalar test fails, so a non-finite output raises
+    ``OracleError`` naming its oracle and round.
     """
     geom, base = scenario.geom, scenario.base
     block, seq, hp = scenario.block, scenario.seq, scenario.hp
@@ -284,27 +296,35 @@ def run(
     xis = np.zeros(T)
 
     gamma = hp.gamma
+    grad_fn, value_fn = seq.grad_fn, seq.value_fn
+    curvature = block.curvature
+    value_bound, lipschitz_total = block.value_bound_total, block.lipschitz_total
     g_values[0], jac = constraint_eval(block, start, round_index=0)
     x, anchor, alpha = start, anchors[0], 0.0
+    if T and variant != VARIANT_BASELINE:
+        grad = grad_fn(1, start)        # index 0, an alias for index 1
+        _check_grad(grad, 0)
     for t in range(1, T + 1):
         # on entry x, jac and g_values[t - 1] belong to the previous decision
+        # and, in the mirror-prox variants, grad to its gradient
         if variant == VARIANT_BASELINE:
-            step = 1.0 / (max(seq.grad_lipschitz, 1.0) * np.sqrt(t))
-            direction = _checked_grad(seq, t - 1, x) + queues[t - 1] @ jac
-            x = geo.project(base, x - step * direction)
-            losses[t - 1] = _checked_value(seq, t, x)
+            grad = grad_fn(t - 1 or 1, x)
+            _check_grad(grad, t - 1)
+            step = 1.0 / (max(seq.grad_lipschitz, 1.0) * math.sqrt(t))
+            x = geo.project(base, x - step * (grad + queues[t - 1] @ jac))
+            loss = losses[t - 1] = value_fn(t, x)
+            _check_value(loss, t)
             g_values[t], jac = constraint_eval(block, x, round_index=t)
             queues[t] = np.maximum(queues[t - 1] + gamma * g_values[t], 0.0)
             anchors[t] = x
             alphas[t - 1] = 1.0 / step
         else:
             queue = queues[t] = queue_update(queues[t - 1], g_values[t - 1], gamma)
-            xi = xis[t - 1] = xi_value(queue, gamma, block.curvature,
-                                       block.value_bound_total,
-                                       block.lipschitz_total)
+            xi = xis[t - 1] = xi_value(queue, gamma, curvature, value_bound,
+                                       lipschitz_total)
             alpha = alpha_update(alpha, xi, hp.eta, gamma, hp.rho,
-                                 seq.grad_lipschitz, block.curvature,
-                                 block.value_bound_total, variant)
+                                 seq.grad_lipschitz, curvature, value_bound,
+                                 variant)
             if not alpha > 0:
                 raise ScheduleError(
                     f"proximal weight collapsed to {alpha} at round {t}")
@@ -312,11 +332,15 @@ def run(
             if mixed is not None:
                 anchor = mixed[t - 1] = mix_anchor(anchor, hp.nu)
             penalty = gamma * ((queue + gamma * g_values[t - 1]) @ jac)
-            x = geo.mirror_step(geom, base, anchor,
-                                _checked_grad(seq, t - 1, x) + penalty, alpha)
-            losses[t - 1] = _checked_value(seq, t, x)
-            anchor = anchors[t] = geo.mirror_step(
-                geom, base, anchor, _checked_grad(seq, t, x) + penalty, alpha)
+            x = geo.mirror_step(geom, base, anchor, grad + penalty, alpha)
+            loss = value_fn(t, x)
+            grad = grad_fn(t, x)
+            if not math.isfinite(loss + grad @ grad):
+                _check_value(loss, t)
+                _check_grad(grad, t)
+            losses[t - 1] = loss
+            anchor = anchors[t] = geo.mirror_step(geom, base, anchor,
+                                                  grad + penalty, alpha)
             g_values[t], jac = constraint_eval(block, x, round_index=t)
         decisions[t - 1] = x
 

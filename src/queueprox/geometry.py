@@ -14,6 +14,7 @@ norm; the solver takes that modulus as ``HyperParams.rho``.  The convention
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,19 +235,26 @@ def project(base: BaseSet, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the base set.
 
     Balls project radially, boxes clip componentwise, and the simplex uses
-    the sort-and-threshold rule.
+    the sort-and-threshold rule.  Always returns a new array.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (base.dim,):
         raise DimensionMismatchError(f"project expects a vector of dimension {base.dim}")
+    x = _project(base, y)
+    return y.copy() if x is y else x
+
+
+def _project(base: BaseSet, y: np.ndarray) -> np.ndarray:
+    """``project`` on a float vector of the right shape; a point already
+    inside a ball comes back as ``y`` itself."""
     if isinstance(base, Ball):
         offset = y - base.center
-        dist = float(np.sqrt(offset @ offset))
+        dist = math.sqrt(offset @ offset)
         if dist <= base.radius:
-            return y.copy()
+            return y
         return base.center + offset * (base.radius / dist)
     if isinstance(base, Box):
-        return np.clip(y, base.lower, base.upper)
+        return np.minimum(np.maximum(y, base.lower), base.upper)
     u = np.sort(y)[::-1]
     cumulative = np.cumsum(u) - 1.0
     indices = np.arange(1, base.dim + 1)
@@ -292,10 +300,12 @@ def mirror_step(
         )
     if alpha <= 0:
         raise ValueError("mirror_step needs alpha > 0")
-    if not np.isfinite(h).all():
+    # one scalar test, and the exact one only when it fails: a finite h
+    # whose squares overflow passes
+    if not math.isfinite(h @ h) and not np.isfinite(h).all():
         raise ValueError("mirror_step got a non-finite coefficient vector")
     if geom.kind == EUCLIDEAN:
-        return project(base, anchor - h / alpha)
+        return _project(base, anchor - h / alpha)
     if np.any(anchor <= 0):
         raise DomainError("entropic mirror_step needs a strictly positive anchor")
     exponent = np.log(anchor) - h / alpha

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -109,7 +110,8 @@ class ScenarioConfig:
             bad.append("v_cap")
         elif mode == "supplied":
             value = self.v_cap.get("value")
-            if not isinstance(value, (int, float)) or value < 0:
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value) or value < 0):
                 bad.append("v_cap")
         if not isinstance(self.loss, dict) or \
                 self.loss.get("family") not in _LOSS_FAMILIES:
@@ -364,8 +366,9 @@ def sweep(spec: SweepSpec, out_dir: str | None = None) -> SweepResult:
     reports = []
     for T, seed in sorted((T, s) for T in spec.horizons for s in spec.seeds):
         config = replace(spec.config, horizon=T, seed=seed, out=None)
-        _, report = run_scenario(config, out_dir=None)
-        reports.append(report)
+        # index, not unpack: a name bound to the trace would keep it alive
+        # while the next cell runs
+        reports.append(run_scenario(config, out_dir=None)[1])
 
     distinct = sorted(set(spec.horizons))
     mean_regret = []

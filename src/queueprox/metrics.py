@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .problems import ConstraintBlock, LossSequence
+from .problems import (ConstraintBlock, LossSequence, by_round, coeff_variation,
+                       in_order_sum)
 from .trace import RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
@@ -23,14 +24,27 @@ SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
 
 def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
            block: ConstraintBlock | None = None) -> float:
-    """Cumulative loss of the run minus that of the fixed comparator."""
+    """Cumulative loss of the run minus that of the fixed comparator.
+
+    The comparator's losses are added in round order from 0.0; a sequence
+    with a coefficient table gets them from one stacked pass over it.
+    """
     comparator = np.asarray(comparator, dtype=float)
     if block is not None and block.size:
         values, _ = block.eval_fn(comparator)
         if float(np.max(values)) > 1e-6:
             raise ValueError("comparator violates the constraints beyond 1e-6")
-    total = sum(seq.value(t, comparator) for t in range(1, trace.horizon + 1))
-    return float(trace.losses.sum() - total)
+    T = trace.horizon
+    if seq.coeffs is None:
+        values = np.array([seq.value(t, comparator) for t in range(1, T + 1)])
+    else:
+        if T > seq.horizon:
+            raise ValueError(f"round index {seq.horizon + 1} outside "
+                             f"[0, {seq.horizon}]")
+        # row-wise dot products, the same reduction as ``c_t @ comparator``
+        dots = (seq.coeffs[:, None, :] @ comparator[:, None])[:, 0, 0]
+        values = by_round(dots, T)
+    return float(trace.losses.sum() - in_order_sum(values))
 
 
 def violation(trace: RunTrace, k: int | None = None):
@@ -86,12 +100,16 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     The probes form one ``(n, d)`` stack: each round takes one stacked
     ``LossSequence.grad`` call and one stacked ``dual_norm`` call on the
     gradient deltas, and the rounds' squared maxima are summed in round
-    order.
+    order.  A sequence with a coefficient table has x-independent
+    gradients, so its total is one stacked pass over the table's deltas.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
     geom = (geo.entropic(trace.dim) if trace.variant == "ompd-simplex"
             else geo.euclidean(trace.dim))
+    horizon = min(trace.horizon, seq.horizon)
+    if seq.coeffs is not None:
+        return coeff_variation(geom, seq.coeffs, horizon)
     if seq.grad_constant_in_x or trace.horizon == 0:
         points = trace.x0[None, :]
     else:
@@ -99,7 +117,6 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
                                     min(sample_budget, trace.horizon),
                                     dtype=int))
         points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
-    horizon = min(trace.horizon, seq.horizon)
     total = 0.0
     prev = seq.grad(1, points)
     for t in range(2, horizon + 1):

@@ -13,6 +13,7 @@ but never correctness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,7 +87,9 @@ def constraint_eval(block: ConstraintBlock, x: np.ndarray,
     values, jac = block.eval_fn(x)
     values = np.asarray(values, dtype=float).reshape(block.size)
     jac = np.asarray(jac, dtype=float).reshape(block.size, block.dim)
-    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
+    # one scalar test, and the exact one only when it fails (an overflow)
+    if not math.isfinite(values @ values + np.vdot(jac, jac)) and not (
+            np.isfinite(values).all() and np.isfinite(jac).all()):
         where = "" if round_index is None else f" at round {round_index}"
         raise OracleError(f"constraint oracle returned a non-finite value{where}",
                           oracle="constraint", round_index=round_index)
@@ -328,7 +331,10 @@ class LossSequence:
     The query index runs over ``1..horizon``.  Index 0 is a documented alias
     for index 1 (the before-the-start convention), so the first round's
     lookback gradient is well-defined and the variation total starts at
-    round 2.
+    round 2.  ``value_fn`` and ``grad_fn`` take an index in ``1..horizon``
+    and a float point of shape ``(dim,)``; ``grad_fn`` returns a float
+    array of that shape.  Both must be pure functions of ``(t, x)``: the
+    solver queries each ``(t, x)`` gradient once and reuses it.
 
     Attributes
     ----------
@@ -344,6 +350,10 @@ class LossSequence:
         True when ``grad_fn`` maps an ``(n, d)`` stack of points to their
         ``(n, d)`` gradients in one call, row ``i`` equal to the one-point
         call on row ``i``.  Otherwise ``grad`` calls it once per row.
+    coeffs : ndarray or None
+        The linear families' read-only ``(P, d)`` coefficient table:
+        ``f_t(x) = <coeffs[t % P], x>``.  Audits take whole-horizon passes
+        over it.  None for every other family.
     """
 
     horizon: int
@@ -358,6 +368,7 @@ class LossSequence:
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     mean_curvature: float = 0.0
+    coeffs: np.ndarray | None = None
 
     def _index(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
@@ -370,7 +381,8 @@ class LossSequence:
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         """Gradient of ``f_t`` at one point ``x``, or at each row of an
         ``(n, d)`` stack ``x``, shaped like ``x``; a stack row equals the
-        one-point call on it, bit for bit."""
+        one-point call on it, bit for bit.  A linear family's one-point
+        gradient is a read-only row of its table."""
         t = self._index(t)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -386,55 +398,79 @@ class LossSequence:
                         dtype=float).reshape(x.shape)
 
 
+def by_round(table: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``table[t % P]`` of a ``(P, ...)`` table for ``t = 1..n``."""
+    if n < len(table):
+        return table[1:n + 1]
+    return np.resize(np.roll(table, -1, axis=0), (n,) + table.shape[1:])
+
+
+def in_order_sum(values: np.ndarray) -> np.ndarray:
+    """Sum along the first axis, adding one entry at a time to 0.0.
+
+    Bit for bit the loop ``total = 0.0; for v in values: total += v``,
+    which numpy's pairwise ``sum`` is not.
+    """
+    start = np.zeros((1,) + values.shape[1:])
+    return np.cumsum(np.concatenate([start, values]), axis=0)[-1]
+
+
+def coeff_variation(geom: geo.Geometry, coeffs: np.ndarray,
+                    horizon: int) -> float:
+    """``sum_{t=2..horizon} ||c_t - c_{t-1}||_*^2`` of a coefficient table.
+
+    One stacked ``dual_norm`` over the round-to-round deltas; the squares
+    go through libm ``pow`` (``np.float_power``), as Python's ``x ** 2``
+    does, and are added in round order.
+    """
+    norms = geo.dual_norm(geom, np.diff(by_round(coeffs, horizon), axis=0))
+    return float(in_order_sum(np.float_power(norms, 2)))
+
+
 def _linear_family(
     geom: geo.Geometry,
     base: geo.BaseSet,
-    coeff_at: Callable[[int], np.ndarray],
+    coeffs: np.ndarray,
     horizon: int,
     grad_lipschitz: float,
 ) -> LossSequence:
-    """Assemble a loss sequence ``f_t(x) = <c_t, x>`` from a coefficient map."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    """Assemble ``f_t(x) = <c_t, x>`` from a ``(P, d)`` coefficient table
+    with ``c_t = coeffs[t % P]``."""
+    _check_horizon(horizon)
     if grad_lipschitz <= 0:
         raise ValueError("grad_lipschitz must be positive (any positive "
                          "value is valid for linear losses)")
+    coeffs.flags.writeable = False
+    period = len(coeffs)
 
-    grad_bound = 0.0
-    mean = np.zeros(base.dim)
-    for t in range(1, horizon + 1):
-        c = coeff_at(t)
-        grad_bound = max(grad_bound, geo.dual_norm(geom, c))
-        mean += c
-    mean /= horizon
-
-    def variation() -> float:
-        total = 0.0
-        prev = coeff_at(1)
-        for t in range(2, horizon + 1):
-            cur = coeff_at(t)
-            total += geo.dual_norm(geom, cur - prev) ** 2
-            prev = cur
-        return total
+    rows = by_round(coeffs, horizon)
+    grad_bound = float(geo.dual_norm(geom, rows).max())
+    mean = in_order_sum(rows) / horizon
 
     return LossSequence(
         horizon=horizon, dim=base.dim,
-        value_fn=lambda t, x: float(coeff_at(t) @ x),
-        grad_fn=lambda t, x: coeff_at(t).copy(),
+        value_fn=lambda t, x: float(coeffs[t % period] @ x),
+        grad_fn=lambda t, x: coeffs[t % period],
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        grad_constant_in_x=True, variation_fn=variation,
+        grad_constant_in_x=True,
+        variation_fn=lambda: coeff_variation(geom, coeffs, horizon),
         mean_value_fn=lambda x: float(mean @ x),
         mean_grad_fn=lambda x: mean.copy(),
-        mean_curvature=0.0,
+        mean_curvature=0.0, coeffs=coeffs,
     )
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
 
 
 def fixed_linear(geom, base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Time-invariant linear loss ``f_t(x) = <c, x>``; variation total 0."""
-    c = np.asarray(coeffs, dtype=float)
+    c = np.array(coeffs, dtype=float)
     if c.shape != (base.dim,):
         raise DimensionMismatchError("loss coefficients do not match the base set")
-    return _linear_family(geom, base, lambda t: c, horizon, grad_lipschitz)
+    return _linear_family(geom, base, c[None], horizon, grad_lipschitz)
 
 
 def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
@@ -443,11 +479,9 @@ def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossS
     drift = np.asarray(drift, dtype=float)
     if start.shape != (base.dim,) or drift.shape != (base.dim,):
         raise DimensionMismatchError("loss coefficients do not match the base set")
-
-    def coeff_at(t: int) -> np.ndarray:
-        return start + (t / horizon) * drift
-
-    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
+    _check_horizon(horizon)
+    table = start + (np.arange(horizon + 1) / horizon)[:, None] * drift
+    return _linear_family(geom, base, table, horizon, grad_lipschitz)
 
 
 def rotating_drift(
@@ -477,12 +511,9 @@ def rotating_drift(
     angles = np.zeros(horizon + 1)
     steps = rate * np.arange(2, horizon + 1, dtype=float) ** -0.25
     angles[2:] = np.cumsum(steps)
-    angles[1] = 0.0
-
-    def coeff_at(t: int) -> np.ndarray:
-        return amplitude * (np.cos(angles[t]) * e1 + np.sin(angles[t]) * e2)
-
-    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
+    table = amplitude * (np.cos(angles)[:, None] * e1
+                         + np.sin(angles)[:, None] * e2)
+    return _linear_family(geom, base, table, horizon, grad_lipschitz)
 
 
 def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossSequence:
@@ -491,11 +522,8 @@ def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossS
     second = np.asarray(second, dtype=float)
     if first.shape != (base.dim,) or second.shape != (base.dim,):
         raise DimensionMismatchError("loss coefficients do not match the base set")
-
-    def coeff_at(t: int) -> np.ndarray:
-        return first if t % 2 == 1 else second
-
-    return _linear_family(geom, base, coeff_at, horizon, grad_lipschitz)
+    return _linear_family(geom, base, np.stack([second, first]), horizon,
+                          grad_lipschitz)
 
 
 def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
@@ -610,10 +638,18 @@ def custom_sequence(
     grad_bound, grad_lipschitz, variation=None,
     mean_value_fn=None, mean_grad_fn=None, mean_curvature=0.0,
 ) -> LossSequence:
-    """Wrap user oracles; a variation total must be supplied to run adaptively."""
+    """Wrap user oracles; a variation total must be supplied to run adaptively.
+
+    ``value_fn(t, x)`` and ``grad_fn(t, x)`` see one round index in
+    ``1..horizon`` and one point.  They must be pure functions of ``(t,
+    x)``: the solver queries each ``(t, x)`` gradient once and reuses it
+    (round ``t`` steps first with the gradient that round ``t - 1``
+    queried at ``x_{t-1}``).
+    """
     return LossSequence(
         horizon=horizon, dim=base.dim,
-        value_fn=value_fn, grad_fn=grad_fn,
+        value_fn=value_fn,
+        grad_fn=lambda t, x: np.asarray(grad_fn(t, x), dtype=float),
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
         grad_constant_in_x=False,
         variation_fn=(lambda: float(variation)) if variation is not None else None,

@@ -289,3 +289,99 @@ REPORT_DIGESTS = {
     "audit-ball":
         "dcbcb55041b9e6ce2d5132870339ee9cebc25e8f7db7a4a1336fa069b543f425",
 }
+
+
+# ---------------------------------------------------------------------------
+# frozen sweep digests: summary.csv and fitted slopes of growth grids
+# ---------------------------------------------------------------------------
+
+SWEEP_HORIZONS = (100, 300, 1000)
+SWEEP_SEEDS = (0, 1, 2)
+
+
+def sweep_templates():
+    """Name -> template of every growth grid whose output is frozen.
+
+    Shaped like the benchmark's sweep workload: a random-plane rotating
+    drift and a random alternating loss, both with ``grad_lipschitz`` 0.5
+    under the ``x_1 <= 0.3`` cap, and the alternating one again under the
+    ``pd-baseline`` variant.
+    """
+    alternating = qp.shipped_scenario("alternating-d2")
+    return {
+        "rotating-drift": qp.shipped_scenario("drift-rotate-d2"),
+        "alternating": alternating,
+        "alternating-baseline": qp.ScenarioConfig.from_dict(
+            {**alternating.to_dict(), "variant": "pd-baseline"}),
+    }
+
+
+def sweep_digest(result, summary_csv):
+    """SHA-256 over the bytes of a sweep's ``summary.csv`` and the ``repr``
+    of its four fitted slopes and offsets."""
+    digest = hashlib.sha256(summary_csv)
+    for value in (result.regret_slope, result.regret_offset,
+                  result.violation_slope, result.violation_offset):
+        digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+# name in ``sweep_templates()`` -> ``sweep_digest`` of its sweep over
+# SWEEP_HORIZONS x SWEEP_SEEDS; recorded before the round loop reused each
+# slot's gradient and the linear families took coefficient tables, both of
+# which had to keep every bit
+SWEEP_DIGESTS = {
+    "rotating-drift":
+        "3cfcf102d31651eade6864f048de0ee8dba1e57e2fc2dac29cf9fcaffbacf88e",
+    "alternating":
+        "8eec5d4ab783626533c6c72434dd7c424a09efb47b6a466273bdf921b88979d6",
+    "alternating-baseline":
+        "02404761dcaed8a00636b1234e36b0a3f336bfdab7f9c3b53d68409d452fa12c",
+}
+
+
+# ---------------------------------------------------------------------------
+# linear families: per-round coefficients and their constants, round by round
+# ---------------------------------------------------------------------------
+
+
+def linear_coeff_at(family, horizon, **params):
+    """``t -> c_t`` of a built-in linear family, one round at a time, by the
+    per-round formula its docstring states."""
+    if family == "fixed":
+        c = np.asarray(params["coeffs"], dtype=float)
+        return lambda t: c
+    if family == "linear-drift":
+        start = np.asarray(params["start"], dtype=float)
+        drift = np.asarray(params["drift"], dtype=float)
+        return lambda t: start + (t / horizon) * drift
+    if family == "alternating":
+        first = np.asarray(params["first"], dtype=float)
+        second = np.asarray(params["second"], dtype=float)
+        return lambda t: first if t % 2 == 1 else second
+    # rotating: theta_1 = 0, theta_t = theta_{t-1} + rate * t**(-1/4), with
+    # the angles summed as the family sums them and each row's cosine and
+    # sine taken on its own
+    e1, e2 = (np.asarray(v, dtype=float) for v in params["plane"])
+    angles = np.zeros(horizon + 1)
+    angles[2:] = np.cumsum(
+        params["rate"] * np.arange(2, horizon + 1, dtype=float) ** -0.25)
+    amplitude = params["amplitude"]
+    return lambda t: amplitude * (np.cos(angles[t]) * e1
+                                  + np.sin(angles[t]) * e2)
+
+
+def scalar_linear_constants(geom, coeff_at, horizon):
+    """``(grad_bound, mean coefficient, variation total)`` of ``f_t(x) =
+    <c_t, x>`` by plain loops over the rounds: a running max of dual norms,
+    a running vector sum, and a running float sum of squared delta norms."""
+    grad_bound = 0.0
+    mean = np.zeros(geom.dim)
+    for t in range(1, horizon + 1):
+        grad_bound = max(grad_bound, qp.dual_norm(geom, coeff_at(t)))
+        mean += coeff_at(t)
+    mean /= horizon
+    variation = 0.0
+    for t in range(2, horizon + 1):
+        variation += qp.dual_norm(geom, coeff_at(t) - coeff_at(t - 1)) ** 2
+    return grad_bound, mean, variation

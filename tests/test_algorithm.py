@@ -232,13 +232,15 @@ def test_nan_gradient_raises_oracle_error_with_round():
     assert err.value.round_index == 3
 
 
-def _custom_scenario(variant, value_fn, block=None, base=None):
-    """A five-round scenario on zero gradients, for oracle and start tests."""
+def _custom_scenario(variant, value_fn, block=None, base=None, grad_fn=None):
+    """A five-round scenario, on zero gradients unless ``grad_fn`` is
+    given, for oracle and start tests."""
     if variant == qp.VARIANT_SIMPLEX:
         geom, base = qp.entropic(2), base or qp.Simplex(2)
     else:
         geom, base = EUC2, base or BALL
-    seq = qp.custom_sequence(geom, base, value_fn, lambda t, x: np.zeros(2),
+    seq = qp.custom_sequence(geom, base, value_fn,
+                             grad_fn or (lambda t, x: np.zeros(2)),
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
     hp = qp.hyperparams_from_variation(0.0, 1.0, horizon=5, variant=variant)
@@ -275,6 +277,63 @@ def test_nan_constraint_raises_oracle_error_with_round(variant, bad_call):
     # the start point is evaluated first, then round t's decision
     assert err.value.oracle == "constraint"
     assert err.value.round_index == bad_call
+
+
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+def test_run_queries_each_gradient_once(variant):
+    # the mirror-prox variants reuse round t - 1's gradient for round t's
+    # first step, so every (t, x) gradient is queried exactly once
+    grads, values = [], []
+
+    def grad_fn(t, x):
+        grads.append((t, x.copy()))
+        return np.array([0.3 * t, -0.2])
+
+    def value_fn(t, x):
+        values.append(t)
+        return 0.0
+
+    scenario = _custom_scenario(variant, value_fn, grad_fn=grad_fn)
+    trace = qp.run(variant, scenario)
+    T = trace.horizon
+    if variant == qp.VARIANT_BASELINE:
+        # round t steps on grad f_{t-1}(x_{t-1}), index 0 aliasing index 1
+        indices = [1] + list(range(1, T))
+        points = [trace.x0, *trace.decisions[:-1]]
+    else:
+        indices = [1] + list(range(1, T + 1))
+        points = [trace.x0, *trace.decisions]
+    assert [t for t, _ in grads] == indices
+    assert all(np.array_equal(x, p) for (_, x), p in zip(grads, points))
+    assert len({(t, x.tobytes()) for t, x in grads}) == len(grads)
+    assert values == list(range(1, T + 1))
+
+
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+@pytest.mark.parametrize("bad_index, round_index", [(1, 0), (3, 3)])
+def test_nan_gradient_names_its_oracle_and_round(variant, bad_index,
+                                                  round_index):
+    # index 1 is first queried through its alias, index 0, at the start
+    def grad_fn(t, x):
+        return np.array([np.nan, 0.0]) if t == bad_index else np.zeros(2)
+
+    scenario = _custom_scenario(variant, lambda t, x: 0.0, grad_fn=grad_fn)
+    with pytest.raises(qp.OracleError) as err:
+        qp.run(variant, scenario)
+    assert err.value.oracle == "loss-gradient"
+    assert err.value.round_index == round_index
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("variant", qp.VARIANTS)
+def test_huge_finite_gradients_run(variant):
+    # finite, but g @ g overflows: only the scalar test fails, and the
+    # exact test behind it lets the round go on
+    scenario = _custom_scenario(variant, lambda t, x: 0.0,
+                                grad_fn=lambda t, x: np.array([1e200, -1e200]))
+    trace = qp.run(variant, scenario)
+    assert np.isfinite(trace.decisions).all()
+    assert np.isfinite(trace.anchors).all()
 
 
 BOX = qp.Box(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 2.0]))

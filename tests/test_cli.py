@@ -153,3 +153,14 @@ def test_malformed_spec_is_usage_error(tmp_path, capsys, section, key, value):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert (section or key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, float("nan"), float("inf")],
+                         ids=["bool", "nan", "inf"])
+def test_supplied_v_cap_must_be_a_finite_number(tmp_path, capsys, value):
+    data = qp.shipped_scenario("golden-d2", horizon=10).to_dict()
+    data["v_cap"] = {"mode": "supplied", "value": value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert "v_cap" in capsys.readouterr().err

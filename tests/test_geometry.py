@@ -111,6 +111,29 @@ def test_mirror_step_rejects_bad_alpha_and_nonfinite_h():
         qp.mirror_step(EUC2, BALL, np.zeros(2), np.array([np.nan, 0.0]), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("geom, base", PAIRINGS)
+def test_mirror_step_accepts_finite_h_whose_squares_overflow(geom, base):
+    anchor = qp.center(base)
+    h = np.full(geom.dim, 1e200)
+    h[0] = -1e200
+    out = qp.mirror_step(geom, base, anchor, h, 1.0)
+    assert np.isfinite(out).all()
+    assert qp.contains(base, out)
+    h[-1] = np.inf
+    with pytest.raises(ValueError):
+        qp.mirror_step(geom, base, anchor, h, 1.0)
+
+
+@pytest.mark.parametrize("base", [BALL, BOX, SIMPLEX3])
+def test_project_returns_a_new_array(base):
+    y = qp.center(base)
+    x = qp.project(base, y)
+    assert x is not y
+    x[:] = 7.0
+    assert np.array_equal(y, qp.center(base))
+
+
 def test_mirror_step_entropic_large_h_no_nan():
     out = qp.mirror_step(ENT2, qp.Simplex(2), np.array([0.5, 0.5]),
                          np.array([1e6, -1e6]), 1.0)

@@ -1,6 +1,7 @@
 """Scenario configs, the shipped registry, sweeps, and CSV determinism."""
 import filecmp
 import threading
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 import queueprox as qp
 from queueprox import harness
+from oracles import (SWEEP_DIGESTS, SWEEP_HORIZONS, SWEEP_SEEDS, sweep_digest,
+                     sweep_templates)
 
 
 def small_config(horizon=50, seed=0):
@@ -156,6 +159,24 @@ def test_sweep_runs_every_cell_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()] * 4
 
 
+def test_sweep_keeps_no_finished_trace_alive(monkeypatch):
+    # one cell's trace at a time: the previous one must be freed before
+    # the next cell runs
+    traces = []
+    run = harness.alg.run
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in traces)
+        trace = run(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(harness.alg, "run", recording)
+    spec = qp.SweepSpec(config=small_config(), horizons=(20, 40), seeds=(0, 1))
+    qp.sweep(spec)
+    assert len(traces) == 4
+
+
 def _bits(value):
     if isinstance(value, list):
         return [_bits(v) for v in value]
@@ -186,6 +207,15 @@ def test_sweep_summary_csv_replay_is_byte_identical(tmp_path):
     qp.sweep(spec, out_dir=dir_b)
     assert filecmp.cmp(f"{dir_a}/summary.csv", f"{dir_b}/summary.csv",
                        shallow=False)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_matches_frozen_digest(tmp_path, name):
+    spec = qp.SweepSpec(config=sweep_templates()[name],
+                        horizons=SWEEP_HORIZONS, seeds=SWEEP_SEEDS)
+    result = qp.sweep(spec, out_dir=str(tmp_path))
+    summary = (tmp_path / "summary.csv").read_bytes()
+    assert sweep_digest(result, summary) == SWEEP_DIGESTS[name]
 
 
 def test_write_shipped_configs_round_trip(tmp_path):

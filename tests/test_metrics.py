@@ -174,6 +174,36 @@ def test_empirical_variation_matches_per_point_reference(variant):
         assert v == scalar_empirical_variation(trace, seq, budget)
 
 
+def _linear_runs():
+    """Runs on a table-backed loss of every linear family, some shorter
+    than their sequence, under both geometries."""
+    configs = [qp.shipped_scenario(name, horizon=T)
+               for name in ("golden-d2", "drift-rotate-d2", "alternating-d2",
+                            "simplex-d10") for T in (1, 2, 37)]
+    configs.append(qp.ScenarioConfig.from_dict({
+        **qp.shipped_scenario("golden-d2", horizon=40).to_dict(),
+        "loss": {"family": "linear-drift", "start": [0.5, -0.2],
+                 "drift": [-0.9, 0.7], "grad_lipschitz": 0.5}}))
+    for cfg in configs:
+        built = qp.build_scenario(cfg)
+        for horizon in sorted({cfg.horizon, (cfg.horizon + 1) // 2}):
+            yield built, qp.run(cfg.variant, built, horizon=horizon)
+
+
+def test_table_regret_and_variation_match_round_by_round_references():
+    rng = np.random.default_rng(17)
+    for built, trace in _linear_runs():
+        assert built.seq.coeffs is not None
+        comparator = qp.sample(built.base, rng)[0]
+        by_rounds = 0.0
+        for t in range(1, trace.horizon + 1):
+            by_rounds += built.seq.value(t, comparator)
+        assert (qp.regret(trace, comparator, built.seq)
+                == float(trace.losses.sum() - by_rounds))
+        assert (qp.empirical_variation(trace, built.seq)
+                == scalar_empirical_variation(trace, built.seq))
+
+
 def test_empirical_variation_fixed_losses_zero():
     cfg = qp.shipped_scenario("fixed-quadratic-ball", horizon=50)
     built = qp.build_scenario(cfg)

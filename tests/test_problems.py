@@ -6,8 +6,9 @@ import pytest
 
 import queueprox as qp
 from queueprox import geometry
+from queueprox.problems import coeff_variation
 from oracles import (brute_force_variation, finite_diff_grad,
-                     grid_comparator)
+                     grid_comparator, linear_coeff_at, scalar_linear_constants)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -37,6 +38,24 @@ def test_constraint_eval_dimension_mismatch():
     block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
     with pytest.raises(qp.DimensionMismatchError):
         qp.constraint_eval(block, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_constraint_eval_accepts_huge_finite_outputs_and_rejects_inf():
+    # finite, but their squares overflow: only the scalar test fails, and
+    # the exact test behind it passes them
+    out = {"values": np.array([1e200]), "jac": np.array([[-1e200, 0.0]])}
+    block = qp.ConstraintBlock(size=1, dim=2,
+                               eval_fn=lambda x: (out["values"], out["jac"]),
+                               value_bounds=np.ones(1), lipschitz=np.ones(1),
+                               curvature=0.0)
+    vals, jac = qp.constraint_eval(block, np.zeros(2))
+    assert vals[0] == 1e200 and jac[0, 0] == -1e200
+    for key in ("values", "jac"):
+        out[key] = out[key].copy()
+        out[key].flat[-1] = np.inf
+        with pytest.raises(qp.OracleError):
+            qp.constraint_eval(block, np.zeros(2), round_index=4)
 
 
 def test_builtin_constants_halfspace_on_ball():
@@ -195,6 +214,95 @@ def test_quadratic_gradients_match_finite_differences():
         for x in qp.sample(BALL, rng, 20):
             fd = finite_diff_grad(lambda p: seq.value(t, p), x)
             assert np.allclose(seq.grad(t, x), fd, atol=1e-7)
+
+
+def _random_linear(family, geom, base, horizon, rng):
+    """A built-in linear sequence on random parameters, and its parameters."""
+    d = base.dim
+    if family == "fixed":
+        params = {"coeffs": rng.normal(size=d)}
+        seq = qp.fixed_linear(geom, base, params["coeffs"], horizon)
+    elif family == "linear-drift":
+        params = {"start": rng.normal(size=d), "drift": rng.normal(size=d)}
+        seq = qp.linear_drift(geom, base, params["start"], params["drift"],
+                              horizon)
+    elif family == "alternating":
+        params = {"first": rng.normal(size=d), "second": rng.normal(size=d)}
+        seq = qp.alternating(geom, base, params["first"], params["second"],
+                             horizon)
+    else:
+        plane = rng.normal(size=(2, d))
+        params = {"amplitude": float(rng.uniform(0.5, 1.5)),
+                  "rate": float(rng.uniform(0.2, 1.0))}
+        seq = qp.rotating_drift(geom, base, horizon=horizon, plane=plane,
+                                **params)
+        e1 = plane[0] / np.linalg.norm(plane[0])
+        e2 = plane[1] - (plane[1] @ e1) * e1
+        params["plane"] = (e1, e2 / np.linalg.norm(e2))
+    return seq, params
+
+
+LINEAR_FAMILIES = ("fixed", "linear-drift", "alternating", "rotating")
+TABLE_PAIRINGS = [(qp.euclidean(2), BALL),
+                  (qp.euclidean(10), qp.Box(-np.ones(10), np.ones(10))),
+                  (qp.entropic(10), qp.Simplex(10))]
+
+
+@pytest.mark.parametrize("family", LINEAR_FAMILIES)
+@pytest.mark.parametrize("geom, base", TABLE_PAIRINGS,
+                         ids=["ball-d2", "box-d10", "simplex-d10"])
+def test_linear_table_matches_the_per_round_formula(family, geom, base):
+    # every row, gradient, value and constant equals the one computed
+    # round by round, bit for bit
+    rng = np.random.default_rng(31)
+    x = geometry.sample(base, rng)[0]
+    for horizon in (1, 2, 7, 500):
+        seq, params = _random_linear(family, geom, base, horizon, rng)
+        coeff_at = linear_coeff_at(family, horizon, **params)
+        for t in range(horizon + 1):
+            c = coeff_at(max(t, 1))
+            assert seq.grad(t, x).tobytes() == c.tobytes()
+            assert seq.value(t, x) == float(c @ x)
+        grad_bound, mean, variation = scalar_linear_constants(
+            geom, coeff_at, horizon)
+        assert seq.grad_bound == grad_bound
+        assert seq.mean_grad_fn(x).tobytes() == mean.tobytes()
+        assert seq.mean_value_fn(x) == float(mean @ x)
+        assert qp.gradient_variation(seq) == variation
+
+
+def test_coeff_variation_squares_like_python_floats():
+    # libm pow, which Python's x ** 2 uses, rounds some squares differently
+    # from x * x; the entropic dual norm of each delta is exactly |v|
+    rng = np.random.default_rng(5)
+    values = [v for v in rng.uniform(0.1, 10.0, 20000).tolist()
+              if v ** 2 != v * v][:64] or [0.3, 1.7, 2.9]
+    # rounds 1..2k+1 play 0, v_1, 0, v_2, ..., v_k, 0 (row 0 is never used)
+    table = np.zeros((2 * len(values) + 2, 2))
+    table[2:-1:2, 0] = values
+    expect = 0.0
+    for v in values:
+        expect += v ** 2
+        expect += v ** 2
+    assert coeff_variation(qp.entropic(2), table, len(table) - 1) == expect
+
+
+@pytest.mark.parametrize("family, period", [
+    ("fixed", 1), ("alternating", 2), ("linear-drift", 51), ("rotating", 51)])
+def test_linear_tables_are_small_and_read_only(family, period):
+    # only the drifting families hold a row per round
+    seq, _ = _random_linear(family, EUC2, BALL, 50, np.random.default_rng(2))
+    assert seq.coeffs.shape == (period, 2)
+    with pytest.raises(ValueError):
+        seq.coeffs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        seq.grad(1, np.zeros(2))[0] = 1.0
+
+
+def test_linear_families_reject_a_zero_horizon():
+    for family in LINEAR_FAMILIES:
+        with pytest.raises(ValueError, match="horizon"):
+            _random_linear(family, EUC2, BALL, 0, np.random.default_rng(3))
 
 
 def test_gradient_variation_fixed_is_zero():

@@ -189,6 +189,9 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
     spec = dict(config.loss)
     family = spec["family"]
     T = config.horizon
+    if any(isinstance(spec.get(key), bool)
+           for key in ("scale", "scale0", "scale_drift")):
+        raise TypeError("loss scales must be numbers, not booleans")
     if family == "fixed":
         if spec.get("form", "linear") == "quadratic":
             return prob.fixed_quadratic(geom, base, spec["target"], T,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .problems import (ConstraintBlock, LossSequence, by_round, coeff_variation,
-                       in_order_sum)
+from .problems import (ConstraintBlock, LossSequence, coeff_variation,
+                       in_order_sum, round_losses)
 from .trace import RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
@@ -26,24 +26,15 @@ def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
            block: ConstraintBlock | None = None) -> float:
     """Cumulative loss of the run minus that of the fixed comparator.
 
-    The comparator's losses are added in round order from 0.0; a sequence
-    with a coefficient table gets them from one stacked pass over it.
+    The comparator's losses (``problems.round_losses``: one pass over a
+    built-in family's tables) are added in round order from 0.0.
     """
     comparator = np.asarray(comparator, dtype=float)
     if block is not None and block.size:
         values, _ = block.eval_fn(comparator)
         if float(np.max(values)) > 1e-6:
             raise ValueError("comparator violates the constraints beyond 1e-6")
-    T = trace.horizon
-    if seq.coeffs is None:
-        values = np.array([seq.value(t, comparator) for t in range(1, T + 1)])
-    else:
-        if T > seq.horizon:
-            raise ValueError(f"round index {seq.horizon + 1} outside "
-                             f"[0, {seq.horizon}]")
-        # row-wise dot products, the same reduction as ``c_t @ comparator``
-        dots = (seq.coeffs[:, None, :] @ comparator[:, None])[:, 0, 0]
-        values = by_round(dots, T)
+    values = round_losses(seq, comparator, trace.horizon)
     return float(trace.losses.sum() - in_order_sum(values))
 
 
@@ -110,13 +101,9 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     horizon = min(trace.horizon, seq.horizon)
     if seq.coeffs is not None:
         return coeff_variation(geom, seq.coeffs, horizon)
-    if seq.grad_constant_in_x or trace.horizon == 0:
-        points = trace.x0[None, :]
-    else:
-        idx = np.unique(np.linspace(0, trace.horizon - 1,
-                                    min(sample_budget, trace.horizon),
-                                    dtype=int))
-        points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
+    idx = np.unique(np.linspace(0, trace.horizon - 1,
+                                min(sample_budget, trace.horizon), dtype=int))
+    points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
     total = 0.0
     prev = seq.grad(1, points)
     for t in range(2, horizon + 1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -133,6 +134,14 @@ def _coordinate_sup(base: geo.BaseSet, c: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(c), np.abs(1.0 - c))
 
 
+def _reach(geom: geo.Geometry, base: geo.BaseSet, c: np.ndarray) -> float:
+    """Bound on ``sup ||x - c||_*`` over the base set: exact on a euclidean
+    ball, the dual norm of the per-coordinate supremum elsewhere."""
+    if geom.kind == geo.EUCLIDEAN and isinstance(base, geo.Ball):
+        return float(np.linalg.norm(base.center - c)) + base.radius
+    return geo.dual_norm(geom, _coordinate_sup(base, c))
+
+
 def builtin_constants(spec: dict, base: geo.BaseSet) -> tuple[float, float, float]:
     """Certified constants ``(G, H, L_g)`` for a built-in constraint family.
 
@@ -194,11 +203,8 @@ def _family_constants(
         for k in range(centers.shape[0]):
             lo, hi = _sq_dist_range(base, centers[k])
             bounds.append(max(abs(lo - offsets[k]), abs(hi - offsets[k])))
-            per_coord = _coordinate_sup(base, centers[k])
-            if geom.kind == geo.EUCLIDEAN:
-                lips.append(2.0 * np.sqrt(hi))
-            else:
-                lips.append(2.0 * float(per_coord.max()))
+            lips.append(2.0 * (np.sqrt(hi) if geom.kind == geo.EUCLIDEAN
+                               else _reach(geom, base, centers[k])))
         # gradient 2(x - c) is 2-Lipschitz in both norm pairings
         return {
             "value_bounds": np.asarray(bounds),
@@ -336,6 +342,11 @@ class LossSequence:
     array of that shape.  Both must be pure functions of ``(t, x)``: the
     solver queries each ``(t, x)`` gradient once and reuses it.
 
+    Every built-in family is held as read-only tables whose row ``t % P``
+    fixes round ``t`` (``P`` is 1, 2 or ``horizon + 1``).  Audits take
+    whole-horizon passes over them, and gradients at a stack of points come
+    from them.  A custom sequence has none.
+
     Attributes
     ----------
     grad_bound : float
@@ -343,17 +354,11 @@ class LossSequence:
     grad_lipschitz : float
         Gradient Lipschitz constant in the geometry pairing.  Must be
         strictly positive; for linear losses any positive value is valid.
-    grad_constant_in_x : bool
-        True when gradients do not depend on the query point, which makes
-        the gradient-variation total exactly computable.
-    grad_takes_stack : bool
-        True when ``grad_fn`` maps an ``(n, d)`` stack of points to their
-        ``(n, d)`` gradients in one call, row ``i`` equal to the one-point
-        call on row ``i``.  Otherwise ``grad`` calls it once per row.
     coeffs : ndarray or None
-        The linear families' read-only ``(P, d)`` coefficient table:
-        ``f_t(x) = <coeffs[t % P], x>``.  Audits take whole-horizon passes
-        over it.  None for every other family.
+        The linear families' ``(P, d)`` table: ``f_t(x) = <coeffs[t % P], x>``.
+    scales, targets : ndarray or None
+        The quadratic families' ``(P,)`` and ``(P, d)`` tables: ``f_t(x) =
+        (scales[t % P] / 2) ||x - targets[t % P]||_2^2``.
     """
 
     horizon: int
@@ -362,13 +367,13 @@ class LossSequence:
     grad_fn: Callable[[int, np.ndarray], np.ndarray]
     grad_bound: float
     grad_lipschitz: float
-    grad_constant_in_x: bool = False
-    grad_takes_stack: bool = False
     variation_fn: Callable[[], float] | None = None
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     mean_curvature: float = 0.0
     coeffs: np.ndarray | None = None
+    scales: np.ndarray | None = None
+    targets: np.ndarray | None = None
 
     def _index(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
@@ -381,19 +386,18 @@ class LossSequence:
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         """Gradient of ``f_t`` at one point ``x``, or at each row of an
         ``(n, d)`` stack ``x``, shaped like ``x``; a stack row equals the
-        one-point call on it, bit for bit.  A linear family's one-point
-        gradient is a read-only row of its table."""
+        one-point call on it, bit for bit.  A linear family's gradient is
+        a read-only row of its table (broadcast over a stack); a custom
+        sequence's oracle is called once per row."""
         t = self._index(t)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.asarray(self.grad_fn(t, x), dtype=float)
-        if self.grad_takes_stack:
-            g = np.asarray(self.grad_fn(t, x), dtype=float)
-            if g.shape != x.shape:
-                raise DimensionMismatchError(
-                    f"stacked gradient oracle returned shape {g.shape} "
-                    f"for points of shape {x.shape}")
-            return g
+        if self.coeffs is not None:
+            return np.broadcast_to(self.coeffs[t % len(self.coeffs)], x.shape)
+        if self.scales is not None:
+            row = t % len(self.scales)
+            return self.scales[row] * (x - self.targets[row])
         return np.array([self.grad_fn(t, row) for row in x],
                         dtype=float).reshape(x.shape)
 
@@ -427,6 +431,26 @@ def coeff_variation(geom: geo.Geometry, coeffs: np.ndarray,
     return float(in_order_sum(np.float_power(norms, 2)))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[i] @ b[i]`` (or ``a[i] @ b``), each the 1-D reduction."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def round_losses(seq: LossSequence, x: np.ndarray, n: int) -> np.ndarray:
+    """``f_1(x), ..., f_n(x)``, each bit for bit ``seq.value(t, x)``: one pass
+    over a built-in family's tables, one call per round for a custom one."""
+    if n > seq.horizon:
+        raise ValueError(f"round index {seq.horizon + 1} outside "
+                         f"[0, {seq.horizon}]")
+    x = np.asarray(x, dtype=float)
+    if seq.coeffs is not None:
+        return by_round(_row_dots(seq.coeffs, x), n)
+    if seq.scales is not None:
+        diffs = x - seq.targets
+        return by_round(0.5 * seq.scales * _row_dots(diffs, diffs), n)
+    return np.array([seq.value(t, x) for t in range(1, n + 1)])
+
+
 def _linear_family(
     geom: geo.Geometry,
     base: geo.BaseSet,
@@ -452,7 +476,6 @@ def _linear_family(
         value_fn=lambda t, x: float(coeffs[t % period] @ x),
         grad_fn=lambda t, x: coeffs[t % period],
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        grad_constant_in_x=True,
         variation_fn=lambda: coeff_variation(geom, coeffs, horizon),
         mean_value_fn=lambda x: float(mean @ x),
         mean_grad_fn=lambda x: mean.copy(),
@@ -465,20 +488,23 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError("horizon must be at least 1")
 
 
+def _loss_vectors(base: geo.BaseSet, *vectors) -> list[np.ndarray]:
+    """Float copies of vector parameters, checked against the base set."""
+    out = [np.array(v, dtype=float) for v in vectors]
+    if any(v.shape != (base.dim,) for v in out):
+        raise DimensionMismatchError("loss parameters do not match the base set")
+    return out
+
+
 def fixed_linear(geom, base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Time-invariant linear loss ``f_t(x) = <c, x>``; variation total 0."""
-    c = np.array(coeffs, dtype=float)
-    if c.shape != (base.dim,):
-        raise DimensionMismatchError("loss coefficients do not match the base set")
+    c, = _loss_vectors(base, coeffs)
     return _linear_family(geom, base, c[None], horizon, grad_lipschitz)
 
 
 def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Coefficients sliding along a segment: ``c_t = start + (t/T) * drift``."""
-    start = np.asarray(start, dtype=float)
-    drift = np.asarray(drift, dtype=float)
-    if start.shape != (base.dim,) or drift.shape != (base.dim,):
-        raise DimensionMismatchError("loss coefficients do not match the base set")
+    start, drift = _loss_vectors(base, start, drift)
     _check_horizon(horizon)
     table = start + (np.arange(horizon + 1) / horizon)[:, None] * drift
     return _linear_family(geom, base, table, horizon, grad_lipschitz)
@@ -498,10 +524,7 @@ def rotating_drift(
     if base.dim < 2:
         raise DimensionMismatchError("rotating drift needs dimension >= 2")
     if plane is None:
-        e1 = np.zeros(base.dim)
-        e2 = np.zeros(base.dim)
-        e1[0] = 1.0
-        e2[1] = 1.0
+        e1, e2 = np.eye(base.dim)[:2]
     else:
         e1 = np.asarray(plane[0], dtype=float)
         e2 = np.asarray(plane[1], dtype=float)
@@ -518,45 +541,16 @@ def rotating_drift(
 
 def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Coefficients flipping between two vectors: odd rounds use ``first``."""
-    first = np.asarray(first, dtype=float)
-    second = np.asarray(second, dtype=float)
-    if first.shape != (base.dim,) or second.shape != (base.dim,):
-        raise DimensionMismatchError("loss coefficients do not match the base set")
+    first, second = _loss_vectors(base, first, second)
     return _linear_family(geom, base, np.stack([second, first]), horizon,
                           grad_lipschitz)
 
 
 def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
     """Time-invariant quadratic loss ``f_t(x) = (scale/2) ||x - target||_2^2``."""
-    target = np.asarray(target, dtype=float)
-    if target.shape != (base.dim,):
-        raise DimensionMismatchError("loss target does not match the base set")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    sup_diff = _coordinate_sup(base, target)
-    if geom.kind == geo.EUCLIDEAN:
-        if isinstance(base, geo.Ball):
-            reach = float(np.linalg.norm(base.center - target)) + base.radius
-        else:
-            reach = float(np.linalg.norm(sup_diff))
-    else:
-        reach = float(sup_diff.max())
-
-    def value_fn(t, x):
-        diff = x - target
-        return 0.5 * scale * float(diff @ diff)
-
-    return LossSequence(
-        horizon=horizon, dim=base.dim,
-        value_fn=value_fn,
-        grad_fn=lambda t, x: scale * (x - target),
-        grad_bound=scale * reach, grad_lipschitz=scale,
-        grad_constant_in_x=False, grad_takes_stack=True,
-        variation_fn=lambda: 0.0,
-        mean_value_fn=lambda x: value_fn(1, x),
-        mean_grad_fn=lambda x: scale * (x - target),
-        mean_curvature=scale,
-    )
+    target, = _loss_vectors(base, target)
+    return _quadratic_family(geom, base, np.array([scale], dtype=float),
+                             target[None], horizon)
 
 
 def quadratic_drift(
@@ -567,69 +561,75 @@ def quadratic_drift(
 
     ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` with ``s_t = scale0 +
     (t/T) * scale_drift`` and ``z_t = target0 + (t/T) * target_drift``.
+    """
+    target0, target_drift = _loss_vectors(base, target0, target_drift)
+    _check_horizon(horizon)
+    fractions = np.arange(horizon + 1) / horizon
+    return _quadratic_family(geom, base, scale0 + fractions * scale_drift,
+                             target0 + fractions[:, None] * target_drift,
+                             horizon)
+
+
+def _quadratic_family(
+    geom: geo.Geometry,
+    base: geo.BaseSet,
+    scales: np.ndarray,
+    targets: np.ndarray,
+    horizon: int,
+) -> LossSequence:
+    """Assemble ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` from a ``(P,)`` scale
+    table and a ``(P, d)`` target table with ``s_t = scales[t % P]`` and
+    ``z_t = targets[t % P]``, where P is 1 or ``horizon + 1``.
+
     The variation total is a certified overestimate assembled from the
     triangle inequality: ``|s_t - s_{t-1}| * sup ||x|| + ||s_t z_t -
     s_{t-1} z_{t-1}||``, both measured in the dual norm.
     """
-    target0 = np.asarray(target0, dtype=float)
-    target_drift = np.asarray(target_drift, dtype=float)
-    if target0.shape != (base.dim,) or target_drift.shape != (base.dim,):
-        raise DimensionMismatchError("loss targets do not match the base set")
-    scales = scale0 + (np.arange(horizon + 1) / horizon) * scale_drift
-    if np.any(scales[1:] <= 0):
-        raise ValueError("curvature must remain positive across the horizon")
-
-    def z_at(t: int) -> np.ndarray:
-        return target0 + (t / horizon) * target_drift
+    _check_horizon(horizon)
+    s_rows, z_rows = by_round(scales, horizon), by_round(targets, horizon)
+    if not (np.all((s_rows > 0) & (s_rows < np.inf))
+            and np.isfinite(z_rows).all()):
+        raise ValueError("scales must be positive and finite, targets finite")
+    scales.flags.writeable = targets.flags.writeable = False
+    period = len(scales)
 
     def value_fn(t, x):
-        diff = x - z_at(t)
-        return 0.5 * scales[t] * float(diff @ diff)
+        diff = x - targets[t % period]
+        return 0.5 * scales[t % period] * float(diff @ diff)
 
     def grad_fn(t, x):
-        return scales[t] * (x - z_at(t))
+        return scales[t % period] * (x - targets[t % period])
 
-    reach = 0.0
-    for t in (1, horizon):
-        sup_diff = _coordinate_sup(base, z_at(t))
-        if geom.kind == geo.EUCLIDEAN:
-            reach = max(reach, float(np.linalg.norm(sup_diff)))
-        else:
-            reach = max(reach, float(sup_diff.max()))
-    grad_bound = float(scales[1:].max()) * reach
+    # sup_x ||x - z||_* is convex in z, so along the targets' segment it
+    # peaks at an end
+    reach = max(_reach(geom, base, z_rows[0]), _reach(geom, base, z_rows[-1]))
+    x_reach = geo.dual_norm(geom, _coordinate_sup(base, np.zeros(base.dim)))
+    moments = s_rows[:, None] * z_rows
+    steps = (np.abs(np.diff(s_rows)) * x_reach
+             + geo.dual_norm(geom, np.diff(moments, axis=0)))
+    variation = float(in_order_sum(np.float_power(steps, 2)))
 
-    sup_x = _coordinate_sup(base, np.zeros(base.dim))
-    x_reach = (float(np.linalg.norm(sup_x)) if geom.kind == geo.EUCLIDEAN
-               else float(sup_x.max()))
+    if period == 1:             # the row's own loss
+        mean_curvature = float(scales[0])
+        mean_value_fn, mean_grad_fn = partial(value_fn, 1), partial(grad_fn, 1)
+    else:                       # expanded: (s/2)||x||^2 - <m, x> + const
+        mean_curvature = float(s_rows.mean())
+        mean_m = np.mean(moments, axis=0)
+        mean_const = float(np.mean(0.5 * s_rows * _row_dots(z_rows, z_rows)))
 
-    def variation() -> float:
-        total = 0.0
-        prev_s = scales[1]
-        prev_m = scales[1] * z_at(1)
-        for t in range(2, horizon + 1):
-            cur_s = scales[t]
-            cur_m = cur_s * z_at(t)
-            total += (abs(cur_s - prev_s) * x_reach
-                      + geo.dual_norm(geom, cur_m - prev_m)) ** 2
-            prev_s, prev_m = cur_s, cur_m
-        return total
+        def mean_value_fn(x):
+            return (0.5 * mean_curvature * float(x @ x) - float(mean_m @ x)
+                    + mean_const)
 
-    mean_scale = float(scales[1:].mean())
-    mean_m = np.mean([scales[t] * z_at(t) for t in range(1, horizon + 1)], axis=0)
-    mean_const = float(np.mean(
-        [0.5 * scales[t] * float(z_at(t) @ z_at(t)) for t in range(1, horizon + 1)]
-    ))
+        def mean_grad_fn(x):
+            return mean_curvature * x - mean_m
 
     return LossSequence(
-        horizon=horizon, dim=base.dim,
-        value_fn=value_fn, grad_fn=grad_fn,
-        grad_bound=grad_bound, grad_lipschitz=float(scales[1:].max()),
-        grad_constant_in_x=False, grad_takes_stack=True,
-        variation_fn=variation,
-        mean_value_fn=lambda x: (0.5 * mean_scale * float(x @ x)
-                                 - float(mean_m @ x) + mean_const),
-        mean_grad_fn=lambda x: mean_scale * x - mean_m,
-        mean_curvature=mean_scale,
+        horizon=horizon, dim=base.dim, value_fn=value_fn, grad_fn=grad_fn,
+        grad_bound=float(s_rows.max()) * reach,
+        grad_lipschitz=float(s_rows.max()), variation_fn=lambda: variation,
+        mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
+        mean_curvature=mean_curvature, scales=scales, targets=targets,
     )
 
 
@@ -651,7 +651,6 @@ def custom_sequence(
         value_fn=value_fn,
         grad_fn=lambda t, x: np.asarray(grad_fn(t, x), dtype=float),
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        grad_constant_in_x=False,
         variation_fn=(lambda: float(variation)) if variation is not None else None,
         mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
         mean_curvature=mean_curvature,

@@ -72,7 +72,7 @@ def scalar_empirical_variation(trace, seq, sample_budget=32):
     geom = (qp.entropic(trace.dim) if trace.variant == "ompd-simplex"
             else qp.euclidean(trace.dim))
     points = [trace.x0]
-    if not seq.grad_constant_in_x:
+    if seq.coeffs is None:
         count = min(sample_budget, trace.horizon)
         points += [trace.decisions[i] for i in sorted(set(
             np.linspace(0, trace.horizon - 1, count, dtype=int).tolist()))]
@@ -385,3 +385,70 @@ def scalar_linear_constants(geom, coeff_at, horizon):
     for t in range(2, horizon + 1):
         variation += qp.dual_norm(geom, coeff_at(t) - coeff_at(t - 1)) ** 2
     return grad_bound, mean, variation
+
+
+# ---------------------------------------------------------------------------
+# quadratic families: per-round scale and target and their constants
+# ---------------------------------------------------------------------------
+
+
+def quadratic_at(family, horizon, **params):
+    """``t -> (s_t, z_t)`` of a built-in quadratic family, one round at a
+    time, by the per-round formula its docstring states."""
+    if family == "fixed":
+        s = float(params["scale"])
+        z = np.asarray(params["target"], dtype=float)
+        return lambda t: (s, z)
+    target0 = np.asarray(params["target0"], dtype=float)
+    drift = np.asarray(params["target_drift"], dtype=float)
+
+    def z_at(t):
+        return target0 + (t / horizon) * drift
+
+    return lambda t: (params["scale0"] + (t / horizon) * params["scale_drift"],
+                      z_at(t))
+
+
+def scalar_quadratic_constants(geom, base, family, at, horizon):
+    """``(grad_lipschitz, mean_curvature, mean value oracle, mean gradient
+    oracle, variation total)`` of ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` by
+    plain loops over the rounds.
+
+    A fixed loss is its own mean.  A drifting one's mean is expanded as
+    ``(s/2)||x||^2 - <m, x> + const`` from per-round lists.  The variation
+    adds ``(|s_t - s_{t-1}| * sup ||x|| + ||s_t z_t - s_{t-1} z_{t-1}||)^2``
+    over rounds 2..T in plain floats; ``sup ||x||`` is the norm of the
+    per-coordinate supremum over a ball or box.
+    """
+    rounds = [at(t) for t in range(1, horizon + 1)]
+    grad_lipschitz = max(s for s, _ in rounds)
+    if family == "fixed":
+        s, z = rounds[0]
+        curvature = s
+
+        def mean_value(x):
+            diff = x - z
+            return 0.5 * s * float(diff @ diff)
+
+        def mean_grad(x):
+            return s * (x - z)
+    else:
+        curvature = float(np.mean([s for s, _ in rounds]))
+        mean_m = np.mean([s * z for s, z in rounds], axis=0)
+        const = float(np.mean([0.5 * s * float(z @ z) for s, z in rounds]))
+
+        def mean_value(x):
+            return 0.5 * curvature * float(x @ x) - float(mean_m @ x) + const
+
+        def mean_grad(x):
+            return curvature * x - mean_m
+    if isinstance(base, qp.Ball):
+        sup_x = np.abs(base.center) + base.radius
+    else:
+        sup_x = np.maximum(np.abs(base.lower), np.abs(base.upper))
+    x_reach = qp.dual_norm(geom, sup_x)
+    variation = 0.0
+    for (prev_s, prev_z), (cur_s, cur_z) in zip(rounds, rounds[1:]):
+        variation += (abs(cur_s - prev_s) * x_reach
+                      + qp.dual_norm(geom, cur_s * cur_z - prev_s * prev_z)) ** 2
+    return grad_lipschitz, curvature, mean_value, mean_grad, variation

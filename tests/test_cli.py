@@ -164,3 +164,25 @@ def test_supplied_v_cap_must_be_a_finite_number(tmp_path, capsys, value):
     path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
     assert main(["run", "--config", str(path)]) == 2
     assert "v_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,key,value", [
+    ("fixed-quadratic-ball", "scale", float("nan")),
+    ("fixed-quadratic-ball", "scale", float("inf")),
+    ("box-mixed-d3", "scale0", float("nan")),
+    ("box-mixed-d3", "scale_drift", float("nan")),
+    ("fixed-quadratic-ball", "scale", True),
+    ("box-mixed-d3", "scale0", True),
+    ("fixed-quadratic-ball", "target", [float("nan"), 0.0]),
+    ("box-mixed-d3", "target_drift", [float("nan"), 0.0, 0.0]),
+], ids=["fixed-nan", "fixed-inf", "drift-scale0-nan", "drift-scale_drift-nan",
+        "fixed-bool", "drift-scale0-bool", "fixed-target-nan",
+        "drift-target_drift-nan"])
+def test_quadratic_loss_fields_must_be_finite_numbers(tmp_path, capsys,
+                                                      scenario, key, value):
+    data = qp.shipped_scenario(scenario, horizon=20).to_dict()
+    data["loss"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert "loss" in capsys.readouterr().err

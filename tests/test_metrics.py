@@ -174,12 +174,13 @@ def test_empirical_variation_matches_per_point_reference(variant):
         assert v == scalar_empirical_variation(trace, seq, budget)
 
 
-def _linear_runs():
-    """Runs on a table-backed loss of every linear family, some shorter
+def _table_runs():
+    """Runs on a table-backed loss of every built-in family, some shorter
     than their sequence, under both geometries."""
     configs = [qp.shipped_scenario(name, horizon=T)
                for name in ("golden-d2", "drift-rotate-d2", "alternating-d2",
-                            "simplex-d10") for T in (1, 2, 37)]
+                            "simplex-d10", "fixed-quadratic-ball",
+                            "box-mixed-d3") for T in (1, 2, 37)]
     configs.append(qp.ScenarioConfig.from_dict({
         **qp.shipped_scenario("golden-d2", horizon=40).to_dict(),
         "loss": {"family": "linear-drift", "start": [0.5, -0.2],
@@ -192,8 +193,8 @@ def _linear_runs():
 
 def test_table_regret_and_variation_match_round_by_round_references():
     rng = np.random.default_rng(17)
-    for built, trace in _linear_runs():
-        assert built.seq.coeffs is not None
+    for built, trace in _table_runs():
+        assert (built.seq.coeffs is not None) != (built.seq.scales is not None)
         comparator = qp.sample(built.base, rng)[0]
         by_rounds = 0.0
         for t in range(1, trace.horizon + 1):

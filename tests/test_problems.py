@@ -8,7 +8,8 @@ import queueprox as qp
 from queueprox import geometry
 from queueprox.problems import coeff_variation
 from oracles import (brute_force_variation, finite_diff_grad,
-                     grid_comparator, linear_coeff_at, scalar_linear_constants)
+                     grid_comparator, linear_coeff_at, quadratic_at,
+                     scalar_linear_constants, scalar_quadratic_constants)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -195,17 +196,6 @@ def test_loss_grad_on_a_stack_equals_its_rows(make_seq):
     assert seq.grad(3, points[:0]).shape == (0, 2)
 
 
-def test_stacked_grad_rejects_an_oracle_that_ignores_the_stack():
-    # the linear families' oracle returns one (d,) row whatever x is; a
-    # stack flag on it must not broadcast that row over the probes
-    seq = replace(qp.linear_drift(EUC2, BALL, [0.5, 0.0], [0.0, 0.4], 20),
-                  grad_takes_stack=True)
-    points = qp.sample(BALL, np.random.default_rng(13), 3)
-    assert seq.grad(2, points[0]).shape == (2,)
-    with pytest.raises(qp.DimensionMismatchError):
-        seq.grad(2, points)
-
-
 def test_quadratic_gradients_match_finite_differences():
     seq = qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 10,
                              scale0=1.0, scale_drift=0.5)
@@ -303,6 +293,101 @@ def test_linear_families_reject_a_zero_horizon():
     for family in LINEAR_FAMILIES:
         with pytest.raises(ValueError, match="horizon"):
             _random_linear(family, EUC2, BALL, 0, np.random.default_rng(3))
+    for family in QUADRATIC_FAMILIES:
+        with pytest.raises(ValueError, match="horizon"):
+            _random_quadratic(family, EUC2, BALL, 0, np.random.default_rng(3))
+
+
+def _random_quadratic(family, geom, base, horizon, rng):
+    """A built-in quadratic sequence on random parameters, and its
+    parameters."""
+    d = base.dim
+    if family == "fixed":
+        params = {"target": rng.normal(size=d),
+                  "scale": float(rng.uniform(0.5, 2.0))}
+        seq = qp.fixed_quadratic(geom, base, params["target"], horizon,
+                                 scale=params["scale"])
+    else:
+        params = {"target0": rng.normal(size=d),
+                  "target_drift": rng.normal(size=d),
+                  "scale0": float(rng.uniform(0.5, 2.0)),
+                  "scale_drift": float(rng.uniform(-0.4, 1.0))}
+        seq = qp.quadratic_drift(geom, base, horizon=horizon, **params)
+    return seq, params
+
+
+QUADRATIC_FAMILIES = ("fixed", "quadratic-drift")
+
+
+@pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
+@pytest.mark.parametrize("geom, base", [
+    (EUC2, BALL), (qp.euclidean(3), qp.Box(-np.ones(3), np.ones(3)))],
+    ids=["ball-d2", "box-d3"])
+def test_quadratic_tables_match_the_per_round_formula(family, geom, base):
+    # every row, value, gradient and constant but grad_bound equals the one
+    # computed round by round, bit for bit
+    rng = np.random.default_rng(41)
+    x = geometry.sample(base, rng)[0]
+    points = geometry.sample(base, rng, 5)
+    for horizon in (1, 2, 7, 500):
+        seq, params = _random_quadratic(family, geom, base, horizon, rng)
+        at = quadratic_at(family, horizon, **params)
+        period = 1 if family == "fixed" else horizon + 1
+        assert seq.scales.shape == (period,)
+        assert seq.targets.shape == (period, base.dim)
+        for t in range(horizon + 1):
+            s, z = at(max(t, 1))
+            assert seq.scales[max(t, 1) % period] == s
+            assert seq.targets[max(t, 1) % period].tobytes() == z.tobytes()
+            diff = x - z
+            assert seq.value(t, x) == 0.5 * s * float(diff @ diff)
+            assert seq.grad(t, x).tobytes() == (s * (x - z)).tobytes()
+            stacked = np.array([s * (p - z) for p in points])
+            assert seq.grad(t, points).tobytes() == stacked.tobytes()
+        lipschitz, curvature, mean_value, mean_grad, variation = (
+            scalar_quadratic_constants(geom, base, family, at, horizon))
+        assert seq.grad_lipschitz == lipschitz
+        assert seq.mean_curvature == curvature
+        assert seq.mean_value_fn(x) == mean_value(x)
+        assert seq.mean_grad_fn(x).tobytes() == mean_grad(x).tobytes()
+        assert qp.gradient_variation(seq) == variation
+        with pytest.raises(ValueError):
+            seq.targets[0, 0] = 1.0
+
+
+def test_quadratic_variation_squares_like_python_floats():
+    # a horizon-2 drift whose target stays at the origin has one variation
+    # step, |s_2 - s_1| * sup ||x||; only the scale drifts whose step has a
+    # libm square (Python's x ** 2) other than step * step are checked
+    x_reach = qp.dual_norm(EUC2, np.ones(2))
+    checked = 0
+    for drift in np.random.default_rng(5).uniform(0.1, 10.0, 20000).tolist():
+        step = abs((1.0 + drift) - (1.0 + 0.5 * drift)) * x_reach
+        if step ** 2 == step * step:
+            continue
+        seq = qp.quadratic_drift(EUC2, BALL, np.zeros(2), np.zeros(2), 2,
+                                 scale0=1.0, scale_drift=drift)
+        assert qp.gradient_variation(seq) == step ** 2
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("family, key", [
+    ("fixed", "target"), ("quadratic-drift", "target0"),
+    ("quadratic-drift", "target_drift")])
+def test_quadratic_families_keep_no_reference_to_their_inputs(family, key):
+    seq, params = _random_quadratic(family, EUC2, BALL, 9,
+                                    np.random.default_rng(8))
+    x = np.array([0.3, -0.2])
+
+    def observed():
+        return [(seq.value(t, x), seq.grad(t, x).tobytes(),
+                 seq.grad(t, x[None]).tobytes()) for t in (1, 5, 9)] + [
+                    seq.mean_value_fn(x), seq.mean_grad_fn(x).tobytes()]
+
+    before = observed()
+    params[key][:] = 7.0
+    assert observed() == before
 
 
 def test_gradient_variation_fixed_is_zero():

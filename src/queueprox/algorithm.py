@@ -179,9 +179,10 @@ def mix_anchor(anchor: np.ndarray, nu: float) -> np.ndarray:
     """Shift a simplex point toward uniform: ``(1 - nu) x + nu / d``.
 
     Keeps every coordinate at least ``nu / d``, so entropic divergences
-    against the result stay finite.
+    against the result stay finite.  ``anchor`` may also be an ``(m, d)``
+    stack of points, shifted row by row.
     """
-    d = anchor.shape[0]
+    d = anchor.shape[-1]
     return (1.0 - nu) * anchor + nu / d
 
 

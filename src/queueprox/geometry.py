@@ -185,50 +185,73 @@ def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
     x : ndarray
         One point of dimension ``d``, or an ``(n, d)`` stack of points.
     y : ndarray
-        One point of dimension ``d``.  For the entropic geometry ``y`` must
-        be strictly positive on every coordinate where ``x`` (any row of
-        the stack) is positive.
+        One reference point of dimension ``d``, or an ``(m, d)`` stack of
+        them.  For the entropic geometry every reference row must be
+        strictly positive on every coordinate where ``x`` (any row of the
+        stack) is positive.
 
     Returns
     -------
     float or ndarray
         ``0.5 * ||x - y||_2^2`` for the euclidean pairing, the generalized
         Kullback-Leibler divergence for the entropic pairing.  A float for
-        one point; for a stack, the ``(n,)`` array whose row ``i`` equals
-        the one-point call on ``x[i]``.
+        one point against one reference.  For a stack of points, the
+        ``(n,)`` array whose row ``i`` equals the one-point call on
+        ``x[i]``.  For a stack of references, the ``(m, n)`` array (``(m,)``
+        for one point) whose row ``i`` equals, bit for bit, the
+        one-reference call on ``y[i]``.
 
     Raises
     ------
     DimensionMismatchError
-        ``y`` or a row of ``x`` does not have dimension ``geom.dim``.
+        A row of ``x`` or of ``y`` does not have dimension ``geom.dim``.
     DomainError
-        Entropic pairing with a negative input, or some ``y_i == 0`` while
-        ``x_i > 0`` in any row.
+        Entropic pairing with a negative input, or some ``y_i == 0`` in any
+        reference row while ``x_i > 0`` in any row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if base.dim != geom.dim:
         raise DimensionMismatchError("geometry and base set disagree on dimension")
-    if y.shape != (geom.dim,) or x.shape[-1:] != y.shape or x.ndim > 2:
+    if (x.shape[-1:] != (geom.dim,) or y.shape[-1:] != (geom.dim,)
+            or x.ndim > 2 or y.ndim > 2):
         raise DimensionMismatchError(
-            f"bregman expects a vector or a stack of vectors of dimension "
-            f"{geom.dim} against one vector"
+            f"bregman expects vectors or stacks of vectors of dimension "
+            f"{geom.dim}"
         )
     if geom.kind == EUCLIDEAN:
-        diff = x - y
+        diff = x - _reference_rows(x, y)
         # row-wise dot product, the same reduction as ``diff @ diff``
         val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     else:
         if np.any(x < 0) or np.any(y < 0):
             raise DomainError("entropic divergence needs nonnegative inputs")
-        pos = x > 0
-        if np.any(pos & (y == 0)):
+        # some x row has mass on a coordinate where some y row has none
+        if np.any((x > 0).reshape(-1, geom.dim).any(axis=0)
+                  & (y == 0).reshape(-1, geom.dim).any(axis=0)):
             raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(pos, x * (np.log(x) - np.log(y)), 0.0)
-        # generalized KL correction, exactly zero when both inputs are normalized
-        val = terms.sum(axis=-1) + (y.sum() - x.sum(axis=-1))
-    return float(val) if x.ndim == 1 else val
+        val = _entropic(x, y)
+    return float(val) if x.ndim == y.ndim == 1 else val
+
+
+def _reference_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y`` shaped to broadcast against ``x``: an ``(m, d)`` stack of
+    references against an ``(n, d)`` stack of points becomes ``(m, 1, d)``."""
+    return y[:, None, :] if y.ndim == 2 and x.ndim == 2 else y
+
+
+def _entropic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Generalized KL divergence of ``bregman``'s entropic pairing, without
+    its validation: +inf where ``y_i = 0`` while ``x_i > 0``.  Shapes as in
+    ``bregman``; always returns an array."""
+    y = _reference_rows(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # one temporary of the broadcast shape, worked on in place
+        terms = np.log(x) - np.log(y)
+        terms *= x
+    np.copyto(terms, 0.0, where=x <= 0)    # the 0 log 0 = 0 convention
+    # generalized KL correction, exactly zero when both inputs are normalized
+    return terms.sum(axis=-1) + (y.sum(axis=-1) - x.sum(axis=-1))
 
 
 def project(base: BaseSet, y: np.ndarray) -> np.ndarray:

@@ -189,15 +189,12 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
     spec = dict(config.loss)
     family = spec["family"]
     T = config.horizon
-    if any(isinstance(spec.get(key), bool)
-           for key in ("scale", "scale0", "scale_drift")):
-        raise TypeError("loss scales must be numbers, not booleans")
     if family == "fixed":
         if spec.get("form", "linear") == "quadratic":
             return prob.fixed_quadratic(geom, base, spec["target"], T,
-                                        scale=float(spec.get("scale", 1.0)))
+                                        scale=_number(spec, "scale", 1.0))
         return prob.fixed_linear(geom, base, spec["coeffs"], T,
-                                 grad_lipschitz=float(spec.get("grad_lipschitz", 1.0)))
+                                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "linear-drift":
         if spec.get("schedule", "line") == "rotate":
             if spec.get("random_plane", False):
@@ -205,27 +202,39 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
             else:
                 plane = None
             return prob.rotating_drift(
-                geom, base, amplitude=float(spec["amplitude"]),
-                rate=float(spec["rate"]), horizon=T, plane=plane,
-                grad_lipschitz=float(spec.get("grad_lipschitz", 1.0)))
+                geom, base, amplitude=_number(spec, "amplitude"),
+                rate=_number(spec, "rate"), horizon=T, plane=plane,
+                grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
         return prob.linear_drift(geom, base, spec["start"], spec["drift"], T,
-                                 grad_lipschitz=float(spec.get("grad_lipschitz", 1.0)))
+                                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "alternating":
         if "random" in spec:
-            amplitude = float(spec["random"].get("amplitude", 0.7))
+            amplitude = _number(spec["random"], "amplitude", 0.7)
             first = amplitude * _unit(rng, base.dim)
             second = amplitude * _unit(rng, base.dim)
         else:
             first, second = spec["first"], spec["second"]
         return prob.alternating(geom, base, first, second, T,
-                                grad_lipschitz=float(spec.get("grad_lipschitz", 1.0)))
+                                grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "quadratic-drift":
         return prob.quadratic_drift(
             geom, base, spec["target0"], spec.get("target_drift", np.zeros(base.dim)),
-            T, scale0=float(spec.get("scale0", 1.0)),
-            scale_drift=float(spec.get("scale_drift", 0.0)))
+            T, scale0=_number(spec, "scale0", 1.0),
+            scale_drift=_number(spec, "scale_drift", 0.0))
     raise ConfigError("custom losses cannot be built from config files",
                       fields=["loss"])
+
+
+def _number(spec: dict, key: str, default: float | None = None) -> float:
+    """``spec[key]`` as a finite float, or ``default`` when given and the
+    key is absent; a boolean or a non-finite value is malformed."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected a mapping holding {key!r}, got {spec!r}")
+    value = spec[key] if default is None else spec.get(key, default)
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"loss field {key!r} must be a finite number, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _building(part: str, build, *args):
@@ -251,7 +260,7 @@ def build_scenario(config: ScenarioConfig) -> alg.Scenario:
     if config.v_cap["mode"] == "supplied":
         v_cap = float(config.v_cap["value"])
     else:
-        v_cap = prob.gradient_variation(seq)
+        v_cap = _building("loss", prob.gradient_variation, seq)
     hp = alg.hyperparams_from_variation(
         v_cap, seq.grad_lipschitz, horizon=config.horizon,
         variant=config.variant)

@@ -163,6 +163,43 @@ def scalar_pushback_worst(geom, base, n_instances, n_z, seed):
 
 
 # ---------------------------------------------------------------------------
+# uniform mixing: the three inequalities, one anchor at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_mixing_worst(anchors, nu, d, z_mat):
+    """``(max_residual, skipped, rounds, samples)`` of the mixing check from
+    a plain loop over single anchors, each with its own two KL passes.
+
+    The KL rows are written out here (``+inf`` where an anchor has no mass
+    under a probe's mass), independent of ``geometry.bregman``.
+    """
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    z_mat = np.atleast_2d(np.asarray(z_mat, dtype=float))
+
+    def kl_rows(y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.log(z_mat) - np.log(y)[None, :]
+            terms = np.where(z_mat > 0, z_mat * ratio, 0.0)
+        return terms.sum(axis=1) + (float(y.sum()) - z_mat.sum(axis=1))
+
+    worst = -np.inf
+    skipped = 0
+    for x in anchors:
+        y = qp.mix_anchor(x, nu)
+        worst = max(worst, float(np.abs(y - x).sum()) - 2.0 * nu)
+        kl_y = kl_rows(y)
+        worst = max(worst, float(np.max(kl_y)) - np.log(d / nu))
+        kl_x = kl_rows(x)
+        finite = np.isfinite(kl_x)
+        skipped += int(np.sum(~finite))
+        if np.any(finite):
+            worst = max(worst, float(np.max(kl_y[finite] - kl_x[finite]))
+                        - nu * np.log(d))
+    return worst, skipped, anchors.shape[0], anchors.shape[0] * z_mat.shape[0]
+
+
+# ---------------------------------------------------------------------------
 # frozen trace digests: every array of a T=500 run, bit for bit
 # ---------------------------------------------------------------------------
 
@@ -339,6 +376,19 @@ SWEEP_DIGESTS = {
         "02404761dcaed8a00636b1234e36b0a3f336bfdab7f9c3b53d68409d452fa12c",
 }
 
+
+CHECK_HORIZON = 500
+
+# scenario -> SHA-256 of ``checks.csv`` from ``queueprox check --lemmas all``
+# on the shipped scenario at CHECK_HORIZON; recorded before the mixing and
+# pushback checks moved to stacked-reference divergence passes, which had
+# to keep every bit
+CHECK_DIGESTS = {
+    "simplex-d10":
+        "2cd21d3e939d290096948b5bd9bddcf5c4a665b356c6043da604f3e6f9ca6d35",
+    "box-mixed-d3":
+        "a9546595161f320b6a1218037dc0be16cb278e429ae9d6e786efc878ce72e97f",
+}
 
 # ---------------------------------------------------------------------------
 # linear families: per-round coefficients and their constants, round by round

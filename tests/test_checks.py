@@ -7,7 +7,7 @@ import pytest
 import queueprox as qp
 from queueprox import checks as chk
 from queueprox import geometry as geo
-from oracles import golden_config, scalar_pushback_worst
+from oracles import golden_config, scalar_mixing_worst, scalar_pushback_worst
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -210,6 +210,52 @@ def test_mixing_passes_on_simplex_trace(simplex_run):
                               trace.dim, z)
     assert report.passed
     assert report.rounds == trace.horizon
+
+
+def _mixing_outputs(report):
+    return (report.max_residual, report.skipped, report.rounds,
+            report.samples)
+
+
+def test_mixing_blocks_match_scalar_loop_on_trace(simplex_run):
+    built, trace = simplex_run
+    z = geo.sample(built.base, np.random.default_rng(3), 20)
+    anchors = trace.anchors[:trace.horizon]
+    report = chk.check_mixing(anchors, trace.nu, trace.dim, z)
+    reference = scalar_mixing_worst(anchors, trace.nu, trace.dim, z)
+    assert _mixing_outputs(report) == reference
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2],
+                         ids=["one", "block-1", "block", "block+1"])
+def test_mixing_blocks_match_scalar_loop_at_block_edges(simplex_run, extra):
+    built, trace = simplex_run
+    z = geo.sample(built.base, np.random.default_rng(5), 20)
+    block = max(1, chk.PROBE_BLOCK // len(z))
+    count = 1 if extra < 0 else block - 1 + extra
+    # a vertex last: every probe against it is skipped, so a dropped tail
+    # block shows in the skip count
+    vertex = np.eye(trace.dim)[:1]
+    anchors = np.vstack([trace.anchors[:count - 1], vertex])
+    assert anchors.shape[0] == count
+    report = chk.check_mixing(anchors, trace.nu, trace.dim, z)
+    reference = scalar_mixing_worst(anchors, trace.nu, trace.dim, z)
+    assert _mixing_outputs(report) == reference
+    assert report.skipped >= len(z)
+
+
+def test_mixing_fails_on_over_mixing(simplex_run, monkeypatch):
+    built, trace = simplex_run
+    z = geo.sample(built.base, np.random.default_rng(0), 30)
+    # the vertices too: far from uniform, where the l1 shift is largest
+    anchors = np.vstack([trace.anchors[:trace.horizon], np.eye(trace.dim)])
+    honest = chk.check_mixing(anchors, trace.nu, trace.dim, z)
+    assert honest.passed
+    mix = chk.mix_anchor
+    monkeypatch.setattr(chk, "mix_anchor", lambda x, nu: mix(x, 3.0 * nu))
+    report = chk.check_mixing(anchors, trace.nu, trace.dim, z)
+    assert not report.passed
+    assert report.max_residual > honest.max_residual
 
 
 def test_descent_lemma_correct_constant_passes():

@@ -1,10 +1,12 @@
 """The run / sweep / check entry points and their exit codes."""
+import hashlib
 import json
 
 import pytest
 
 import queueprox as qp
 from queueprox.cli import _parse_int_list, main
+from oracles import CHECK_DIGESTS, CHECK_HORIZON
 
 
 @pytest.fixture
@@ -71,6 +73,17 @@ def test_check_simplex_runs_every_certificate(tmp_path, capsys):
     assert "skipped" not in out
     for token in ("queue", "dpp", "pushback", "mixing"):
         assert f"check={token}" in out
+
+
+@pytest.mark.parametrize("scenario", sorted(CHECK_DIGESTS))
+def test_check_csv_is_frozen(tmp_path, scenario):
+    path = tmp_path / "config.json"
+    qp.shipped_scenario(scenario, horizon=CHECK_HORIZON).to_json(str(path))
+    out_dir = tmp_path / "checks"
+    assert main(["check", "--config", str(path), "--lemmas", "all",
+                 "--out", str(out_dir)]) == 0
+    data = (out_dir / "checks.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CHECK_DIGESTS[scenario]
 
 
 def test_check_subset_of_lemmas(golden_path, capsys):
@@ -184,5 +197,43 @@ def test_quadratic_loss_fields_must_be_finite_numbers(tmp_path, capsys,
     data["loss"][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert "loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,keys,value", [
+    ("golden-d2", ("grad_lipschitz",), True),
+    ("alternating-d2", ("grad_lipschitz",), True),
+    ("alternating-d2", ("grad_lipschitz",), float("nan")),
+    ("drift-rotate-d2", ("grad_lipschitz",), float("inf")),
+    ("drift-rotate-d2", ("amplitude",), True),
+    ("drift-rotate-d2", ("amplitude",), float("nan")),
+    ("drift-rotate-d2", ("rate",), float("inf")),
+    ("alternating-d2", ("random", "amplitude"), True),
+    ("alternating-d2", ("random", "amplitude"), float("nan")),
+    ("alternating-d2", ("random",), 5),
+], ids=["fixed-lipschitz-bool", "alternating-lipschitz-bool",
+        "alternating-lipschitz-nan", "rotate-lipschitz-inf",
+        "rotate-amplitude-bool", "rotate-amplitude-nan", "rotate-rate-inf",
+        "random-amplitude-bool", "random-amplitude-nan", "random-not-a-mapping"])
+def test_linear_loss_fields_must_be_finite_numbers(tmp_path, capsys,
+                                                   scenario, keys, value):
+    data = qp.shipped_scenario(scenario, horizon=20).to_dict()
+    target = data["loss"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert "loss" in capsys.readouterr().err
+
+
+def test_non_finite_variation_is_usage_error(tmp_path, capsys):
+    data = qp.shipped_scenario("alternating-d2", horizon=20).to_dict()
+    data["loss"] = {"family": "alternating", "first": [float("nan"), 0.0],
+                    "second": [0.0, 0.5]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert "loss" in capsys.readouterr().err

@@ -79,9 +79,43 @@ def test_bregman_stack_dimension_mismatch():
     with pytest.raises(qp.DimensionMismatchError):
         qp.bregman(EUC2, BALL, np.zeros((4, 3)), np.zeros(2))
     with pytest.raises(qp.DimensionMismatchError):
-        qp.bregman(EUC2, BALL, np.zeros((4, 2)), np.zeros((4, 2)))
+        qp.bregman(EUC2, BALL, np.zeros((4, 2)), np.zeros((4, 3)))
     with pytest.raises(qp.DimensionMismatchError):
         qp.bregman(EUC2, BALL, np.zeros((3, 4, 2)), np.zeros(2))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(EUC2, BALL, np.zeros((4, 2)), np.zeros((3, 4, 2)))
+
+
+@pytest.mark.parametrize("geom,base", PAIRINGS, ids=["ball", "box", "simplex"])
+def test_bregman_reference_stack_matches_rows_bit_for_bit(geom, base):
+    rng = np.random.default_rng(9)
+    stack = qp.sample(base, rng, 40)
+    refs = qp.sample(base, rng, 5)
+    if base.kind == "simplex":
+        stack[0] = [1.0, 0.0, 0.0]    # a vertex: the 0 log 0 convention
+    vals = qp.bregman(geom, base, stack, refs)
+    assert vals.shape == (5, 40)
+    one = qp.bregman(geom, base, stack[1], refs)
+    assert one.shape == (5,)
+    for i, y in enumerate(refs):
+        row = qp.bregman(geom, base, stack, y)
+        assert vals[i].tobytes() == row.tobytes()
+        assert one[i] == qp.bregman(geom, base, stack[1], y)
+
+
+def test_bregman_reference_stack_domain_errors():
+    x = np.array([[0.2, 0.8, 0.0], [0.5, 0.5, 0.0]])
+    ok = np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]])
+    assert qp.bregman(ENT3, SIMPLEX3, x, ok).shape == (2, 2)
+    no_mass = np.vstack([ok, [0.0, 0.6, 0.4]])    # y_1 = 0 where x_1 > 0
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, x, no_mass)
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, x[0], no_mass)
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, x, np.vstack([ok, [1.1, 0.0, -0.1]]))
+    with pytest.raises(qp.DomainError):
+        qp.bregman(ENT3, SIMPLEX3, np.vstack([x, [1.1, 0.0, -0.1]]), ok)
 
 
 def test_mirror_step_euclidean_interior_gradient_step():

@@ -2,12 +2,14 @@
 
 Each check re-evaluates an inequality the solver's analysis relies on,
 on concrete traces or freshly sampled instances, and reports the largest
-observed residual (left side minus right side, positive means violated).
+observed residual (left side minus right side, positive means violated);
+a NaN residual anywhere makes that report NaN and failed.
 The checks are deliberately independent of the solver internals: they
 recompute every quantity from recorded iterates and problem oracles.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,6 +25,13 @@ CHECK_COLUMNS = ("check", "rounds", "samples", "max_residual", "pass")
 # Probe matrices are evaluated this many rows at a time: one numpy pass per
 # block, with temporaries that stay small however many probes are drawn.
 PROBE_BLOCK = 128
+
+
+def _fold(worst: float, value: float) -> float:
+    """The larger of two residuals, NaN if either is: Python's ``max``
+    keeps its first argument against a NaN, which would let a NaN residual
+    pass."""
+    return value if value > worst or value != value else worst
 
 
 @dataclass
@@ -103,7 +112,7 @@ def check_queue_lemma(trace: RunTrace, tol: float = 1e-9) -> CheckReport:
               and res_drift <= tol and res_growth <= tol and res_change <= tol)
     return CheckReport(
         check="queue", rounds=updates, samples=updates,
-        max_residual=max(notes.values()), passed=passed,
+        max_residual=functools.reduce(_fold, notes.values()), passed=passed,
         tolerance=tol, notes=notes,
     )
 
@@ -196,13 +205,13 @@ def check_dpp_bound(
     z_mat = np.atleast_2d(np.asarray(z_samples, dtype=float))
     for lo in range(0, z_mat.shape[0], PROBE_BLOCK):
         z_blk = z_mat[lo:lo + PROBE_BLOCK]
-        g_blk = np.array([constraint_eval(block, z)[0] for z in z_blk])
+        g_blk, _ = constraint_eval(block, z_blk)
         rhs = (fixed_terms
                + z_blk @ s.loss_grad_curr
                + s.alpha * (geo.bregman(geom, base, z_blk, s.anchor)
                             - geo.bregman(geom, base, z_blk, s.anchor_next))
                + gamma * (g_blk @ weights))
-        worst = max(worst, float(np.max(lhs - rhs)))
+        worst = _fold(worst, float(np.max(lhs - rhs)))
 
     return CheckReport(
         check="dpp", rounds=1, samples=z_mat.shape[0],
@@ -231,7 +240,7 @@ def check_dpp_over_trace(
         snap = snapshot_from_trace(trace, int(t), seq, block, geom, base)
         z_samples = geo.sample(base, rng, n_z)
         report = check_dpp_bound(snap, z_samples, tol)
-        worst = max(worst, report.max_residual)
+        worst = _fold(worst, report.max_residual)
     return CheckReport(
         check="dpp", rounds=len(rounds), samples=len(rounds) * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,
@@ -278,7 +287,7 @@ def check_pushback(
             # D(z, anchor) - D(z, x*), the two rows of one stacked call
             rhs = z_blk @ h + alpha * np.subtract(
                 *geo.bregman(geom, base, z_blk, refs))
-            worst = max(worst, float(np.max(lhs - rhs)))
+            worst = _fold(worst, float(np.max(lhs - rhs)))
     return CheckReport(
         check="pushback", rounds=n_instances, samples=n_instances * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,
@@ -304,8 +313,8 @@ def check_mixing(
     probe against ``y`` exceeds that against ``x`` by at most
     ``nu log d``; it is at most ``log(d / nu)`` outright; and
     ``||y - x||_1 <= 2 nu``.  Probe pairs whose divergence against ``x``
-    is infinite cannot witness the first inequality; they are skipped and
-    the skip count reported.  Anchors are taken ``PROBE_BLOCK // n_z`` at
+    is +inf cannot witness the first inequality; they are skipped and the
+    skip count reported (a NaN divergence is not skipped: it fails).  Anchors are taken ``PROBE_BLOCK // n_z`` at
     a time (at least one), so each divergence pass covers about
     ``PROBE_BLOCK`` anchor-probe pairs.
     """
@@ -323,16 +332,16 @@ def check_mixing(
     for lo in range(0, anchors.shape[0], step):
         x_blk = anchors[lo:lo + step]
         y_blk = mix_anchor(x_blk, nu)
-        worst = max(worst, float(np.max(np.abs(y_blk - x_blk).sum(axis=1)))
-                    - 2.0 * nu)
+        worst = _fold(worst, float(np.max(np.abs(y_blk - x_blk).sum(axis=1)))
+                      - 2.0 * nu)
         # (anchors, probes) divergences; +inf where an anchor has no mass
         kl_y = geo._entropic(z_mat, y_blk)
-        worst = max(worst, float(np.max(kl_y)) - cap_abs)
+        worst = _fold(worst, float(np.max(kl_y)) - cap_abs)
         kl_x = geo._entropic(z_mat, x_blk)
-        finite = np.isfinite(kl_x)
-        skipped += int(np.sum(~finite))
-        worst = max(worst, float(np.max(kl_y[finite] - kl_x[finite],
-                                        initial=-np.inf)) - cap_shift)
+        kept = kl_x != np.inf          # a NaN is kept, and fails the check
+        skipped += int(np.sum(~kept))
+        worst = _fold(worst, float(np.max(kl_y[kept] - kl_x[kept],
+                                          initial=-np.inf)) - cap_shift)
     return CheckReport(
         check="mixing", rounds=anchors.shape[0],
         samples=anchors.shape[0] * z_mat.shape[0],
@@ -369,7 +378,7 @@ def check_descent_lemma(
     for x, y in zip(xs, ys):
         gap = (value_fn(x) - value_fn(y) - float(grad_fn(y) @ (x - y))
                - 0.5 * lipschitz * geo.norm(geom, x - y) ** 2)
-        worst = max(worst, gap)
+        worst = _fold(worst, gap)
     return CheckReport(
         check="descent", rounds=n_pairs, samples=n_pairs,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,

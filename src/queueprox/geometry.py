@@ -206,8 +206,8 @@ def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
     DimensionMismatchError
         A row of ``x`` or of ``y`` does not have dimension ``geom.dim``.
     DomainError
-        Entropic pairing with a negative input, or some ``y_i == 0`` in any
-        reference row while ``x_i > 0`` in any row.
+        Entropic pairing with an input that is negative or NaN, or some
+        ``y_i == 0`` in any reference row while ``x_i > 0`` in any row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,7 +224,8 @@ def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
         # row-wise dot product, the same reduction as ``diff @ diff``
         val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     else:
-        if np.any(x < 0) or np.any(y < 0):
+        # ``>= 0`` is False for NaN, which ``< 0`` would let through
+        if not (np.all(x >= 0) and np.all(y >= 0)):
             raise DomainError("entropic divergence needs nonnegative inputs")
         # some x row has mass on a coordinate where some y row has none
         if np.any((x > 0).reshape(-1, geom.dim).any(axis=0)

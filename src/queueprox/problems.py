@@ -54,6 +54,12 @@ class ConstraintBlock:
         norm / dual-norm pairing.
     slater : tuple or None
         ``(point, margin)`` with ``g_k(point) <= -margin`` for every k.
+    eval_stack_fn : callable or None
+        Maps an ``(n, d)`` stack of points to ``(values, jacobians)`` with
+        shapes ``(n, K)`` and ``(n, K, d)`` in one pass, each row bit for
+        bit ``eval_fn`` on that point.  The built-in blocks have one; a
+        block built from a one-point ``eval_fn`` alone has None, and
+        ``constraint_eval`` then calls ``eval_fn`` row by row.
     """
 
     size: int
@@ -63,6 +69,7 @@ class ConstraintBlock:
     lipschitz: np.ndarray
     curvature: float
     slater: tuple[np.ndarray, float] | None = None
+    eval_stack_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def value_bound_total(self) -> float:
@@ -78,18 +85,33 @@ def constraint_eval(block: ConstraintBlock, x: np.ndarray,
                     round_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate constraint values and the stacked Jacobian at ``x``.
 
-    ``round_index`` names the round whose decision ``x`` is (0 for a run's
-    start point); a non-finite oracle output raises an ``OracleError``
-    carrying it.
+    ``x`` is one point of shape ``(d,)``, giving ``(K,)`` values and a
+    ``(K, d)`` Jacobian, or an ``(n, d)`` stack of points, giving ``(n, K)``
+    values and ``(n, K, d)`` Jacobians whose rows equal the one-point calls
+    bit for bit.  A stack takes one ``eval_stack_fn`` call, or one
+    ``eval_fn`` call per row for a block without one.  ``round_index``
+    names the round whose decision ``x`` is (0 for a run's start point); a
+    non-finite oracle output raises an ``OracleError`` carrying it.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (block.dim,):
-        raise DimensionMismatchError(f"expected a point of dimension {block.dim}")
-    values, jac = block.eval_fn(x)
-    values = np.asarray(values, dtype=float).reshape(block.size)
-    jac = np.asarray(jac, dtype=float).reshape(block.size, block.dim)
+    if x.shape == (block.dim,):
+        values, jac = block.eval_fn(x)
+        shape = (block.size,)
+    elif x.ndim == 2 and x.shape[1] == block.dim:
+        if block.eval_stack_fn is not None:
+            values, jac = block.eval_stack_fn(x)
+        else:                   # a one-point oracle sees one point at a time
+            rows = [block.eval_fn(row) for row in x]
+            values = [np.reshape(v, block.size) for v, _ in rows]
+            jac = [np.reshape(j, (block.size, block.dim)) for _, j in rows]
+        shape = (len(x), block.size)
+    else:
+        raise DimensionMismatchError(f"expected a point of dimension {block.dim} "
+                                     f"or an (n, {block.dim}) stack")
+    values = np.asarray(values, dtype=float).reshape(shape)
+    jac = np.asarray(jac, dtype=float).reshape(shape + (block.dim,))
     # one scalar test, and the exact one only when it fails (an overflow)
-    if not math.isfinite(values @ values + np.vdot(jac, jac)) and not (
+    if not math.isfinite(np.vdot(values, values) + np.vdot(jac, jac)) and not (
             np.isfinite(values).all() and np.isfinite(jac).all()):
         where = "" if round_index is None else f" at round {round_index}"
         raise OracleError(f"constraint oracle returned a non-finite value{where}",
@@ -241,6 +263,12 @@ def linear_block(
     def eval_fn(x):
         return A @ x - b, A
 
+    def eval_stack_fn(X):
+        # a stacked matmul of column vectors keeps each row's matvec bits,
+        # which ``X @ A.T`` does not
+        return ((A @ X[:, :, None])[:, :, 0] - b,
+                np.broadcast_to(A, (len(X),) + A.shape))
+
     consts = _family_constants(geom, base, "linear", A=A, b=b)
     slater = None
     if slater_point is not None:
@@ -249,6 +277,7 @@ def linear_block(
         size=A.shape[0], dim=base.dim, eval_fn=eval_fn,
         value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
         curvature=consts["curvature"], slater=slater,
+        eval_stack_fn=eval_stack_fn,
     )
 
 
@@ -270,6 +299,11 @@ def quadratic_block(
         values = np.einsum("kd,kd->k", diff, diff) - offsets
         return values, 2.0 * diff
 
+    def eval_stack_fn(X):
+        diff = X[:, None, :] - centers
+        values = np.einsum("nkd,nkd->nk", diff, diff) - offsets
+        return values, 2.0 * diff
+
     consts = _family_constants(geom, base, "quadratic", centers=centers,
                                offsets=offsets)
     slater = None
@@ -279,6 +313,7 @@ def quadratic_block(
         size=centers.shape[0], dim=base.dim, eval_fn=eval_fn,
         value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
         curvature=consts["curvature"], slater=slater,
+        eval_stack_fn=eval_stack_fn,
     )
 
 
@@ -288,10 +323,13 @@ def empty_block(dim: int) -> ConstraintBlock:
     def eval_fn(x):
         return np.zeros(0), np.zeros((0, dim))
 
+    def eval_stack_fn(X):
+        return np.zeros((len(X), 0)), np.zeros((len(X), 0, dim))
+
     return ConstraintBlock(
         size=0, dim=dim, eval_fn=eval_fn,
         value_bounds=np.zeros(0), lipschitz=np.zeros(0),
-        curvature=0.0, slater=None,
+        curvature=0.0, slater=None, eval_stack_fn=eval_stack_fn,
     )
 
 
@@ -309,6 +347,11 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
         jac = np.concatenate([p[1] for p in parts])
         return values, jac
 
+    def eval_stack_fn(X):
+        parts = [b.eval_stack_fn(X) for b in blocks]
+        return (np.concatenate([p[0] for p in parts], axis=1),
+                np.concatenate([p[1] for p in parts], axis=1))
+
     slater = None
     candidates = [b.slater for b in blocks if b.slater is not None]
     if len(candidates) == len(blocks) and blocks:
@@ -322,6 +365,8 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
         lipschitz=np.concatenate([b.lipschitz for b in blocks]),
         curvature=max(b.curvature for b in blocks),
         slater=slater,
+        eval_stack_fn=(eval_stack_fn if all(b.eval_stack_fn is not None
+                                            for b in blocks) else None),
     )
 
 
@@ -689,12 +734,15 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
            max_iter=20000, tol=1e-12, stall_limit=120):
     """Accelerated projected gradient with backtracking and restarts.
 
-    ``objective`` is the fused oracle: it maps a point to the pair
-    ``(value, gradient)``.  It is called once per point the solver visits:
-    once per extrapolated point, and once per backtracking candidate, whose
-    value then also serves the restart and best-value tests.  After a
-    function-value restart the next point is that candidate itself, and its
-    pair is reused.
+    ``objective`` maps a point to ``(value, finish)``: ``finish()`` returns
+    the gradient there, built from the parts the value call already holds
+    (for a penalty, the block call's hinge and Jacobian).  The solver calls
+    ``objective`` once per point it visits: once per extrapolated point and
+    once per backtracking candidate, whose value also serves the restart
+    and best-value tests.  It calls ``finish`` only where it steps from: at
+    each extrapolated point, and at a candidate that triggers a
+    function-value restart, since the next step starts from that candidate.
+    A candidate that only passes or fails a test costs its value alone.
 
     Returns ``(x, residual)`` where residual is the final squared
     gradient-mapping norm.  Stops early when the residual drops below
@@ -705,19 +753,21 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
     y = x.copy()
     momentum = 1.0
     step_inv = max(lipschitz_guess, 1e-12)
-    f_y, g = objective(y)
+    f_y, finish = objective(y)
+    g = finish()
     best_val = f_y
     best_x = x.copy()
     residual = np.inf
     stale = 0
     for _ in range(max_iter):
         if g is None:
-            f_y, g = objective(y)
+            f_y, finish = objective(y)
+            g = finish()
         while True:
             candidate = geo.project(base, y - g / step_inv)
             delta = candidate - y
             quad = f_y + float(g @ delta) + 0.5 * step_inv * float(delta @ delta)
-            cand_val, cand_grad = objective(candidate)
+            cand_val, cand_finish = objective(candidate)
             if cand_val <= quad + 1e-15:
                 break
             step_inv *= 2.0
@@ -729,7 +779,7 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
         if cand_val > best_val:          # function-value restart
             y = candidate.copy()
-            f_y, g = cand_val, cand_grad
+            f_y, g = cand_val, cand_finish()
             momentum_new = 1.0
         else:
             y = candidate + ((momentum - 1.0) / momentum_new) * (candidate - x)
@@ -749,10 +799,11 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
 
 
 def _squared_violation(block: ConstraintBlock, x: np.ndarray):
-    """Value and gradient of ``sum_k max(g_k(x), 0)^2`` from one block call."""
+    """``sum_k max(g_k(x), 0)^2`` from one block call, with the hinge and
+    Jacobian its gradient ``2 * (hinge @ jac)`` is finished from."""
     values, jac = block.eval_fn(x)
     hinge = np.maximum(values, 0.0)
-    return float((hinge ** 2).sum()), 2.0 * (hinge @ jac)
+    return float((hinge ** 2).sum()), hinge, jac
 
 
 def hindsight_comparator(
@@ -786,7 +837,8 @@ def hindsight_comparator(
 
     if block.size == 0:
         x, residual = _fista(
-            lambda p: (seq.mean_value_fn(p), seq.mean_grad_fn(p)), base, x0,
+            lambda p: (seq.mean_value_fn(p), partial(seq.mean_grad_fn, p)),
+            base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
             max_iter=max_iter,
         )
@@ -796,8 +848,11 @@ def hindsight_comparator(
 
     if block.slater is None:
         # certify feasibility before optimizing
-        probe, _ = _fista(lambda p: _squared_violation(block, p), base, x0,
-                          max_iter=max_iter)
+        def violation(p):
+            violation_sq, hinge, jac = _squared_violation(block, p)
+            return violation_sq, lambda: 2.0 * (hinge @ jac)
+
+        probe, _ = _fista(violation, base, x0, max_iter=max_iter)
         values, _ = block.eval_fn(probe)
         if np.max(values) > 1e-6:
             worst = int(np.argmax(values))
@@ -815,9 +870,9 @@ def hindsight_comparator(
     curvature_guess = max(seq.mean_curvature, 1.0)
     for _ in range(6):
         def penalized(p, w=weight):
-            violation_sq, violation_grad = _squared_violation(block, p)
+            violation_sq, hinge, jac = _squared_violation(block, p)
             return (seq.mean_value_fn(p) + w * violation_sq,
-                    seq.mean_grad_fn(p) + w * violation_grad)
+                    lambda: seq.mean_grad_fn(p) + w * (2.0 * (hinge @ jac)))
 
         x, residual = _fista(penalized, base, x,
                              lipschitz_guess=curvature_guess, max_iter=max_iter)

@@ -502,3 +502,146 @@ def scalar_quadratic_constants(geom, base, family, at, horizon):
         variation += (abs(cur_s - prev_s) * x_reach
                       + qp.dual_norm(geom, cur_s * cur_z - prev_s * prev_z)) ** 2
     return grad_lipschitz, curvature, mean_value, mean_grad, variation
+
+
+# ---------------------------------------------------------------------------
+# the staged hindsight comparator, as it stood with a fused oracle that built
+# the full penalized gradient at every point it visited
+# ---------------------------------------------------------------------------
+
+
+def _reference_fista(objective, base, x0, *, lipschitz_guess=1.0,
+                     max_iter=20000, tol=1e-12, stall_limit=120, counts=None):
+    """Accelerated projected gradient with backtracking and restarts, on an
+    oracle that maps a point to ``(value, gradient)``.  ``counts``, when
+    given, gains one ``"restarts"`` per function-value restart; nothing
+    else differs from the solver this freezes."""
+    x = np.asarray(x0, dtype=float)
+    y = x.copy()
+    momentum = 1.0
+    step_inv = max(lipschitz_guess, 1e-12)
+    f_y, g = objective(y)
+    best_val = f_y
+    best_x = x.copy()
+    residual = np.inf
+    stale = 0
+    for _ in range(max_iter):
+        if g is None:
+            f_y, g = objective(y)
+        while True:
+            candidate = qp.project(base, y - g / step_inv)
+            delta = candidate - y
+            quad = f_y + float(g @ delta) + 0.5 * step_inv * float(delta @ delta)
+            cand_val, cand_grad = objective(candidate)
+            if cand_val <= quad + 1e-15:
+                break
+            step_inv *= 2.0
+            if step_inv > 1e18:
+                break
+        residual = step_inv**2 * float(delta @ delta)
+        if residual <= tol:
+            return candidate, residual
+        momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+        if cand_val > best_val:          # function-value restart
+            if counts is not None:
+                counts["restarts"] = counts.get("restarts", 0) + 1
+            y = candidate.copy()
+            f_y, g = cand_val, cand_grad
+            momentum_new = 1.0
+        else:
+            y = candidate + ((momentum - 1.0) / momentum_new) * (candidate - x)
+            g = None
+        if cand_val < best_val - 1e-15 * (1.0 + abs(best_val)):
+            best_val = cand_val
+            best_x = candidate.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= stall_limit:
+                return best_x, residual
+        x = candidate
+        momentum = momentum_new
+        step_inv *= 0.5                  # allow the step to grow back
+    return x, residual
+
+
+def _reference_squared_violation(block, x):
+    values, jac = block.eval_fn(x)
+    hinge = np.maximum(values, 0.0)
+    return float((hinge ** 2).sum()), 2.0 * (hinge @ jac)
+
+
+def reference_comparator(seq, block, base, *, feas_tol=1e-6, max_iter=20000,
+                         counts=None):
+    """``hindsight_comparator`` as it stood when every visited point cost a
+    full gradient: the unconstrained solve for an empty block, the
+    feasibility probe for a block without a Slater point, then penalty
+    stages and the pull toward the certificate.  ``counts`` gains
+    ``"probe"`` and ``"stages"`` tallies beside the restarts."""
+    counts = {} if counts is None else counts
+    x0 = qp.center(base)
+
+    if block.size == 0:
+        x, residual = _reference_fista(
+            lambda p: (seq.mean_value_fn(p), seq.mean_grad_fn(p)), base, x0,
+            lipschitz_guess=max(seq.mean_curvature, 1.0),
+            max_iter=max_iter, counts=counts,
+        )
+        if residual > 1e-8:
+            raise qp.ConvergenceError("comparator solve stalled",
+                                      residual=residual)
+        return x
+
+    if block.slater is None:
+        counts["probe"] = counts.get("probe", 0) + 1
+        probe, _ = _reference_fista(
+            lambda p: _reference_squared_violation(block, p), base, x0,
+            max_iter=max_iter, counts=counts)
+        values, _ = block.eval_fn(probe)
+        if np.max(values) > 1e-6:
+            worst = int(np.argmax(values))
+            raise qp.InfeasibleError(
+                f"no feasible point found; constraint {worst} stays at "
+                f"{values[worst]:.3e}", constraint_index=worst,
+            )
+
+    stage_target = feas_tol if block.slater is not None else min(feas_tol, 1e-9)
+    x = x0
+    weight = 1000.0
+    curvature_guess = max(seq.mean_curvature, 1.0)
+    for _ in range(6):
+        counts["stages"] = counts.get("stages", 0) + 1
+
+        def penalized(p, w=weight):
+            violation_sq, violation_grad = _reference_squared_violation(block, p)
+            return (seq.mean_value_fn(p) + w * violation_sq,
+                    seq.mean_grad_fn(p) + w * violation_grad)
+
+        x, residual = _reference_fista(penalized, base, x,
+                                       lipschitz_guess=curvature_guess,
+                                       max_iter=max_iter, counts=counts)
+        values, _ = block.eval_fn(x)
+        if float(np.max(values, initial=0.0)) <= stage_target:
+            break
+        weight *= 100.0
+        curvature_guess *= 100.0
+    else:
+        if block.slater is None:
+            raise qp.ConvergenceError(
+                "penalty escalation left residual violation",
+                residual=float(np.max(values, initial=0.0)),
+            )
+
+    worst = float(np.max(values, initial=0.0))
+    if worst > 0.0 and block.slater is not None:
+        point, margin = block.slater
+        pull = worst / (worst + margin)
+        pull = min(1.0, pull * (1.0 + 1e-9) + 1e-15)
+        x = (1.0 - pull) * x + pull * point
+        values, _ = block.eval_fn(x)
+        worst = float(np.max(values, initial=0.0))
+    if worst > 1e-8:
+        raise qp.ConvergenceError(
+            "comparator violation above tolerance", residual=worst,
+        )
+    return x

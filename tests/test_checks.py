@@ -288,3 +288,57 @@ def test_check_report_row_and_csv(tmp_path, golden):
     lines = path.read_text().splitlines()
     assert lines[0] == "check,rounds,samples,max_residual,pass"
     assert lines[1] == ",".join(row)
+
+
+# a NaN residual must fail its certificate, never be folded away
+
+def _is_nan_failure(report):
+    return np.isnan(report.max_residual) and not report.passed
+
+
+def test_queue_lemma_fails_on_a_nan_feed(golden):
+    _, trace = golden
+    bad = dataclasses.replace(trace, g_values=trace.g_values.copy())
+    bad.g_values[5] = np.nan
+    assert _is_nan_failure(chk.check_queue_lemma(bad))
+
+
+def test_dpp_bound_fails_on_a_nan_gradient(golden):
+    built, trace = golden
+    snap = chk.snapshot_from_trace(trace, 7, built.seq, built.block,
+                                   built.geom, built.base)
+    bad = dataclasses.replace(snap, loss_grad_curr=np.full(2, np.nan))
+    z = geo.sample(built.base, np.random.default_rng(0), 300)
+    assert _is_nan_failure(chk.check_dpp_bound(bad, z))
+
+
+def test_dpp_over_trace_fails_on_a_nan_queue(golden):
+    built, trace = golden
+    bad = dataclasses.replace(trace, queues=trace.queues.copy())
+    bad.queues[7] = np.nan
+    report = chk.check_dpp_over_trace(bad, built.seq, built.block,
+                                      built.geom, built.base,
+                                      rounds=[3, 7, 9], n_z=10, seed=2)
+    assert _is_nan_failure(report)
+
+
+def test_pushback_fails_on_a_nan_step(monkeypatch):
+    monkeypatch.setattr(geo, "mirror_step",
+                        lambda g, b, anchor, h, alpha: np.full(2, np.nan))
+    report = chk.check_pushback(EUC2, BALL, n_instances=3, n_z=300, seed=1)
+    assert _is_nan_failure(report)
+
+
+def test_mixing_fails_on_a_nan_anchor():
+    anchors = np.full((3, 4), 0.25)
+    anchors[1, 2] = np.nan
+    report = chk.check_mixing(anchors, 0.1, 4, np.eye(4))
+    assert _is_nan_failure(report)
+    assert report.skipped == 0
+
+
+def test_descent_lemma_fails_on_a_nan_value():
+    report = chk.check_descent_lemma(
+        lambda x: np.nan, lambda x: 2.0 * x, 2.0, EUC2, BALL,
+        n_pairs=50, seed=0)
+    assert _is_nan_failure(report)

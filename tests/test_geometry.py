@@ -75,6 +75,16 @@ def test_bregman_stack_domain_errors():
                    np.full(3, 1 / 3))
 
 
+def test_bregman_entropic_rejects_nan_points_and_stacks():
+    nan_point = np.array([np.nan, 0.5, 0.25, 0.25])
+    uniform = np.full(4, 0.25)
+    stack = np.vstack([uniform, nan_point])
+    for x, y in [(nan_point, uniform), (uniform, nan_point),
+                 (stack, uniform), (uniform, stack), (stack, stack)]:
+        with pytest.raises(qp.DomainError):
+            qp.bregman(qp.entropic(4), qp.Simplex(4), x, y)
+
+
 def test_bregman_stack_dimension_mismatch():
     with pytest.raises(qp.DimensionMismatchError):
         qp.bregman(EUC2, BALL, np.zeros((4, 3)), np.zeros(2))

@@ -8,6 +8,7 @@ import queueprox as qp
 from queueprox import geometry
 from queueprox.problems import coeff_variation
 from oracles import (brute_force_variation, finite_diff_grad,
+                     reference_comparator,
                      grid_comparator, linear_coeff_at, quadratic_at,
                      scalar_linear_constants, scalar_quadratic_constants)
 
@@ -57,6 +58,73 @@ def test_constraint_eval_accepts_huge_finite_outputs_and_rejects_inf():
         out[key].flat[-1] = np.inf
         with pytest.raises(qp.OracleError):
             qp.constraint_eval(block, np.zeros(2), round_index=4)
+
+
+def _ball(dim):
+    return qp.Ball(center=np.zeros(dim), radius=1.0)
+
+
+def _one_point_block(dim):
+    """A block known only by a one-point oracle, which refuses stacks."""
+    A = np.arange(1.0, 2 * dim + 1).reshape(2, dim) / dim
+
+    def eval_fn(x):
+        assert x.shape == (dim,)
+        return A @ x - 0.5, A
+
+    return qp.ConstraintBlock(size=2, dim=dim, eval_fn=eval_fn,
+                              value_bounds=np.ones(2), lipschitz=np.ones(2),
+                              curvature=0.0)
+
+
+STACK_BLOCKS = {
+    "linear-1x2": lambda: qp.linear_block(
+        EUC2, BALL, [[0.3, -1.1]], [0.2]),
+    "linear-2x10": lambda: qp.linear_block(
+        qp.euclidean(10), _ball(10),
+        np.random.default_rng(3).standard_normal((2, 10)), [0.1, -0.2]),
+    "quadratic-1x3": lambda: qp.quadratic_block(
+        qp.euclidean(3), _ball(3), [[0.1, -0.2, 0.3]], [0.4]),
+    "quadratic-3x3": lambda: qp.quadratic_block(
+        qp.euclidean(3), _ball(3),
+        np.random.default_rng(4).uniform(-1, 1, (3, 3)), [0.2, 0.5, 0.9]),
+    "stacked": lambda: qp.stack_blocks([
+        qp.linear_block(qp.euclidean(3), _ball(3), [[1.0, 1.0, 1.0]], [1.0]),
+        qp.quadratic_block(qp.euclidean(3), _ball(3), [[0.0, 0.0, 0.0]],
+                           [0.9])]),
+    "empty": lambda: qp.empty_block(3),
+    "one-point": lambda: _one_point_block(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_BLOCKS))
+def test_constraint_eval_stack_rows_equal_one_point_calls(name):
+    block = STACK_BLOCKS[name]()
+    assert (block.eval_stack_fn is None) == (name == "one-point")
+    stack = qp.sample(_ball(block.dim), np.random.default_rng(5), 500)
+    values, jac = qp.constraint_eval(block, stack)
+    assert values.shape == (500, block.size)
+    assert jac.shape == (500, block.size, block.dim)
+    for i, x in enumerate(stack):
+        one_values, one_jac = qp.constraint_eval(block, x)
+        assert values[i].tobytes() == one_values.tobytes()
+        assert jac[i].tobytes() == one_jac.tobytes()
+    empty_values, empty_jac = qp.constraint_eval(block, stack[:0])
+    assert empty_values.shape == (0, block.size)
+    assert empty_jac.shape == (0, block.size, block.dim)
+
+
+@pytest.mark.parametrize("name", ["linear-1x2", "quadratic-1x3", "stacked",
+                                  "one-point"])
+def test_constraint_eval_stack_rejects_nan_rows_and_bad_shapes(name):
+    block = STACK_BLOCKS[name]()
+    stack = np.zeros((4, block.dim))
+    stack[2, 0] = np.nan
+    with pytest.raises(qp.OracleError):
+        qp.constraint_eval(block, stack)
+    for shape in [(4, block.dim + 1), (2, 4, block.dim), (0,)]:
+        with pytest.raises(qp.DimensionMismatchError):
+            qp.constraint_eval(block, np.zeros(shape))
 
 
 def test_builtin_constants_halfspace_on_ball():
@@ -530,3 +598,58 @@ def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
     # and its result once more, and the pull toward the certificate once
     assert calls["project"] > 0
     assert calls["eval"] <= 2 * calls["project"] + 2 * 6 + 1
+
+
+# a cap on one coordinate that binds at the unconstrained optimum
+BINDING_CAPS = {"golden-d2": (0, 0.2), "box-mixed-d3": (0, 0.2),
+                "simplex-d10": (6, 0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(BINDING_CAPS))
+@pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
+def test_comparator_bytes_match_the_reference(name, kind):
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    dim = built.base.dim
+    if kind == "empty":
+        block = qp.empty_block(dim)
+    elif kind == "no-slater":
+        axis, cap = BINDING_CAPS[name]
+        block = qp.linear_block(built.geom, built.base, [np.eye(dim)[axis]],
+                                [cap])
+    else:
+        block = built.block
+    counts = {}
+    expected = reference_comparator(built.seq, block, built.base,
+                                    counts=counts)
+    x = qp.hindsight_comparator(built.seq, block, built.base)
+    assert x.tobytes() == expected.tobytes()
+    # the configs reach every solve: the unconstrained one, the feasibility
+    # probe, and penalty stages that restart
+    assert ("probe" in counts) == (kind == "no-slater")
+    assert ("stages" in counts) == (kind != "empty")
+    if kind == "staged":
+        assert counts["restarts"] > 0
+
+
+@pytest.mark.parametrize("name", ["box-mixed-d3", "drift-rotate-d2"])
+def test_comparator_builds_a_gradient_only_where_it_steps(name):
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    seq = built.seq
+    calls = {"value": 0, "grad": 0}
+
+    def counted_value(x):
+        calls["value"] += 1
+        return seq.mean_value_fn(x)
+
+    def counted_grad(x):
+        calls["grad"] += 1
+        return seq.mean_grad_fn(x)
+
+    counted = replace(seq, mean_value_fn=counted_value,
+                      mean_grad_fn=counted_grad)
+    x = qp.hindsight_comparator(counted, built.block, built.base)
+    assert x.tobytes() == qp.hindsight_comparator(
+        seq, built.block, built.base).tobytes()
+    # a backtracking candidate needs only its value; the gradient is built
+    # at extrapolated points and at a restart's candidate
+    assert 0 < 2 * calls["grad"] <= calls["value"]

@@ -24,6 +24,11 @@ from .errors import DimensionMismatchError, DomainError
 EUCLIDEAN = "euclidean"
 ENTROPIC = "entropic"
 
+# the native float64 descriptor, which every float64 array numpy makes here
+# carries: an identity test on it is cheaper than ``np.asarray``, and an
+# array with another descriptor is simply converted
+FLOAT64 = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -287,6 +292,14 @@ def _project(base: BaseSet, y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
+def _float_array(v) -> np.ndarray:
+    """``v`` itself when it is a float64 array (the loop's case), else
+    ``np.asarray(v, dtype=float)``."""
+    if type(v) is np.ndarray and v.dtype is FLOAT64:
+        return v
+    return np.asarray(v, dtype=float)
+
+
 def mirror_step(
     geom: Geometry,
     base: BaseSet,
@@ -316,8 +329,7 @@ def mirror_step(
         proportional to anchor_i * exp(-h_i / alpha)``, evaluated in log
         space with the maximum exponent subtracted so no overflow occurs.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    h = np.asarray(h, dtype=float)
+    anchor, h = _float_array(anchor), _float_array(h)
     if anchor.shape != (geom.dim,) or h.shape != (geom.dim,):
         raise DimensionMismatchError(
             f"mirror_step expects vectors of dimension {geom.dim}"
@@ -325,8 +337,9 @@ def mirror_step(
     if alpha <= 0:
         raise ValueError("mirror_step needs alpha > 0")
     # one scalar test, and the exact one only when it fails: a finite h
-    # whose squares overflow passes
-    if not math.isfinite(h @ h) and not np.isfinite(h).all():
+    # whose squares overflow passes (``h.dot(h)`` dispatches faster than
+    # ``h @ h``)
+    if not math.isfinite(h.dot(h)) and not np.isfinite(h).all():
         raise ValueError("mirror_step got a non-finite coefficient vector")
     if geom.kind == EUCLIDEAN:
         return _project(base, anchor - h / alpha)

@@ -155,6 +155,30 @@ def test_mirror_step_rejects_bad_alpha_and_nonfinite_h():
         qp.mirror_step(EUC2, BALL, np.zeros(2), np.array([np.nan, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("geom, base", PAIRINGS)
+def test_mirror_step_converts_other_inputs_and_keeps_its_checks(geom, base):
+    anchor = qp.center(base)
+    h = np.linspace(-1.0, 1.0, geom.dim)
+    expected = qp.mirror_step(geom, base, anchor, h, 2.0)
+    for convert in (list, lambda v: v.astype(np.float32).astype(np.float64),
+                    lambda v: v.astype(np.float32)):
+        out = qp.mirror_step(geom, base, convert(anchor), convert(h), 2.0)
+        assert np.allclose(out, expected, atol=1e-6)
+    assert (qp.mirror_step(geom, base, list(anchor), list(h), 2.0).tobytes()
+            == expected.tobytes())
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.mirror_step(geom, base, anchor[:-1], h, 2.0)
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.mirror_step(geom, base, anchor, h[None, :], 2.0)
+    with pytest.raises(ValueError):
+        qp.mirror_step(geom, base, anchor, h, -1.0)
+    with pytest.raises(ValueError):
+        qp.mirror_step(geom, base, anchor, [np.nan] * geom.dim, 2.0)
+    if geom.kind == "entropic":
+        with pytest.raises(qp.DomainError):
+            qp.mirror_step(geom, base, np.eye(geom.dim)[0], h, 2.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("geom, base", PAIRINGS)
 def test_mirror_step_accepts_finite_h_whose_squares_overflow(geom, base):

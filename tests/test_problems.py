@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import queueprox as qp
-from queueprox import geometry
+from queueprox import geometry, problems
 from queueprox.problems import coeff_variation
 from oracles import (brute_force_variation, finite_diff_grad,
-                     reference_comparator,
-                     grid_comparator, linear_coeff_at, quadratic_at,
-                     scalar_linear_constants, scalar_quadratic_constants)
+                     grid_comparator, lagrangian_lower_bound, linear_coeff_at,
+                     quadratic_at, reference_comparator,
+                     reference_stage_multipliers, scalar_linear_constants,
+                     scalar_quadratic_constants)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -112,6 +113,54 @@ def test_constraint_eval_stack_rows_equal_one_point_calls(name):
     empty_values, empty_jac = qp.constraint_eval(block, stack[:0])
     assert empty_values.shape == (0, block.size)
     assert empty_jac.shape == (0, block.size, block.dim)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda v, j: (v.tolist(), j.tolist()),
+    lambda v, j: (v[:, None], j),
+    lambda v, j: (v.astype(np.float32), j.astype(np.float32)),
+], ids=["lists", "column", "float32"])
+def test_constraint_eval_normalizes_custom_outputs(wrap):
+    """Outputs that are not float arrays of the right shape are converted,
+    one point or a stack at a time, to what a built-in block returns."""
+    A = np.array([[0.5, -1.0, 0.25], [1.0, 1.0, 1.0]])
+    b = np.array([0.1, 0.9])
+    block = qp.ConstraintBlock(size=2, dim=3,
+                               eval_fn=lambda x: wrap(A @ x - b, A),
+                               value_bounds=np.ones(2), lipschitz=np.ones(2),
+                               curvature=0.0)
+    x = np.array([0.5, 0.25, -0.75])
+    values, jac = qp.constraint_eval(block, x)
+    assert values.dtype == jac.dtype == np.float64
+    assert values.shape == (2,) and jac.shape == (2, 3)
+    expected = np.asarray(wrap(A @ x - b, A)[0], dtype=float).ravel()
+    assert np.array_equal(values, expected)
+    assert np.array_equal(jac, np.asarray(wrap(A @ x - b, A)[1], dtype=float))
+    values, jac = qp.constraint_eval(block, np.stack([x, -x]))
+    assert values.shape == (2, 2) and jac.shape == (2, 2, 3)
+    assert values.dtype == jac.dtype == np.float64
+    assert np.array_equal(values[0], expected)
+
+
+def test_constraint_eval_stack_follows_a_swapped_eval_fn():
+    """A block whose ``eval_fn`` is replaced drops the old stacked form:
+    its stacked rows are the new oracle's one-point calls."""
+    block = STACK_BLOCKS["stacked"]()
+    assert block.eval_stack_fn is not None
+    shift = np.array([0.5, -0.25])
+
+    def f(x):
+        values, jac = block.eval_fn(x)
+        return values + shift, jac
+
+    swapped = replace(block, eval_fn=f)
+    assert swapped.eval_stack_fn is None
+    stack = qp.sample(_ball(3), np.random.default_rng(6), 20)
+    values, jac = qp.constraint_eval(swapped, stack)
+    for i, x in enumerate(stack):
+        one_values, one_jac = f(x)
+        assert values[i].tobytes() == one_values.tobytes()
+        assert jac[i].tobytes() == one_jac.tobytes()
 
 
 @pytest.mark.parametrize("name", ["linear-1x2", "quadratic-1x3", "stacked",
@@ -608,6 +657,12 @@ BINDING_CAPS = {"golden-d2": (0, 0.2), "box-mixed-d3": (0, 0.2),
 @pytest.mark.parametrize("name", sorted(BINDING_CAPS))
 @pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
 def test_comparator_bytes_match_the_reference(name, kind):
+    """The comparator against ``reference_comparator``.  The reference
+    halves ``step_inv`` after every iteration where the comparator
+    multiplies it by 0.95, so their bytes differ; the comparator is held to
+    the reference's quality instead: feasible, an averaged loss no higher
+    than the reference's up to 1e-10 relative, and both above the
+    Lagrangian lower bound at the reference's last-stage multipliers."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     dim = built.base.dim
     if kind == "empty":
@@ -622,7 +677,19 @@ def test_comparator_bytes_match_the_reference(name, kind):
     expected = reference_comparator(built.seq, block, built.base,
                                     counts=counts)
     x = qp.hindsight_comparator(built.seq, block, built.base)
-    assert x.tobytes() == expected.tobytes()
+    violation = np.maximum(qp.constraint_eval(block, x)[0], 0.0)
+    assert violation.max(initial=0.0) <= 1e-8
+    value = built.seq.mean_value_fn(x)
+    reference = built.seq.mean_value_fn(expected)
+    assert value <= reference + 1e-10 * (1.0 + abs(reference))
+    multipliers = (reference_stage_multipliers(built.seq, block, built.base,
+                                               counts["stages"])
+                   if "stages" in counts else np.zeros(block.size))
+    bound = lagrangian_lower_bound(built.seq, block, built.base, multipliers)
+    # weak duality, up to what a violation below 1e-8 can buy
+    slack = 1e-12 * (1.0 + abs(bound))
+    assert value >= bound - float(multipliers @ violation) - slack
+    assert reference >= bound - slack
     # the configs reach every solve: the unconstrained one, the feasibility
     # probe, and penalty stages that restart
     assert ("probe" in counts) == (kind == "no-slater")
@@ -631,11 +698,32 @@ def test_comparator_bytes_match_the_reference(name, kind):
         assert counts["restarts"] > 0
 
 
+@pytest.mark.parametrize("name", ["box-mixed-d3", "simplex-d10"])
+def test_comparator_projects_at_most_0_7x_the_reference(name, monkeypatch):
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    calls = {"library": 0, "reference": 0}
+
+    def counting(key, project):
+        def counted(base, y):
+            calls[key] += 1
+            return project(base, y)
+        return counted
+
+    # the library projects through ``geometry``, the reference through the
+    # package namespace
+    monkeypatch.setattr(geometry, "project",
+                        counting("library", geometry.project))
+    monkeypatch.setattr(qp, "project", counting("reference", qp.project))
+    qp.hindsight_comparator(built.seq, built.block, built.base)
+    reference_comparator(built.seq, built.block, built.base)
+    assert 0 < calls["library"] <= 0.7 * calls["reference"]
+
+
 @pytest.mark.parametrize("name", ["box-mixed-d3", "drift-rotate-d2"])
-def test_comparator_builds_a_gradient_only_where_it_steps(name):
+def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     seq = built.seq
-    calls = {"value": 0, "grad": 0}
+    calls = {"value": 0, "grad": 0, "project": 0, "solves": 0}
 
     def counted_value(x):
         calls["value"] += 1
@@ -645,11 +733,27 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name):
         calls["grad"] += 1
         return seq.mean_grad_fn(x)
 
+    project, fista = geometry.project, problems._fista
+
+    def counted_project(base, y):
+        calls["project"] += 1
+        return project(base, y)
+
+    def counted_fista(*args, **kwargs):
+        calls["solves"] += 1
+        return fista(*args, **kwargs)
+
     counted = replace(seq, mean_value_fn=counted_value,
                       mean_grad_fn=counted_grad)
+    expected = qp.hindsight_comparator(seq, built.block, built.base)
+    monkeypatch.setattr(geometry, "project", counted_project)
+    monkeypatch.setattr(problems, "_fista", counted_fista)
     x = qp.hindsight_comparator(counted, built.block, built.base)
-    assert x.tobytes() == qp.hindsight_comparator(
-        seq, built.block, built.base).tobytes()
-    # a backtracking candidate needs only its value; the gradient is built
-    # at extrapolated points and at a restart's candidate
-    assert 0 < 2 * calls["grad"] <= calls["value"]
+    assert x.tobytes() == expected.tobytes()
+    # a backtracking candidate needs only its value.  Each iteration steps
+    # from one point with one gradient and projects at least once, and a
+    # solve builds at most one more (its start point's, or a restart's in
+    # its last iteration); a gradient at every candidate would add one per
+    # extrapolated point
+    assert 0 < calls["grad"] <= calls["project"] + calls["solves"]
+    assert calls["grad"] < calls["value"]

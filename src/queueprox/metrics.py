@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from .problems import (ConstraintBlock, LossSequence, coeff_variation,
-                       in_order_sum, round_losses)
+                       constraint_eval, in_order_sum, round_losses)
 from .trace import RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
@@ -31,7 +31,7 @@ def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
     """
     comparator = np.asarray(comparator, dtype=float)
     if block is not None and block.size:
-        values, _ = block.eval_fn(comparator)
+        values, _ = constraint_eval(block, comparator)
         if float(np.max(values)) > 1e-6:
             raise ValueError("comparator violates the constraints beyond 1e-6")
     values = round_losses(seq, comparator, trace.horizon)
@@ -143,27 +143,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def round_rows(trace: RunTrace) -> list[list[str]]:
-    """Per-round CSV rows for a trace, headers excluded."""
-    rows = []
-    cum_loss = 0.0
-    cum_g = np.zeros(trace.n_constraints)
-    q_l1 = trace.queue_l1
-    q_l2 = trace.queue_l2
-    for i in range(trace.horizon):
-        t = i + 1
-        cum_loss += float(trace.losses[i])
-        g_now = trace.g_values[t]
-        cum_g = cum_g + g_now
-        row = [str(t), _fmt(trace.losses[i]), _fmt(cum_loss)]
-        row.extend(_fmt(v) for v in g_now)
-        row.extend(_fmt(v) for v in cum_g)
-        row.extend([_fmt(q_l1[t]), _fmt(q_l2[t]),
-                    _fmt(trace.alphas[i]), _fmt(trace.xis[i])])
-        rows.append(row)
-    return rows
-
-
 def round_header(n_constraints: int) -> list[str]:
     head = ["t", "loss", "cum_loss"]
     head.extend(f"g_{k + 1}" for k in range(n_constraints))
@@ -173,8 +152,21 @@ def round_header(n_constraints: int) -> list[str]:
 
 
 def write_round_csv(trace: RunTrace, path: str) -> None:
-    lines = [",".join(round_header(trace.n_constraints))]
-    lines.extend(",".join(row) for row in round_rows(trace))
+    """Write the per-round CSV, one column at a time: every float is its
+    shortest round-trip ``repr``, and the cumulative columns are running
+    sums from 0.0 in round order."""
+    T, K = trace.horizon, trace.n_constraints
+    g = trace.g_values[1:T + 1]
+    # the leading zero row makes each sum start from 0.0, as a loop's would
+    sums = np.cumsum(np.vstack([np.zeros((1, K + 1)),
+                                np.column_stack([trace.losses, g])]), axis=0)[1:]
+    floats = [trace.losses, sums[:, 0], *g.T, *sums[:, 1:].T,
+              trace.queue_l1[1:T + 1], trace.queue_l2[1:T + 1], trace.alphas,
+              trace.xis]
+    columns = [map(str, range(1, T + 1))]
+    columns.extend(map(repr, col.tolist()) for col in floats)
+    lines = [",".join(round_header(K))]
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -14,7 +14,7 @@ but never correctness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -38,13 +38,21 @@ from .errors import (
 class ConstraintBlock:
     """A block of ``size`` inequality constraints with certified constants.
 
+    A built-in block is read-only tables: ``A`` and ``b`` for linear rows
+    ``g_k(x) = <A_k, x> - b_k``, ``centers`` and ``offsets`` for quadratic
+    rows ``g_k(x) = ||x - c_k||_2^2 - s_k``.  Linear rows come first unless
+    ``order`` puts a stack's rows back in the order of its parts.  A custom
+    block has an ``eval_fn`` instead, and a block given one drops any
+    tables, so ``dataclasses.replace(block, eval_fn=f)`` keeps no stale
+    ones.
+
     Attributes
     ----------
     size : int
         Number of constraints ``K``.  May be zero.
-    eval_fn : callable
-        Maps a point ``x`` to ``(values, jacobian)`` with shapes ``(K,)``
-        and ``(K, d)``.
+    eval_fn : callable or None
+        A custom block's oracle: maps one point ``x`` to ``(values,
+        jacobian)`` with shapes ``(K,)`` and ``(K, d)``.
     value_bounds : ndarray
         Per-constraint bounds ``sup_x |g_k(x)|`` over the base set.
     lipschitz : ndarray
@@ -58,26 +66,21 @@ class ConstraintBlock:
 
     size: int
     dim: int
-    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     value_bounds: np.ndarray
     lipschitz: np.ndarray
     curvature: float
     slater: tuple[np.ndarray, float] | None = None
+    A: np.ndarray | None = None
+    b: np.ndarray | None = None
+    centers: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+    order: np.ndarray | None = None
 
-    @property
-    def eval_stack_fn(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
-        """The stacked form of ``eval_fn``, or None.
-
-        It maps an ``(n, d)`` stack of points to ``(values, jacobians)``
-        with shapes ``(n, K)`` and ``(n, K, d)`` in one pass, each row bit
-        for bit ``eval_fn`` on that point.  It rides on the one-point
-        oracle as ``eval_fn.stacked``, so a block whose ``eval_fn`` is
-        swapped (``dataclasses.replace(block, eval_fn=f)``) takes ``f``'s
-        stacked form and never keeps the old one.  The built-in blocks
-        have one; without one ``constraint_eval`` calls ``eval_fn`` row by
-        row.
-        """
-        return getattr(self.eval_fn, "stacked", None)
+    def __post_init__(self):
+        if self.eval_fn is not None:
+            for name in ("A", "b", "centers", "offsets", "order"):
+                object.__setattr__(self, name, None)
 
     @property
     def value_bound_total(self) -> float:
@@ -89,6 +92,36 @@ class ConstraintBlock:
         return float(self.lipschitz.sum())
 
 
+def _tables(block: ConstraintBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A built-in block's unscreened ``(values, jacobian)`` at one point or
+    at each row of an ``(n, d)`` stack."""
+    A, centers = block.A, block.centers
+    if A is not None:
+        if x.ndim == 1:
+            values, jac = A @ x - block.b, A
+        else:
+            # a stacked matmul of column vectors keeps each row's matvec
+            # bits, which ``x @ A.T`` does not
+            values = (A @ x[:, :, None])[:, :, 0] - block.b
+            jac = np.broadcast_to(A, x.shape[:1] + A.shape)
+        if centers is None:
+            return values, jac
+    diff = x[..., None, :] - centers
+    quadratic = np.einsum("...kd,...kd->...k", diff, diff) - block.offsets
+    if A is None:
+        return quadratic, 2.0 * diff
+    values = np.concatenate([values, quadratic], axis=-1)
+    jac = np.concatenate([jac, 2.0 * diff], axis=-2)
+    if block.order is not None:
+        values, jac = values[..., block.order], jac[..., block.order, :]
+    return values, jac
+
+
+def _evaluate(block: ConstraintBlock, x: np.ndarray):
+    """A block's unscreened ``(values, jacobian)`` at one float point."""
+    return _tables(block, x) if block.eval_fn is None else block.eval_fn(x)
+
+
 def constraint_eval(block: ConstraintBlock, x: np.ndarray,
                     round_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate constraint values and the stacked Jacobian at ``x``.
@@ -96,45 +129,42 @@ def constraint_eval(block: ConstraintBlock, x: np.ndarray,
     ``x`` is one point of shape ``(d,)``, giving ``(K,)`` values and a
     ``(K, d)`` Jacobian, or an ``(n, d)`` stack of points, giving ``(n, K)``
     values and ``(n, K, d)`` Jacobians whose rows equal the one-point calls
-    bit for bit.  A stack takes one ``eval_stack_fn`` call, or one
-    ``eval_fn`` call per row for a block without one.  ``round_index``
-    names the round whose decision ``x`` is (0 for a run's start point); a
-    non-finite oracle output raises an ``OracleError`` carrying it.
+    bit for bit.  A built-in block evaluates its tables in one pass; a
+    custom block's ``eval_fn`` is called once per point and its outputs
+    converted to float arrays.  ``round_index`` names the round whose
+    decision ``x`` is (0 for a run's start point); a non-finite oracle
+    output raises an ``OracleError`` carrying it.
     """
     x = np.asarray(x, dtype=float)
     if x.shape == (block.dim,):
-        values, jac = block.eval_fn(x)
         shape = (block.size,)
     elif x.ndim == 2 and x.shape[1] == block.dim:
-        stacked = block.eval_stack_fn
-        if stacked is not None:
-            values, jac = stacked(x)
-        else:                   # a one-point oracle sees one point at a time
-            rows = [block.eval_fn(row) for row in x]
-            values = [np.reshape(v, block.size) for v, _ in rows]
-            jac = [np.reshape(j, (block.size, block.dim)) for _, j in rows]
         shape = (len(x), block.size)
     else:
         raise DimensionMismatchError(f"expected a point of dimension {block.dim} "
                                      f"or an (n, {block.dim}) stack")
-    values = _as_float_array(values, shape)
-    jac = _as_float_array(jac, shape + (block.dim,))
-    # one scalar test, and the exact one only when it fails (an overflow)
-    if not math.isfinite(np.vdot(values, values) + np.vdot(jac, jac)) and not (
-            np.isfinite(values).all() and np.isfinite(jac).all()):
+    if block.eval_fn is None:
+        values, jac = _tables(block, x)
+    else:
+        rows = [block.eval_fn(p) for p in (x if x.ndim == 2 else (x,))]
+        values = np.asarray([v for v, _ in rows], dtype=float).reshape(shape)
+        jac = np.asarray([j for _, j in rows],
+                         dtype=float).reshape(shape + (block.dim,))
+    # one scalar test, and the exact one only when it fails (an overflow).
+    # A table's values alone decide: ``A`` is finite (checked at
+    # construction) and ``2 (x - c)`` overflows only where ``||x - c||^2``
+    # already has
+    flat = values.ravel()
+    total = flat.dot(flat)
+    if block.eval_fn is not None:
+        flat = jac.ravel()
+        total += flat.dot(flat)
+    if not math.isfinite(total) and not (np.isfinite(values).all()
+                                         and np.isfinite(jac).all()):
         where = "" if round_index is None else f" at round {round_index}"
         raise OracleError(f"constraint oracle returned a non-finite value{where}",
                           oracle="constraint", round_index=round_index)
     return values, jac
-
-
-def _as_float_array(a, shape: tuple) -> np.ndarray:
-    """``a`` as a float array of ``shape``.  A built-in block's output
-    already is one and comes back as it is; anything else (a list, another
-    dtype, a ``(K, 1)`` array) is converted and reshaped."""
-    if type(a) is np.ndarray and a.dtype is geo.FLOAT64 and a.shape == shape:
-        return a
-    return np.asarray(a, dtype=float).reshape(shape)
 
 
 def _linear_interval(base: geo.BaseSet, a: np.ndarray) -> tuple[float, float]:
@@ -195,12 +225,11 @@ def builtin_constants(spec: dict, base: geo.BaseSet) -> tuple[float, float, floa
     """
     spec = dict(spec)
     family = spec.pop("family", None)
-    consts = _family_constants(_geometry_for(base), base, family, **spec)
-    return (
-        float(consts["value_bounds"].sum()),
-        float(consts["lipschitz"].sum()),
-        float(consts["curvature"]),
-    )
+    make = {"linear": linear_block, "quadratic": quadratic_block}.get(family)
+    if make is None:
+        raise UnsupportedFamilyError(f"no built-in constants for family {family!r}")
+    block = make(_geometry_for(base), base, **spec)
+    return block.value_bound_total, block.lipschitz_total, float(block.curvature)
 
 
 def _geometry_for(base: geo.BaseSet) -> geo.Geometry:
@@ -209,60 +238,47 @@ def _geometry_for(base: geo.BaseSet) -> geo.Geometry:
     return geo.euclidean(base.dim)
 
 
-def _family_constants(
-    geom: geo.Geometry,
-    base: geo.BaseSet,
-    family: str,
-    **params,
-) -> dict:
-    """Per-constraint constants backing ``builtin_constants``.
-
-    Returns a dict with ``value_bounds`` (per-constraint ``sup |g_k|``),
-    ``lipschitz`` (per-constraint value Lipschitz constants in the geometry
-    norm), and ``curvature`` (shared gradient Lipschitz constant).
-    """
+def _family_constants(geom: geo.Geometry, base: geo.BaseSet, family: str,
+                      **tables) -> dict:
+    """Per-constraint constants of a built-in family's tables:
+    ``value_bounds`` (``sup |g_k|`` over the base set), ``lipschitz``
+    (value Lipschitz constants in the geometry norm) and ``curvature`` (the
+    shared gradient Lipschitz constant)."""
     if family == "linear":
-        A = np.atleast_2d(np.asarray(params["A"], dtype=float))
-        b = np.asarray(params["b"], dtype=float).reshape(A.shape[0])
-        bounds = []
-        lips = []
-        for k in range(A.shape[0]):
-            lo, hi = _linear_interval(base, A[k])
-            bounds.append(max(abs(lo - b[k]), abs(hi - b[k])))
-            lips.append(geo.dual_norm(geom, A[k]))
-        return {
-            "value_bounds": np.asarray(bounds),
-            "lipschitz": np.asarray(lips),
-            "curvature": 0.0,
-        }
-    if family == "quadratic":
-        centers = np.atleast_2d(np.asarray(params["centers"], dtype=float))
-        offsets = np.asarray(params["offsets"], dtype=float).reshape(centers.shape[0])
-        bounds = []
-        lips = []
-        for k in range(centers.shape[0]):
-            lo, hi = _sq_dist_range(base, centers[k])
-            bounds.append(max(abs(lo - offsets[k]), abs(hi - offsets[k])))
-            lips.append(2.0 * (np.sqrt(hi) if geom.kind == geo.EUCLIDEAN
-                               else _reach(geom, base, centers[k])))
-        # gradient 2(x - c) is 2-Lipschitz in both norm pairings
-        return {
-            "value_bounds": np.asarray(bounds),
-            "lipschitz": np.asarray(lips),
-            "curvature": 2.0,
-        }
-    raise UnsupportedFamilyError(f"no built-in constants for family {family!r}")
+        rows, offsets = tables["A"], tables["b"]
+        ranges = [_linear_interval(base, a) for a in rows]
+        lips = [geo.dual_norm(geom, a) for a in rows]
+    else:
+        rows, offsets = tables["centers"], tables["offsets"]
+        ranges = [_sq_dist_range(base, c) for c in rows]
+        lips = [2.0 * (np.sqrt(hi) if geom.kind == geo.EUCLIDEAN
+                       else _reach(geom, base, c))
+                for c, (_, hi) in zip(rows, ranges)]
+    bounds = [max(abs(lo - s), abs(hi - s)) for (lo, hi), s in zip(ranges, offsets)]
+    # gradient 2(x - c) is 2-Lipschitz in both norm pairings
+    return {"value_bounds": np.asarray(bounds), "lipschitz": np.asarray(lips),
+            "curvature": 0.0 if family == "linear" else 2.0}
 
 
-def _resolve_slater(block_eval, point, dim) -> tuple[np.ndarray, float]:
-    point = np.asarray(point, dtype=float)
-    if point.shape != (dim,):
+def _table_block(geom, base, family, slater_point, **tables) -> ConstraintBlock:
+    """A built-in block on finite tables, made read-only, with the family's
+    constants and an optional Slater certificate."""
+    for table in tables.values():
+        if not np.isfinite(table).all():
+            raise ValueError(f"{family} constraint tables must be finite")
+        table.setflags(write=False)
+    block = ConstraintBlock(
+        size=len(next(iter(tables.values()))), dim=base.dim, eval_fn=None,
+        **_family_constants(geom, base, family, **tables), **tables)
+    if slater_point is None:
+        return block
+    point = np.asarray(slater_point, dtype=float)
+    if point.shape != (base.dim,):
         raise DimensionMismatchError("slater point has the wrong dimension")
-    values, _ = block_eval(point)
-    margin = -float(np.max(values)) if values.size else np.inf
+    margin = -float(np.max(_tables(block, point)[0], initial=-np.inf))
     if margin <= 0:
         raise ValueError("slater point is not strictly feasible")
-    return point, margin
+    return replace(block, slater=(point, margin))
 
 
 def linear_block(
@@ -273,30 +289,11 @@ def linear_block(
     slater_point=None,
 ) -> ConstraintBlock:
     """Constraints ``g_k(x) = <A_k, x> - b_k`` with exact constants."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(A.shape[0])
+    A = np.atleast_2d(np.array(A, dtype=float))
+    b = np.array(b, dtype=float).reshape(A.shape[0])
     if A.shape[1] != base.dim:
         raise DimensionMismatchError("constraint matrix does not match the base set")
-
-    def eval_fn(x):
-        return A @ x - b, A
-
-    def eval_stack_fn(X):
-        # a stacked matmul of column vectors keeps each row's matvec bits,
-        # which ``X @ A.T`` does not
-        return ((A @ X[:, :, None])[:, :, 0] - b,
-                np.broadcast_to(A, (len(X),) + A.shape))
-
-    eval_fn.stacked = eval_stack_fn
-    consts = _family_constants(geom, base, "linear", A=A, b=b)
-    slater = None
-    if slater_point is not None:
-        slater = _resolve_slater(eval_fn, slater_point, base.dim)
-    return ConstraintBlock(
-        size=A.shape[0], dim=base.dim, eval_fn=eval_fn,
-        value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
-        curvature=consts["curvature"], slater=slater,
-    )
+    return _table_block(geom, base, "linear", slater_point, A=A, b=b)
 
 
 def quadratic_block(
@@ -307,88 +304,71 @@ def quadratic_block(
     slater_point=None,
 ) -> ConstraintBlock:
     """Constraints ``g_k(x) = ||x - c_k||_2^2 - s_k``."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    offsets = np.asarray(offsets, dtype=float).reshape(centers.shape[0])
+    centers = np.atleast_2d(np.array(centers, dtype=float))
+    offsets = np.array(offsets, dtype=float).reshape(centers.shape[0])
     if centers.shape[1] != base.dim:
         raise DimensionMismatchError("constraint centers do not match the base set")
-
-    def eval_fn(x):
-        diff = x[None, :] - centers
-        values = np.einsum("kd,kd->k", diff, diff) - offsets
-        return values, 2.0 * diff
-
-    def eval_stack_fn(X):
-        diff = X[:, None, :] - centers
-        values = np.einsum("nkd,nkd->nk", diff, diff) - offsets
-        return values, 2.0 * diff
-
-    eval_fn.stacked = eval_stack_fn
-    consts = _family_constants(geom, base, "quadratic", centers=centers,
-                               offsets=offsets)
-    slater = None
-    if slater_point is not None:
-        slater = _resolve_slater(eval_fn, slater_point, base.dim)
-    return ConstraintBlock(
-        size=centers.shape[0], dim=base.dim, eval_fn=eval_fn,
-        value_bounds=consts["value_bounds"], lipschitz=consts["lipschitz"],
-        curvature=consts["curvature"], slater=slater,
-    )
+    return _table_block(geom, base, "quadratic", slater_point,
+                        centers=centers, offsets=offsets)
 
 
 def empty_block(dim: int) -> ConstraintBlock:
-    """A block with zero constraints; queues and penalties degenerate."""
-
-    def eval_fn(x):
-        return np.zeros(0), np.zeros((0, dim))
-
-    def eval_stack_fn(X):
-        return np.zeros((len(X), 0)), np.zeros((len(X), 0, dim))
-
-    eval_fn.stacked = eval_stack_fn
-    return ConstraintBlock(
-        size=0, dim=dim, eval_fn=eval_fn,
-        value_bounds=np.zeros(0), lipschitz=np.zeros(0),
-        curvature=0.0, slater=None,
-    )
+    """A block with zero constraints, a linear table with no rows; queues
+    and penalties degenerate."""
+    return ConstraintBlock(size=0, dim=dim, eval_fn=None,
+                           value_bounds=np.zeros(0), lipschitz=np.zeros(0),
+                           curvature=0.0, A=np.zeros((0, dim)), b=np.zeros(0))
 
 
 def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
-    """Concatenate constraint blocks over the same base set."""
+    """Concatenate built-in constraint blocks over the same base set.
+
+    The parts' linear tables and quadratic tables are concatenated, and
+    ``order`` keeps the rows in the parts' order when a quadratic row comes
+    before a linear one.  A custom block is one ``eval_fn`` over all its
+    rows, so it is not stacked.
+    """
     if not blocks:
         raise ValueError("stack_blocks needs at least one block")
     dim = blocks[0].dim
-    if any(b.dim != dim for b in blocks):
+    if any(part.dim != dim for part in blocks):
         raise DimensionMismatchError("blocks disagree on dimension")
+    if any(part.eval_fn is not None for part in blocks):
+        raise UnsupportedFamilyError("stack_blocks takes built-in blocks")
 
-    fns = [b.eval_fn for b in blocks]
-
-    def eval_fn(x):
-        values, jacs = zip(*[f(x) for f in fns])
-        return np.concatenate(values), np.concatenate(jacs)
-
-    stacks = [b.eval_stack_fn for b in blocks]
-    if all(f is not None for f in stacks):
-        def eval_stack_fn(X):
-            values, jacs = zip(*[f(X) for f in stacks])
-            return (np.concatenate(values, axis=1),
-                    np.concatenate(jacs, axis=1))
-
-        eval_fn.stacked = eval_stack_fn
+    linear = [p for p in blocks if p.A is not None and len(p.A)] or [empty_block(dim)]
+    quadratic = [p for p in blocks if p.centers is not None]
+    tables = {"A": np.concatenate([p.A for p in linear]),
+              "b": np.concatenate([p.b for p in linear])}
+    if quadratic:
+        tables.update(centers=np.concatenate([p.centers for p in quadratic]),
+                      offsets=np.concatenate([p.offsets for p in quadratic]))
+    for table in tables.values():
+        table.setflags(write=False)
+    # each part's rows sit among the linear rows, then the quadratic ones
+    n_linear, rows, order = len(tables["b"]), [0, 0], []
+    for part in blocks:
+        k = len(part.b) if part.b is not None else 0
+        at = np.r_[rows[0]:rows[0] + k,
+                   n_linear + rows[1]:n_linear + rows[1] + part.size - k]
+        order.append(at if part.order is None else at[part.order])
+        rows = [rows[0] + k, rows[1] + part.size - k]
+    order = np.concatenate(order)
 
     slater = None
-    candidates = [b.slater for b in blocks if b.slater is not None]
-    if len(candidates) == len(blocks) and blocks:
+    candidates = [part.slater for part in blocks if part.slater is not None]
+    if len(candidates) == len(blocks):
         # a shared certificate only survives if every block uses the same point
         point = candidates[0][0]
         if all(np.array_equal(c[0], point) for c in candidates):
             slater = (point, min(c[1] for c in candidates))
     return ConstraintBlock(
-        size=sum(b.size for b in blocks), dim=dim, eval_fn=eval_fn,
-        value_bounds=np.concatenate([b.value_bounds for b in blocks]),
-        lipschitz=np.concatenate([b.lipschitz for b in blocks]),
-        curvature=max(b.curvature for b in blocks),
-        slater=slater,
-    )
+        size=len(order), dim=dim, eval_fn=None,
+        value_bounds=np.concatenate([part.value_bounds for part in blocks]),
+        lipschitz=np.concatenate([part.lipschitz for part in blocks]),
+        curvature=max(part.curvature for part in blocks), slater=slater,
+        order=None if np.array_equal(order, np.arange(len(order))) else order,
+        **tables)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +809,7 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
 def _squared_violation(block: ConstraintBlock, x: np.ndarray):
     """``sum_k max(g_k(x), 0)^2`` from one block call, with the hinge and
     Jacobian its gradient ``2 * (hinge @ jac)`` is finished from."""
-    values, jac = block.eval_fn(x)
+    values, jac = _evaluate(block, x)
     hinge = np.maximum(values, 0.0)
     return float((hinge ** 2).sum()), hinge, jac
 
@@ -845,10 +825,14 @@ def hindsight_comparator(
     """Best fixed feasible decision in hindsight.
 
     Minimizes the averaged loss over the base set intersected with
-    ``g_k(x) <= 0``, by accelerated projected gradient on a quadratic
-    hinge penalty whose weight escalates until the violation tolerance is
-    met, with a final pull toward the strictly feasible certificate point
-    to clear any residual violation.
+    ``g_k(x) <= 0``.  The answer is exact for a linear family (a
+    ``coeffs`` table) on a ball under an empty block or one linear cap:
+    a closed form, returned only when it is feasible and the Lagrange dual
+    value at its multiplier certifies it to 1e-12 relative (see
+    ``_exact_comparator``).  Every other case, and a closed form that fails
+    its certificate, takes ``_staged_comparator``: accelerated projected
+    gradient on a quadratic hinge penalty whose weight escalates until the
+    violation tolerance ``feas_tol`` is met.
 
     Raises
     ------
@@ -861,6 +845,114 @@ def hindsight_comparator(
         raise UnsupportedFamilyError(
             "hindsight comparator needs averaged-loss oracles"
         )
+    if (isinstance(base, geo.Ball) and seq.coeffs is not None
+            and block.A is not None and block.centers is None
+            and block.size <= 1):
+        x = _exact_comparator(seq, block, base)
+        if x is not None:
+            return x
+    return _staged_comparator(seq, block, base, feas_tol=feas_tol,
+                              max_iter=max_iter)
+
+
+def _ball_cap_solution(c: np.ndarray, base: geo.Ball, a: np.ndarray,
+                       cap: float) -> tuple[np.ndarray, float] | None:
+    """The minimizer of ``<c, x>`` over the ball where ``<a, x> <= cap``,
+    and the cap's multiplier: ``(x, lam)``.
+
+    The ball minimizer ``x0 - r c / ||c||`` (the center for ``c = 0``)
+    stands if the cap allows it, with ``lam = 0``.  Otherwise the minimizer
+    lies on the disc where the cap's hyperplane cuts the ball: from the
+    disc's center ``x0 - delta a / ||a||`` (``delta`` the center's signed
+    distance to the hyperplane) it moves the disc radius ``rho`` against
+    ``c_perp``, the part of ``c`` along the disc, and the KKT conditions
+    give ``lam = (||c_perp|| delta / rho - <c, a> / ||a||) / ||a||``.
+    None for ``a = 0``.  A hyperplane that misses the ball gives its
+    nearest point, which the caller's feasibility test refuses.
+    """
+    x0, r = base.center, base.radius
+    norm_c = math.sqrt(c @ c)
+    x = x0 - (r / norm_c) * c if norm_c > 0 else x0.copy()
+    if a @ x <= cap:
+        return x, 0.0
+    norm_a = math.sqrt(a @ a)
+    if norm_a == 0:
+        return None
+    unit = a / norm_a
+    delta = (a @ x0 - cap) / norm_a
+    # a hyperplane that misses the ball by a rounding error touches it
+    rho = math.sqrt(max(r * r - delta * delta, 0.0))
+    c_along = float(c @ unit)
+    c_perp = c - c_along * unit
+    c_perp -= (c_perp @ unit) * unit    # a second pass drops rounding along a
+    norm_perp = math.sqrt(c_perp @ c_perp)
+    x = x0 - delta * unit
+    if rho == 0 or norm_perp <= 1e-14 * norm_c:
+        # the disc is its center, or the loss is constant on it up to
+        # rounding; at a tangent the multiplier for a c_perp != 0 is
+        # unbounded, and the dual value at this one falls short by about
+        # r ||c_perp||
+        return x, max(-c_along / norm_a, 0.0)
+    x = x - (rho / norm_perp) * c_perp
+    return x, max((norm_perp * delta / rho - c_along) / norm_a, 0.0)
+
+
+def _exact_comparator(seq: LossSequence, block: ConstraintBlock,
+                      base: geo.Ball) -> np.ndarray | None:
+    """The comparator of a linear family on a ball under at most one
+    linear cap, from ``_ball_cap_solution``; None unless it is certified.
+
+    The certificate is the Lagrange dual value at the multiplier ``lam``
+    (Boyd & Vandenberghe 2004, sec. 5): ``min over the ball of <c, x> +
+    lam (<a, x> - cap)`` is ``<c, x0> - lam (cap - <a, x0>) - r ||c + lam
+    a||``, a lower bound on the optimum for any ``lam >= 0``.  The point is
+    returned only if it lies in the ball, violates the cap by at most 1e-8
+    and its averaged loss is within 1e-12 (1 + |loss|) of that bound,
+    computed from terms small enough for that to be beyond rounding.
+    Raises ``InfeasibleError`` when the cap's least value over the ball
+    exceeds 1e-6, the feasibility probe's threshold.
+    """
+    x0, r = base.center, base.radius
+    a, cap = ((block.A[0], float(block.b[0])) if block.size
+              else (np.zeros(base.dim), 0.0))
+    lowest = float(a @ x0) - r * math.sqrt(a @ a) - cap
+    if lowest > 1e-6:
+        raise InfeasibleError(
+            f"no feasible point: constraint 0 stays at {lowest:.3e} "
+            f"on the ball", constraint_index=0)
+    c = seq.mean_grad_fn(x0)
+    solution = _ball_cap_solution(c, base, a, cap)
+    if solution is None:
+        return None
+    x, lam = solution
+    shifted = c + lam * a
+    terms = (float(c @ x0), lam * (cap - float(a @ x0)),
+             r * math.sqrt(shifted @ shifted))
+    bound = terms[0] - terms[1] - terms[2]
+    value = seq.mean_value_fn(x)
+    scale = 1.0 + abs(value)
+    # each term is good to about 1e-16 of its size, so the bound certifies
+    # to 1e-12 only while no term outgrows 1e3 (1 + |value|), as one does
+    # where a nearly tangent cap makes lam huge
+    if (geo.contains(base, x) and float(a @ x) - cap <= 1e-8
+            and value - bound <= 1e-12 * scale
+            and max(map(abs, terms)) <= 1e3 * scale):
+        return x
+    return None
+
+
+def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
+                       base: geo.BaseSet, *, feas_tol: float = 1e-6,
+                       max_iter: int = 20000) -> np.ndarray:
+    """The comparator by penalty-staged FISTA, for any block and base set.
+
+    Without a constraint, one ``_fista`` solve.  Without a Slater point, a
+    feasibility probe first minimizes the squared violation.  Then penalty
+    stages multiply a quadratic hinge penalty's weight by 100 until the
+    worst violation meets ``feas_tol`` (at most 1e-9 without a Slater
+    point), and a final pull toward the strictly feasible certificate point
+    clears any residual violation.
+    """
     x0 = geo.center(base)
 
     if block.size == 0:
@@ -881,7 +973,7 @@ def hindsight_comparator(
             return violation_sq, lambda: 2.0 * (hinge @ jac)
 
         probe, _ = _fista(violation, base, x0, max_iter=max_iter)
-        values, _ = block.eval_fn(probe)
+        values, _ = _evaluate(block, probe)
         if np.max(values) > 1e-6:
             worst = int(np.argmax(values))
             raise InfeasibleError(
@@ -904,7 +996,7 @@ def hindsight_comparator(
 
         x, residual = _fista(penalized, base, x,
                              lipschitz_guess=curvature_guess, max_iter=max_iter)
-        values, _ = block.eval_fn(x)
+        values, _ = _evaluate(block, x)
         if float(np.max(values, initial=0.0)) <= stage_target:
             break
         weight *= 100.0
@@ -923,7 +1015,7 @@ def hindsight_comparator(
         pull = worst / (worst + margin)
         pull = min(1.0, pull * (1.0 + 1e-9) + 1e-15)
         x = (1.0 - pull) * x + pull * point
-        values, _ = block.eval_fn(x)
+        values, _ = _evaluate(block, x)
         worst = float(np.max(values, initial=0.0))
     if worst > 1e-8:
         raise ConvergenceError(

@@ -237,3 +237,21 @@ def test_non_finite_variation_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert "loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,index,key,value", [
+    ("golden-d2", None, "A", [[float("nan"), 0.0]]),
+    ("golden-d2", None, "b", [float("inf")]),
+    ("box-mixed-d3", 1, "centers", [[0.0, float("nan"), 0.0]]),
+    ("box-mixed-d3", 1, "offsets", [float("-inf")]),
+], ids=["linear-A-nan", "linear-b-inf", "quadratic-centers-nan",
+        "quadratic-offsets-inf"])
+def test_constraint_tables_must_be_finite(tmp_path, capsys, scenario, index,
+                                          key, value):
+    data = qp.shipped_scenario(scenario, horizon=20).to_dict()
+    spec = data["constraints"] if index is None else data["constraints"][index]
+    spec[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert "constraints" in capsys.readouterr().err

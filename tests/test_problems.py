@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import queueprox as qp
 from queueprox import geometry, problems
@@ -101,7 +103,9 @@ STACK_BLOCKS = {
 @pytest.mark.parametrize("name", sorted(STACK_BLOCKS))
 def test_constraint_eval_stack_rows_equal_one_point_calls(name):
     block = STACK_BLOCKS[name]()
-    assert (block.eval_stack_fn is None) == (name == "one-point")
+    # a built-in block is tables, evaluated in one pass; a custom one is
+    # called once per row
+    assert (block.eval_fn is None) == (name != "one-point")
     stack = qp.sample(_ball(block.dim), np.random.default_rng(5), 500)
     values, jac = qp.constraint_eval(block, stack)
     assert values.shape == (500, block.size)
@@ -143,24 +147,35 @@ def test_constraint_eval_normalizes_custom_outputs(wrap):
 
 
 def test_constraint_eval_stack_follows_a_swapped_eval_fn():
-    """A block whose ``eval_fn`` is replaced drops the old stacked form:
-    its stacked rows are the new oracle's one-point calls."""
-    block = STACK_BLOCKS["stacked"]()
-    assert block.eval_stack_fn is not None
-    shift = np.array([0.5, -0.25])
+    """A block whose ``eval_fn`` is replaced keeps no stale tables: its
+    rows, one point or a stack, are the new oracle's, and the comparator
+    cannot read the old tables for its closed form."""
+    tables = ("A", "b", "centers", "offsets", "order")
+    cases = [STACK_BLOCKS["stacked"](),
+             qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3],
+                             slater_point=[0.0, 0.0])]
+    for block in cases:
+        assert block.eval_fn is None and block.A is not None
+        shift = np.arange(1.0, block.size + 1) / 4
 
-    def f(x):
-        values, jac = block.eval_fn(x)
-        return values + shift, jac
+        def f(x, block=block, shift=shift):
+            values, jac = qp.constraint_eval(block, x)
+            return values - shift, jac
 
-    swapped = replace(block, eval_fn=f)
-    assert swapped.eval_stack_fn is None
-    stack = qp.sample(_ball(3), np.random.default_rng(6), 20)
-    values, jac = qp.constraint_eval(swapped, stack)
-    for i, x in enumerate(stack):
-        one_values, one_jac = f(x)
-        assert values[i].tobytes() == one_values.tobytes()
-        assert jac[i].tobytes() == one_jac.tobytes()
+        swapped = replace(block, eval_fn=f)
+        assert all(getattr(swapped, name) is None for name in tables)
+        stack = qp.sample(_ball(block.dim), np.random.default_rng(6), 20)
+        values, jac = qp.constraint_eval(swapped, stack)
+        for i, x in enumerate(stack):
+            one_values, one_jac = f(x)
+            assert values[i].tobytes() == one_values.tobytes()
+            assert jac[i].tobytes() == one_jac.tobytes()
+            assert (qp.constraint_eval(swapped, x)[0].tobytes()
+                    == one_values.tobytes())
+    # the swapped cap x_1 <= 0.55 binds, not the old tables' x_1 <= 0.3
+    seq = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 10)
+    x = qp.hindsight_comparator(seq, swapped, BALL)
+    assert x[0] <= 0.55 + 1e-8 and x[0] == pytest.approx(0.55, abs=1e-6)
 
 
 @pytest.mark.parametrize("name", ["linear-1x2", "quadratic-1x3", "stacked",
@@ -243,6 +258,52 @@ def test_stack_blocks_concatenates():
     assert vals[0] == pytest.approx(0.1 - 0.3)
     assert vals[1] == pytest.approx(0.05 - 0.5)
     assert jac.shape == (2, 2)
+
+
+def test_stack_blocks_keeps_the_order_of_its_parts():
+    """Rows come in the parts' order, quadratic before linear included, and
+    each equals its part's row bit for bit, one point or a stack."""
+    euc3, ball3 = qp.euclidean(3), _ball(3)
+    lin = qp.linear_block(euc3, ball3, [[1.0, 1.0, 1.0], [0.5, -1.0, 0.2]],
+                          [1.0, 0.3])
+    quad = qp.quadratic_block(euc3, ball3, [[0.1, 0.0, -0.2]], [0.5])
+    inner = qp.stack_blocks([quad, lin])
+    for parts in ([quad, lin], [lin, quad, lin], [quad, qp.empty_block(3)],
+                  [inner, quad, lin], [lin]):
+        block = qp.stack_blocks(parts)
+        assert block.size == sum(p.size for p in parts)
+        assert np.array_equal(block.value_bounds,
+                              np.concatenate([p.value_bounds for p in parts]))
+        stack = qp.sample(ball3, np.random.default_rng(7), 9)
+        values, jac = qp.constraint_eval(block, stack)
+        for i, x in enumerate(stack):
+            rows = [qp.constraint_eval(p, x) for p in parts]
+            expected = np.concatenate([v for v, _ in rows])
+            assert values[i].tobytes() == expected.tobytes()
+            assert jac[i].tobytes() == np.concatenate([j for _, j in rows]).tobytes()
+            assert qp.constraint_eval(block, x)[0].tobytes() == expected.tobytes()
+    assert qp.stack_blocks([lin, quad]).order is None
+
+
+def test_block_tables_are_finite_read_only_copies():
+    A = np.array([[1.0, 0.0]])
+    block = qp.linear_block(EUC2, BALL, A, [0.3])
+    A[0, 0] = 5.0
+    assert block.A[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        block.A[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        qp.stack_blocks([block, qp.empty_block(2)]).b[0] = 1.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            qp.linear_block(EUC2, BALL, [[bad, 0.0]], [0.3])
+        with pytest.raises(ValueError, match="finite"):
+            qp.quadratic_block(EUC2, BALL, [[0.0, 0.0]], [bad])
+    custom = qp.ConstraintBlock(size=1, dim=2, eval_fn=lambda x: (x[:1], A[:1]),
+                                value_bounds=np.ones(1), lipschitz=np.ones(1),
+                                curvature=0.0)
+    with pytest.raises(qp.UnsupportedFamilyError):
+        qp.stack_blocks([block, custom])
 
 
 def test_loss_index_zero_aliases_round_one():
@@ -628,7 +689,7 @@ def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
 
     def counted_eval(x):
         calls["eval"] += 1
-        return built.block.eval_fn(x)
+        return qp.constraint_eval(built.block, x)
 
     project = geometry.project
 
@@ -637,9 +698,10 @@ def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
         return project(base, y)
 
     monkeypatch.setattr(geometry, "project", counted_project)
-    qp.hindsight_comparator(built.seq,
-                            replace(built.block, eval_fn=counted_eval),
-                            built.base)
+    # golden-d2 takes the closed form, so the staged path is called directly
+    problems._staged_comparator(built.seq,
+                                replace(built.block, eval_fn=counted_eval),
+                                built.base)
     # a FISTA iteration visits one projected point per backtracking
     # candidate and at most one extrapolated point, so it has at most
     # twice as many new points as projections; beyond one evaluation per
@@ -657,12 +719,15 @@ BINDING_CAPS = {"golden-d2": (0, 0.2), "box-mixed-d3": (0, 0.2),
 @pytest.mark.parametrize("name", sorted(BINDING_CAPS))
 @pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
 def test_comparator_bytes_match_the_reference(name, kind):
-    """The comparator against ``reference_comparator``.  The reference
-    halves ``step_inv`` after every iteration where the comparator
-    multiplies it by 0.95, so their bytes differ; the comparator is held to
-    the reference's quality instead: feasible, an averaged loss no higher
-    than the reference's up to 1e-10 relative, and both above the
-    Lagrangian lower bound at the reference's last-stage multipliers."""
+    """The staged FISTA comparator against ``reference_comparator``.  The
+    reference halves ``step_inv`` after every iteration where the
+    comparator multiplies it by 0.95, so their bytes differ; the comparator
+    is held to the reference's quality instead: feasible, an averaged loss
+    no higher than the reference's up to 1e-10 relative, and both above the
+    Lagrangian lower bound at the reference's last-stage multipliers.
+    golden-d2 takes the closed form in ``hindsight_comparator``, so the
+    staged path is called directly (the closed form is judged in
+    ``test_closed_form_comparator_on_shipped_instances``)."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     dim = built.base.dim
     if kind == "empty":
@@ -676,7 +741,7 @@ def test_comparator_bytes_match_the_reference(name, kind):
     counts = {}
     expected = reference_comparator(built.seq, block, built.base,
                                     counts=counts)
-    x = qp.hindsight_comparator(built.seq, block, built.base)
+    x = problems._staged_comparator(built.seq, block, built.base)
     violation = np.maximum(qp.constraint_eval(block, x)[0], 0.0)
     assert violation.max(initial=0.0) <= 1e-8
     value = built.seq.mean_value_fn(x)
@@ -745,10 +810,13 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
 
     counted = replace(seq, mean_value_fn=counted_value,
                       mean_grad_fn=counted_grad)
-    expected = qp.hindsight_comparator(seq, built.block, built.base)
+    # drift-rotate-d2 takes the closed form, so the staged path is called
+    # directly
+    staged = problems._staged_comparator
+    expected = staged(seq, built.block, built.base)
     monkeypatch.setattr(geometry, "project", counted_project)
     monkeypatch.setattr(problems, "_fista", counted_fista)
-    x = qp.hindsight_comparator(counted, built.block, built.base)
+    x = staged(counted, built.block, built.base)
     assert x.tobytes() == expected.tobytes()
     # a backtracking candidate needs only its value.  Each iteration steps
     # from one point with one gradient and projects at least once, and a
@@ -757,3 +825,159 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
     # extrapolated point
     assert 0 < calls["grad"] <= calls["project"] + calls["solves"]
     assert calls["grad"] < calls["value"]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form comparator: a linear loss on a ball under at most one cap
+# ---------------------------------------------------------------------------
+
+CAP_KINDS = ("inactive", "active", "parallel", "zero-loss", "zero-cap",
+             "tangent", "missing")
+
+
+def _cap_instance(kind, dim, center, radius, coeffs, direction, u):
+    """``(seq, block, base)``: a linear loss with mean ``coeffs`` on a ball
+    under one cap ``<a, x> <= b`` of the given kind; ``u`` in [0, 1] places
+    the cap.  Every kind but "tangent" and "missing" has a Slater point."""
+    base = qp.Ball(center=np.asarray(center), radius=radius)
+    c = np.asarray(coeffs)
+    if kind == "zero-loss":
+        c = np.zeros(dim)
+    elif kind == "parallel":
+        c = (2.0 * u - 1.0 + 0.1) * np.asarray(direction)
+    a = np.zeros(dim) if kind == "zero-cap" else np.asarray(direction)
+    norm_a = float(np.linalg.norm(a))
+    x_ball = (base.center - radius * c / np.linalg.norm(c)
+              if c.any() else base.center)
+    lowest = float(a @ base.center) - radius * norm_a   # least a.x on the ball
+    if kind == "inactive":
+        b = float(a @ x_ball) + 0.01 + u
+    elif kind == "active":
+        # between the cap's least value and its value at the ball minimizer
+        hi = float(a @ x_ball)
+        assume(hi - lowest > 0.2 * radius * norm_a)
+        b = lowest + (0.1 + 0.8 * u) * (hi - lowest)
+    elif kind in ("parallel", "zero-loss"):
+        b = lowest + (0.1 + 1.9 * u) * radius * norm_a
+    elif kind == "zero-cap":
+        b = 0.01 + u
+    elif kind == "tangent":
+        b = lowest
+    else:
+        b = lowest - 1e-3 - u
+    slater = None
+    if kind not in ("tangent", "missing"):
+        # the ball point of least a.x, pulled inward: strictly feasible
+        slater = (base.center - 0.95 * radius * a / norm_a if norm_a
+                  else base.center)
+        assume(float(a @ slater) - b < -1e-3)
+    seq = qp.alternating(qp.euclidean(dim), base, c + 0.25, c - 0.25, 40)
+    block = qp.linear_block(qp.euclidean(dim), base, [a], [b],
+                            slater_point=slater)
+    return seq, block, base
+
+
+@st.composite
+def _cap_instances(draw, kind):
+    dim = draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.floats(-1, 1), min_size=dim, max_size=dim)
+    center = draw(vec)
+    coeffs = draw(vec.filter(lambda v: np.linalg.norm(v) > 0.05))
+    direction = draw(vec.filter(lambda v: np.linalg.norm(v) > 0.05))
+    return _cap_instance(kind, dim, center, draw(st.floats(0.2, 2.0)),
+                         coeffs, direction, draw(st.floats(0, 1)))
+
+
+@pytest.mark.parametrize("kind", CAP_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_closed_form_comparator_on_random_caps(kind, data):
+    seq, block, base = data.draw(_cap_instances(kind))
+    if kind == "missing":
+        with pytest.raises(qp.InfeasibleError) as info:
+            qp.hindsight_comparator(seq, block, base)
+        assert info.value.constraint_index == 0
+        with pytest.raises(qp.InfeasibleError):
+            reference_comparator(seq, block, base)
+        return
+    c, a, b = seq.mean_grad_fn(base.center), block.A[0], block.b[0]
+    exact = problems._exact_comparator(seq, block, base)
+    if kind == "tangent" and exact is None:
+        # the multiplier grows without bound as the disc shrinks to a
+        # point, so no dual value certifies a loss that is not constant on
+        # it (a part of c along the disc): the staged path decides
+        assert (np.linalg.norm(c - (c @ a) / (a @ a) * a)
+                > 1e-15 * np.linalg.norm(c))
+        return
+    assert exact is not None
+    x = qp.hindsight_comparator(seq, block, base)
+    assert x.tobytes() == exact.tobytes()
+    assert float(qp.constraint_eval(block, x)[0].max()) <= 1e-8
+    assert qp.contains(base, x)
+    value = seq.mean_value_fn(x)
+    _, lam = problems._ball_cap_solution(c, base, a, float(b))
+    bound = lagrangian_lower_bound(seq, block, base, [lam])
+    assert bound <= value + 1e-12 * (1.0 + abs(value))
+    if kind != "tangent":
+        reference = seq.mean_value_fn(reference_comparator(seq, block, base))
+        assert value <= reference + 1e-10 * (1.0 + abs(value))
+    _assert_agrees_with_staged(seq, block, base, value)
+
+
+def _assert_agrees_with_staged(seq, block, base, value):
+    """The staged FISTA path agrees to 1e-8 relative.  Its averaged loss
+    lies up to about 3 feas_tol above the optimum, since its stages stop at
+    feas_tol and the pull toward the Slater point gives up the rest (3.1e-6
+    relative at the default 1e-6 on random active caps), so it is held at
+    feas_tol 1e-10 here."""
+    staged = problems._staged_comparator(seq, block, base, feas_tol=1e-10)
+    assert abs(value - seq.mean_value_fn(staged)) <= 1e-8 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("name", ["golden-d2", "drift-rotate-d2"])
+@pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
+def test_closed_form_comparator_on_shipped_instances(name, kind):
+    """The instances of ``test_comparator_bytes_match_the_reference`` that
+    are linear on a ball take the closed form: feasible, certified by the
+    Lagrangian bound at its own multiplier, and in agreement with the
+    staged path."""
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    block = {"empty": qp.empty_block(2),
+             "no-slater": qp.linear_block(built.geom, built.base,
+                                          [[1.0, 0.0]], [0.2]),
+             "staged": built.block}[kind]
+    x = qp.hindsight_comparator(built.seq, block, built.base)
+    assert x.tobytes() == problems._exact_comparator(
+        built.seq, block, built.base).tobytes()
+    assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
+    value = built.seq.mean_value_fn(x)
+    c = built.seq.mean_grad_fn(built.base.center)
+    a, b = (block.A[0], float(block.b[0])) if block.size else (np.zeros(2), 0.0)
+    _, lam = problems._ball_cap_solution(c, built.base, a, b)
+    bound = lagrangian_lower_bound(built.seq, block, built.base,
+                                   [lam][:block.size])
+    assert bound <= value <= bound + 1e-12 * (1.0 + abs(value))
+    _assert_agrees_with_staged(built.seq, block, built.base, value)
+
+
+@pytest.mark.parametrize("active", [True, False], ids=["active", "inactive"])
+def test_closed_form_falls_back_when_its_multiplier_is_off(active,
+                                                           monkeypatch):
+    """Negative control: a perturbed multiplier leaves a duality gap, so the
+    closed form is refused and the staged path answers."""
+    seq = qp.fixed_linear(EUC2, BALL, [-1.0, -0.5], 10)
+    # the ball minimizer has x_1 = 0.894
+    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3 if active else 0.95],
+                            slater_point=[0.0, 0.0])
+    base = BALL
+    assert problems._exact_comparator(seq, block, base) is not None
+    solve = problems._ball_cap_solution
+    _, lam = solve(seq.mean_grad_fn(base.center), base, block.A[0],
+                   float(block.b[0]))
+    assert (lam > 0) == active
+    monkeypatch.setattr(problems, "_ball_cap_solution",
+                        lambda *args: (solve(*args)[0], 1.1 * lam + 0.01))
+    assert problems._exact_comparator(seq, block, base) is None
+    staged = problems._staged_comparator(seq, block, base)
+    assert (qp.hindsight_comparator(seq, block, base).tobytes()
+            == staged.tobytes())

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .problems import (ConstraintBlock, LossSequence, coeff_variation,
-                       constraint_eval, in_order_sum, round_losses)
+from .problems import (ConstraintBlock, LossSequence, by_round,
+                       coeff_variation, constraint_eval, in_order_sum,
+                       round_losses)
 from .trace import RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
                    "queue_bound", "V_cap", "V_empirical")
+
+# rounds per block of the quadratic families' variation pass: a block's
+# gradients are (65, 33, d) floats at the default probe budget, 51 kB at d=3
+VARIATION_BLOCK_ROUNDS = 64
 
 
 def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
@@ -88,11 +93,15 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     true supremum, which makes this a certified lower bound able to
     validate overestimated variation caps.
 
-    The probes form one ``(n, d)`` stack: each round takes one stacked
-    ``LossSequence.grad`` call and one stacked ``dual_norm`` call on the
-    gradient deltas, and the rounds' squared maxima are summed in round
-    order.  A sequence with a coefficient table has x-independent
-    gradients, so its total is one stacked pass over the table's deltas.
+    The probes form one ``(n, d)`` stack.  A sequence with a coefficient
+    table has x-independent gradients, so its total is one stacked pass
+    over the table's deltas.  A quadratic family's gradients ``s_t (x -
+    z_t)`` come from its tables, ``VARIATION_BLOCK_ROUNDS`` rounds at a
+    time, with one stacked ``dual_norm`` call per block.  A custom
+    sequence takes one stacked ``LossSequence.grad`` call and one
+    ``dual_norm`` call per round.  Either way the rounds' maxima are
+    squared with libm ``pow`` and summed in round order, so every path
+    gives the bits of the per-round loop.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -104,6 +113,20 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     idx = np.unique(np.linspace(0, trace.horizon - 1,
                                 min(sample_budget, trace.horizon), dtype=int))
     points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
+    if seq.scales is not None:
+        scales = by_round(seq.scales, horizon)
+        targets = by_round(seq.targets, horizon)
+        maxima = np.empty(horizon - 1)
+        for start in range(0, horizon - 1, VARIATION_BLOCK_ROUNDS):
+            # rounds start + 1 .. start + 1 + block: their gradients at every
+            # probe, then the block's round-to-round deltas
+            rows = slice(start, start + VARIATION_BLOCK_ROUNDS + 1)
+            grads = scales[rows, None, None] * (points - targets[rows, None, :])
+            deltas = np.diff(grads, axis=0)
+            norms = geo.dual_norm(geom, deltas.reshape(-1, trace.dim))
+            maxima[start:start + len(deltas)] = norms.reshape(
+                len(deltas), -1).max(axis=1)
+        return float(in_order_sum(np.float_power(maxima, 2)))
     total = 0.0
     prev = seq.grad(1, points)
     for t in range(2, horizon + 1):

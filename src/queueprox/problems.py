@@ -510,7 +510,7 @@ def _linear_family(
     if grad_lipschitz <= 0:
         raise ValueError("grad_lipschitz must be positive (any positive "
                          "value is valid for linear losses)")
-    coeffs.flags.writeable = False
+    coeffs.setflags(write=False)
     period = len(coeffs)
 
     rows = by_round(coeffs, horizon)
@@ -636,7 +636,8 @@ def _quadratic_family(
     if not (np.all((s_rows > 0) & (s_rows < np.inf))
             and np.isfinite(z_rows).all()):
         raise ValueError("scales must be positive and finite, targets finite")
-    scales.flags.writeable = targets.flags.writeable = False
+    scales.setflags(write=False)
+    targets.setflags(write=False)
     period = len(scales)
 
     def value_fn(t, x):
@@ -825,12 +826,19 @@ def hindsight_comparator(
     """Best fixed feasible decision in hindsight.
 
     Minimizes the averaged loss over the base set intersected with
-    ``g_k(x) <= 0``.  The answer is exact for a linear family (a
-    ``coeffs`` table) on a ball under an empty block or one linear cap:
-    a closed form, returned only when it is feasible and the Lagrange dual
-    value at its multiplier certifies it to 1e-12 relative (see
-    ``_exact_comparator``).  Every other case, and a closed form that fails
-    its certificate, takes ``_staged_comparator``: accelerated projected
+    ``g_k(x) <= 0``.  Two cases are answered exactly, each returned only
+    when it is feasible and the Lagrange dual value at its multipliers
+    certifies it to 1e-12 relative:
+
+    - a linear family (a ``coeffs`` table) on a ball under an empty block
+      or one linear cap, in closed form (``_exact_comparator``);
+    - a quadratic family (a ``scales`` table) on a ball or a box under a
+      built-in block of any linear and quadratic rows, by Newton's method
+      on the dual (``_dual_comparator``).
+
+    Every other case (the simplex, custom blocks and sequences, a linear
+    family off the ball or under more caps), and an answer that fails its
+    certificate, takes ``_staged_comparator``: accelerated projected
     gradient on a quadratic hinge penalty whose weight escalates until the
     violation tolerance ``feas_tol`` is met.
 
@@ -845,12 +853,16 @@ def hindsight_comparator(
         raise UnsupportedFamilyError(
             "hindsight comparator needs averaged-loss oracles"
         )
-    if (isinstance(base, geo.Ball) and seq.coeffs is not None
+    x = None
+    if (seq.scales is not None and block.eval_fn is None
+            and isinstance(base, (geo.Ball, geo.Box))):
+        x = _dual_comparator(seq, block, base)
+    elif (isinstance(base, geo.Ball) and seq.coeffs is not None
             and block.A is not None and block.centers is None
             and block.size <= 1):
         x = _exact_comparator(seq, block, base)
-        if x is not None:
-            return x
+    if x is not None:
+        return x
     return _staged_comparator(seq, block, base, feas_tol=feas_tol,
                               max_iter=max_iter)
 
@@ -937,6 +949,137 @@ def _exact_comparator(seq: LossSequence, block: ConstraintBlock,
     if (geo.contains(base, x) and float(a @ x) - cap <= 1e-8
             and value - bound <= 1e-12 * scale
             and max(map(abs, terms)) <= 1e3 * scale):
+        return x
+    return None
+
+
+def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
+    """``(s, m, p, q, rhs)`` of a quadratic family and a built-in block.
+
+    The averaged loss is ``F(x) = (s/2) ||x||^2 - <m, x> + F(0)``, with
+    ``s`` the mean curvature and ``m = -grad F(0)``.  Row ``k`` is ``g_k(x)
+    = (q_k/2) ||x||^2 + <p_k, x> + g_k(0)``: ``p_k`` is its gradient at the
+    origin, ``q_k`` is 0 for a linear row and 2 for a quadratic one, and
+    ``rhs_k`` is its ``b_k`` or ``s_k``.
+    """
+    n_linear = 0 if block.A is None else len(block.A)
+    q = np.repeat([0.0, 2.0], [n_linear, block.size - n_linear])
+    rhs = np.concatenate([t for t in (block.b, block.offsets) if t is not None])
+    if block.order is not None:
+        q, rhs = q[block.order], rhs[block.order]
+    origin = np.zeros(block.dim)
+    return (seq.mean_curvature, -seq.mean_grad_fn(origin),
+            _tables(block, origin)[1], q, rhs)
+
+
+def _lagrangian_argmin(base: geo.BaseSet, pieces, nu: np.ndarray):
+    """``(x, a, w)``: the minimizer ``x`` over the base set of the Lagrangian
+    ``F(x) + nu . g(x)`` of ``_dual_pieces``.  The Lagrangian is ``(a/2)
+    ||x - w||^2`` plus a constant, with ``a = s + nu . q > 0`` and ``w = (m
+    - p^T nu) / a``, so ``x`` is the projection of ``w``."""
+    s, m, p, q, _ = pieces
+    a = s + float(nu @ q)
+    w = (m - nu @ p) / a
+    return geo._project(base, w), a, w
+
+
+def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """``rows P rows^T`` for the Jacobian ``P`` at ``w`` of the projection
+    onto the base set (``x`` the projection): the box's free coordinates,
+    or outside the ball the radial map ``(r / |w - c|) (I - u u^T)``."""
+    if isinstance(base, geo.Box):
+        rows = rows[:, (w > base.lower) & (w < base.upper)]
+        return rows @ rows.T
+    gram = rows @ rows.T
+    if x is w:                  # inside the ball, ``_project`` returns w
+        return gram
+    offset = w - base.center
+    dist = math.sqrt(offset @ offset)
+    along = rows @ (offset / dist)
+    return (base.radius / dist) * (gram - np.outer(along, along))
+
+
+def _dual_multipliers(seq: LossSequence, block: ConstraintBlock,
+                      base: geo.BaseSet) -> np.ndarray:
+    """Multipliers ``nu >= 0`` that maximize the Lagrange dual ``phi(nu) =
+    min over the base set of F(x) + nu . g(x)`` of a quadratic family under
+    a built-in block, by projected Newton (Bertsekas 1982).
+
+    ``phi`` is concave with gradient ``g(x(nu))``, ``x(nu)`` from
+    ``_lagrangian_argmin``, and Hessian ``-J P J^T / a`` (``J`` the block's
+    Jacobian at ``x(nu)``, ``P`` the projection's Jacobian at ``w``).  Each
+    iteration sends to 0 every multiplier whose own Newton step would end
+    there; the others take a joint Newton step, slightly regularized, and
+    the step is halved until ``phi`` rises by an Armijo fraction of its
+    slope, up to rounding.  Stops after 50 iterations, once a step moves no
+    multiplier by more than 1e-15 relative, or when no step rises.  The
+    result is only a candidate: ``_dual_comparator`` certifies it.
+    """
+    pieces = _dual_pieces(seq, block)
+
+    def dual(nu):
+        x, a, w = _lagrangian_argmin(base, pieces, nu)
+        values, jac = _tables(block, x)
+        return (seq.mean_value_fn(x) + float(nu @ values), values,
+                (x, a, w, jac))
+
+    nu = np.zeros(block.size)
+    phi, g, at = dual(nu)
+    for _ in range(50):
+        x, a, w, jac = at
+        hess = _projected_gram(base, x, w, jac) / a
+        free = (g > 0) | (nu * np.diagonal(hess) > -g)
+        if not (free.any() or nu.any()):
+            break
+        step = -nu
+        if free.any():
+            hess = hess[free][:, free]
+            hess += 1e-12 * (1.0 + np.trace(hess)) * np.eye(len(hess))
+            step[free] = np.linalg.solve(hess, g[free])
+        t = 1.0
+        for _ in range(60):
+            trial = np.maximum(nu + t * step, 0.0)
+            phi_t, g_t, at_t = dual(trial)
+            if (phi_t >= phi + 1e-4 * float(g @ (trial - nu))
+                    - 1e-15 * (1.0 + abs(phi))):
+                break
+            t *= 0.5
+        else:
+            break
+        moved = float(np.abs(trial - nu).max())
+        nu, phi, g, at = trial, phi_t, g_t, at_t
+        if moved <= 1e-15 * (1.0 + float(nu.max())):
+            break
+    return nu
+
+
+def _dual_comparator(seq: LossSequence, block: ConstraintBlock,
+                     base: geo.BaseSet) -> np.ndarray | None:
+    """The comparator of a quadratic family on a ball or a box under a
+    built-in block: the Lagrangian minimizer ``x(nu)`` at the multipliers
+    of ``_dual_multipliers``; None unless it is certified.
+
+    For ``nu >= 0``, ``F(x(nu)) + nu . g(x(nu))`` is the dual value, a
+    lower bound on the optimum (Boyd & Vandenberghe 2004, sec. 5).  The
+    point is returned only if it lies in the base set, violates no row by
+    more than 1e-8 and its averaged loss is within 1e-12 (1 + |loss|) of
+    that bound, computed from terms small enough for that to be beyond
+    rounding: no ``nu_k (|g_k| + |rhs_k|)`` above 1e3 (1 + |loss|).
+    """
+    nu = _dual_multipliers(seq, block, base)
+    pieces = _dual_pieces(seq, block)
+    x, _, _ = _lagrangian_argmin(base, pieces, nu)
+    values, _ = _tables(block, x)
+    value = seq.mean_value_fn(x)
+    bound = value + float(nu @ values)
+    scale = 1.0 + abs(value)
+    rhs = pieces[-1]
+    terms = nu * (np.abs(values) + np.abs(rhs))
+    if (np.all(nu >= 0) and geo.contains(base, x)
+            and float(np.max(values, initial=0.0)) <= 1e-8
+            and value - bound <= 1e-12 * scale
+            and float(np.max(terms, initial=0.0)) <= 1e3 * scale):
         return x
     return None
 

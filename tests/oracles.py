@@ -325,7 +325,9 @@ def report_digest(report):
 # every iteration, where it was halved) were re-recorded then, and the
 # three linear losses on a ball (golden-d2, drift-rotate-d2,
 # alternating-d2) again when their comparator became the certified closed
-# form; every ``repr(v_empirical)`` stayed the same both times
+# form, and the quadratic losses whose comparator moved (box-mixed-d3,
+# audit-box, audit-ball) when theirs became the dual-certified Newton
+# solve; every ``repr(v_empirical)`` stayed the same each time
 REPORT_DIGESTS = {
     "golden-d2":
         "e9cedc588741cb9cc31d2c81ba07c0524ce3cc8f238318b688c78b32eed9053f",
@@ -336,13 +338,13 @@ REPORT_DIGESTS = {
     "alternating-d2":
         "197e62181241919d4f925eee3b39ad4f9eead6cc82258c001c7a622308c2c4d5",
     "box-mixed-d3":
-        "d3d17cbfa73c2862941db6d1c034b624c1fc58bbf297f622f6e23238503cf1c4",
+        "9e8f31549c76186b344e56ff3a49671652f9dde1f7b473c4f20b9548b85ea772",
     "simplex-d10":
         "30846845f69d82d251253e01223df4ed652fb8c23882a5b270cb92b35bc8f7e6",
     "audit-box":
-        "014172bcc32e824ce9d848eeae48b40454939d80a8d158ebce27c646499ac526",
+        "de1dfab27fe9234405e6ecb41b383ee1daa7b8bcd6c366d54f84f910e7cbaed4",
     "audit-ball":
-        "20492c3d56f02aae68185426b62ef9768f019f10455d56271db613998f3246a4",
+        "b12cb45013e5b352bc2832f5b91c8810f0c3a2c81eb2f0c2fa9de75af95cbd2a",
 }
 
 

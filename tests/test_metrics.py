@@ -176,11 +176,12 @@ def test_empirical_variation_matches_per_point_reference(variant):
 
 def _table_runs():
     """Runs on a table-backed loss of every built-in family, some shorter
-    than their sequence, under both geometries."""
+    than their sequence, under both geometries; T=130 spans three blocks
+    of the quadratic variation pass, and its half-length run one."""
     configs = [qp.shipped_scenario(name, horizon=T)
                for name in ("golden-d2", "drift-rotate-d2", "alternating-d2",
                             "simplex-d10", "fixed-quadratic-ball",
-                            "box-mixed-d3") for T in (1, 2, 37)]
+                            "box-mixed-d3") for T in (1, 2, 37, 130)]
     configs.append(qp.ScenarioConfig.from_dict({
         **qp.shipped_scenario("golden-d2", horizon=40).to_dict(),
         "loss": {"family": "linear-drift", "start": [0.5, -0.2],

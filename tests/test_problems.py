@@ -531,6 +531,8 @@ def test_quadratic_tables_match_the_per_round_formula(family, geom, base):
         assert qp.gradient_variation(seq) == variation
         with pytest.raises(ValueError):
             seq.targets[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.scales[0] = 1.0
 
 
 def test_quadratic_variation_squares_like_python_floats():
@@ -779,7 +781,8 @@ def test_comparator_projects_at_most_0_7x_the_reference(name, monkeypatch):
     monkeypatch.setattr(geometry, "project",
                         counting("library", geometry.project))
     monkeypatch.setattr(qp, "project", counting("reference", qp.project))
-    qp.hindsight_comparator(built.seq, built.block, built.base)
+    # box-mixed-d3 takes the dual path, so the staged path is called directly
+    problems._staged_comparator(built.seq, built.block, built.base)
     reference_comparator(built.seq, built.block, built.base)
     assert 0 < calls["library"] <= 0.7 * calls["reference"]
 
@@ -981,3 +984,129 @@ def test_closed_form_falls_back_when_its_multiplier_is_off(active,
     staged = problems._staged_comparator(seq, block, base)
     assert (qp.hindsight_comparator(seq, block, base).tobytes()
             == staged.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the dual comparator: a quadratic loss on a ball or a box under built-in caps
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _dual_instances(draw, family):
+    """``(seq, block, base)``: a quadratic family on a ball or a box under
+    zero to three linear and quadratic caps in any order, each strictly
+    feasible at one shared Slater point inside the base set.  Each cap is
+    cut between its value at that point and its value at the unconstrained
+    optimum, or beyond it, so caps come active, inactive or both binding."""
+    dim = draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.floats(-1, 1), min_size=dim, max_size=dim).map(np.array)
+    if draw(st.booleans()):
+        base = qp.Ball(center=draw(vec), radius=draw(st.floats(0.3, 2.0)))
+    else:
+        lower = draw(vec) - 0.5
+        base = qp.Box(lower=lower, upper=lower + draw(
+            st.lists(st.floats(0.3, 2.0), min_size=dim, max_size=dim)))
+    geom, middle = qp.euclidean(dim), qp.center(base)
+    target = middle + 2.0 * draw(vec)
+    if family == "fixed":
+        seq = qp.fixed_quadratic(geom, base, target, 20,
+                                 scale=draw(st.floats(0.2, 3.0)))
+    else:
+        seq = qp.quadratic_drift(geom, base, target, draw(vec), 20,
+                                 scale0=draw(st.floats(0.2, 3.0)),
+                                 scale_drift=draw(st.floats(-0.1, 1.0)))
+    free = qp.project(base, seq.mean_grad_fn(np.zeros(dim))
+                      / -seq.mean_curvature)
+    slater = middle + 0.5 * (qp.project(base, middle + 2.0 * draw(vec))
+                             - middle)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["linear", "quadratic"]),
+                              max_size=3)):
+        row = draw(vec.filter(lambda v: np.linalg.norm(v) > 0.1))
+        cut = draw(st.floats(0.0, 1.5))
+        if kind == "linear":
+            at_slater, at_free = row @ slater, row @ free
+            parts.append(qp.linear_block(
+                geom, base, [row], [at_slater + 0.02 + cut * max(
+                    at_free - at_slater, 0.0)], slater_point=slater))
+        else:
+            at_slater = float((slater - row) @ (slater - row))
+            at_free = float((free - row) @ (free - row))
+            parts.append(qp.quadratic_block(
+                geom, base, [row], [at_slater + 0.02 + cut * max(
+                    at_free - at_slater, 0.0)], slater_point=slater))
+    block = qp.stack_blocks(parts) if parts else qp.empty_block(dim)
+    return seq, block, base
+
+
+@pytest.mark.parametrize("family", ["fixed", "drift"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_dual_comparator_on_random_caps(family, data):
+    """The dual path is taken, feasible, above the Lagrangian bound at its
+    own multipliers, and no worse than the reference FISTA comparator or
+    the staged path at feas_tol 1e-10.  The staged path is held to no
+    two-sided agreement: its FISTA can stall above the optimum (see
+    ``test_dual_comparator_reaches_a_target_on_the_box_boundary``)."""
+    seq, block, base = data.draw(_dual_instances(family))
+    x = qp.hindsight_comparator(seq, block, base)
+    dual = problems._dual_comparator(seq, block, base)
+    assert dual is not None and x.tobytes() == dual.tobytes()
+    assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
+    value = seq.mean_value_fn(x)
+    multipliers = problems._dual_multipliers(seq, block, base)
+    bound = lagrangian_lower_bound(seq, block, base, multipliers)
+    assert bound <= value + 1e-12 * (1.0 + abs(value))
+    for other in (reference_comparator(seq, block, base),
+                  problems._staged_comparator(seq, block, base,
+                                              feas_tol=1e-10)):
+        assert value <= seq.mean_value_fn(other) + 1e-10 * (1.0 + abs(value))
+
+
+def test_dual_comparator_reaches_a_target_on_the_box_boundary():
+    """A target on the box's face under an inactive cap is its own
+    comparator, with loss 0.  The staged path stalls 6.8e-8 short of it,
+    even at feas_tol 1e-10: an extrapolated point beyond the face breaks
+    the cap, the penalty throws the iterates to a far corner, and they
+    creep back more slowly than the stall limit allows."""
+    base = qp.Box(lower=-0.5 * np.ones(3), upper=np.array([0.5, 1.5, 0.5]))
+    seq = qp.fixed_quadratic(qp.euclidean(3), base, [0.0, 1.5, 0.0], 20,
+                             scale=0.5)
+    block = qp.linear_block(qp.euclidean(3), base, [[0.0, 1.0, 1.0]], [1.52],
+                            slater_point=[0.0, 0.5, 0.0])
+    x = qp.hindsight_comparator(seq, block, base)
+    assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
+
+
+@pytest.mark.parametrize("name", ["box-mixed-d3", "fixed-quadratic-ball"])
+def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
+                                                                 monkeypatch):
+    """Negative control: perturbed multipliers leave a duality gap or a
+    violated cap, so the dual answer is refused and the staged path
+    answers.  box-mixed-d3 has one active and one inactive cap,
+    fixed-quadratic-ball one inactive cap."""
+    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+    seq, block, base = built.seq, built.block, built.base
+    assert problems._dual_comparator(seq, block, base) is not None
+    solve = problems._dual_multipliers
+    monkeypatch.setattr(problems, "_dual_multipliers",
+                        lambda *args: 1.1 * solve(*args) + 0.01)
+    assert problems._dual_comparator(seq, block, base) is None
+    staged = problems._staged_comparator(seq, block, base)
+    assert (qp.hindsight_comparator(seq, block, base).tobytes()
+            == staged.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape):
+    base = (BALL if shape == "ball"
+            else qp.Box(lower=-np.ones(2), upper=np.ones(2)))
+    fine = qp.linear_block(EUC2, base, [[0.0, 1.0]], [0.5])
+    missing = (qp.linear_block(EUC2, base, [[1.0, 0.0]], [-2.0])
+               if kind == "linear"
+               else qp.quadratic_block(EUC2, base, [[5.0, 0.0]], [1.0]))
+    seq = qp.fixed_quadratic(EUC2, base, [0.3, 0.9], 10)
+    with pytest.raises(qp.InfeasibleError) as info:
+        qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]), base)
+    assert info.value.constraint_index == 1

@@ -8,8 +8,6 @@ of the last two is also run with a deliberately broken input.
 """
 import dataclasses
 
-import numpy as np
-
 import queueprox as qp
 from queueprox import checks
 
@@ -27,14 +25,13 @@ print(checks.check_descent_lemma(
     lambda x: built.seq.grad(5, x),
     built.seq.grad_lipschitz, built.geom, built.base, seed=1))
 
-# negative control 1: halve the prox weight in a recorded round and the
-# per-round bound must fail, since alpha was chosen to be just large enough
-snap = checks.snapshot_from_trace(trace, 17, built.seq, built.block,
-                                  built.geom, built.base)
-broken = dataclasses.replace(snap, alpha=snap.alpha / 2)
-rng = np.random.default_rng(2)
-probes = qp.sample(built.base, rng, 50)
-control = checks.check_dpp_bound(broken, probes)
+# negative control 1: halve the recorded prox weights and the per-round
+# bound must fail in round 17, since alpha was chosen to be just large
+# enough
+halved = dataclasses.replace(trace, alphas=trace.alphas / 2)
+control = checks.check_dpp_over_trace(halved, built.seq, built.block,
+                                      built.geom, built.base, rounds=[17],
+                                      n_z=50, seed=2)
 print("\nhalved prox weight:", control)
 assert not control.passed
 

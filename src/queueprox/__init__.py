@@ -11,9 +11,8 @@ from .algorithm import (VARIANT_BASELINE, VARIANT_GENERAL, VARIANT_SIMPLEX,
                         VARIANTS, HyperParams, Scenario, alpha_closed_form,
                         alpha_update, hyperparams_from_variation, mix_anchor,
                         queue_update, run, xi_value)
-from .checks import (CheckReport, RoundSnapshot, check_descent_lemma,
-                     check_dpp_bound, check_dpp_over_trace, check_mixing,
-                     check_pushback, check_queue_lemma, snapshot_from_trace,
+from .checks import (CheckReport, check_descent_lemma, check_dpp_over_trace,
+                     check_mixing, check_pushback, check_queue_lemma,
                      write_check_csv)
 from .errors import (ConfigError, ConvergenceError, DimensionMismatchError,
                      DomainError, InfeasibleError, OracleError,
@@ -44,9 +43,8 @@ __all__ = [
     "HyperParams", "Scenario", "alpha_closed_form", "alpha_update",
     "hyperparams_from_variation", "mix_anchor", "queue_update", "run",
     "xi_value",
-    "CheckReport", "RoundSnapshot", "check_descent_lemma", "check_dpp_bound",
-    "check_dpp_over_trace", "check_mixing", "check_pushback",
-    "check_queue_lemma", "snapshot_from_trace", "write_check_csv",
+    "CheckReport", "check_descent_lemma", "check_dpp_over_trace",
+    "check_mixing", "check_pushback", "check_queue_lemma", "write_check_csv",
     "ConfigError", "ConvergenceError", "DimensionMismatchError",
     "DomainError", "InfeasibleError", "OracleError", "QueueproxError",
     "ScheduleError", "UnsupportedFamilyError",

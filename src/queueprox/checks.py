@@ -122,38 +122,20 @@ def check_queue_lemma(trace: RunTrace, tol: float = 1e-9) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RoundSnapshot:
-    """All round-``t`` quantities the per-round bound refers to.
+def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
+                  block: ConstraintBlock, geom: geo.Geometry,
+                  base: geo.BaseSet, z: np.ndarray) -> float:
+    """Largest residual of the round-``t`` drift-plus-penalty bound over the
+    probes ``z`` (one point or an ``(n, d)`` stack), read from the trace.
 
-    Carries the iterates and gradients of one round together with the
-    geometry, base set, constraint block, and queue step it ran under, so
-    a snapshot is self-contained for verification.
+    Left side: queue-energy increase plus the lookback linearized loss at
+    the new decision plus its proximity cost.  Right side: the movement,
+    queue-penalty, comparator, anchor-shift, and pushback terms, evaluated
+    at each probe point.  Positive means the certificate failed at some
+    probe.  The probes are evaluated ``PROBE_BLOCK`` rows at a time, their
+    divergences against the anchor and the next anchor in one ``bregman``
+    call.
     """
-
-    t: int
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    anchor: np.ndarray
-    anchor_next: np.ndarray
-    queue: np.ndarray          # state entering the round's primal step
-    queue_next: np.ndarray     # state after the next dual update
-    alpha: float
-    xi: float
-    loss_grad_prev: np.ndarray
-    loss_grad_curr: np.ndarray
-    g_prev: np.ndarray
-    g_curr: np.ndarray
-    geom: geo.Geometry
-    base: geo.BaseSet
-    block: ConstraintBlock
-    gamma: float
-
-
-def snapshot_from_trace(trace: RunTrace, t: int, seq: LossSequence,
-                        block: ConstraintBlock, geom: geo.Geometry,
-                        base: geo.BaseSet) -> RoundSnapshot:
-    """Reconstruct the round-``t`` snapshot from a trace and its oracles."""
     if not 1 <= t <= trace.horizon:
         raise ValueError(f"round {t} outside the recorded horizon")
     x_prev = trace.decisions[t - 2] if t >= 2 else trace.x0
@@ -161,62 +143,37 @@ def snapshot_from_trace(trace: RunTrace, t: int, seq: LossSequence,
     # the prox steps of the mixing variant anchor at the mixed point
     anchor = (trace.anchors[t - 1] if trace.mixed_anchors is None
               else trace.mixed_anchors[t - 1])
-    return RoundSnapshot(
-        t=t, x_prev=x_prev, x_curr=x_curr,
-        anchor=anchor, anchor_next=trace.anchors[t],
-        queue=trace.queues[t], queue_next=trace.queues[t + 1],
-        alpha=float(trace.alphas[t - 1]), xi=float(trace.xis[t - 1]),
-        loss_grad_prev=seq.grad(t - 1, x_prev),
-        loss_grad_curr=seq.grad(t, x_curr),
-        g_prev=trace.g_values[t - 1], g_curr=trace.g_values[t],
-        geom=geom, base=base, block=block, gamma=trace.gamma,
-    )
+    anchor_next = trace.anchors[t]
+    queue, queue_next = trace.queues[t], trace.queues[t + 1]
+    alpha, xi = float(trace.alphas[t - 1]), float(trace.xis[t - 1])
+    grad_prev, grad_curr = seq.grad(t - 1, x_prev), seq.grad(t, x_curr)
+    g_prev, g_curr = trace.g_values[t - 1], trace.g_values[t]
+    gamma = trace.gamma
 
-
-def check_dpp_bound(
-    snapshot: RoundSnapshot,
-    z_samples: np.ndarray,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Evaluate both sides of the per-round drift-plus-penalty bound.
-
-    Left side: queue-energy increase plus the lookback linearized loss at
-    the new decision plus its proximity cost.  Right side: the movement,
-    queue-penalty, comparator, anchor-shift, and pushback terms, evaluated
-    at each probe point ``z``.  Positive residual means the certificate
-    failed at some probe.  Residuals are reported even when passing, so
-    numerical slack can be tracked over time.
-    """
-    s = snapshot
-    geom, base, block, gamma = s.geom, s.base, s.block, s.gamma
-    lhs = (0.5 * (float(s.queue_next @ s.queue_next) - float(s.queue @ s.queue))
-           + float(s.loss_grad_prev @ s.x_curr)
-           + s.alpha * geo.bregman(geom, base, s.x_curr, s.anchor))
-
-    move = geo.norm(geom, s.x_curr - s.x_prev)
-    fixed_terms = (0.5 * s.xi * move**2
-                   + 0.5 * gamma**2 * (float(s.g_curr @ s.g_curr)
-                                       - float(s.g_prev @ s.g_prev))
-                   + float((s.loss_grad_prev - s.loss_grad_curr) @ s.anchor_next)
-                   - s.alpha * geo.bregman(geom, base, s.anchor_next, s.x_curr))
-    weights = s.queue + gamma * s.g_prev
+    lhs = (0.5 * (float(queue_next @ queue_next) - float(queue @ queue))
+           + float(grad_prev @ x_curr)
+           + alpha * geo.bregman(geom, base, x_curr, anchor))
+    move = geo.norm(geom, x_curr - x_prev)
+    fixed_terms = (0.5 * xi * move**2
+                   + 0.5 * gamma**2 * (float(g_curr @ g_curr)
+                                       - float(g_prev @ g_prev))
+                   + float((grad_prev - grad_curr) @ anchor_next)
+                   - alpha * geo.bregman(geom, base, anchor_next, x_curr))
+    weights = queue + gamma * g_prev
+    refs = np.stack([anchor, anchor_next])
 
     worst = -np.inf
-    z_mat = np.atleast_2d(np.asarray(z_samples, dtype=float))
+    z_mat = np.atleast_2d(np.asarray(z, dtype=float))
     for lo in range(0, z_mat.shape[0], PROBE_BLOCK):
         z_blk = z_mat[lo:lo + PROBE_BLOCK]
         g_blk, _ = constraint_eval(block, z_blk)
+        # D(z, anchor) - D(z, anchor_next), the two rows of one stacked call
         rhs = (fixed_terms
-               + z_blk @ s.loss_grad_curr
-               + s.alpha * (geo.bregman(geom, base, z_blk, s.anchor)
-                            - geo.bregman(geom, base, z_blk, s.anchor_next))
+               + z_blk @ grad_curr
+               + alpha * np.subtract(*geo.bregman(geom, base, z_blk, refs))
                + gamma * (g_blk @ weights))
         worst = _fold(worst, float(np.max(lhs - rhs)))
-
-    return CheckReport(
-        check="dpp", rounds=1, samples=z_mat.shape[0],
-        max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,
-    )
+    return worst
 
 
 def check_dpp_over_trace(
@@ -230,17 +187,20 @@ def check_dpp_over_trace(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> CheckReport:
-    """Run the per-round bound check over sampled rounds of a trace."""
+    """Run the per-round bound check over sampled rounds of a trace.
+
+    Without ``rounds``, up to 100 distinct rounds are drawn first; then
+    each round draws its ``n_z`` probes from the base set in turn.
+    """
     rng = np.random.default_rng(seed)
     if rounds is None:
         count = min(100, trace.horizon)
         rounds = sorted(rng.choice(trace.horizon, size=count, replace=False) + 1)
     worst = -np.inf
     for t in rounds:
-        snap = snapshot_from_trace(trace, int(t), seq, block, geom, base)
-        z_samples = geo.sample(base, rng, n_z)
-        report = check_dpp_bound(snap, z_samples, tol)
-        worst = _fold(worst, report.max_residual)
+        z = geo.sample(base, rng, n_z)
+        worst = _fold(worst, _dpp_residual(trace, int(t), seq, block, geom,
+                                           base, z))
     return CheckReport(
         check="dpp", rounds=len(rounds), samples=len(rounds) * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,

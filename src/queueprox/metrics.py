@@ -110,8 +110,9 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     horizon = min(trace.horizon, seq.horizon)
     if seq.coeffs is not None:
         return coeff_variation(geom, seq.coeffs, horizon)
-    idx = np.unique(np.linspace(0, trace.horizon - 1,
-                                min(sample_budget, trace.horizon), dtype=int))
+    idx = np.linspace(0, trace.horizon - 1, min(sample_budget, trace.horizon),
+                      dtype=int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]     # non-decreasing: drop repeats
     points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
     if seq.scales is not None:
         scales = by_round(seq.scales, horizon)

@@ -819,9 +819,6 @@ def hindsight_comparator(
     seq: LossSequence,
     block: ConstraintBlock,
     base: geo.BaseSet,
-    *,
-    feas_tol: float = 1e-6,
-    max_iter: int = 20000,
 ) -> np.ndarray:
     """Best fixed feasible decision in hindsight.
 
@@ -840,7 +837,11 @@ def hindsight_comparator(
     family off the ball or under more caps), and an answer that fails its
     certificate, takes ``_staged_comparator``: accelerated projected
     gradient on a quadratic hinge penalty whose weight escalates until the
-    violation tolerance ``feas_tol`` is met.
+    worst violation is at most 1e-6.
+
+    A built-in block on a ball or a box is first tested row by row: a row
+    whose least value over the base set exceeds 1e-6 (the staged path's
+    feasibility threshold) raises before any solve.
 
     Raises
     ------
@@ -854,17 +855,38 @@ def hindsight_comparator(
             "hindsight comparator needs averaged-loss oracles"
         )
     x = None
-    if (seq.scales is not None and block.eval_fn is None
-            and isinstance(base, (geo.Ball, geo.Box))):
-        x = _dual_comparator(seq, block, base)
-    elif (isinstance(base, geo.Ball) and seq.coeffs is not None
-            and block.A is not None and block.centers is None
-            and block.size <= 1):
-        x = _exact_comparator(seq, block, base)
+    if block.eval_fn is None and isinstance(base, (geo.Ball, geo.Box)):
+        _check_rows_reach_base(block, base)
+        if seq.scales is not None:
+            x = _dual_comparator(seq, block, base)
+        elif (isinstance(base, geo.Ball) and seq.coeffs is not None
+                and block.A is not None and block.centers is None
+                and block.size <= 1):
+            x = _exact_comparator(seq, block, base)
     if x is not None:
         return x
-    return _staged_comparator(seq, block, base, feas_tol=feas_tol,
-                              max_iter=max_iter)
+    return _staged_comparator(seq, block, base)
+
+
+def _check_rows_reach_base(block: ConstraintBlock, base: geo.BaseSet) -> None:
+    """Raise ``InfeasibleError`` naming the row whose least value over the
+    base set is largest, if that value exceeds 1e-6.  The least values come
+    from ``_linear_interval`` and ``_sq_dist_range``, exact on a ball and a
+    box."""
+    lowest = []
+    if block.A is not None:
+        lowest += [_linear_interval(base, a)[0] - b
+                   for a, b in zip(block.A, block.b)]
+    if block.centers is not None:
+        lowest += [_sq_dist_range(base, c)[0] - s
+                   for c, s in zip(block.centers, block.offsets)]
+    if block.order is not None:
+        lowest = [lowest[k] for k in block.order]
+    if lowest and max(lowest) > 1e-6:
+        worst = int(np.argmax(lowest))
+        raise InfeasibleError(
+            f"no feasible point: constraint {worst} stays at "
+            f"{lowest[worst]:.3e} on the base set", constraint_index=worst)
 
 
 def _ball_cap_solution(c: np.ndarray, base: geo.Ball, a: np.ndarray,
@@ -921,17 +943,10 @@ def _exact_comparator(seq: LossSequence, block: ConstraintBlock,
     returned only if it lies in the ball, violates the cap by at most 1e-8
     and its averaged loss is within 1e-12 (1 + |loss|) of that bound,
     computed from terms small enough for that to be beyond rounding.
-    Raises ``InfeasibleError`` when the cap's least value over the ball
-    exceeds 1e-6, the feasibility probe's threshold.
     """
     x0, r = base.center, base.radius
     a, cap = ((block.A[0], float(block.b[0])) if block.size
               else (np.zeros(base.dim), 0.0))
-    lowest = float(a @ x0) - r * math.sqrt(a @ a) - cap
-    if lowest > 1e-6:
-        raise InfeasibleError(
-            f"no feasible point: constraint 0 stays at {lowest:.3e} "
-            f"on the ball", constraint_index=0)
     c = seq.mean_grad_fn(x0)
     solution = _ball_cap_solution(c, base, a, cap)
     if solution is None:
@@ -1085,8 +1100,8 @@ def _dual_comparator(seq: LossSequence, block: ConstraintBlock,
 
 
 def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
-                       base: geo.BaseSet, *, feas_tol: float = 1e-6,
-                       max_iter: int = 20000) -> np.ndarray:
+                       base: geo.BaseSet, *,
+                       feas_tol: float = 1e-6) -> np.ndarray:
     """The comparator by penalty-staged FISTA, for any block and base set.
 
     Without a constraint, one ``_fista`` solve.  Without a Slater point, a
@@ -1103,7 +1118,6 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
             lambda p: (seq.mean_value_fn(p), partial(seq.mean_grad_fn, p)),
             base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
-            max_iter=max_iter,
         )
         if residual > 1e-8:
             raise ConvergenceError("comparator solve stalled", residual=residual)
@@ -1115,7 +1129,7 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
             violation_sq, hinge, jac = _squared_violation(block, p)
             return violation_sq, lambda: 2.0 * (hinge @ jac)
 
-        probe, _ = _fista(violation, base, x0, max_iter=max_iter)
+        probe, _ = _fista(violation, base, x0)
         values, _ = _evaluate(block, probe)
         if np.max(values) > 1e-6:
             worst = int(np.argmax(values))
@@ -1138,7 +1152,7 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
                     lambda: seq.mean_grad_fn(p) + w * (2.0 * (hinge @ jac)))
 
         x, residual = _fista(penalized, base, x,
-                             lipschitz_guess=curvature_guess, max_iter=max_iter)
+                             lipschitz_guess=curvature_guess)
         values, _ = _evaluate(block, x)
         if float(np.max(values, initial=0.0)) <= stage_target:
             break

@@ -84,32 +84,29 @@ def test_dpp_bound_holds_over_golden_trace(golden):
 
 def test_dpp_bound_holds_with_played_point_as_probe(golden):
     built, trace = golden
-    snap = chk.snapshot_from_trace(trace, 7, built.seq, built.block,
-                                   built.geom, built.base)
-    report = chk.check_dpp_bound(snap, snap.x_curr)
-    assert report.passed
-    assert report.samples == 1
+    residual = chk._dpp_residual(trace, 7, built.seq, built.block,
+                                 built.geom, built.base, trace.decisions[6])
+    assert residual <= 1e-8
 
 
 def test_dpp_bound_fails_with_halved_alpha(golden):
     built, trace = golden
+    halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)
     worst = -np.inf
     rng = np.random.default_rng(3)
     z = geo.sample(built.base, rng, 20)
     for t in range(1, 51):
-        snap = chk.snapshot_from_trace(trace, t, built.seq, built.block,
-                                       built.geom, built.base)
-        broken = dataclasses.replace(snap, alpha=snap.alpha / 2.0)
-        worst = max(worst, chk.check_dpp_bound(broken, z).max_residual)
+        worst = max(worst, chk._dpp_residual(halved, t, built.seq, built.block,
+                                             built.geom, built.base, z))
     assert worst > 1e-8
 
 
-def test_dpp_snapshot_round_range(golden):
+def test_dpp_round_range(golden):
     built, trace = golden
     for t in (0, 61):
         with pytest.raises(ValueError):
-            chk.snapshot_from_trace(trace, t, built.seq, built.block,
-                                    built.geom, built.base)
+            chk.check_dpp_over_trace(trace, built.seq, built.block,
+                                     built.geom, built.base, rounds=[t])
 
 
 def test_dpp_bound_on_simplex_variant(simplex_run):
@@ -118,6 +115,16 @@ def test_dpp_bound_on_simplex_variant(simplex_run):
         trace, built.seq, built.block, built.geom, built.base,
         rounds=range(1, 121), n_z=5, seed=0)
     assert report.passed
+
+
+@pytest.mark.parametrize("fixture", ["golden", "simplex_run"])
+def test_dpp_over_trace_fails_with_halved_alpha(fixture, request):
+    built, trace = request.getfixturevalue(fixture)
+    halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)
+    report = chk.check_dpp_over_trace(halved, built.seq, built.block,
+                                      built.geom, built.base)
+    assert not report.passed
+    assert report.max_residual > 1e-8
 
 
 def test_pushback_sampled_instances():
@@ -305,11 +312,14 @@ def test_queue_lemma_fails_on_a_nan_feed(golden):
 
 def test_dpp_bound_fails_on_a_nan_gradient(golden):
     built, trace = golden
-    snap = chk.snapshot_from_trace(trace, 7, built.seq, built.block,
-                                   built.geom, built.base)
-    bad = dataclasses.replace(snap, loss_grad_curr=np.full(2, np.nan))
-    z = geo.sample(built.base, np.random.default_rng(0), 300)
-    assert _is_nan_failure(chk.check_dpp_bound(bad, z))
+    grad_fn = built.seq.grad_fn
+    # only round 7's own gradient is NaN, so the left side stays finite
+    bad = dataclasses.replace(
+        built.seq,
+        grad_fn=lambda t, x: np.full(2, np.nan) if t == 7 else grad_fn(t, x))
+    report = chk.check_dpp_over_trace(trace, bad, built.block, built.geom,
+                                      built.base, rounds=[7], n_z=300)
+    assert _is_nan_failure(report)
 
 
 def test_dpp_over_trace_fails_on_a_nan_queue(golden):

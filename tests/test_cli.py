@@ -16,6 +16,12 @@ def golden_path(tmp_path):
     return str(path)
 
 
+def test_every_exported_name_resolves():
+    """A deleted function leaves no stale name in the package's ``__all__``."""
+    missing = [name for name in qp.__all__ if not hasattr(qp, name)]
+    assert missing == []
+
+
 def test_parse_int_list_forms():
     assert _parse_int_list("100,1000") == (100, 1000)
     assert _parse_int_list("0..3") == (0, 1, 2, 3)

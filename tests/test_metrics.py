@@ -1,4 +1,9 @@
 """Regret, violations, the queue bound, and empirical variation."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -219,6 +224,19 @@ def test_empirical_variation_exact_for_linear_families():
     trace = qp.run(cfg.variant, built, horizon=60)
     v = qp.empirical_variation(trace, built.seq, sample_budget=1)
     assert v == pytest.approx(qp.gradient_variation(built.seq), rel=1e-12)
+
+
+def test_quadratic_run_leaves_numpy_ma_unimported():
+    """The variation probe drops repeated rounds without ``np.unique``,
+    whose first call in a process imports ``numpy.ma`` (about 1 MB)."""
+    code = ("import sys, queueprox as qp\n"
+            "qp.run_scenario(qp.shipped_scenario('box-mixed-d3', horizon=200))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(pathlib.Path(qp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_empirical_variation_lower_bounds_certified_value():

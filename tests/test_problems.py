@@ -1099,7 +1099,9 @@ def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
 @pytest.mark.parametrize("shape", ["ball", "box"])
-def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape):
+def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape,
+                                                         monkeypatch):
+    """The row test raises before the dual Newton solve starts."""
     base = (BALL if shape == "ball"
             else qp.Box(lower=-np.ones(2), upper=np.ones(2)))
     fine = qp.linear_block(EUC2, base, [[0.0, 1.0]], [0.5])
@@ -1107,6 +1109,10 @@ def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape):
                if kind == "linear"
                else qp.quadratic_block(EUC2, base, [[5.0, 0.0]], [1.0]))
     seq = qp.fixed_quadratic(EUC2, base, [0.3, 0.9], 10)
+    calls = []
+    monkeypatch.setattr(problems, "_dual_multipliers",
+                        lambda *args: calls.append(args))
     with pytest.raises(qp.InfeasibleError) as info:
         qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]), base)
     assert info.value.constraint_index == 1
+    assert calls == []

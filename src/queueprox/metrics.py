@@ -22,8 +22,8 @@ from .trace import RunTrace
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
                    "queue_bound", "V_cap", "V_empirical")
 
-# rounds per block of the quadratic families' variation pass: a block's
-# gradients are (65, 33, d) floats at the default probe budget, 51 kB at d=3
+# rounds per block of the probe-gradient variation pass: a block's gradients
+# are (65, 33, d) floats at the default probe budget, 51 kB at d=3
 VARIATION_BLOCK_ROUNDS = 64
 
 
@@ -95,13 +95,14 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
 
     The probes form one ``(n, d)`` stack.  A sequence with a coefficient
     table has x-independent gradients, so its total is one stacked pass
-    over the table's deltas.  A quadratic family's gradients ``s_t (x -
-    z_t)`` come from its tables, ``VARIATION_BLOCK_ROUNDS`` rounds at a
-    time, with one stacked ``dual_norm`` call per block.  A custom
-    sequence takes one stacked ``LossSequence.grad`` call and one
-    ``dual_norm`` call per round.  Either way the rounds' maxima are
-    squared with libm ``pow`` and summed in round order, so every path
-    gives the bits of the per-round loop.
+    over the table's deltas.  Any other sequence takes its gradients at
+    every probe ``VARIATION_BLOCK_ROUNDS`` rounds at a time, with one
+    stacked ``dual_norm`` call per block: a quadratic family's ``s_t (x -
+    z_t)`` from its tables, a custom sequence's from one stacked
+    ``LossSequence.grad`` call per round.  Either way the rounds' maxima
+    are squared with libm ``pow`` and summed in round order, so every path
+    gives the bits of the per-round loop, and a trace of fewer than two
+    rounds gives 0.0.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -117,24 +118,21 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     if seq.scales is not None:
         scales = by_round(seq.scales, horizon)
         targets = by_round(seq.targets, horizon)
-        maxima = np.empty(horizon - 1)
-        for start in range(0, horizon - 1, VARIATION_BLOCK_ROUNDS):
-            # rounds start + 1 .. start + 1 + block: their gradients at every
-            # probe, then the block's round-to-round deltas
-            rows = slice(start, start + VARIATION_BLOCK_ROUNDS + 1)
+    maxima = np.empty(max(horizon - 1, 0))
+    for start in range(0, horizon - 1, VARIATION_BLOCK_ROUNDS):
+        # rounds start + 1 .. start + 1 + block: their gradients at every
+        # probe, then the block's round-to-round deltas
+        rows = slice(start, start + VARIATION_BLOCK_ROUNDS + 1)
+        if seq.scales is None:
+            grads = np.stack([seq.grad(t, points)
+                              for t in range(1, horizon + 1)[rows]])
+        else:
             grads = scales[rows, None, None] * (points - targets[rows, None, :])
-            deltas = np.diff(grads, axis=0)
-            norms = geo.dual_norm(geom, deltas.reshape(-1, trace.dim))
-            maxima[start:start + len(deltas)] = norms.reshape(
-                len(deltas), -1).max(axis=1)
-        return float(in_order_sum(np.float_power(maxima, 2)))
-    total = 0.0
-    prev = seq.grad(1, points)
-    for t in range(2, horizon + 1):
-        cur = seq.grad(t, points)
-        total += float(geo.dual_norm(geom, cur - prev).max()) ** 2
-        prev = cur
-    return total
+        deltas = np.diff(grads, axis=0)
+        norms = geo.dual_norm(geom, deltas.reshape(-1, trace.dim))
+        maxima[start:start + len(deltas)] = norms.reshape(
+            len(deltas), -1).max(axis=1)
+    return float(in_order_sum(np.float_power(maxima, 2)))
 
 
 @dataclass

@@ -732,8 +732,14 @@ def gradient_variation(seq: LossSequence, base: geo.BaseSet | None = None) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _fista(objective, base, x0, *, lipschitz_guess=1.0,
-           max_iter=20000, tol=1e-12, stall_limit=120):
+# ``_fista``'s iteration cap, squared gradient-mapping residual to stop at,
+# and iterations without a better value before it returns its best point
+FISTA_MAX_ITER = 20000
+FISTA_TOL = 1e-12
+FISTA_STALL_LIMIT = 120
+
+
+def _fista(objective, base, x0, *, lipschitz_guess=1.0):
     """Accelerated projected gradient with backtracking and restarts.
 
     ``objective`` maps a point to ``(value, finish)``: ``finish()`` returns
@@ -755,8 +761,8 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
 
     Returns ``(x, residual)`` where residual is the final squared
     gradient-mapping norm.  Stops early when the residual drops below
-    ``tol`` or the best objective value has not improved for
-    ``stall_limit`` iterations.
+    ``FISTA_TOL`` or the best objective value has not improved for
+    ``FISTA_STALL_LIMIT`` iterations.
     """
     x = np.asarray(x0, dtype=float)
     y = x.copy()
@@ -768,7 +774,7 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
     best_x = x.copy()
     residual = np.inf
     stale = 0
-    for _ in range(max_iter):
+    for _ in range(FISTA_MAX_ITER):
         if g is None:
             f_y, finish = objective(y)
             g = finish()
@@ -783,7 +789,7 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
             if step_inv > 1e18:
                 break
         residual = step_inv**2 * float(delta @ delta)
-        if residual <= tol:
+        if residual <= FISTA_TOL:
             return candidate, residual
         momentum_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
         if cand_val > best_val:          # function-value restart
@@ -799,7 +805,7 @@ def _fista(objective, base, x0, *, lipschitz_guess=1.0,
             stale = 0
         else:
             stale += 1
-            if stale >= stall_limit:
+            if stale >= FISTA_STALL_LIMIT:
                 return best_x, residual
         x = candidate
         momentum = momentum_new
@@ -823,25 +829,25 @@ def hindsight_comparator(
     """Best fixed feasible decision in hindsight.
 
     Minimizes the averaged loss over the base set intersected with
-    ``g_k(x) <= 0``.  Two cases are answered exactly, each returned only
-    when it is feasible and the Lagrange dual value at its multipliers
-    certifies it to 1e-12 relative:
+    ``g_k(x) <= 0``.  A built-in block on a ball or a box is first tested
+    row by row: a row whose least value over the base set exceeds 1e-6
+    (the staged path's feasibility threshold) raises before any solve.
+    Two producers then answer exactly, each with a point and its
+    multipliers ``(x, nu)``:
 
-    - a linear family (a ``coeffs`` table) on a ball under an empty block
-      or one linear cap, in closed form (``_exact_comparator``);
-    - a quadratic family (a ``scales`` table) on a ball or a box under a
-      built-in block of any linear and quadratic rows, by Newton's method
-      on the dual (``_dual_comparator``).
+    - ``_ball_cap_solution``, in closed form, for a linear family (a
+      ``coeffs`` table) on a ball under an empty block or one linear cap;
+    - ``_dual_solution``, by Newton's method on the dual, for a quadratic
+      family (a ``scales`` table) on a ball or a box under a built-in block
+      of any linear and quadratic rows.
 
+    An answer is returned only if ``_certified`` finds it feasible and the
+    Lagrange dual value at its multipliers within 1e-12 relative of it.
     Every other case (the simplex, custom blocks and sequences, a linear
     family off the ball or under more caps), and an answer that fails its
     certificate, takes ``_staged_comparator``: accelerated projected
     gradient on a quadratic hinge penalty whose weight escalates until the
     worst violation is at most 1e-6.
-
-    A built-in block on a ball or a box is first tested row by row: a row
-    whose least value over the base set exceeds 1e-6 (the staged path's
-    feasibility threshold) raises before any solve.
 
     Raises
     ------
@@ -854,17 +860,17 @@ def hindsight_comparator(
         raise UnsupportedFamilyError(
             "hindsight comparator needs averaged-loss oracles"
         )
-    x = None
+    produce = None
     if block.eval_fn is None and isinstance(base, (geo.Ball, geo.Box)):
         _check_rows_reach_base(block, base)
         if seq.scales is not None:
-            x = _dual_comparator(seq, block, base)
+            produce = _dual_solution
         elif (isinstance(base, geo.Ball) and seq.coeffs is not None
-                and block.A is not None and block.centers is None
-                and block.size <= 1):
-            x = _exact_comparator(seq, block, base)
-    if x is not None:
-        return x
+                and block.centers is None and block.size <= 1):
+            produce = _ball_cap_solution
+    answer = None if produce is None else produce(seq, block, base)
+    if answer is not None and _certified(seq, block, base, *answer):
+        return answer[0]
     return _staged_comparator(seq, block, base)
 
 
@@ -889,26 +895,29 @@ def _check_rows_reach_base(block: ConstraintBlock, base: geo.BaseSet) -> None:
             f"{lowest[worst]:.3e} on the base set", constraint_index=worst)
 
 
-def _ball_cap_solution(c: np.ndarray, base: geo.Ball, a: np.ndarray,
-                       cap: float) -> tuple[np.ndarray, float] | None:
-    """The minimizer of ``<c, x>`` over the ball where ``<a, x> <= cap``,
-    and the cap's multiplier: ``(x, lam)``.
+def _ball_cap_solution(seq: LossSequence, block: ConstraintBlock,
+                       base: geo.Ball) -> tuple[np.ndarray, np.ndarray] | None:
+    """The minimizer of a linear family's averaged loss ``<c, x>`` over the
+    ball where the block's one cap ``<a, x> <= b`` holds, if it has one, and
+    the multipliers: ``(x, nu)``, ``nu`` of length ``block.size``.
 
     The ball minimizer ``x0 - r c / ||c||`` (the center for ``c = 0``)
-    stands if the cap allows it, with ``lam = 0``.  Otherwise the minimizer
+    stands if the cap allows it, with ``nu = 0``.  Otherwise the minimizer
     lies on the disc where the cap's hyperplane cuts the ball: from the
     disc's center ``x0 - delta a / ||a||`` (``delta`` the center's signed
     distance to the hyperplane) it moves the disc radius ``rho`` against
     ``c_perp``, the part of ``c`` along the disc, and the KKT conditions
-    give ``lam = (||c_perp|| delta / rho - <c, a> / ||a||) / ||a||``.
+    give ``nu = (||c_perp|| delta / rho - <c, a> / ||a||) / ||a||``.
     None for ``a = 0``.  A hyperplane that misses the ball gives its
-    nearest point, which the caller's feasibility test refuses.
+    nearest point, which ``_certified`` refuses.
     """
     x0, r = base.center, base.radius
+    c = seq.mean_grad_fn(x0)
     norm_c = math.sqrt(c @ c)
     x = x0 - (r / norm_c) * c if norm_c > 0 else x0.copy()
-    if a @ x <= cap:
-        return x, 0.0
+    if not block.size or block.A[0] @ x <= block.b[0]:
+        return x, np.zeros(block.size)
+    a, cap = block.A[0], float(block.b[0])
     norm_a = math.sqrt(a @ a)
     if norm_a == 0:
         return None
@@ -926,56 +935,20 @@ def _ball_cap_solution(c: np.ndarray, base: geo.Ball, a: np.ndarray,
         # rounding; at a tangent the multiplier for a c_perp != 0 is
         # unbounded, and the dual value at this one falls short by about
         # r ||c_perp||
-        return x, max(-c_along / norm_a, 0.0)
+        return x, np.array([max(-c_along / norm_a, 0.0)])
     x = x - (rho / norm_perp) * c_perp
-    return x, max((norm_perp * delta / rho - c_along) / norm_a, 0.0)
-
-
-def _exact_comparator(seq: LossSequence, block: ConstraintBlock,
-                      base: geo.Ball) -> np.ndarray | None:
-    """The comparator of a linear family on a ball under at most one
-    linear cap, from ``_ball_cap_solution``; None unless it is certified.
-
-    The certificate is the Lagrange dual value at the multiplier ``lam``
-    (Boyd & Vandenberghe 2004, sec. 5): ``min over the ball of <c, x> +
-    lam (<a, x> - cap)`` is ``<c, x0> - lam (cap - <a, x0>) - r ||c + lam
-    a||``, a lower bound on the optimum for any ``lam >= 0``.  The point is
-    returned only if it lies in the ball, violates the cap by at most 1e-8
-    and its averaged loss is within 1e-12 (1 + |loss|) of that bound,
-    computed from terms small enough for that to be beyond rounding.
-    """
-    x0, r = base.center, base.radius
-    a, cap = ((block.A[0], float(block.b[0])) if block.size
-              else (np.zeros(base.dim), 0.0))
-    c = seq.mean_grad_fn(x0)
-    solution = _ball_cap_solution(c, base, a, cap)
-    if solution is None:
-        return None
-    x, lam = solution
-    shifted = c + lam * a
-    terms = (float(c @ x0), lam * (cap - float(a @ x0)),
-             r * math.sqrt(shifted @ shifted))
-    bound = terms[0] - terms[1] - terms[2]
-    value = seq.mean_value_fn(x)
-    scale = 1.0 + abs(value)
-    # each term is good to about 1e-16 of its size, so the bound certifies
-    # to 1e-12 only while no term outgrows 1e3 (1 + |value|), as one does
-    # where a nearly tangent cap makes lam huge
-    if (geo.contains(base, x) and float(a @ x) - cap <= 1e-8
-            and value - bound <= 1e-12 * scale
-            and max(map(abs, terms)) <= 1e3 * scale):
-        return x
-    return None
+    return x, np.array([max((norm_perp * delta / rho - c_along) / norm_a, 0.0)])
 
 
 def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
-    """``(s, m, p, q, rhs)`` of a quadratic family and a built-in block.
+    """``(s, m, p, q, rhs)`` of a linear or quadratic family and a built-in
+    block.
 
     The averaged loss is ``F(x) = (s/2) ||x||^2 - <m, x> + F(0)``, with
-    ``s`` the mean curvature and ``m = -grad F(0)``.  Row ``k`` is ``g_k(x)
-    = (q_k/2) ||x||^2 + <p_k, x> + g_k(0)``: ``p_k`` is its gradient at the
-    origin, ``q_k`` is 0 for a linear row and 2 for a quadratic one, and
-    ``rhs_k`` is its ``b_k`` or ``s_k``.
+    ``s`` the mean curvature (0 for a linear family) and ``m = -grad
+    F(0)``.  Row ``k`` is ``g_k(x) = (q_k/2) ||x||^2 + <p_k, x> + g_k(0)``:
+    ``p_k`` is its gradient at the origin, ``q_k`` is 0 for a linear row
+    and 2 for a quadratic one, and ``rhs_k`` is its ``b_k`` or ``s_k``.
     """
     n_linear = 0 if block.A is None else len(block.A)
     q = np.repeat([0.0, 2.0], [n_linear, block.size - n_linear])
@@ -989,12 +962,20 @@ def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
 
 def _lagrangian_argmin(base: geo.BaseSet, pieces, nu: np.ndarray):
     """``(x, a, w)``: the minimizer ``x`` over the base set of the Lagrangian
-    ``F(x) + nu . g(x)`` of ``_dual_pieces``.  The Lagrangian is ``(a/2)
-    ||x - w||^2`` plus a constant, with ``a = s + nu . q > 0`` and ``w = (m
-    - p^T nu) / a``, so ``x`` is the projection of ``w``."""
+    ``F(x) + nu . g(x)`` of ``_dual_pieces``, with ``a = s + nu . q``.  For
+    ``a > 0`` the Lagrangian is ``(a/2) ||x - w||^2`` plus a constant, with
+    ``w = (m - p^T nu) / a``, so ``x`` is the projection of ``w``.  For
+    ``a = 0`` (only linear terms, on a ball) it is ``-<w, x>`` plus a
+    constant, with ``w = m - p^T nu``, least at ``x0 + r w / ||w||``, or
+    anywhere for ``w = 0``: at the center."""
     s, m, p, q, _ = pieces
     a = s + float(nu @ q)
-    w = (m - nu @ p) / a
+    w = m - nu @ p
+    if a == 0:
+        norm = math.sqrt(w @ w)
+        return (base.center + (base.radius / norm) * w if norm > 0
+                else base.center), a, w
+    w = w / a
     return geo._project(base, w), a, w
 
 
@@ -1015,11 +996,12 @@ def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
     return (base.radius / dist) * (gram - np.outer(along, along))
 
 
-def _dual_multipliers(seq: LossSequence, block: ConstraintBlock,
-                      base: geo.BaseSet) -> np.ndarray:
-    """Multipliers ``nu >= 0`` that maximize the Lagrange dual ``phi(nu) =
-    min over the base set of F(x) + nu . g(x)`` of a quadratic family under
-    a built-in block, by projected Newton (Bertsekas 1982).
+def _dual_solution(seq: LossSequence, block: ConstraintBlock,
+                   base: geo.BaseSet) -> tuple[np.ndarray, np.ndarray]:
+    """``(x(nu), nu)`` for multipliers ``nu >= 0`` that maximize the Lagrange
+    dual ``phi(nu) = min over the base set of F(x) + nu . g(x)`` of a
+    quadratic family under a built-in block, by projected Newton
+    (Bertsekas 1982).
 
     ``phi`` is concave with gradient ``g(x(nu))``, ``x(nu)`` from
     ``_lagrangian_argmin``, and Hessian ``-J P J^T / a`` (``J`` the block's
@@ -1029,7 +1011,7 @@ def _dual_multipliers(seq: LossSequence, block: ConstraintBlock,
     the step is halved until ``phi`` rises by an Armijo fraction of its
     slope, up to rounding.  Stops after 50 iterations, once a step moves no
     multiplier by more than 1e-15 relative, or when no step rises.  The
-    result is only a candidate: ``_dual_comparator`` certifies it.
+    result is only a candidate: ``_certified`` decides.
     """
     pieces = _dual_pieces(seq, block)
 
@@ -1066,37 +1048,34 @@ def _dual_multipliers(seq: LossSequence, block: ConstraintBlock,
         nu, phi, g, at = trial, phi_t, g_t, at_t
         if moved <= 1e-15 * (1.0 + float(nu.max())):
             break
-    return nu
+    return at[0], nu
 
 
-def _dual_comparator(seq: LossSequence, block: ConstraintBlock,
-                     base: geo.BaseSet) -> np.ndarray | None:
-    """The comparator of a quadratic family on a ball or a box under a
-    built-in block: the Lagrangian minimizer ``x(nu)`` at the multipliers
-    of ``_dual_multipliers``; None unless it is certified.
+def _certified(seq: LossSequence, block: ConstraintBlock, base: geo.BaseSet,
+               x: np.ndarray, nu: np.ndarray) -> bool:
+    """Whether the multipliers ``nu`` certify ``x`` as the comparator of a
+    built-in block on a ball or a box.
 
-    For ``nu >= 0``, ``F(x(nu)) + nu . g(x(nu))`` is the dual value, a
-    lower bound on the optimum (Boyd & Vandenberghe 2004, sec. 5).  The
-    point is returned only if it lies in the base set, violates no row by
-    more than 1e-8 and its averaged loss is within 1e-12 (1 + |loss|) of
-    that bound, computed from terms small enough for that to be beyond
-    rounding: no ``nu_k (|g_k| + |rhs_k|)`` above 1e3 (1 + |loss|).
+    For ``nu >= 0``, ``F(x(nu)) + nu . g(x(nu))`` at the Lagrangian
+    minimizer ``x(nu)`` of ``_lagrangian_argmin`` is the dual value, a
+    lower bound on the optimum (Boyd & Vandenberghe 2004, sec. 5).  ``x``
+    passes only if it lies in the base set, violates no row by more than
+    1e-8 and its averaged loss is within 1e-12 (1 + |loss|) of that bound,
+    computed from terms small enough for that to be beyond rounding: no
+    ``nu_k (|g_k| + |rhs_k|)`` above 1e3 (1 + |loss|), as one is where a
+    nearly tangent cap makes a multiplier huge.
     """
-    nu = _dual_multipliers(seq, block, base)
     pieces = _dual_pieces(seq, block)
-    x, _, _ = _lagrangian_argmin(base, pieces, nu)
-    values, _ = _tables(block, x)
+    at, _, _ = _lagrangian_argmin(base, pieces, nu)
+    values, _ = _tables(block, at)
+    bound = seq.mean_value_fn(at) + float(nu @ values)
     value = seq.mean_value_fn(x)
-    bound = value + float(nu @ values)
     scale = 1.0 + abs(value)
-    rhs = pieces[-1]
-    terms = nu * (np.abs(values) + np.abs(rhs))
-    if (np.all(nu >= 0) and geo.contains(base, x)
-            and float(np.max(values, initial=0.0)) <= 1e-8
-            and value - bound <= 1e-12 * scale
-            and float(np.max(terms, initial=0.0)) <= 1e3 * scale):
-        return x
-    return None
+    terms = nu * (np.abs(values) + np.abs(pieces[-1]))
+    return bool(np.all(nu >= 0) and geo.contains(base, x)
+                and float(np.max(_tables(block, x)[0], initial=0.0)) <= 1e-8
+                and value - bound <= 1e-12 * scale
+                and float(np.max(terms, initial=0.0)) <= 1e3 * scale)
 
 
 def _staged_comparator(seq: LossSequence, block: ConstraintBlock,

@@ -147,9 +147,10 @@ def test_report_matches_frozen_digest(name):
     assert report_digest(report) == REPORT_DIGESTS[name]
 
 
-def _x_dependent_run(variant, horizon):
-    """A run on a custom loss whose gradients move with ``x`` and ``t``,
-    through an oracle that only takes one point."""
+def _x_dependent_run(variant, horizon, run_horizon=None):
+    """A run of ``run_horizon`` rounds (default ``horizon``) on a custom
+    loss whose gradients move with ``x`` and ``t``, through an oracle that
+    only takes one point."""
     if variant == qp.VARIANT_SIMPLEX:
         geom, base = qp.entropic(3), qp.Simplex(3)
     else:
@@ -167,7 +168,7 @@ def _x_dependent_run(variant, horizon):
                                        variant=variant)
     scenario = qp.Scenario(geom=geom, base=base, block=qp.empty_block(3),
                            seq=seq, hp=hp)
-    return seq, qp.run(variant, scenario)
+    return seq, qp.run(variant, scenario, horizon=run_horizon)
 
 
 @pytest.mark.parametrize("variant", [qp.VARIANT_GENERAL, qp.VARIANT_SIMPLEX])
@@ -216,6 +217,18 @@ def test_empirical_variation_fixed_losses_zero():
     built = qp.build_scenario(cfg)
     trace = qp.run(cfg.variant, built, horizon=50)
     assert qp.empirical_variation(trace, built.seq) == 0.0
+
+
+def test_empirical_variation_of_a_zero_round_trace_is_zero():
+    """Linear, quadratic, simplex and custom traces of no rounds."""
+    for name in ("golden-d2", "box-mixed-d3", "simplex-d10"):
+        cfg = qp.shipped_scenario(name, horizon=20)
+        built = qp.build_scenario(cfg)
+        trace = qp.run(cfg.variant, built, horizon=0)
+        assert qp.empirical_variation(trace, built.seq) == 0.0
+    seq, trace = _x_dependent_run(qp.VARIANT_GENERAL, horizon=20,
+                                  run_horizon=0)
+    assert qp.empirical_variation(trace, seq) == 0.0
 
 
 def test_empirical_variation_exact_for_linear_families():

@@ -891,11 +891,33 @@ def _cap_instances(draw, kind):
                          coeffs, direction, draw(st.floats(0, 1)))
 
 
-@pytest.mark.parametrize("kind", CAP_KINDS)
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_closed_form_comparator_on_random_caps(kind, data):
-    seq, block, base = data.draw(_cap_instances(kind))
+def _assert_certified_answer(seq, block, base, x, nu):
+    """A certified answer ``(x, nu)``: feasible, its averaged loss within
+    1e-12 relative of the Lagrangian lower bound at ``nu``, and never
+    beaten by the staged FISTA path at feas_tol 1e-10 by more than 1e-10
+    relative, beyond what the staged point's own violation can buy (weak
+    duality: ``F + nu . g`` is at least the bound there).  The staged path
+    is held one-sided: its FISTA can stall above the optimum
+    (``test_closed_form_comparator_on_pinned_caps``,
+    ``test_dual_comparator_reaches_a_target_on_the_box_boundary``).
+    Returns the averaged loss."""
+    assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
+    assert qp.contains(base, x)
+    value = seq.mean_value_fn(x)
+    slack = 1e-12 * (1.0 + abs(value))
+    bound = lagrangian_lower_bound(seq, block, base, nu)
+    assert bound - slack <= value <= bound + slack
+    staged = problems._staged_comparator(seq, block, base, feas_tol=1e-10)
+    violation = np.maximum(qp.constraint_eval(block, staged)[0], 0.0)
+    assert value <= (seq.mean_value_fn(staged) + float(nu @ violation)
+                     + 1e-10 * (1.0 + abs(value)))
+    return value
+
+
+def _assert_closed_form(kind, seq, block, base):
+    """The closed form on one cap instance: certified, taken by
+    ``hindsight_comparator``, a certified answer and, where a Slater point
+    exists, no worse than the reference FISTA comparator."""
     if kind == "missing":
         with pytest.raises(qp.InfeasibleError) as info:
             qp.hindsight_comparator(seq, block, base)
@@ -903,87 +925,66 @@ def test_closed_form_comparator_on_random_caps(kind, data):
         with pytest.raises(qp.InfeasibleError):
             reference_comparator(seq, block, base)
         return
-    c, a, b = seq.mean_grad_fn(base.center), block.A[0], block.b[0]
-    exact = problems._exact_comparator(seq, block, base)
-    if kind == "tangent" and exact is None:
+    x, nu = problems._ball_cap_solution(seq, block, base)
+    if kind == "tangent" and not problems._certified(seq, block, base, x, nu):
         # the multiplier grows without bound as the disc shrinks to a
         # point, so no dual value certifies a loss that is not constant on
         # it (a part of c along the disc): the staged path decides
+        c, a = seq.mean_grad_fn(base.center), block.A[0]
         assert (np.linalg.norm(c - (c @ a) / (a @ a) * a)
                 > 1e-15 * np.linalg.norm(c))
         return
-    assert exact is not None
-    x = qp.hindsight_comparator(seq, block, base)
-    assert x.tobytes() == exact.tobytes()
-    assert float(qp.constraint_eval(block, x)[0].max()) <= 1e-8
-    assert qp.contains(base, x)
-    value = seq.mean_value_fn(x)
-    _, lam = problems._ball_cap_solution(c, base, a, float(b))
-    bound = lagrangian_lower_bound(seq, block, base, [lam])
-    assert bound <= value + 1e-12 * (1.0 + abs(value))
+    assert problems._certified(seq, block, base, x, nu)
+    assert qp.hindsight_comparator(seq, block, base).tobytes() == x.tobytes()
+    value = _assert_certified_answer(seq, block, base, x, nu)
     if kind != "tangent":
         reference = seq.mean_value_fn(reference_comparator(seq, block, base))
         assert value <= reference + 1e-10 * (1.0 + abs(value))
-    _assert_agrees_with_staged(seq, block, base, value)
 
 
-def _assert_agrees_with_staged(seq, block, base, value):
-    """The staged FISTA path agrees to 1e-8 relative.  Its averaged loss
-    lies up to about 3 feas_tol above the optimum, since its stages stop at
-    feas_tol and the pull toward the Slater point gives up the rest (3.1e-6
-    relative at the default 1e-6 on random active caps), so it is held at
-    feas_tol 1e-10 here."""
-    staged = problems._staged_comparator(seq, block, base, feas_tol=1e-10)
-    assert abs(value - seq.mean_value_fn(staged)) <= 1e-8 * (1.0 + abs(value))
+@pytest.mark.parametrize("kind", CAP_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_closed_form_comparator_on_random_caps(kind, data):
+    _assert_closed_form(kind, *data.draw(_cap_instances(kind)))
+
+
+@pytest.mark.parametrize("kind", ["inactive", "active"])
+def test_closed_form_comparator_on_pinned_caps(kind):
+    """Two caps on the unit ball where the staged path lands more than 1e-8
+    above the optimum.  Under the inactive cap ``x + y <= -0.99`` its FISTA
+    stalls at -0.99999982 against -1; under the nearly flat active cap
+    ``-x_1 + 5.96e-8 x_2 <= -0.8`` its residual passes 1e-12 while the loss
+    is still 3.6e-8 above the optimum."""
+    if kind == "inactive":
+        seq = qp.alternating(EUC2, BALL, [0.25, 1.25], [-0.25, 0.75], 40)
+        a, b = [1.0, 1.0], -0.99
+    else:
+        seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 40)
+        a, b = [-1.0, 5.96e-8], -0.8
+    a = np.array(a)
+    block = qp.linear_block(EUC2, BALL, [a], [b],
+                            slater_point=-0.95 * a / np.linalg.norm(a))
+    _assert_closed_form(kind, seq, block, BALL)
 
 
 @pytest.mark.parametrize("name", ["golden-d2", "drift-rotate-d2"])
 @pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
 def test_closed_form_comparator_on_shipped_instances(name, kind):
     """The instances of ``test_comparator_bytes_match_the_reference`` that
-    are linear on a ball take the closed form: feasible, certified by the
-    Lagrangian bound at its own multiplier, and in agreement with the
-    staged path."""
+    are linear on a ball take the closed form, a certified answer that is
+    not below the Lagrangian bound at all."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     block = {"empty": qp.empty_block(2),
              "no-slater": qp.linear_block(built.geom, built.base,
                                           [[1.0, 0.0]], [0.2]),
              "staged": built.block}[kind]
-    x = qp.hindsight_comparator(built.seq, block, built.base)
-    assert x.tobytes() == problems._exact_comparator(
-        built.seq, block, built.base).tobytes()
-    assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
-    value = built.seq.mean_value_fn(x)
-    c = built.seq.mean_grad_fn(built.base.center)
-    a, b = (block.A[0], float(block.b[0])) if block.size else (np.zeros(2), 0.0)
-    _, lam = problems._ball_cap_solution(c, built.base, a, b)
-    bound = lagrangian_lower_bound(built.seq, block, built.base,
-                                   [lam][:block.size])
-    assert bound <= value <= bound + 1e-12 * (1.0 + abs(value))
-    _assert_agrees_with_staged(built.seq, block, built.base, value)
-
-
-@pytest.mark.parametrize("active", [True, False], ids=["active", "inactive"])
-def test_closed_form_falls_back_when_its_multiplier_is_off(active,
-                                                           monkeypatch):
-    """Negative control: a perturbed multiplier leaves a duality gap, so the
-    closed form is refused and the staged path answers."""
-    seq = qp.fixed_linear(EUC2, BALL, [-1.0, -0.5], 10)
-    # the ball minimizer has x_1 = 0.894
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3 if active else 0.95],
-                            slater_point=[0.0, 0.0])
-    base = BALL
-    assert problems._exact_comparator(seq, block, base) is not None
-    solve = problems._ball_cap_solution
-    _, lam = solve(seq.mean_grad_fn(base.center), base, block.A[0],
-                   float(block.b[0]))
-    assert (lam > 0) == active
-    monkeypatch.setattr(problems, "_ball_cap_solution",
-                        lambda *args: (solve(*args)[0], 1.1 * lam + 0.01))
-    assert problems._exact_comparator(seq, block, base) is None
-    staged = problems._staged_comparator(seq, block, base)
-    assert (qp.hindsight_comparator(seq, block, base).tobytes()
-            == staged.tobytes())
+    x, nu = problems._ball_cap_solution(built.seq, block, built.base)
+    assert problems._certified(built.seq, block, built.base, x, nu)
+    assert (qp.hindsight_comparator(built.seq, block, built.base).tobytes()
+            == x.tobytes())
+    value = _assert_certified_answer(built.seq, block, built.base, x, nu)
+    assert lagrangian_lower_bound(built.seq, block, built.base, nu) <= value
 
 
 # ---------------------------------------------------------------------------
@@ -1043,24 +1044,15 @@ def _dual_instances(draw, family):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_dual_comparator_on_random_caps(family, data):
-    """The dual path is taken, feasible, above the Lagrangian bound at its
-    own multipliers, and no worse than the reference FISTA comparator or
-    the staged path at feas_tol 1e-10.  The staged path is held to no
-    two-sided agreement: its FISTA can stall above the optimum (see
-    ``test_dual_comparator_reaches_a_target_on_the_box_boundary``)."""
+    """The dual solution is certified, taken by ``hindsight_comparator``, a
+    certified answer and no worse than the reference FISTA comparator."""
     seq, block, base = data.draw(_dual_instances(family))
-    x = qp.hindsight_comparator(seq, block, base)
-    dual = problems._dual_comparator(seq, block, base)
-    assert dual is not None and x.tobytes() == dual.tobytes()
-    assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
-    value = seq.mean_value_fn(x)
-    multipliers = problems._dual_multipliers(seq, block, base)
-    bound = lagrangian_lower_bound(seq, block, base, multipliers)
-    assert bound <= value + 1e-12 * (1.0 + abs(value))
-    for other in (reference_comparator(seq, block, base),
-                  problems._staged_comparator(seq, block, base,
-                                              feas_tol=1e-10)):
-        assert value <= seq.mean_value_fn(other) + 1e-10 * (1.0 + abs(value))
+    x, nu = problems._dual_solution(seq, block, base)
+    assert problems._certified(seq, block, base, x, nu)
+    assert qp.hindsight_comparator(seq, block, base).tobytes() == x.tobytes()
+    value = _assert_certified_answer(seq, block, base, x, nu)
+    reference = seq.mean_value_fn(reference_comparator(seq, block, base))
+    assert value <= reference + 1e-10 * (1.0 + abs(value))
 
 
 def test_dual_comparator_reaches_a_target_on_the_box_boundary():
@@ -1078,20 +1070,35 @@ def test_dual_comparator_reaches_a_target_on_the_box_boundary():
     assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
 
 
-@pytest.mark.parametrize("name", ["box-mixed-d3", "fixed-quadratic-ball"])
+@pytest.mark.parametrize("name", ["active", "inactive", "box-mixed-d3",
+                                  "fixed-quadratic-ball"])
 def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
                                                                  monkeypatch):
-    """Negative control: perturbed multipliers leave a duality gap or a
-    violated cap, so the dual answer is refused and the staged path
-    answers.  box-mixed-d3 has one active and one inactive cap,
-    fixed-quadratic-ball one inactive cap."""
-    built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
-    seq, block, base = built.seq, built.block, built.base
-    assert problems._dual_comparator(seq, block, base) is not None
-    solve = problems._dual_multipliers
-    monkeypatch.setattr(problems, "_dual_multipliers",
-                        lambda *args: 1.1 * solve(*args) + 0.01)
-    assert problems._dual_comparator(seq, block, base) is None
+    """Negative control for both producers: multipliers ``1.1 nu + 0.01``
+    leave a duality gap, so ``_certified`` refuses them and the staged
+    path answers.  The golden-style caps take the closed form, the shipped
+    scenarios the dual solution: box-mixed-d3 has one active and one
+    inactive cap, fixed-quadratic-ball one inactive cap."""
+    if name in ("active", "inactive"):
+        seq, base = qp.fixed_linear(EUC2, BALL, [-1.0, -0.5], 10), BALL
+        # the ball minimizer has x_1 = 0.894
+        block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]],
+                                [0.3 if name == "active" else 0.95],
+                                slater_point=[0.0, 0.0])
+        producer = "_ball_cap_solution"
+    else:
+        built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
+        seq, block, base = built.seq, built.block, built.base
+        producer = "_dual_solution"
+    solve = getattr(problems, producer)
+    x, nu = solve(seq, block, base)
+    assert problems._certified(seq, block, base, x, nu)
+    if name in ("active", "inactive"):
+        assert (nu[0] > 0) == (name == "active")
+    off = 1.1 * nu + 0.01
+    assert not problems._certified(seq, block, base, x, off)
+    monkeypatch.setattr(problems, producer,
+                        lambda *args: (solve(*args)[0], off))
     staged = problems._staged_comparator(seq, block, base)
     assert (qp.hindsight_comparator(seq, block, base).tobytes()
             == staged.tobytes())
@@ -1110,7 +1117,7 @@ def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape,
                else qp.quadratic_block(EUC2, base, [[5.0, 0.0]], [1.0]))
     seq = qp.fixed_quadratic(EUC2, base, [0.3, 0.9], 10)
     calls = []
-    monkeypatch.setattr(problems, "_dual_multipliers",
+    monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: calls.append(args))
     with pytest.raises(qp.InfeasibleError) as info:
         qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]), base)

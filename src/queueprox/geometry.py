@@ -15,6 +15,7 @@ norm; the solver takes that modulus as ``HyperParams.rho``.  The convention
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,12 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if self.center.ndim != 1 or not self.center.size:
+            raise ValueError("ball center must be a nonempty vector")
+        if not np.isfinite(self.center).all():
+            raise ValueError("ball center must be finite")
+        if not (0 < self.radius < math.inf):
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -91,6 +96,10 @@ class Box:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatchError("box bounds disagree on dimension")
+        if self.lower.ndim != 1 or not self.lower.size:
+            raise ValueError("box bounds must be nonempty vectors")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("box must have lower < upper componentwise")
 
@@ -107,6 +116,8 @@ class Simplex:
     kind: str = "simplex"
 
     def __post_init__(self):
+        if not isinstance(self.d, numbers.Integral) or isinstance(self.d, bool):
+            raise ValueError(f"simplex dimension must be an int, got {self.d!r}")
         if self.d < 2:
             raise ValueError("simplex needs dimension at least 2")
 

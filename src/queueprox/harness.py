@@ -20,14 +20,20 @@ from . import algorithm as alg
 from . import geometry as geo
 from . import metrics as met
 from . import problems as prob
-from .errors import ConfigError, QueueproxError
+from .errors import ConfigError
 from .trace import RunTrace
 
-_VARIANTS = set(alg.VARIANTS)
-_GEOMETRIES = {"euclidean", "entropic"}
-_LOSS_FAMILIES = {"fixed", "linear-drift", "alternating", "quadratic-drift",
-                  "custom"}
-_CONSTRAINT_FAMILIES = {"linear", "quadratic"}
+# tuples, not sets: a membership test on an unhashable JSON value (a list
+# or an object) is then False, not a TypeError
+_VARIANTS = tuple(alg.VARIANTS)
+_GEOMETRIES = ("euclidean", "entropic")
+_BASE_KINDS = ("ball", "box", "simplex")
+_LOSS_FAMILIES = ("fixed", "linear-drift", "alternating", "quadratic-drift",
+                  "custom")
+_LOSS_FORMS = ("linear", "quadratic")          # of the "fixed" family
+_LOSS_SCHEDULES = ("line", "rotate")           # of the "linear-drift" family
+_CONSTRAINT_FAMILIES = ("linear", "quadratic")
+_REQUIRED = ("scenario_id", "geometry", "base", "loss", "horizon")
 
 
 def _is_int(value) -> bool:
@@ -72,6 +78,10 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}",
                               fields=sorted(unknown))
+        missing = [f for f in _REQUIRED if f not in data]
+        if missing:
+            raise ConfigError(f"missing config fields: {missing}",
+                              fields=missing)
         cfg = cls(**known)
         cfg.validate()
         return cfg
@@ -103,18 +113,20 @@ class ScenarioConfig:
         if self.variant not in _VARIANTS:
             bad.append("variant")
         base_kind = self.base.get("kind") if isinstance(self.base, dict) else None
-        if base_kind not in {"ball", "box", "simplex"}:
+        if base_kind not in _BASE_KINDS:
             bad.append("base")
         mode = self.v_cap.get("mode") if isinstance(self.v_cap, dict) else None
-        if mode not in {"exact", "supplied"}:
+        if mode not in ("exact", "supplied"):
             bad.append("v_cap")
         elif mode == "supplied":
             value = self.v_cap.get("value")
             if (not isinstance(value, (int, float)) or isinstance(value, bool)
                     or not math.isfinite(value) or value < 0):
                 bad.append("v_cap")
-        if not isinstance(self.loss, dict) or \
-                self.loss.get("family") not in _LOSS_FAMILIES:
+        if (not isinstance(self.loss, dict)
+                or self.loss.get("family") not in _LOSS_FAMILIES
+                or self.loss.get("form", "linear") not in _LOSS_FORMS
+                or self.loss.get("schedule", "line") not in _LOSS_SCHEDULES):
             bad.append("loss")
         if self.constraints is not None:
             blocks = (self.constraints if isinstance(self.constraints, list)
@@ -147,7 +159,7 @@ def _build_base(config: ScenarioConfig) -> geo.BaseSet:
     if kind == "box":
         return geo.Box(lower=np.asarray(spec["lower"], dtype=float),
                        upper=np.asarray(spec["upper"], dtype=float))
-    return geo.Simplex(int(spec["dim"]))
+    return geo.Simplex(spec["dim"])
 
 
 def _build_block(config: ScenarioConfig, geom, base, rng) -> prob.ConstraintBlock:
@@ -161,9 +173,12 @@ def _build_block(config: ScenarioConfig, geom, base, rng) -> prob.ConstraintBloc
         if family == "linear":
             if "random" in spec:
                 params = spec["random"]
-                count = int(params.get("count", 1))
-                margin = float(params.get("slater_margin", 0.2))
-                amplitude = float(params.get("amplitude", 1.0))
+                count = params.get("count", 1)
+                if not _is_int(count) or count < 1:
+                    raise ValueError(f"field 'count' must be a positive int, "
+                                     f"got {count!r}")
+                margin = _number(params, "slater_margin", 0.2)
+                amplitude = _number(params, "amplitude", 1.0)
                 anchor = geo.center(base)
                 A = rng.uniform(-amplitude, amplitude, size=(count, base.dim))
                 b = A @ anchor + margin
@@ -232,18 +247,19 @@ def _number(spec: dict, key: str, default: float | None = None) -> float:
         raise TypeError(f"expected a mapping holding {key!r}, got {spec!r}")
     value = spec[key] if default is None else spec.get(key, default)
     if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise ValueError(f"loss field {key!r} must be a finite number, "
+        raise ValueError(f"field {key!r} must be a finite number, "
                          f"got {value!r}")
     return float(value)
 
 
 def _building(part: str, build, *args):
-    """``build(*args)``, with a malformed ``part`` spec as a ConfigError."""
+    """``build(*args)``, with a malformed ``part`` spec, one of the wrong
+    dimension included, as a ConfigError."""
     try:
         return build(*args)
-    except QueueproxError:
+    except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {part} spec: {exc!r}",
                           fields=[part]) from exc
 

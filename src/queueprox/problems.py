@@ -830,24 +830,18 @@ def hindsight_comparator(
 
     Minimizes the averaged loss over the base set intersected with
     ``g_k(x) <= 0``.  A built-in block on a ball or a box is first tested
-    row by row: a row whose least value over the base set exceeds 1e-6
-    (the staged path's feasibility threshold) raises before any solve.
-    Two producers then answer exactly, each with a point and its
-    multipliers ``(x, nu)``:
-
-    - ``_ball_cap_solution``, in closed form, for a linear family (a
-      ``coeffs`` table) on a ball under an empty block or one linear cap;
-    - ``_dual_solution``, by Newton's method on the dual, for a quadratic
-      family (a ``scales`` table) on a ball or a box under a built-in block
-      of any linear and quadratic rows.
-
-    An answer is returned only if ``_certified`` finds it feasible and the
-    Lagrange dual value at its multipliers within 1e-12 relative of it.
-    Every other case (the simplex, custom blocks and sequences, a linear
-    family off the ball or under more caps), and an answer that fails its
-    certificate, takes ``_staged_comparator``: accelerated projected
-    gradient on a quadratic hinge penalty whose weight escalates until the
-    worst violation is at most 1e-6.
+    row by row (``_check_rows_reach_base``): a row whose least value over
+    the base set exceeds 1e-6 raises before any solve, and on a ball a
+    tangent row leaves one feasible point, the answer.  Otherwise one
+    producer answers a linear or quadratic family on a ball and a quadratic
+    one on a box: ``_dual_solution``, by Newton's method on the Lagrange
+    dual, gives a point and its multipliers ``(x, nu)``, returned only if
+    ``_certified`` finds ``x`` feasible and the dual value at ``nu`` within
+    1e-12 relative of its loss.  Every other case (the simplex, custom
+    blocks and sequences, a linear family on a box), and a refused answer,
+    takes ``_staged_comparator``: accelerated projected gradient on a
+    quadratic hinge penalty whose weight escalates until the worst
+    violation is at most 1e-6.
 
     Raises
     ------
@@ -860,84 +854,56 @@ def hindsight_comparator(
         raise UnsupportedFamilyError(
             "hindsight comparator needs averaged-loss oracles"
         )
-    produce = None
     if block.eval_fn is None and isinstance(base, (geo.Ball, geo.Box)):
-        _check_rows_reach_base(block, base)
-        if seq.scales is not None:
-            produce = _dual_solution
-        elif (isinstance(base, geo.Ball) and seq.coeffs is not None
-                and block.centers is None and block.size <= 1):
-            produce = _ball_cap_solution
-    answer = None if produce is None else produce(seq, block, base)
-    if answer is not None and _certified(seq, block, base, *answer):
-        return answer[0]
+        point = _check_rows_reach_base(block, base)
+        if point is not None:
+            return point
+        if seq.scales is not None or (isinstance(base, geo.Ball)
+                                      and seq.coeffs is not None):
+            answer = _dual_solution(seq, block, base)
+            if _certified(seq, block, base, *answer):
+                return answer[0]
     return _staged_comparator(seq, block, base)
 
 
-def _check_rows_reach_base(block: ConstraintBlock, base: geo.BaseSet) -> None:
+def _check_rows_reach_base(block: ConstraintBlock,
+                           base: geo.BaseSet) -> np.ndarray | None:
     """Raise ``InfeasibleError`` naming the row whose least value over the
     base set is largest, if that value exceeds 1e-6.  The least values come
     from ``_linear_interval`` and ``_sq_dist_range``, exact on a ball and a
-    box."""
-    lowest = []
+    box.  On a ball, a non-constant row whose least value is 0 within the
+    rounding of its terms holds at one point only, returned: ``x0 - r a /
+    ||a||`` for a linear row, the ball point nearest ``c`` for a quadratic
+    one; another row above 1e-6 there raises.  Otherwise None."""
+    rows = []                   # (least, greatest, rhs, row, linear)
     if block.A is not None:
-        lowest += [_linear_interval(base, a)[0] - b
-                   for a, b in zip(block.A, block.b)]
+        rows += [(*_linear_interval(base, a), b, a, True)
+                 for a, b in zip(block.A, block.b)]
     if block.centers is not None:
-        lowest += [_sq_dist_range(base, c)[0] - s
-                   for c, s in zip(block.centers, block.offsets)]
+        rows += [(*_sq_dist_range(base, c), s, c, False)
+                 for c, s in zip(block.centers, block.offsets)]
     if block.order is not None:
-        lowest = [lowest[k] for k in block.order]
+        rows = [rows[k] for k in block.order]
+    lowest = [lo - rhs for lo, _, rhs, _, _ in rows]
     if lowest and max(lowest) > 1e-6:
         worst = int(np.argmax(lowest))
         raise InfeasibleError(
             f"no feasible point: constraint {worst} stays at "
             f"{lowest[worst]:.3e} on the base set", constraint_index=worst)
-
-
-def _ball_cap_solution(seq: LossSequence, block: ConstraintBlock,
-                       base: geo.Ball) -> tuple[np.ndarray, np.ndarray] | None:
-    """The minimizer of a linear family's averaged loss ``<c, x>`` over the
-    ball where the block's one cap ``<a, x> <= b`` holds, if it has one, and
-    the multipliers: ``(x, nu)``, ``nu`` of length ``block.size``.
-
-    The ball minimizer ``x0 - r c / ||c||`` (the center for ``c = 0``)
-    stands if the cap allows it, with ``nu = 0``.  Otherwise the minimizer
-    lies on the disc where the cap's hyperplane cuts the ball: from the
-    disc's center ``x0 - delta a / ||a||`` (``delta`` the center's signed
-    distance to the hyperplane) it moves the disc radius ``rho`` against
-    ``c_perp``, the part of ``c`` along the disc, and the KKT conditions
-    give ``nu = (||c_perp|| delta / rho - <c, a> / ||a||) / ||a||``.
-    None for ``a = 0``.  A hyperplane that misses the ball gives its
-    nearest point, which ``_certified`` refuses.
-    """
-    x0, r = base.center, base.radius
-    c = seq.mean_grad_fn(x0)
-    norm_c = math.sqrt(c @ c)
-    x = x0 - (r / norm_c) * c if norm_c > 0 else x0.copy()
-    if not block.size or block.A[0] @ x <= block.b[0]:
-        return x, np.zeros(block.size)
-    a, cap = block.A[0], float(block.b[0])
-    norm_a = math.sqrt(a @ a)
-    if norm_a == 0:
-        return None
-    unit = a / norm_a
-    delta = (a @ x0 - cap) / norm_a
-    # a hyperplane that misses the ball by a rounding error touches it
-    rho = math.sqrt(max(r * r - delta * delta, 0.0))
-    c_along = float(c @ unit)
-    c_perp = c - c_along * unit
-    c_perp -= (c_perp @ unit) * unit    # a second pass drops rounding along a
-    norm_perp = math.sqrt(c_perp @ c_perp)
-    x = x0 - delta * unit
-    if rho == 0 or norm_perp <= 1e-14 * norm_c:
-        # the disc is its center, or the loss is constant on it up to
-        # rounding; at a tangent the multiplier for a c_perp != 0 is
-        # unbounded, and the dual value at this one falls short by about
-        # r ||c_perp||
-        return x, np.array([max(-c_along / norm_a, 0.0)])
-    x = x - (rho / norm_perp) * c_perp
-    return x, np.array([max((norm_perp * delta / rho - c_along) / norm_a, 0.0)])
+    for k, (lo, hi, rhs, row, linear) in enumerate(
+            rows if isinstance(base, geo.Ball) else []):
+        if hi > lo and abs(lo - rhs) <= 1e-15 * (abs(lo) + abs(hi) + abs(rhs)):
+            point = (base.center - (base.radius / math.sqrt(row @ row)) * row
+                     if linear else geo._project(base, row))
+            values = _tables(block, point)[0]
+            worst = int(np.argmax(values))
+            if values[worst] > 1e-6:
+                raise InfeasibleError(
+                    f"no feasible point: constraint {k} holds only at one "
+                    f"point of the base set, where constraint {worst} is "
+                    f"{values[worst]:.3e}", constraint_index=worst)
+            return point
+    return None
 
 
 def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
@@ -963,11 +929,10 @@ def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
 def _lagrangian_argmin(base: geo.BaseSet, pieces, nu: np.ndarray):
     """``(x, a, w)``: the minimizer ``x`` over the base set of the Lagrangian
     ``F(x) + nu . g(x)`` of ``_dual_pieces``, with ``a = s + nu . q``.  For
-    ``a > 0`` the Lagrangian is ``(a/2) ||x - w||^2`` plus a constant, with
-    ``w = (m - p^T nu) / a``, so ``x`` is the projection of ``w``.  For
-    ``a = 0`` (only linear terms, on a ball) it is ``-<w, x>`` plus a
-    constant, with ``w = m - p^T nu``, least at ``x0 + r w / ||w||``, or
-    anywhere for ``w = 0``: at the center."""
+    ``a > 0`` it is ``(a/2) ||x - w||^2`` plus a constant, ``w = (m - p^T
+    nu) / a``: ``x`` projects ``w``.  For ``a = 0`` (on a ball) it is ``-<w,
+    x>`` plus a constant, ``w = m - p^T nu``: ``x = x0 + r w / ||w||``, or
+    the center for ``w = 0``."""
     s, m, p, q, _ = pieces
     a = s + float(nu @ q)
     w = m - nu @ p
@@ -980,17 +945,18 @@ def _lagrangian_argmin(base: geo.BaseSet, pieces, nu: np.ndarray):
 
 
 def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
-                    rows: np.ndarray) -> np.ndarray:
-    """``rows P rows^T`` for the Jacobian ``P`` at ``w`` of the projection
-    onto the base set (``x`` the projection): the box's free coordinates,
-    or outside the ball the radial map ``(r / |w - c|) (I - u u^T)``."""
+                    a: float, rows: np.ndarray) -> np.ndarray:
+    """``rows P rows^T`` for the Jacobian ``P`` in ``w`` of ``x`` from
+    ``_lagrangian_argmin``: the box's free coordinates, or on the ball the
+    radial map ``(r / |v|) (I - u u^T)``, ``u = v / |v|``, with ``v = w -
+    c`` outside the ball for ``a > 0`` and ``v = w`` for ``a = 0``."""
     if isinstance(base, geo.Box):
         rows = rows[:, (w > base.lower) & (w < base.upper)]
         return rows @ rows.T
     gram = rows @ rows.T
     if x is w:                  # inside the ball, ``_project`` returns w
         return gram
-    offset = w - base.center
+    offset = w - base.center if a else w
     dist = math.sqrt(offset @ offset)
     along = rows @ (offset / dist)
     return (base.radius / dist) * (gram - np.outer(along, along))
@@ -998,20 +964,28 @@ def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
 
 def _dual_solution(seq: LossSequence, block: ConstraintBlock,
                    base: geo.BaseSet) -> tuple[np.ndarray, np.ndarray]:
-    """``(x(nu), nu)`` for multipliers ``nu >= 0`` that maximize the Lagrange
-    dual ``phi(nu) = min over the base set of F(x) + nu . g(x)`` of a
-    quadratic family under a built-in block, by projected Newton
-    (Bertsekas 1982).
+    """``(x, nu)`` for multipliers ``nu >= 0`` that maximize the Lagrange
+    dual ``phi(nu) = min over the base set of F(x) + nu . g(x)`` of a linear
+    or quadratic family under a built-in block, by projected Newton
+    (Bertsekas 1982).  Only a candidate: ``_certified`` decides.
 
     ``phi`` is concave with gradient ``g(x(nu))``, ``x(nu)`` from
-    ``_lagrangian_argmin``, and Hessian ``-J P J^T / a`` (``J`` the block's
-    Jacobian at ``x(nu)``, ``P`` the projection's Jacobian at ``w``).  Each
-    iteration sends to 0 every multiplier whose own Newton step would end
-    there; the others take a joint Newton step, slightly regularized, and
-    the step is halved until ``phi`` rises by an Armijo fraction of its
-    slope, up to rounding.  Stops after 50 iterations, once a step moves no
-    multiplier by more than 1e-15 relative, or when no step rises.  The
-    result is only a candidate: ``_certified`` decides.
+    ``_lagrangian_argmin``, and Hessian ``-J P J^T / a`` (``/ a`` dropped
+    for ``a = 0``; ``J`` the Jacobian at ``x(nu)``, ``P`` from
+    ``_projected_gram``).  Each iteration sends to 0 every multiplier whose
+    own Newton step would end there; the others take a joint Newton step,
+    slightly regularized, halved until ``phi`` rises by an Armijo fraction
+    of its slope, up to rounding.  Stops after 50 iterations, once no
+    multiplier moves by more than 1e-15 relative, when no step rises, or
+    at ``a = 0, w = 0``.  For ``a > 0``, ``x = x(nu)``.
+
+    For a linear family with ``a`` negligible, ``x(nu)`` is ill-determined
+    near the optimum, and ``phi`` has a kink where the Lagrangian goes flat
+    (a loss parallel to a cap's normal).  So ``x`` comes from the linear
+    rows with ``nu_k > 0``: if ``m`` is their combination up to 1e-12 (1 +
+    ||m||), the point nearest the center where they and any row broken
+    there are 0, with the least-squares multipliers; else the best point
+    of the disc where they are 0, as the KKT conditions ask.
     """
     pieces = _dual_pieces(seq, block)
 
@@ -1025,7 +999,9 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock,
     phi, g, at = dual(nu)
     for _ in range(50):
         x, a, w, jac = at
-        hess = _projected_gram(base, x, w, jac) / a
+        if a == 0 and not w @ w:
+            break
+        hess = _projected_gram(base, x, w, a, jac) / (a or 1.0)
         free = (g > 0) | (nu * np.diagonal(hess) > -g)
         if not (free.any() or nu.any()):
             break
@@ -1048,7 +1024,30 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock,
         nu, phi, g, at = trial, phi_t, g_t, at_t
         if moved <= 1e-15 * (1.0 + float(nu.max())):
             break
-    return at[0], nu
+    s, m, p, q, _ = pieces
+    tol = 1e-12 * (1.0 + math.sqrt(m @ m))
+    if s > 0 or at[1] > tol:
+        return at[0], nu
+    nu = np.where(q > 0, 0.0, nu)
+    active = nu > 0
+    rows, fit = p[active], np.zeros_like(nu)
+    fit[active] = np.linalg.lstsq(rows.T, m, rcond=None)[0]
+    slope = m - fit @ p         # a second pass drops rounding along the rows
+    slope -= np.linalg.lstsq(rows.T, slope, rcond=None)[0] @ rows
+    norm = math.sqrt(slope @ slope)
+    values, jac = _tables(block, base.center)
+
+    def nearest(tight):         # nearest the center where the tight rows,
+        rows = jac[tight]       # linearized there, are 0
+        return base.center + np.linalg.lstsq(rows @ rows.T, -values[tight],
+                                             rcond=None)[0] @ rows
+
+    x = nearest(active)
+    if norm <= tol:
+        return nearest(active | (_tables(block, x)[0] > 0)), fit
+    offset = x - base.center
+    reach = math.sqrt(max(base.radius * base.radius - offset @ offset, 0.0))
+    return x + (reach / norm) * slope, nu
 
 
 def _certified(seq: LossSequence, block: ConstraintBlock, base: geo.BaseSet,

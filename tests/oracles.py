@@ -327,7 +327,9 @@ def report_digest(report):
 # alternating-d2) again when their comparator became the certified closed
 # form, and the quadratic losses whose comparator moved (box-mixed-d3,
 # audit-box, audit-ball) when theirs became the dual-certified Newton
-# solve; every ``repr(v_empirical)`` stayed the same each time
+# solve; every ``repr(v_empirical)`` stayed the same each time.  When the
+# Newton solve replaced the closed form for the linear losses on a ball,
+# every entry kept its bits
 REPORT_DIGESTS = {
     "golden-d2":
         "e9cedc588741cb9cc31d2c81ba07c0524ce3cc8f238318b688c78b32eed9053f",
@@ -389,7 +391,8 @@ def sweep_digest(result, summary_csv):
 # which had to keep every bit; re-recorded when the comparator's FISTA came
 # to grow its step back gently, and again when the comparator of these
 # linear losses on a ball became the certified closed form, both of which
-# move the regrets (every ``V_empirical`` stayed the same)
+# move the regrets (every ``V_empirical`` stayed the same).  The dual
+# Newton solve that replaced the closed form kept every entry's bits
 SWEEP_DIGESTS = {
     "rotating-drift":
         "1014bb3e8de329dca09f4e955b547154af67c032c330c2eb866f7a486e2e1e86",

@@ -159,8 +159,12 @@ _DROP = object()
     ("base", "radius", -1),
     (None, "horizon", True),
     (None, "seed", True),
+    (None, "scenario_id", _DROP),
+    (None, "geometry", ["euclidean"]),
+    ("loss", "coeffs", [1.0]),
 ], ids=["base-no-center", "loss-no-coeffs", "linear-no-A", "negative-radius",
-        "bool-horizon", "bool-seed"])
+        "bool-horizon", "bool-seed", "no-scenario-id", "list-geometry",
+        "loss-wrong-dimension"])
 def test_malformed_spec_is_usage_error(tmp_path, capsys, section, key, value):
     data = qp.shipped_scenario("golden-d2", horizon=10).to_dict()
     target = data if section is None else data[section]
@@ -261,3 +265,36 @@ def test_constraint_tables_must_be_finite(tmp_path, capsys, scenario, index,
     path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
     assert main(["run", "--config", str(path)]) == 2
     assert "constraints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,section,keys,value", [
+    ("golden-d2", "loss", ("form",), "cubic"),
+    ("drift-rotate-d2", "loss", ("schedule",), "bogus"),
+    ("simplex-d10", "constraints", ("random", "amplitude"), float("nan")),
+    ("simplex-d10", "constraints", ("random", "amplitude"), 1e308),
+    ("simplex-d10", "constraints", ("random", "slater_margin"), True),
+    ("simplex-d10", "constraints", ("random", "count"), 2.7),
+    ("golden-d2", "base", ("radius",), float("nan")),
+    ("golden-d2", "base", ("radius",), float("inf")),
+    ("golden-d2", "base", ("center",), [float("nan"), 0.0]),
+    ("box-mixed-d3", "base", ("upper",), [1.0, float("inf"), 1.0]),
+    ("simplex-d10", "base", ("dim",), 2.7),
+    ("simplex-d10", "base", ("dim",), "3"),
+], ids=["form-cubic", "schedule-bogus", "cap-amplitude-nan",
+        "cap-amplitude-overflow", "cap-margin-bool", "cap-count-float",
+        "radius-nan", "radius-inf", "center-nan", "box-upper-inf",
+        "simplex-dim-float", "simplex-dim-string"])
+def test_malformed_fields_fail_at_build_time(tmp_path, capsys, scenario,
+                                             section, keys, value):
+    """Unknown enumeration values, malformed random-cap parameters and
+    non-finite or non-integer base sets are usage errors naming their
+    section, raised before round 1."""
+    data = qp.shipped_scenario(scenario, horizon=10).to_dict()
+    target = data[section]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))     # NaN and Infinity, as JSON allows
+    assert main(["run", "--config", str(path)]) == 2
+    assert section in capsys.readouterr().err

@@ -330,3 +330,21 @@ def test_center_and_contains():
     assert np.allclose(qp.center(SIMPLEX3), [1 / 3, 1 / 3, 1 / 3])
     assert qp.contains(BALL, np.array([0.3, 0.4]))
     assert not qp.contains(BALL, np.array([1.3, 0.4]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qp.Ball(center=[math.nan, 0.0], radius=1.0),
+    lambda: qp.Ball(center=[0.0, 0.0], radius=math.nan),
+    lambda: qp.Ball(center=[0.0, 0.0], radius=math.inf),
+    lambda: qp.Ball(center=[], radius=1.0),
+    lambda: qp.Ball(center=True, radius=1.0),
+    lambda: qp.Box(lower=[], upper=[]),
+    lambda: qp.Box(lower=[-math.inf, 0.0], upper=[1.0, 1.0]),
+    lambda: qp.Box(lower=[0.0, 0.0], upper=[1.0, math.nan]),
+    lambda: qp.Simplex(2.7),
+    lambda: qp.Simplex(True),
+], ids=["ball-center-nan", "ball-radius-nan", "ball-radius-inf",
+        "ball-center-empty", "ball-center-scalar", "box-empty", "box-lower-inf", "box-upper-nan", "simplex-float", "simplex-bool"])
+def test_base_sets_reject_malformed_parameters(make):
+    with pytest.raises(ValueError):
+        make()

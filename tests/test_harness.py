@@ -1,11 +1,14 @@
 """Scenario configs, the shipped registry, sweeps, and CSV determinism."""
 import filecmp
+import math
 import threading
 import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import queueprox as qp
 from queueprox import harness
@@ -223,3 +226,94 @@ def test_write_shipped_configs_round_trip(tmp_path):
     assert len(paths) == len(qp.SHIPPED_SCENARIOS)
     for name, path in zip(qp.SHIPPED_SCENARIOS, paths):
         assert qp.ScenarioConfig.from_json(path) == qp.shipped_scenario(name)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: a malformed dict is a ConfigError, any other one runs soundly
+# ---------------------------------------------------------------------------
+
+# values of the wrong type or non-finite, by the kind of leaf they replace
+_JUNK = {
+    int: [2.7, "3", True, None, -1, 0],
+    float: [math.nan, math.inf, -math.inf, True, "x", None],
+    list: [[math.nan], [math.inf], [1.0], [], "x", None, True],
+    str: ["ompd", "pd-baseline", "ompd-simplex", "euclidean", "entropic",
+          "ball", "box", "simplex", "linear", "quadratic", "fixed",
+          "alternating", "linear-drift", "quadratic-drift", "custom",
+          "rotate", "line", "cubic", "exact", "supplied", "", ["ball"], 1,
+          None],
+}
+
+
+def _leaves(node, path=()):
+    """Paths to every leaf of a config dict: scalars and vectors; a matrix
+    or a list of blocks is walked row by row."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node and isinstance(node[0], (dict, list)):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A shipped scenario's dict at a small horizon with one to three leaves
+    replaced or deleted.  A number is either scaled by 0.5 to 1.5 (an int
+    moved by at most 1), which keeps every shipped instance feasible, or
+    replaced by a value of the wrong type or a non-finite one; a vector
+    likewise, entry by entry or whole."""
+    name = draw(st.sampled_from(qp.SHIPPED_SCENARIOS))
+    data = qp.shipped_scenario(name, horizon=draw(st.integers(1, 20)),
+                               seed=draw(st.integers(0, 3))).to_dict()
+    paths = list(_leaves(data))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1,
+                              max_size=3, unique=True)):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        kind = next((t for t in (bool, int, float, list, str)
+                     if isinstance(value, t)), None)
+        scale = st.floats(0.5, 1.5)
+        if kind is None or draw(st.integers(0, 5)) == 0:
+            if isinstance(parent, dict):
+                del parent[path[-1]]
+            continue
+        if kind is bool:
+            choices = st.booleans()
+        elif kind is int:
+            choices = st.integers(value - 1, value + 1)
+        elif kind is float:
+            choices = scale.map(lambda f, v=value: f * v)
+        elif kind is list:
+            choices = st.lists(scale, min_size=len(value),
+                               max_size=len(value)).map(
+                lambda fs, v=value: [f * x for f, x in zip(fs, v)])
+        else:
+            choices = st.nothing()
+        junk = st.sampled_from(_JUNK[int if kind is bool else kind])
+        parent[path[-1]] = draw(choices | junk)
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_fuzzed_configs())
+def test_fuzzed_configs_fail_as_config_errors_or_run_soundly(data):
+    """Every dict either raises ``ConfigError`` (from ``from_dict`` or the
+    build) or runs with the violation certificate ``sum_t g_k(x_t) <=
+    ||Q(T+1)||_2 / gamma`` holding, and the queue lemma too in the
+    mirror-prox variants, whose queue it describes (the baseline feeds its
+    queue the same round's constraint values)."""
+    try:
+        config = qp.ScenarioConfig.from_dict(data)
+        trace, report = qp.run_scenario(config)
+    except qp.ConfigError:
+        return
+    holds, _ = qp.violation_bound_check(trace)
+    assert holds
+    if config.variant != qp.VARIANT_BASELINE:
+        assert qp.check_queue_lemma(trace).passed
+    assert np.isfinite(report.regret)

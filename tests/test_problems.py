@@ -700,7 +700,8 @@ def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
         return project(base, y)
 
     monkeypatch.setattr(geometry, "project", counted_project)
-    # golden-d2 takes the closed form, so the staged path is called directly
+    # golden-d2 takes the dual solution, so the staged path is called
+    # directly
     problems._staged_comparator(built.seq,
                                 replace(built.block, eval_fn=counted_eval),
                                 built.base)
@@ -727,8 +728,8 @@ def test_comparator_bytes_match_the_reference(name, kind):
     is held to the reference's quality instead: feasible, an averaged loss
     no higher than the reference's up to 1e-10 relative, and both above the
     Lagrangian lower bound at the reference's last-stage multipliers.
-    golden-d2 takes the closed form in ``hindsight_comparator``, so the
-    staged path is called directly (the closed form is judged in
+    golden-d2 takes the dual solution in ``hindsight_comparator``, so the
+    staged path is called directly (the dual solution is judged in
     ``test_closed_form_comparator_on_shipped_instances``)."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     dim = built.base.dim
@@ -813,7 +814,7 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
 
     counted = replace(seq, mean_value_fn=counted_value,
                       mean_grad_fn=counted_grad)
-    # drift-rotate-d2 takes the closed form, so the staged path is called
+    # drift-rotate-d2 takes the dual solution, so the staged path is called
     # directly
     staged = problems._staged_comparator
     expected = staged(seq, built.block, built.base)
@@ -831,7 +832,8 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form comparator: a linear loss on a ball under at most one cap
+# the dual comparator on a linear loss on a ball: at most one linear cap,
+# and mixed caps
 # ---------------------------------------------------------------------------
 
 CAP_KINDS = ("inactive", "active", "parallel", "zero-loss", "zero-cap",
@@ -915,9 +917,11 @@ def _assert_certified_answer(seq, block, base, x, nu):
 
 
 def _assert_closed_form(kind, seq, block, base):
-    """The closed form on one cap instance: certified, taken by
+    """The dual solution on one linear cap instance: certified, taken by
     ``hindsight_comparator``, a certified answer and, where a Slater point
-    exists, no worse than the reference FISTA comparator."""
+    exists, no worse than the reference FISTA comparator.  A tangent cap leaves one feasible point, where it
+    touches the ball: ``hindsight_comparator`` returns it without a solve,
+    and a certified dual solution is no better than it."""
     if kind == "missing":
         with pytest.raises(qp.InfeasibleError) as info:
             qp.hindsight_comparator(seq, block, base)
@@ -925,21 +929,25 @@ def _assert_closed_form(kind, seq, block, base):
         with pytest.raises(qp.InfeasibleError):
             reference_comparator(seq, block, base)
         return
-    x, nu = problems._ball_cap_solution(seq, block, base)
-    if kind == "tangent" and not problems._certified(seq, block, base, x, nu):
-        # the multiplier grows without bound as the disc shrinks to a
-        # point, so no dual value certifies a loss that is not constant on
-        # it (a part of c along the disc): the staged path decides
-        c, a = seq.mean_grad_fn(base.center), block.A[0]
-        assert (np.linalg.norm(c - (c @ a) / (a @ a) * a)
-                > 1e-15 * np.linalg.norm(c))
+    x, nu = problems._dual_solution(seq, block, base)
+    if kind == "tangent":
+        a = block.A[0]
+        touch = qp.hindsight_comparator(seq, block, base)
+        assert np.allclose(touch, base.center - base.radius * a
+                           / np.linalg.norm(a), rtol=0, atol=1e-12)
+        gap = float(qp.constraint_eval(block, touch)[0][0])
+        assert abs(gap) <= 1e-12
+        if problems._certified(seq, block, base, x, nu):
+            # weak duality at the touching point bounds the dual value
+            value = seq.mean_value_fn(x)
+            assert value <= (seq.mean_value_fn(touch) + nu[0] * gap
+                             + 1e-12 * (1.0 + abs(value)))
         return
     assert problems._certified(seq, block, base, x, nu)
     assert qp.hindsight_comparator(seq, block, base).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
-    if kind != "tangent":
-        reference = seq.mean_value_fn(reference_comparator(seq, block, base))
-        assert value <= reference + 1e-10 * (1.0 + abs(value))
+    reference = seq.mean_value_fn(reference_comparator(seq, block, base))
+    assert value <= reference + 1e-10 * (1.0 + abs(value))
 
 
 @pytest.mark.parametrize("kind", CAP_KINDS)
@@ -972,19 +980,72 @@ def test_closed_form_comparator_on_pinned_caps(kind):
 @pytest.mark.parametrize("kind", ["empty", "no-slater", "staged"])
 def test_closed_form_comparator_on_shipped_instances(name, kind):
     """The instances of ``test_comparator_bytes_match_the_reference`` that
-    are linear on a ball take the closed form, a certified answer that is
+    are linear on a ball take the dual solution, a certified answer that is
     not below the Lagrangian bound at all."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     block = {"empty": qp.empty_block(2),
              "no-slater": qp.linear_block(built.geom, built.base,
                                           [[1.0, 0.0]], [0.2]),
              "staged": built.block}[kind]
-    x, nu = problems._ball_cap_solution(built.seq, block, built.base)
+    x, nu = problems._dual_solution(built.seq, block, built.base)
     assert problems._certified(built.seq, block, built.base, x, nu)
     assert (qp.hindsight_comparator(built.seq, block, built.base).tobytes()
             == x.tobytes())
     value = _assert_certified_answer(built.seq, block, built.base, x, nu)
     assert lagrangian_lower_bound(built.seq, block, built.base, nu) <= value
+
+
+def _mixed_cap_instance(rng):
+    """``(seq, block, base)``: an alternating linear loss on a ball in d = 2
+    to 4 under one to three linear and quadratic caps in random order, each
+    strictly feasible at one shared Slater point inside the ball and cut
+    between its value there and its value at the ball minimizer, or beyond
+    it."""
+    dim = int(rng.integers(2, 5))
+    base = qp.Ball(center=rng.uniform(-1, 1, dim),
+                   radius=float(rng.uniform(0.3, 2.0)))
+    geom = qp.euclidean(dim)
+    first, second = rng.uniform(-1, 1, (2, dim))
+    seq = qp.alternating(geom, base, first, second, 20)
+    c = seq.mean_grad_fn(base.center)
+    free = base.center - base.radius * c / np.linalg.norm(c)
+    direction = rng.standard_normal(dim)
+    slater = base.center + (rng.uniform(0, 0.9) * base.radius * direction
+                            / np.linalg.norm(direction))
+    parts = []
+    for kind in rng.choice(["linear", "quadratic"], size=rng.integers(1, 4)):
+        row = rng.uniform(-1, 1, dim)
+        if kind == "linear":
+            at_slater, at_free, make = row @ slater, row @ free, qp.linear_block
+        else:
+            at_slater = (slater - row) @ (slater - row)
+            at_free = (free - row) @ (free - row)
+            make = qp.quadratic_block
+        cut = rng.uniform(0.0, 1.5) * max(at_free - at_slater, 0.0)
+        parts.append(make(geom, base, [row], [at_slater + 0.02 + cut],
+                          slater_point=slater))
+    return seq, qp.stack_blocks(parts), base
+
+
+def test_dual_comparator_on_linear_losses_under_mixed_caps():
+    """Linear losses on a ball under one to three mixed caps: a certified
+    dual solution is taken by ``hindsight_comparator`` and is a certified
+    answer; a refused one leaves the answer to the staged path, byte for
+    byte.  Seed 13 draws one refused
+    instance (the 20th: three linear caps in d = 2, a flat Lagrangian whose
+    least-squares multipliers are not all nonnegative), so both branches
+    run."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        seq, block, base = _mixed_cap_instance(rng)
+        x, nu = problems._dual_solution(seq, block, base)
+        chosen = qp.hindsight_comparator(seq, block, base)
+        if problems._certified(seq, block, base, x, nu):
+            assert chosen.tobytes() == x.tobytes()
+            _assert_certified_answer(seq, block, base, x, nu)
+        else:
+            staged = problems._staged_comparator(seq, block, base)
+            assert chosen.tobytes() == staged.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1070,34 +1131,33 @@ def test_dual_comparator_reaches_a_target_on_the_box_boundary():
     assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
 
 
-@pytest.mark.parametrize("name", ["active", "inactive", "box-mixed-d3",
-                                  "fixed-quadratic-ball"])
+@pytest.mark.parametrize("name", ["active", "inactive", "golden-d2",
+                                  "box-mixed-d3", "fixed-quadratic-ball"])
 def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
                                                                  monkeypatch):
-    """Negative control for both producers: multipliers ``1.1 nu + 0.01``
+    """Negative control for the dual solution: multipliers ``1.1 nu + 0.01``
     leave a duality gap, so ``_certified`` refuses them and the staged
-    path answers.  The golden-style caps take the closed form, the shipped
-    scenarios the dual solution: box-mixed-d3 has one active and one
-    inactive cap, fixed-quadratic-ball one inactive cap."""
+    path answers.  The golden-style caps hold a linear loss on a ball;
+    golden-d2's loss is parallel to its cap's normal, so its answer comes
+    from the flat Lagrangian; box-mixed-d3 has one active and one inactive
+    cap, fixed-quadratic-ball one inactive cap."""
     if name in ("active", "inactive"):
         seq, base = qp.fixed_linear(EUC2, BALL, [-1.0, -0.5], 10), BALL
         # the ball minimizer has x_1 = 0.894
         block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]],
                                 [0.3 if name == "active" else 0.95],
                                 slater_point=[0.0, 0.0])
-        producer = "_ball_cap_solution"
     else:
         built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
         seq, block, base = built.seq, built.block, built.base
-        producer = "_dual_solution"
-    solve = getattr(problems, producer)
+    solve = problems._dual_solution
     x, nu = solve(seq, block, base)
     assert problems._certified(seq, block, base, x, nu)
     if name in ("active", "inactive"):
         assert (nu[0] > 0) == (name == "active")
     off = 1.1 * nu + 0.01
     assert not problems._certified(seq, block, base, x, off)
-    monkeypatch.setattr(problems, producer,
+    monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: (solve(*args)[0], off))
     staged = problems._staged_comparator(seq, block, base)
     assert (qp.hindsight_comparator(seq, block, base).tobytes()
@@ -1123,3 +1183,46 @@ def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape,
         qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]), base)
     assert info.value.constraint_index == 1
     assert calls == []
+
+
+def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
+    """A cap whose least value over the ball is 0 leaves one feasible point.
+    On the unit ball under ``x_1 <= -1`` with the loss ``<(0, -1), x>``,
+    where the staged path raised ``ConvergenceError``, that is (-1, 0); a
+    quadratic cap touching the ball from outside gives its touching point
+    too.  A cap 1e-9 inside the ball is not tangent: its answer lies on
+    the small disc the cap cuts, 4.5e-5 from the touching point."""
+    seq = qp.fixed_linear(EUC2, BALL, [0.0, -1.0], 10)
+    tangent = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [-1.0])
+    assert qp.hindsight_comparator(seq, tangent, BALL).tolist() == [-1.0, 0.0]
+    outside = qp.quadratic_block(EUC2, BALL, [[2.0, 0.0]], [1.0])
+    assert qp.hindsight_comparator(seq, outside, BALL).tolist() == [1.0, 0.0]
+    inside = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [-1.0 + 1e-9])
+    assert problems._check_rows_reach_base(inside, BALL) is None
+    x = qp.hindsight_comparator(seq, inside, BALL)
+    assert float(qp.constraint_eval(inside, x)[0][0]) <= 1e-8
+    assert x[1] > 4e-5
+
+
+def test_comparator_tangent_cap_names_the_row_that_fails_there():
+    """Another row that exceeds 1e-6 at the one feasible point makes the
+    instance infeasible, and the error names that row."""
+    seq = qp.fixed_linear(EUC2, BALL, [0.0, -1.0], 10)
+    block = qp.stack_blocks([
+        qp.quadratic_block(EUC2, BALL, [[2.0, 0.0]], [1.0]),
+        qp.linear_block(EUC2, BALL, [[0.0, -1.0]], [-0.5])])
+    with pytest.raises(qp.InfeasibleError) as info:
+        qp.hindsight_comparator(seq, block, BALL)
+    assert info.value.constraint_index == 1
+
+
+def test_comparator_tangent_cap_on_a_box_takes_the_staged_path():
+    """A linear cap tangent to a box touches a whole face, so the row test
+    returns no point and a linear loss takes the staged path."""
+    box = qp.Box(lower=-np.ones(2), upper=np.ones(2))
+    seq = qp.fixed_linear(EUC2, box, [0.0, -1.0], 10)
+    block = qp.linear_block(EUC2, box, [[1.0, 0.0]], [-1.0])
+    assert problems._check_rows_reach_base(block, box) is None
+    x = qp.hindsight_comparator(seq, block, box)
+    assert x.tobytes() == problems._staged_comparator(seq, block, box).tobytes()
+    assert np.allclose(x, [-1.0, 1.0], atol=1e-8)

@@ -120,8 +120,7 @@ class ScenarioConfig:
             bad.append("v_cap")
         elif mode == "supplied":
             value = self.v_cap.get("value")
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value) or value < 0):
+            if not _is_number(value) or not math.isfinite(value) or value < 0:
                 bad.append("v_cap")
         if (not isinstance(self.loss, dict)
                 or self.loss.get("family") not in _LOSS_FAMILIES
@@ -154,11 +153,13 @@ def _build_base(config: ScenarioConfig) -> geo.BaseSet:
     spec = config.base
     kind = spec["kind"]
     if kind == "ball":
-        return geo.Ball(center=np.asarray(spec["center"], dtype=float),
-                        radius=float(spec["radius"]))
+        return geo.Ball(center=_numbers(spec, "center"),
+                        radius=_number(spec, "radius"))
     if kind == "box":
-        return geo.Box(lower=np.asarray(spec["lower"], dtype=float),
-                       upper=np.asarray(spec["upper"], dtype=float))
+        return geo.Box(lower=_numbers(spec, "lower"),
+                       upper=_numbers(spec, "upper"))
+    if not _is_int(spec["dim"]):
+        raise ValueError(f"field 'dim' must be an int, got {spec['dim']!r}")
     return geo.Simplex(spec["dim"])
 
 
@@ -186,12 +187,13 @@ def _build_block(config: ScenarioConfig, geom, base, rng) -> prob.ConstraintBloc
                                                 slater_point=anchor))
             else:
                 blocks.append(prob.linear_block(
-                    geom, base, spec["A"], spec["b"],
-                    slater_point=spec.get("slater_point")))
+                    geom, base, _numbers(spec, "A"), _numbers(spec, "b"),
+                    slater_point=_numbers(spec, "slater_point", optional=True)))
         else:
             blocks.append(prob.quadratic_block(
-                geom, base, spec["centers"], spec["offsets"],
-                slater_point=spec.get("slater_point")))
+                geom, base, _numbers(spec, "centers"),
+                _numbers(spec, "offsets"),
+                slater_point=_numbers(spec, "slater_point", optional=True)))
     return blocks[0] if len(blocks) == 1 else prob.stack_blocks(blocks)
 
 
@@ -206,9 +208,9 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
     T = config.horizon
     if family == "fixed":
         if spec.get("form", "linear") == "quadratic":
-            return prob.fixed_quadratic(geom, base, spec["target"], T,
+            return prob.fixed_quadratic(geom, base, _numbers(spec, "target"), T,
                                         scale=_number(spec, "scale", 1.0))
-        return prob.fixed_linear(geom, base, spec["coeffs"], T,
+        return prob.fixed_linear(geom, base, _numbers(spec, "coeffs"), T,
                                  grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "linear-drift":
         if spec.get("schedule", "line") == "rotate":
@@ -220,7 +222,8 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
                 geom, base, amplitude=_number(spec, "amplitude"),
                 rate=_number(spec, "rate"), horizon=T, plane=plane,
                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
-        return prob.linear_drift(geom, base, spec["start"], spec["drift"], T,
+        return prob.linear_drift(geom, base, _numbers(spec, "start"),
+                                 _numbers(spec, "drift"), T,
                                  grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "alternating":
         if "random" in spec:
@@ -228,28 +231,48 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
             first = amplitude * _unit(rng, base.dim)
             second = amplitude * _unit(rng, base.dim)
         else:
-            first, second = spec["first"], spec["second"]
+            first, second = _numbers(spec, "first"), _numbers(spec, "second")
         return prob.alternating(geom, base, first, second, T,
                                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "quadratic-drift":
         return prob.quadratic_drift(
-            geom, base, spec["target0"], spec.get("target_drift", np.zeros(base.dim)),
-            T, scale0=_number(spec, "scale0", 1.0),
+            geom, base, _numbers(spec, "target0"),
+            _numbers(spec, "target_drift") if "target_drift" in spec
+            else np.zeros(base.dim), T, scale0=_number(spec, "scale0", 1.0),
             scale_drift=_number(spec, "scale_drift", 0.0))
     raise ConfigError("custom losses cannot be built from config files",
                       fields=["loss"])
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(spec: dict, key: str, default: float | None = None) -> float:
     """``spec[key]`` as a finite float, or ``default`` when given and the
-    key is absent; a boolean or a non-finite value is malformed."""
+    key is absent; anything but a finite JSON number is malformed."""
     if not isinstance(spec, dict):
         raise TypeError(f"expected a mapping holding {key!r}, got {spec!r}")
     value = spec[key] if default is None else spec.get(key, default)
-    if isinstance(value, bool) or not math.isfinite(float(value)):
+    if not _is_number(value) or not math.isfinite(value):
         raise ValueError(f"field {key!r} must be a finite number, "
                          f"got {value!r}")
     return float(value)
+
+
+def _numbers(spec: dict, key: str, optional: bool = False):
+    """``spec[key]``, a JSON number or a (nested) list of them, as a float
+    array; ``None`` for an ``optional`` key that is absent or null.  A
+    boolean, a string or any other entry is malformed."""
+    value = spec.get(key) if optional else spec[key]
+    if value is None and optional:
+        return None
+    entries = np.array(value, dtype=object)     # a ragged list stays lists
+    if not all(map(_is_number, entries.flat)):
+        raise ValueError(f"field {key!r} must hold only numbers, "
+                         f"got {value!r}")
+    return entries.astype(float)
 
 
 def _building(part: str, build, *args):

@@ -16,31 +16,27 @@ import numpy as np
 from . import geometry as geo
 from .problems import (ConstraintBlock, LossSequence, by_round,
                        coeff_variation, constraint_eval, in_order_sum,
-                       round_losses)
+                       row_blocks, total_loss)
 from .trace import RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
                    "queue_bound", "V_cap", "V_empirical")
-
-# rounds per block of the probe-gradient variation pass: a block's gradients
-# are (65, 33, d) floats at the default probe budget, 51 kB at d=3
-VARIATION_BLOCK_ROUNDS = 64
 
 
 def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
            block: ConstraintBlock | None = None) -> float:
     """Cumulative loss of the run minus that of the fixed comparator.
 
-    The comparator's losses (``problems.round_losses``: one pass over a
-    built-in family's tables) are added in round order from 0.0.
+    The comparator's losses (``problems.total_loss``: a built-in family's
+    from its tables, block by block) are added in round order from 0.0.
     """
     comparator = np.asarray(comparator, dtype=float)
     if block is not None and block.size:
         values, _ = constraint_eval(block, comparator)
         if float(np.max(values)) > 1e-6:
             raise ValueError("comparator violates the constraints beyond 1e-6")
-    values = round_losses(seq, comparator, trace.horizon)
-    return float(trace.losses.sum() - in_order_sum(values))
+    return float(trace.losses.sum()
+                 - total_loss(seq, comparator, trace.horizon))
 
 
 def violation(trace: RunTrace, k: int | None = None):
@@ -94,15 +90,15 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     validate overestimated variation caps.
 
     The probes form one ``(n, d)`` stack.  A sequence with a coefficient
-    table has x-independent gradients, so its total is one stacked pass
-    over the table's deltas.  Any other sequence takes its gradients at
-    every probe ``VARIATION_BLOCK_ROUNDS`` rounds at a time, with one
-    stacked ``dual_norm`` call per block: a quadratic family's ``s_t (x -
-    z_t)`` from its tables, a custom sequence's from one stacked
-    ``LossSequence.grad`` call per round.  Either way the rounds' maxima
-    are squared with libm ``pow`` and summed in round order, so every path
-    gives the bits of the per-round loop, and a trace of fewer than two
-    rounds gives 0.0.
+    table has x-independent gradients, so its total is a blocked pass over
+    the table's deltas.  Any other sequence takes its gradients at every
+    probe ``problems.BLOCK_ROUNDS`` rounds at a time, with one stacked
+    ``dual_norm`` call per block: a quadratic family's ``s_t (x - z_t)``
+    built in place from its tables' rows, a custom sequence's from one
+    stacked ``LossSequence.grad`` call per round.  Either way the rounds'
+    maxima are squared with libm ``pow`` and added in round order, block
+    after block, so every path gives the bits of the per-round loop, and a
+    trace of fewer than two rounds gives 0.0.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -115,24 +111,20 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
                       dtype=int)
     idx = idx[np.diff(idx, prepend=-1) > 0]     # non-decreasing: drop repeats
     points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
-    if seq.scales is not None:
-        scales = by_round(seq.scales, horizon)
-        targets = by_round(seq.targets, horizon)
-    maxima = np.empty(max(horizon - 1, 0))
-    for start in range(0, horizon - 1, VARIATION_BLOCK_ROUNDS):
-        # rounds start + 1 .. start + 1 + block: their gradients at every
-        # probe, then the block's round-to-round deltas
-        rows = slice(start, start + VARIATION_BLOCK_ROUNDS + 1)
+    total = 0.0
+    for lo, hi in row_blocks(1, horizon + 1, overlap=1):
+        # rounds lo .. hi - 1: their gradients at every probe, then the
+        # block's round-to-round deltas
         if seq.scales is None:
-            grads = np.stack([seq.grad(t, points)
-                              for t in range(1, horizon + 1)[rows]])
+            grads = np.stack([seq.grad(t, points) for t in range(lo, hi)])
         else:
-            grads = scales[rows, None, None] * (points - targets[rows, None, :])
+            grads = np.subtract(points, by_round(seq.targets, lo, hi)[:, None])
+            grads *= by_round(seq.scales, lo, hi)[:, None, None]
         deltas = np.diff(grads, axis=0)
         norms = geo.dual_norm(geom, deltas.reshape(-1, trace.dim))
-        maxima[start:start + len(deltas)] = norms.reshape(
-            len(deltas), -1).max(axis=1)
-    return float(in_order_sum(np.float_power(maxima, 2)))
+        maxima = norms.reshape(len(deltas), -1).max(axis=1)
+        total = in_order_sum(np.float_power(maxima, 2), total)
+    return float(total)
 
 
 @dataclass
@@ -174,23 +166,30 @@ def round_header(n_constraints: int) -> list[str]:
 
 
 def write_round_csv(trace: RunTrace, path: str) -> None:
-    """Write the per-round CSV, one column at a time: every float is its
-    shortest round-trip ``repr``, and the cumulative columns are running
-    sums from 0.0 in round order."""
+    """Write the per-round CSV, ``problems.BLOCK_ROUNDS`` rows at a time and
+    each block one column at a time: every float is its shortest round-trip
+    ``repr``, and the cumulative columns are running sums from 0.0 in round
+    order, carried from block to block; the queue norms ``q_l1`` and
+    ``q_l2`` are taken row by row."""
     T, K = trace.horizon, trace.n_constraints
-    g = trace.g_values[1:T + 1]
-    # the leading zero row makes each sum start from 0.0, as a loop's would
-    sums = np.cumsum(np.vstack([np.zeros((1, K + 1)),
-                                np.column_stack([trace.losses, g])]), axis=0)[1:]
-    floats = [trace.losses, sums[:, 0], *g.T, *sums[:, 1:].T,
-              trace.queue_l1[1:T + 1], trace.queue_l2[1:T + 1], trace.alphas,
-              trace.xis]
-    columns = [map(str, range(1, T + 1))]
-    columns.extend(map(repr, col.tolist()) for col in floats)
-    lines = [",".join(round_header(K))]
-    lines.extend(map(",".join, zip(*columns)))
+    # each block's sums start from the carried row (0.0 in the first block),
+    # as a loop's would
+    carry = np.zeros((1, K + 1))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(round_header(K)) + "\n")
+        for lo, hi in row_blocks(0, T):
+            losses, g = trace.losses[lo:hi], trace.g_values[lo + 1:hi + 1]
+            sums = np.cumsum(np.vstack([carry, np.column_stack([losses, g])]),
+                             axis=0)
+            carry = sums[-1:]
+            queues = trace.queues[lo + 1:hi + 1]
+            floats = [losses, sums[1:, 0], *g.T, *sums[1:, 1:].T,
+                      np.abs(queues).sum(axis=1),
+                      np.sqrt((queues**2).sum(axis=1)), trace.alphas[lo:hi],
+                      trace.xis[lo:hi]]
+            columns = [map(str, range(lo + 1, hi + 1))]
+            columns.extend(map(repr, col.tolist()) for col in floats)
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def append_summary_row(report: MetricsReport, path: str) -> None:

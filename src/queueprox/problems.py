@@ -389,9 +389,9 @@ class LossSequence:
     solver queries each ``(t, x)`` gradient once and reuses it.
 
     Every built-in family is held as read-only tables whose row ``t % P``
-    fixes round ``t`` (``P`` is 1, 2 or ``horizon + 1``).  Audits take
-    whole-horizon passes over them, and gradients at a stack of points come
-    from them.  A custom sequence has none.
+    fixes round ``t`` (``P`` is 1, 2 or ``horizon + 1``).  Audits walk them
+    in blocks of ``BLOCK_ROUNDS`` rounds, and gradients at a stack of points
+    come from them.  A custom sequence has none.
 
     Attributes
     ----------
@@ -448,20 +448,37 @@ class LossSequence:
                         dtype=float).reshape(x.shape)
 
 
-def by_round(table: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``table[t % P]`` of a ``(P, ...)`` table for ``t = 1..n``."""
-    if n < len(table):
-        return table[1:n + 1]
-    return np.resize(np.roll(table, -1, axis=0), (n,) + table.shape[1:])
+# rounds per block of every whole-horizon pass over a trace or a loss table:
+# a block of the probe-gradient variation pass is (65, 33, d) floats at the
+# default probe budget, 51 kB at d=3
+BLOCK_ROUNDS = 64
 
 
-def in_order_sum(values: np.ndarray) -> np.ndarray:
-    """Sum along the first axis, adding one entry at a time to 0.0.
+def row_blocks(start: int, stop: int, overlap: int = 0):
+    """``(lo, hi)`` bounds of the ``BLOCK_ROUNDS``-row blocks that cover rows
+    ``start..stop - 1``.  With ``overlap=1`` each block also takes the next
+    block's first row, so round-to-round differences fall inside one block,
+    and rows with no difference to take give no block."""
+    for lo in range(start, stop - overlap, BLOCK_ROUNDS):
+        yield lo, min(lo + BLOCK_ROUNDS + overlap, stop)
 
-    Bit for bit the loop ``total = 0.0; for v in values: total += v``,
-    which numpy's pairwise ``sum`` is not.
+
+def by_round(table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``table[t % P]`` of a ``(P, ...)`` table for ``t = start..stop -
+    1``: a view when they lie in the table, else gathered."""
+    if stop <= len(table):
+        return table[start:stop]
+    return table[np.arange(start, stop) % len(table)]
+
+
+def in_order_sum(values: np.ndarray, total=0.0) -> np.ndarray:
+    """``total`` plus the entries along the first axis, one at a time.
+
+    Bit for bit the loop ``for v in values: total += v``, which numpy's
+    pairwise ``sum`` is not; so a pass may add its blocks in turn, feeding
+    each block's result to the next as ``total``.
     """
-    start = np.zeros((1,) + values.shape[1:])
+    start = np.full((1,) + values.shape[1:], total)
     return np.cumsum(np.concatenate([start, values]), axis=0)[-1]
 
 
@@ -469,12 +486,16 @@ def coeff_variation(geom: geo.Geometry, coeffs: np.ndarray,
                     horizon: int) -> float:
     """``sum_{t=2..horizon} ||c_t - c_{t-1}||_*^2`` of a coefficient table.
 
-    One stacked ``dual_norm`` over the round-to-round deltas; the squares
-    go through libm ``pow`` (``np.float_power``), as Python's ``x ** 2``
-    does, and are added in round order.
+    One stacked ``dual_norm`` per block of round-to-round deltas; the
+    squares go through libm ``pow`` (``np.float_power``), as Python's ``x **
+    2`` does, and are added in round order.
     """
-    norms = geo.dual_norm(geom, np.diff(by_round(coeffs, horizon), axis=0))
-    return float(in_order_sum(np.float_power(norms, 2)))
+    total = 0.0
+    for lo, hi in row_blocks(1, horizon + 1, overlap=1):
+        deltas = np.diff(by_round(coeffs, lo, hi), axis=0)
+        total = in_order_sum(np.float_power(geo.dual_norm(geom, deltas), 2),
+                             total)
+    return float(total)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -482,19 +503,25 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def round_losses(seq: LossSequence, x: np.ndarray, n: int) -> np.ndarray:
-    """``f_1(x), ..., f_n(x)``, each bit for bit ``seq.value(t, x)``: one pass
-    over a built-in family's tables, one call per round for a custom one."""
+def total_loss(seq: LossSequence, x: np.ndarray, n: int) -> float:
+    """``f_1(x) + ... + f_n(x)`` added in round order, each term bit for bit
+    ``seq.value(t, x)``: a built-in family's from its tables, one block of
+    rounds at a time, a custom one's from one call per round."""
     if n > seq.horizon:
         raise ValueError(f"round index {seq.horizon + 1} outside "
                          f"[0, {seq.horizon}]")
     x = np.asarray(x, dtype=float)
-    if seq.coeffs is not None:
-        return by_round(_row_dots(seq.coeffs, x), n)
-    if seq.scales is not None:
-        diffs = x - seq.targets
-        return by_round(0.5 * seq.scales * _row_dots(diffs, diffs), n)
-    return np.array([seq.value(t, x) for t in range(1, n + 1)])
+    total = 0.0
+    for lo, hi in row_blocks(1, n + 1):
+        if seq.coeffs is not None:
+            values = _row_dots(by_round(seq.coeffs, lo, hi), x)
+        elif seq.scales is not None:
+            diffs = x - by_round(seq.targets, lo, hi)
+            values = 0.5 * by_round(seq.scales, lo, hi) * _row_dots(diffs, diffs)
+        else:
+            values = np.array([seq.value(t, x) for t in range(lo, hi)])
+        total = in_order_sum(values, total)
+    return float(total)
 
 
 def _linear_family(
@@ -513,9 +540,12 @@ def _linear_family(
     coeffs.setflags(write=False)
     period = len(coeffs)
 
-    rows = by_round(coeffs, horizon)
-    grad_bound = float(geo.dual_norm(geom, rows).max())
-    mean = in_order_sum(rows) / horizon
+    grad_bound, total = 0.0, 0.0
+    for lo, hi in row_blocks(1, horizon + 1):
+        rows = by_round(coeffs, lo, hi)
+        grad_bound = float(np.max(geo.dual_norm(geom, rows), initial=grad_bound))
+        total = in_order_sum(rows, total)
+    mean = total / horizon
 
     return LossSequence(
         horizon=horizon, dim=base.dim,
@@ -632,13 +662,15 @@ def _quadratic_family(
     s_{t-1} z_{t-1}||``, both measured in the dual norm.
     """
     _check_horizon(horizon)
-    s_rows, z_rows = by_round(scales, horizon), by_round(targets, horizon)
+    period = len(scales)
+    # the rounds' rows: a view of a drifting table, a fixed table's one row
+    rows = slice(0, 1) if period == 1 else slice(1, horizon + 1)
+    s_rows, z_rows = scales[rows], targets[rows]
     if not (np.all((s_rows > 0) & (s_rows < np.inf))
             and np.isfinite(z_rows).all()):
         raise ValueError("scales must be positive and finite, targets finite")
     scales.setflags(write=False)
     targets.setflags(write=False)
-    period = len(scales)
 
     def value_fn(t, x):
         diff = x - targets[t % period]

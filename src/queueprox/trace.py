@@ -44,12 +44,3 @@ class RunTrace:
     def final_queue(self) -> np.ndarray:
         """Queue state after the extra post-run dual update."""
         return self.queues[-1]
-
-    @property
-    def queue_l1(self) -> np.ndarray:
-        """l1 queue norms indexed like ``queues``."""
-        return np.abs(self.queues).sum(axis=1)
-
-    @property
-    def queue_l2(self) -> np.ndarray:
-        return np.sqrt((self.queues**2).sum(axis=1))

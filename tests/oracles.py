@@ -403,6 +403,31 @@ SWEEP_DIGESTS = {
 }
 
 
+# rows per block for the row-blocked passes (``problems.BLOCK_ROUNDS``) when a
+# digest is checked a second time: every digest horizon then ends on a ragged
+# block, and running sums are carried across dozens of blocks
+SMALL_BLOCK_ROUNDS = 7
+
+# scenario -> SHA-256 of ``write_round_csv`` on ``run(variant,
+# build_scenario(shipped scenario at DIGEST_HORIZON))``; recorded before the
+# writer and the audit passes came to walk the trace in row blocks, which had
+# to keep every byte
+ROUND_CSV_DIGESTS = {
+    "golden-d2":
+        "ac580b82ad061f4d348c6a2e0204ec0f3567982979b4ce083282dc163540347d",
+    "fixed-quadratic-ball":
+        "66bc580317357c634d85ba01612026640c35b1e54c2e76cfef469215928475bb",
+    "drift-rotate-d2":
+        "23fd8ae972dd8f81bc4b75c07a8088d73005d232f8698756465dd9b4bd5596c3",
+    "alternating-d2":
+        "ff37b1eb219a9b24c49a2e39416befe99f9cd1e9729e66d526c126d1e4aed7e3",
+    "box-mixed-d3":
+        "00737a5a448e64cd8fdfa4f7bc4adcdf01af70df2ca777f6c44254f08b54e2f5",
+    "simplex-d10":
+        "b685aaa81a531201dff05a799b8059d1ec0bc7c5e3c35cc3e2f01e9d6e0eaebd",
+}
+
+
 CHECK_HORIZON = 500
 
 # scenario -> SHA-256 of ``checks.csv`` from ``queueprox check --lemmas all``

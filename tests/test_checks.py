@@ -7,7 +7,8 @@ import pytest
 import queueprox as qp
 from queueprox import checks as chk
 from queueprox import geometry as geo
-from oracles import golden_config, scalar_mixing_worst, scalar_pushback_worst
+from oracles import (SMALL_BLOCK_ROUNDS, golden_config, scalar_mixing_worst,
+                     scalar_pushback_worst)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 EUC2 = qp.euclidean(2)
@@ -58,6 +59,17 @@ def test_queue_lemma_rejects_truncated_trace(golden):
     bad = dataclasses.replace(trace, queues=trace.queues[:-1].copy())
     with pytest.raises(ValueError):
         chk.check_queue_lemma(bad)
+
+
+def test_queue_lemma_residuals_keep_their_bits_in_small_blocks(
+        simplex_run, monkeypatch):
+    """Every residual of the 121 updates, taken in one block and in blocks
+    of seven rows with a ragged last one."""
+    _, trace = simplex_run
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", 10**6)
+    whole = chk.check_queue_lemma(trace).notes
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    assert chk.check_queue_lemma(trace).notes == whole
 
 
 def test_queue_lemma_gamma_zero_everything_tight():
@@ -308,6 +320,11 @@ def test_queue_lemma_fails_on_a_nan_feed(golden):
     bad = dataclasses.replace(trace, g_values=trace.g_values.copy())
     bad.g_values[5] = np.nan
     assert _is_nan_failure(chk.check_queue_lemma(bad))
+
+
+def test_queue_lemma_nan_survives_later_blocks(golden, monkeypatch):
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    test_queue_lemma_fails_on_a_nan_feed(golden)
 
 
 def test_dpp_bound_fails_on_a_nan_gradient(golden):

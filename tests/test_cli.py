@@ -6,7 +6,7 @@ import pytest
 
 import queueprox as qp
 from queueprox.cli import _parse_int_list, main
-from oracles import CHECK_DIGESTS, CHECK_HORIZON
+from oracles import CHECK_DIGESTS, CHECK_HORIZON, SMALL_BLOCK_ROUNDS
 
 
 @pytest.fixture
@@ -90,6 +90,13 @@ def test_check_csv_is_frozen(tmp_path, scenario):
                  "--out", str(out_dir)]) == 0
     data = (out_dir / "checks.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == CHECK_DIGESTS[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(CHECK_DIGESTS))
+def test_check_csv_digest_holds_in_small_blocks(tmp_path, scenario,
+                                                monkeypatch):
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    test_check_csv_is_frozen(tmp_path, scenario)
 
 
 def test_check_subset_of_lemmas(golden_path, capsys):

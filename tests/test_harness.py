@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import queueprox as qp
 from queueprox import harness
-from oracles import (SWEEP_DIGESTS, SWEEP_HORIZONS, SWEEP_SEEDS, sweep_digest,
-                     sweep_templates)
+from oracles import (SMALL_BLOCK_ROUNDS, SWEEP_DIGESTS, SWEEP_HORIZONS,
+                     SWEEP_SEEDS, sweep_digest, sweep_templates)
 
 
 def small_config(horizon=50, seed=0):
@@ -221,6 +221,12 @@ def test_sweep_matches_frozen_digest(tmp_path, name):
     assert sweep_digest(result, summary) == SWEEP_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_digest_holds_in_small_blocks(tmp_path, name, monkeypatch):
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    test_sweep_matches_frozen_digest(tmp_path, name)
+
+
 def test_write_shipped_configs_round_trip(tmp_path):
     paths = qp.write_shipped_configs(str(tmp_path))
     assert len(paths) == len(qp.SHIPPED_SCENARIOS)
@@ -235,8 +241,9 @@ def test_write_shipped_configs_round_trip(tmp_path):
 # values of the wrong type or non-finite, by the kind of leaf they replace
 _JUNK = {
     int: [2.7, "3", True, None, -1, 0],
-    float: [math.nan, math.inf, -math.inf, True, "x", None],
-    list: [[math.nan], [math.inf], [1.0], [], "x", None, True],
+    float: [math.nan, math.inf, -math.inf, True, False, "x", "0.7", None],
+    list: [[math.nan], [math.inf], [1.0], [], "x", None, True, [True],
+           ["0.5"]],
     str: ["ompd", "pd-baseline", "ompd-simplex", "euclidean", "entropic",
           "ball", "box", "simplex", "linear", "quadratic", "fixed",
           "alternating", "linear-drift", "quadratic-drift", "custom",
@@ -317,3 +324,55 @@ def test_fuzzed_configs_fail_as_config_errors_or_run_soundly(data):
     if config.variant != qp.VARIANT_BASELINE:
         assert qp.check_queue_lemma(trace).passed
     assert np.isfinite(report.regret)
+
+
+# ---------------------------------------------------------------------------
+# numeric fields take JSON numbers only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, part, key, value", [
+    ("drift-rotate-d2", "loss", "amplitude", "0.7"),
+    ("golden-d2", "base", "radius", True),
+    ("golden-d2", "constraints", "b", [True]),
+    ("golden-d2", "base", "center", ["0", "0"]),
+])
+def test_numeric_fields_reject_strings_and_booleans(name, part, key, value):
+    data = qp.shipped_scenario(name, horizon=5).to_dict()
+    data[part][key] = value
+    with pytest.raises(qp.ConfigError) as err:
+        qp.run_scenario(qp.ScenarioConfig.from_dict(data))
+    assert repr(key) in str(err.value)
+
+
+def _is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def _stringly_numbers(draw):
+    """A shipped scenario's dict with one number, or one entry of a vector
+    or matrix row, replaced by a boolean or a string that reads as a
+    number."""
+    name = draw(st.sampled_from(qp.SHIPPED_SCENARIOS))
+    data = qp.shipped_scenario(name, horizon=5).to_dict()
+    paths = []
+    for path in _leaves(data):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if _is_json_number(value):
+            paths.append((parent, path[-1]))
+        elif isinstance(value, list) and all(map(_is_json_number, value)):
+            paths.extend((value, i) for i in range(len(value)))
+    parent, key = draw(st.sampled_from(paths))
+    parent[key] = draw(st.sampled_from([True, False, "0.7", "1", "0"]))
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_stringly_numbers())
+def test_stringly_numbers_fail_as_config_errors(data):
+    with pytest.raises(qp.ConfigError):
+        qp.run_scenario(qp.ScenarioConfig.from_dict(data))

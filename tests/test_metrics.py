@@ -1,14 +1,17 @@
 """Regret, violations, the queue bound, and empirical variation."""
+import hashlib
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import queueprox as qp
-from oracles import (REPORT_DIGESTS, GOLDEN, digest_configs, golden_config,
+from oracles import (DIGEST_HORIZON, REPORT_DIGESTS, ROUND_CSV_DIGESTS, GOLDEN,
+                     SMALL_BLOCK_ROUNDS, digest_configs, golden_config,
                      report_digest, scalar_empirical_variation)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
@@ -145,6 +148,78 @@ def test_violation_bound_holds_on_every_shipped_run(name):
 def test_report_matches_frozen_digest(name):
     _, report = qp.run_scenario(digest_configs()[name])
     assert report_digest(report) == REPORT_DIGESTS[name]
+
+
+def round_csv_digest(name, tmp_path):
+    cfg = qp.shipped_scenario(name, horizon=DIGEST_HORIZON)
+    trace = qp.run(cfg.variant, qp.build_scenario(cfg), horizon=cfg.horizon)
+    path = tmp_path / "rounds.csv"
+    qp.write_round_csv(trace, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_CSV_DIGESTS))
+def test_round_csv_matches_frozen_digest(name, tmp_path):
+    assert round_csv_digest(name, tmp_path) == ROUND_CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_CSV_DIGESTS))
+def test_round_csv_digest_holds_in_small_blocks(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    assert round_csv_digest(name, tmp_path) == ROUND_CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digest_holds_in_small_blocks(name, monkeypatch):
+    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    _, report = qp.run_scenario(digest_configs()[name])
+    assert report_digest(report) == REPORT_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# memory: the output and audit passes hold one row block, not the horizon
+# ---------------------------------------------------------------------------
+
+
+def _peak_bytes(fn):
+    """Peak bytes that ``fn()`` allocates on top of what already exists."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_round_csv_writer_memory_does_not_grow_with_the_horizon(tmp_path):
+    """Measured 0.057 MB on a T=20,000, K=2 trace; writing the whole
+    horizon at once took 20 MB."""
+    T, K = 20_000, 2
+    rng = np.random.default_rng(0)
+    trace = qp.RunTrace(
+        variant="ompd", horizon=T, dim=2, n_constraints=K, x0=np.zeros(2),
+        decisions=rng.standard_normal((T, 2)),
+        anchors=rng.standard_normal((T + 1, 2)),
+        queues=np.abs(rng.standard_normal((T + 2, K))),
+        g_values=rng.standard_normal((T + 1, K)),
+        losses=rng.standard_normal(T), alphas=rng.random(T) + 1.0,
+        xis=rng.random(T), gamma=0.5, eta=0.1)
+    peak = _peak_bytes(
+        lambda: qp.write_round_csv(trace, str(tmp_path / "rounds.csv")))
+    assert peak < 120_000
+
+
+def test_regret_and_variation_memory_does_not_grow_with_the_horizon():
+    """Measured 5.2 kB on a T=20,000 drift-rotate-d2 run; whole-horizon
+    passes over its coefficient table took 0.64 MB."""
+    cfg = qp.shipped_scenario("drift-rotate-d2", horizon=20_000)
+    built = qp.build_scenario(cfg)
+    trace = qp.run(cfg.variant, built, horizon=cfg.horizon)
+    comparator = qp.hindsight_comparator(built.seq, built.block, built.base)
+    peak = _peak_bytes(lambda: (
+        qp.regret(trace, comparator, built.seq, built.block),
+        qp.empirical_variation(trace, built.seq)))
+    assert peak < 11_000
 
 
 def _x_dependent_run(variant, horizon, run_horizon=None):

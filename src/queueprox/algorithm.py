@@ -224,8 +224,8 @@ def run(
     1. Dual and weight update: ``Q(t) = queue_update(Q(t-1), g(x_{t-1}),
        gamma)``, ``xi_t = xi_value(Q(t), ...)`` and ``alpha_t =
        alpha_update(alpha_{t-1}, xi_t, ...)``.
-    2. Simplex variant only: ``anchor <- mix_anchor(anchor, nu)``, which
-       keeps entropic divergences finite.
+    2. Simplex variant only: ``anchor <- mix_anchor(anchor, nu)``, a local
+       the trace does not store, which keeps entropic divergences finite.
     3. Primal step: ``x_t = mirror_step(anchor, grad f_{t-1}(x_{t-1}) + p,
        alpha_t)`` with the penalty ``p = gamma * (Q(t) + gamma *
        g(x_{t-1})) @ J(x_{t-1})``, whose coefficients the max rule keeps
@@ -237,8 +237,9 @@ def run(
     (grad f_{t-1}(x_{t-1}) + lambda @ J(x_{t-1})))`` with step ``s_t = 1 /
     (max(L_f, 1) * sqrt(t))``, then dual ascent ``lambda <- max(lambda +
     gamma * g(x_t), 0)``, so a zero dual step keeps the multipliers at
-    zero.  Its trace holds ``lambda`` as the queue, ``x_t`` as the anchor,
-    ``1 / s_t`` as the weight and zero ``xi``.
+    zero.  Its trace holds ``lambda`` as the queue, ``x_t`` as the anchor
+    (``decisions`` is the view ``anchors[1:]``), ``1 / s_t`` as the weight
+    and zero ``xi``.
 
     One extra dual update after the loop gives the final queue row, which
     certifies the violation bound.
@@ -279,17 +280,16 @@ def run(
     if x0 is None:
         start = geo.center(base)
     else:
-        start = np.array(x0, dtype=float)   # a copy: the trace keeps it
+        start = np.asarray(x0, dtype=float)
         if start.shape != (d,):
             raise DimensionMismatchError(
                 f"x0 must have shape ({d},), got {start.shape}")
         if not geo.contains(base, start):
             raise DomainError("x0 lies outside the base set")
 
-    decisions = np.empty((T, d))
     anchors = np.empty((T + 1, d))
     anchors[0] = start
-    mixed = np.empty((T, d)) if variant == VARIANT_SIMPLEX else None
+    decisions = anchors[1:] if variant == VARIANT_BASELINE else np.empty((T, d))
     queues = np.zeros((T + 2, K))
     g_values = np.empty((T + 1, K))
     losses = np.empty(T)
@@ -317,7 +317,6 @@ def run(
             _check_value(loss, t)
             g_values[t], jac = constraint_eval(block, x, round_index=t)
             queues[t] = np.maximum(queues[t - 1] + gamma * g_values[t], 0.0)
-            anchors[t] = x
             alphas[t - 1] = 1.0 / step
         else:
             queue = queues[t] = queue_update(queues[t - 1], g_values[t - 1], gamma)
@@ -330,8 +329,8 @@ def run(
                 raise ScheduleError(
                     f"proximal weight collapsed to {alpha} at round {t}")
             alphas[t - 1] = alpha
-            if mixed is not None:
-                anchor = mixed[t - 1] = mix_anchor(anchor, hp.nu)
+            if variant == VARIANT_SIMPLEX:
+                anchor = mix_anchor(anchor, hp.nu)
             penalty = gamma * ((queue + gamma * g_values[t - 1]) @ jac)
             x = geo.mirror_step(geom, base, anchor, grad + penalty, alpha)
             loss = value_fn(t, x)
@@ -348,8 +347,8 @@ def run(
     queues[T + 1] = queue_update(queues[T], g_values[T], gamma)
 
     return RunTrace(
-        variant=variant, horizon=T, dim=d, n_constraints=K, x0=start,
+        variant=variant, horizon=T, dim=d, n_constraints=K,
         decisions=decisions, anchors=anchors, queues=queues,
         g_values=g_values, losses=losses, alphas=alphas, xis=xis,
-        gamma=gamma, eta=hp.eta, nu=hp.nu, mixed_anchors=mixed,
+        gamma=gamma, nu=hp.nu,
     )

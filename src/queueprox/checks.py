@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry as geo
-from .algorithm import mix_anchor
+from .algorithm import VARIANT_SIMPLEX, mix_anchor
 from .problems import (ConstraintBlock, LossSequence, constraint_eval,
                        row_blocks)
 from .trace import RunTrace
@@ -146,8 +146,9 @@ def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
     x_prev = trace.decisions[t - 2] if t >= 2 else trace.x0
     x_curr = trace.decisions[t - 1]
     # the prox steps of the mixing variant anchor at the mixed point
-    anchor = (trace.anchors[t - 1] if trace.mixed_anchors is None
-              else trace.mixed_anchors[t - 1])
+    anchor = trace.anchors[t - 1]
+    if trace.variant == VARIANT_SIMPLEX:
+        anchor = mix_anchor(anchor, trace.nu)
     anchor_next = trace.anchors[t]
     queue, queue_next = trace.queues[t], trace.queues[t + 1]
     alpha, xi = float(trace.alphas[t - 1]), float(trace.xis[t - 1])

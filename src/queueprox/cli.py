@@ -22,13 +22,18 @@ from .harness import (ScenarioConfig, SweepSpec, build_scenario, run_scenario,
 CHECK_TOKENS = ("queue", "dpp", "pushback", "mixing")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse "100,1000" or "0..4" (inclusive range) into ints."""
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Parse "100,1000" or "0..4" (inclusive range) into ints; anything
+    else is a ``ConfigError`` naming ``flag``."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list or a lo..hi range "
+                          f"of integers, got {text!r}") from None
 
 
 def _load_config(path: str) -> ScenarioConfig:
@@ -61,8 +66,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    spec = SweepSpec(config=config, horizons=_parse_int_list(args.T),
-                     seeds=_parse_int_list(args.seeds))
+    spec = SweepSpec(config=config, horizons=_parse_int_list(args.T, "--T"),
+                     seeds=_parse_int_list(args.seeds, "--seeds"))
     result = sweep(spec, out_dir=args.out)
     for report in result.reports:
         print(_report_line(report))

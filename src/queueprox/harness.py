@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,25 +56,16 @@ class ScenarioConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "geometry": self.geometry,
-            "base": self.base,
-            "constraints": self.constraints,
-            "loss": self.loss,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "variant": self.variant,
-            "v_cap": self.v_cap,
-            "out": self.out,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f: data[f] for f in (
-            "scenario_id", "geometry", "base", "constraints", "loss",
-            "horizon", "seed", "variant", "v_cap", "out") if f in data}
-        unknown = set(data) - set(known)
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object, got "
+                              f"{type(data).__name__}")
+        names = {f.name for f in fields(cls)}
+        known = {key: value for key, value in data.items() if key in names}
+        unknown = set(data) - names
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}",
                               fields=sorted(unknown))
@@ -88,8 +79,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(data)
 
     def to_json(self, path: str) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -18,13 +18,17 @@ class RunTrace:
     final row ``queues[horizon+1]`` from one extra dual update fed by the
     last decision; ``g_values[t]`` holds the constraint values at ``x_t``
     with row 0 taken at the starting point.
+
+    Each array is stored once: ``x0`` is the view ``anchors[0]``, the
+    simplex variant's ``mixed_anchors`` are rebuilt from ``anchors[:-1]``
+    on each read, and a ``pd-baseline`` trace's ``decisions`` are the view
+    ``anchors[1:]``.
     """
 
     variant: str
     horizon: int
     dim: int
     n_constraints: int
-    x0: np.ndarray
     decisions: np.ndarray
     anchors: np.ndarray
     queues: np.ndarray
@@ -33,12 +37,22 @@ class RunTrace:
     alphas: np.ndarray
     xis: np.ndarray
     gamma: float
-    eta: float
     nu: float | None = None
-    mixed_anchors: np.ndarray | None = None
     seed: int | None = None
     config_hash: str = ""
     scenario_id: str = ""
+
+    @property
+    def x0(self) -> np.ndarray:
+        """The start point, ``anchors[0]``."""
+        return self.anchors[0]
+
+    @property
+    def mixed_anchors(self) -> np.ndarray | None:
+        """The simplex variant's prox centers, one per round; else None."""
+        from .algorithm import VARIANT_SIMPLEX, mix_anchor  # it imports us
+        return (mix_anchor(self.anchors[:-1], self.nu)
+                if self.variant == VARIANT_SIMPLEX else None)
 
     @property
     def final_queue(self) -> np.ndarray:

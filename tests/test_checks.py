@@ -101,6 +101,21 @@ def test_dpp_bound_holds_with_played_point_as_probe(golden):
     assert residual <= 1e-8
 
 
+def test_dpp_residual_ignores_a_general_run_mixing_weight(golden):
+    """The variant, not a ``nu`` carried over from the constants, decides
+    whether the residual mixes the anchor."""
+    built, trace = golden
+    mixed_hp = dataclasses.replace(built.hp, nu=0.1)
+    carried = qp.run(trace.variant, dataclasses.replace(built, hp=mixed_hp),
+                     horizon=60)
+    assert carried.nu == 0.1 and trace.nu is None
+    z = geo.sample(built.base, np.random.default_rng(5), 20)
+    for t in (1, 2, 30, 60):
+        args = (t, built.seq, built.block, built.geom, built.base, z)
+        assert (chk._dpp_residual(carried, *args)
+                == chk._dpp_residual(trace, *args))
+
+
 def test_dpp_bound_fails_with_halved_alpha(golden):
     built, trace = golden
     halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)

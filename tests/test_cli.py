@@ -23,9 +23,9 @@ def test_every_exported_name_resolves():
 
 
 def test_parse_int_list_forms():
-    assert _parse_int_list("100,1000") == (100, 1000)
-    assert _parse_int_list("0..3") == (0, 1, 2, 3)
-    assert _parse_int_list(" 7 ") == (7,)
+    assert _parse_int_list("100,1000", "--T") == (100, 1000)
+    assert _parse_int_list("0..3", "--seeds") == (0, 1, 2, 3)
+    assert _parse_int_list(" 7 ", "--T") == (7,)
 
 
 def test_run_prints_metrics_line(golden_path, capsys):
@@ -143,6 +143,34 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,content,named", [
+    (["sweep", "--T", "abc", "--seeds", "0"], None, "--T"),
+    (["sweep", "--T", "10..x", "--seeds", "0"], None, "--T"),
+    (["sweep", "--T", "10", "--seeds", "abc"], None, "--seeds"),
+    (["sweep", "--T", "10", "--seeds", "0..x"], None, "--seeds"),
+    (["run"], b"5", "JSON object"),
+    (["run"], b"null", "JSON object"),
+    (["run"], b'{"scenario_id": ', "cannot read config"),
+    (["run"], b'{"scenario_id": "\xff"}', "cannot read config"),
+    (["run"], "directory", "cannot read config"),
+], ids=["T-word", "T-range", "seeds-word", "seeds-range", "number-config",
+        "null-config", "malformed-json", "non-utf8", "directory"])
+def test_malformed_cli_input_is_usage_error(tmp_path, golden_path, capsys,
+                                            argv, content, named):
+    """Bad flag values and unreadable config files exit 2 with one
+    ``error:`` line, not a traceback."""
+    path = golden_path
+    if content == "directory":
+        path = str(tmp_path)
+    elif content is not None:
+        path = str(tmp_path / "bad.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+    assert main([argv[0], "--config", path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_infeasible_scenario_is_runtime_error(tmp_path, capsys):

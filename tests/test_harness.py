@@ -4,6 +4,7 @@ import math
 import threading
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import queueprox as qp
 from queueprox import harness
+from queueprox.cli import main
 from oracles import (SMALL_BLOCK_ROUNDS, SWEEP_DIGESTS, SWEEP_HORIZONS,
                      SWEEP_SEEDS, sweep_digest, sweep_templates)
 
@@ -232,6 +234,62 @@ def test_write_shipped_configs_round_trip(tmp_path):
     assert len(paths) == len(qp.SHIPPED_SCENARIOS)
     for name, path in zip(qp.SHIPPED_SCENARIOS, paths):
         assert qp.ScenarioConfig.from_json(path) == qp.shipped_scenario(name)
+
+
+# every shipped config's hash, recorded before ``to_dict`` and ``from_dict``
+# were derived from the dataclass fields
+SHIPPED_CONFIG_HASHES = {
+    "golden-d2": "9cb355f2feba",
+    "fixed-quadratic-ball": "5a60dce4247d",
+    "drift-rotate-d2": "a1247befbe9f",
+    "alternating-d2": "c5f166d225dd",
+    "box-mixed-d3": "245b4a10b61c",
+    "simplex-d10": "931079891c37",
+}
+
+
+def test_shipped_config_hashes_hold():
+    assert {name: qp.shipped_scenario(name).config_hash()
+            for name in qp.SHIPPED_SCENARIOS} == SHIPPED_CONFIG_HASHES
+
+
+def test_write_shipped_configs_matches_the_scenario_files(tmp_path):
+    """The README runs ``scenarios/*.json``: they are the registry's bytes."""
+    shipped = Path(__file__).resolve().parent.parent / "scenarios"
+    paths = qp.write_shipped_configs(str(tmp_path))
+    assert sorted(p.name for p in shipped.glob("*.json")) == sorted(
+        Path(p).name for p in paths)
+    for path in paths:
+        assert Path(path).read_bytes() == (shipped / Path(path).name).read_bytes()
+
+
+def test_unconstrained_config_runs_and_checks(tmp_path, capsys):
+    """K = 0: the round CSV has no constraint columns, and every check
+    passes."""
+    cfg = replace(small_config(horizon=30), constraints=None)
+    trace, report = qp.run_scenario(cfg, out_dir=str(tmp_path))
+    assert trace.n_constraints == 0 and trace.queues.shape == (32, 0)
+    rounds = tmp_path / "golden-d2_T30_seed0.csv"
+    lines = rounds.read_text().splitlines()
+    assert lines[0] == "t,loss,cum_loss,q_l1,q_l2,alpha,xi"
+    assert len(lines) == 31
+    path = tmp_path / "unconstrained.json"
+    cfg.to_json(str(path))
+    assert main(["check", "--config", str(path)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_rotate_schedule_without_random_plane_uses_the_first_two_axes():
+    data = qp.shipped_scenario("drift-rotate-d2", horizon=40).to_dict()
+    del data["loss"]["random_plane"]
+    built = qp.build_scenario(qp.ScenarioConfig.from_dict(data))
+    loss = data["loss"]
+    fixed = qp.rotating_drift(built.geom, built.base, loss["amplitude"],
+                              loss["rate"], 40)
+    x = qp.center(built.base)
+    for t in (1, 2, 17, 40):
+        assert np.array_equal(built.seq.grad(t, x), fixed.grad(t, x))
+    assert np.array_equal(built.seq.grad(1, x), [loss["amplitude"], 0.0])
 
 
 # ---------------------------------------------------------------------------

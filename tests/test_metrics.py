@@ -197,13 +197,13 @@ def test_round_csv_writer_memory_does_not_grow_with_the_horizon(tmp_path):
     T, K = 20_000, 2
     rng = np.random.default_rng(0)
     trace = qp.RunTrace(
-        variant="ompd", horizon=T, dim=2, n_constraints=K, x0=np.zeros(2),
+        variant="ompd", horizon=T, dim=2, n_constraints=K,
         decisions=rng.standard_normal((T, 2)),
         anchors=rng.standard_normal((T + 1, 2)),
         queues=np.abs(rng.standard_normal((T + 2, K))),
         g_values=rng.standard_normal((T + 1, K)),
         losses=rng.standard_normal(T), alphas=rng.random(T) + 1.0,
-        xis=rng.random(T), gamma=0.5, eta=0.1)
+        xis=rng.random(T), gamma=0.5)
     peak = _peak_bytes(
         lambda: qp.write_round_csv(trace, str(tmp_path / "rounds.csv")))
     assert peak < 120_000

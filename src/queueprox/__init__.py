@@ -17,9 +17,8 @@ from .checks import (CheckReport, check_descent_lemma, check_dpp_over_trace,
 from .errors import (ConfigError, ConvergenceError, DimensionMismatchError,
                      DomainError, InfeasibleError, OracleError,
                      QueueproxError, ScheduleError, UnsupportedFamilyError)
-from .geometry import (Ball, Box, Geometry, Simplex, bregman, center,
-                       compatible, contains, diameter_bound, dual_norm,
-                       entropic, euclidean, mirror_step, norm, project,
+from .geometry import (Ball, Box, Simplex, bregman, center, contains,
+                       diameter_bound, dual_norm, mirror_step, norm, project,
                        sample)
 from .harness import (SHIPPED_SCENARIOS, ScenarioConfig, SweepResult,
                       SweepSpec, build_scenario, fit_loglog_slope,
@@ -48,9 +47,8 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DimensionMismatchError",
     "DomainError", "InfeasibleError", "OracleError", "QueueproxError",
     "ScheduleError", "UnsupportedFamilyError",
-    "Ball", "Box", "Geometry", "Simplex", "bregman", "center", "compatible",
-    "contains", "diameter_bound", "dual_norm", "entropic", "euclidean",
-    "mirror_step", "norm", "project", "sample",
+    "Ball", "Box", "Simplex", "bregman", "center", "contains",
+    "diameter_bound", "dual_norm", "mirror_step", "norm", "project", "sample",
     "SHIPPED_SCENARIOS", "ScenarioConfig", "SweepResult", "SweepSpec",
     "build_scenario", "fit_loglog_slope", "run_scenario",
     "shipped_scenario", "sweep", "write_shipped_configs",

@@ -2,10 +2,11 @@
 
 ``run`` is the solver: one loop over rounds, each a queue (dual) update, a
 proximal-weight update and two mirror steps; its docstring spells the
-round out.  The general variant runs on euclidean geometries with a finite
-divergence diameter, the simplex variant on the entropic simplex, and a
-plain primal-dual projected-gradient baseline with no guarantees is
-included for comparison runs.  The remaining functions are the round's
+round out.  The base set decides the geometry: the general variant runs on
+a ball or a box, whose euclidean divergence has a finite diameter, the
+simplex variant on the entropic simplex, and a plain primal-dual
+projected-gradient baseline with no guarantees, also on a ball or a box,
+is included for comparison runs.  The remaining functions are the round's
 primitives, public so tests and audits can replay single steps.
 """
 from __future__ import annotations
@@ -54,9 +55,8 @@ class HyperParams:
 
 @dataclass
 class Scenario:
-    """Everything one run needs: geometry, sets, problem, constants."""
+    """Everything one run needs: base set, problem, constants."""
 
-    geom: geo.Geometry
     base: geo.BaseSet
     block: ConstraintBlock
     seq: LossSequence
@@ -255,20 +255,14 @@ def run(
     only when a scalar test fails, so a non-finite output raises
     ``OracleError`` naming its oracle and round.
     """
-    geom, base = scenario.geom, scenario.base
-    block, seq, hp = scenario.block, scenario.seq, scenario.hp
+    base, block, seq, hp = scenario.base, scenario.block, scenario.seq, scenario.hp
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == VARIANT_SIMPLEX:
-        if geom.kind != geo.ENTROPIC or not isinstance(base, geo.Simplex):
-            raise ValueError("simplex variant needs the entropic simplex pairing")
-        if hp.nu is None:
-            raise ValueError("simplex variant needs a mixing weight")
-    elif geom.kind == geo.ENTROPIC:
-        raise ValueError("the general variant needs a finite-diameter geometry; "
-                         "run the simplex variant on the entropic pairing")
-    if not geo.compatible(geom, base):
-        raise ValueError("geometry and base set are incompatible")
+    if (variant == VARIANT_SIMPLEX) != isinstance(base, geo.Simplex):
+        raise ValueError("the simplex variant runs on the simplex, and the "
+                         "other variants on a ball or a box")
+    if variant == VARIANT_SIMPLEX and hp.nu is None:
+        raise ValueError("simplex variant needs a mixing weight")
     if block.dim != base.dim or seq.dim != base.dim:
         raise ValueError("problem pieces disagree on dimension")
 
@@ -332,15 +326,15 @@ def run(
             if variant == VARIANT_SIMPLEX:
                 anchor = mix_anchor(anchor, hp.nu)
             penalty = gamma * ((queue + gamma * g_values[t - 1]) @ jac)
-            x = geo.mirror_step(geom, base, anchor, grad + penalty, alpha)
+            x = geo.mirror_step(base, anchor, grad + penalty, alpha)
             loss = value_fn(t, x)
             grad = grad_fn(t, x)
             if not math.isfinite(loss + grad @ grad):
                 _check_value(loss, t)
                 _check_grad(grad, t)
             losses[t - 1] = loss
-            anchor = anchors[t] = geo.mirror_step(geom, base, anchor,
-                                                  grad + penalty, alpha)
+            anchor = anchors[t] = geo.mirror_step(base, anchor, grad + penalty,
+                                                  alpha)
             g_values[t], jac = constraint_eval(block, x, round_index=t)
         decisions[t - 1] = x
 

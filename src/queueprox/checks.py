@@ -128,8 +128,8 @@ def check_queue_lemma(trace: RunTrace, tol: float = 1e-9) -> CheckReport:
 
 
 def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
-                  block: ConstraintBlock, geom: geo.Geometry,
-                  base: geo.BaseSet, z: np.ndarray) -> float:
+                  block: ConstraintBlock, base: geo.BaseSet,
+                  z: np.ndarray) -> float:
     """Largest residual of the round-``t`` drift-plus-penalty bound over the
     probes ``z`` (one point or an ``(n, d)`` stack), read from the trace.
 
@@ -158,13 +158,13 @@ def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
 
     lhs = (0.5 * (float(queue_next @ queue_next) - float(queue @ queue))
            + float(grad_prev @ x_curr)
-           + alpha * geo.bregman(geom, base, x_curr, anchor))
-    move = geo.norm(geom, x_curr - x_prev)
+           + alpha * geo.bregman(base, x_curr, anchor))
+    move = geo.norm(base, x_curr - x_prev)
     fixed_terms = (0.5 * xi * move**2
                    + 0.5 * gamma**2 * (float(g_curr @ g_curr)
                                        - float(g_prev @ g_prev))
                    + float((grad_prev - grad_curr) @ anchor_next)
-                   - alpha * geo.bregman(geom, base, anchor_next, x_curr))
+                   - alpha * geo.bregman(base, anchor_next, x_curr))
     weights = queue + gamma * g_prev
     refs = np.stack([anchor, anchor_next])
 
@@ -176,7 +176,7 @@ def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
         # D(z, anchor) - D(z, anchor_next), the two rows of one stacked call
         rhs = (fixed_terms
                + z_blk @ grad_curr
-               + alpha * np.subtract(*geo.bregman(geom, base, z_blk, refs))
+               + alpha * np.subtract(*geo.bregman(base, z_blk, refs))
                + gamma * (g_blk @ weights))
         worst = _fold(worst, float(np.max(lhs - rhs)))
     return worst
@@ -186,7 +186,6 @@ def check_dpp_over_trace(
     trace: RunTrace,
     seq: LossSequence,
     block: ConstraintBlock,
-    geom: geo.Geometry,
     base: geo.BaseSet,
     rounds: list[int] | None = None,
     n_z: int = 20,
@@ -205,8 +204,8 @@ def check_dpp_over_trace(
     worst = -np.inf
     for t in rounds:
         z = geo.sample(base, rng, n_z)
-        worst = _fold(worst, _dpp_residual(trace, int(t), seq, block, geom,
-                                           base, z))
+        worst = _fold(worst, _dpp_residual(trace, int(t), seq, block, base,
+                                           z))
     return CheckReport(
         check="dpp", rounds=len(rounds), samples=len(rounds) * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,
@@ -219,7 +218,6 @@ def check_dpp_over_trace(
 
 
 def check_pushback(
-    geom: geo.Geometry,
     base: geo.BaseSet,
     n_instances: int = 50,
     n_z: int = 1000,
@@ -239,20 +237,20 @@ def check_pushback(
     worst = -np.inf
     for _ in range(n_instances):
         anchor = geo.sample(base, rng)[0]
-        if geom.kind == geo.ENTROPIC:
+        if isinstance(base, geo.Simplex):
             # keep the anchor safely interior
             anchor = mix_anchor(anchor, 1e-6)
-        h = rng.standard_normal(geom.dim)
+        h = rng.standard_normal(base.dim)
         alpha = float(rng.uniform(0.5, 5.0))
-        x_opt = geo.mirror_step(geom, base, anchor, h, alpha)
-        lhs = float(h @ x_opt) + alpha * geo.bregman(geom, base, x_opt, anchor)
+        x_opt = geo.mirror_step(base, anchor, h, alpha)
+        lhs = float(h @ x_opt) + alpha * geo.bregman(base, x_opt, anchor)
         refs = np.stack([anchor, x_opt])
         z_mat = geo.sample(base, rng, n_z)
         for lo in range(0, n_z, PROBE_BLOCK):
             z_blk = z_mat[lo:lo + PROBE_BLOCK]
             # D(z, anchor) - D(z, x*), the two rows of one stacked call
             rhs = z_blk @ h + alpha * np.subtract(
-                *geo.bregman(geom, base, z_blk, refs))
+                *geo.bregman(base, z_blk, refs))
             worst = _fold(worst, float(np.max(lhs - rhs)))
     return CheckReport(
         check="pushback", rounds=n_instances, samples=n_instances * n_z,
@@ -325,7 +323,6 @@ def check_descent_lemma(
     value_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
-    geom: geo.Geometry,
     base: geo.BaseSet,
     n_pairs: int = 1000,
     seed: int = 0,
@@ -333,7 +330,7 @@ def check_descent_lemma(
 ) -> CheckReport:
     """Verify ``f(x) <= f(y) + <grad f(y), x - y> + (L/2) ||x - y||^2``.
 
-    Sampled over pairs from the base set, in the geometry norm, against a
+    Sampled over pairs from the base set, in its norm, against a
     declared constant ``L``.  An understated constant yields a positive
     residual.
     """
@@ -343,7 +340,7 @@ def check_descent_lemma(
     worst = -np.inf
     for x, y in zip(xs, ys):
         gap = (value_fn(x) - value_fn(y) - float(grad_fn(y) @ (x - y))
-               - 0.5 * lipschitz * geo.norm(geom, x - y) ** 2)
+               - 0.5 * lipschitz * geo.norm(base, x - y) ** 2)
         worst = _fold(worst, gap)
     return CheckReport(
         check="descent", rounds=n_pairs, samples=n_pairs,

@@ -36,12 +36,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
                           f"of integers, got {text!r}") from None
 
 
-def _load_config(path: str) -> ScenarioConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    return ScenarioConfig.from_json(path)
-
-
 def _report_line(report) -> str:
     return (
         f"scenario={report.scenario_id} T={report.horizon} "
@@ -55,7 +49,7 @@ def _report_line(report) -> str:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = ScenarioConfig.from_json(args.config)
     if args.seed is not None:
         config = ScenarioConfig.from_dict(
             {**config.to_dict(), "seed": args.seed})
@@ -65,7 +59,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = ScenarioConfig.from_json(args.config)
     spec = SweepSpec(config=config, horizons=_parse_int_list(args.T, "--T"),
                      seeds=_parse_int_list(args.seeds, "--seeds"))
     result = sweep(spec, out_dir=args.out)
@@ -95,7 +89,7 @@ def _cmd_check(args) -> int:
     if unknown:
         raise ConfigError(f"unknown lemma tokens: {unknown}; choose from "
                           f"{', '.join(CHECK_TOKENS)} or all")
-    config = _load_config(args.config)
+    config = ScenarioConfig.from_json(args.config)
     if config.variant == alg.VARIANT_BASELINE:
         raise ConfigError(
             "checks certify the mirror-prox variants; the baseline makes "
@@ -112,11 +106,9 @@ def _cmd_check(args) -> int:
             reports.append(chk.check_queue_lemma(trace))
         elif token == "dpp":
             reports.append(chk.check_dpp_over_trace(
-                trace, built.seq, built.block, built.geom, built.base,
-                seed=config.seed))
+                trace, built.seq, built.block, built.base, seed=config.seed))
         elif token == "pushback":
-            reports.append(chk.check_pushback(built.geom, built.base,
-                                              seed=config.seed))
+            reports.append(chk.check_pushback(built.base, seed=config.seed))
         elif token == "mixing":
             if config.variant != alg.VARIANT_SIMPLEX:
                 reports.append(_skipped(

@@ -1,12 +1,11 @@
-"""Mirror-map geometries and base feasible sets.
+"""Base feasible sets and the mirror-map geometry each one carries.
 
-Two norm and divergence pairings are supported:
+The base set decides the norm and divergence pairing:
 
-* ``euclidean``: distance-generating function ``0.5 * ||x||_2^2``, measuring
-  distances in the l2 norm with l2 dual norm.  Pairs with ball and box base
-  sets.
-* ``entropic``: negative entropy ``sum_i x_i log x_i`` on the probability
-  simplex, measuring distances in the l1 norm with l-infinity dual norm.
+* a ball or a box is euclidean: distance-generating function ``0.5 *
+  ||x||_2^2``, measuring distances in the l2 norm with l2 dual norm;
+* the probability simplex is entropic: negative entropy ``sum_i x_i log
+  x_i``, measuring distances in the l1 norm with l-infinity dual norm.
 
 Both generating functions are 1-strongly convex with respect to their paired
 norm; the solver takes that modulus as ``HyperParams.rho``.  The convention
@@ -22,43 +21,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 
-EUCLIDEAN = "euclidean"
-ENTROPIC = "entropic"
-
 # the native float64 descriptor, which every float64 array numpy makes here
 # carries: an identity test on it is cheaper than ``np.asarray``, and an
 # array with another descriptor is simply converted
 FLOAT64 = np.dtype(float)
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """A norm plus Bregman-divergence pairing on dimension ``dim``.
-
-    Attributes
-    ----------
-    kind : str
-        Either ``"euclidean"`` or ``"entropic"``.
-    dim : int
-        Ambient dimension.
-    """
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, ENTROPIC):
-            raise ValueError(f"unknown geometry kind: {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-
-
-def euclidean(dim: int) -> Geometry:
-    return Geometry(EUCLIDEAN, dim)
-
-
-def entropic(dim: int) -> Geometry:
-    return Geometry(ENTROPIC, dim)
 
 
 @dataclass(frozen=True)
@@ -129,19 +95,6 @@ class Simplex:
 BaseSet = Ball | Box | Simplex
 
 
-def compatible(geom: Geometry, base: BaseSet) -> bool:
-    """Whether the geometry pairing is defined on this base set.
-
-    The entropic pairing is only defined on the simplex; the euclidean
-    pairing is used with balls and boxes.
-    """
-    if geom.dim != base.dim:
-        return False
-    if geom.kind == ENTROPIC:
-        return isinstance(base, Simplex)
-    return isinstance(base, (Ball, Box))
-
-
 def center(base: BaseSet) -> np.ndarray:
     """A canonical interior point: ball center, box midpoint, uniform law."""
     if isinstance(base, Ball):
@@ -160,16 +113,18 @@ def contains(base: BaseSet, x: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
 
 
-def norm(geom: Geometry, v: np.ndarray) -> float:
-    """Primal norm of the geometry: l2 for euclidean, l1 for entropic."""
+def norm(base: BaseSet, v: np.ndarray) -> float:
+    """Primal norm of the base set's geometry: l1 on the simplex, l2 on a
+    ball or a box."""
     v = np.asarray(v, dtype=float)
-    if geom.kind == EUCLIDEAN:
-        return float(np.sqrt(v @ v))
-    return float(np.abs(v).sum())
+    if isinstance(base, Simplex):
+        return float(np.abs(v).sum())
+    return float(np.sqrt(v @ v))
 
 
-def dual_norm(geom: Geometry, v: np.ndarray) -> float | np.ndarray:
-    """Dual norm of the geometry: l2 for euclidean, l-infinity for entropic.
+def dual_norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
+    """Dual norm of the base set's geometry: l-infinity on the simplex, l2
+    on a ball or a box.
 
     ``v`` is one vector, or an ``(n, d)`` stack of vectors.  Returns a
     float for one vector; for a stack, the ``(n,)`` array whose row ``i``
@@ -180,74 +135,68 @@ def dual_norm(geom: Geometry, v: np.ndarray) -> float | np.ndarray:
     if v.ndim not in (1, 2):
         raise DimensionMismatchError("dual_norm expects a vector or a stack "
                                      "of vectors")
-    if geom.kind == EUCLIDEAN:
+    if isinstance(base, Simplex):
+        val = np.abs(v).max(axis=-1, initial=0.0)
+    else:
         # row-wise dot products, the same reduction as ``v @ v``
         val = np.sqrt(v @ v if v.ndim == 1
                       else (v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    else:
-        val = np.abs(v).max(axis=-1, initial=0.0)
     return float(val) if v.ndim == 1 else val
 
 
-def bregman(geom: Geometry, base: BaseSet, x: np.ndarray,
-            y: np.ndarray) -> float | np.ndarray:
-    """Bregman divergence ``D(x, y)`` of the distance-generating function.
+def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Bregman divergence ``D(x, y)`` of the base set's distance-generating
+    function.
 
     Parameters
     ----------
-    geom : Geometry
     base : BaseSet
-        The set both points belong to; used for dimension validation.
+        The set both points belong to; it decides the pairing and the
+        dimension ``d``.
     x : ndarray
         One point of dimension ``d``, or an ``(n, d)`` stack of points.
     y : ndarray
         One reference point of dimension ``d``, or an ``(m, d)`` stack of
-        them.  For the entropic geometry every reference row must be
-        strictly positive on every coordinate where ``x`` (any row of the
-        stack) is positive.
+        them.  On the simplex every reference row must be strictly positive
+        on every coordinate where ``x`` (any row of the stack) is positive.
 
     Returns
     -------
     float or ndarray
-        ``0.5 * ||x - y||_2^2`` for the euclidean pairing, the generalized
-        Kullback-Leibler divergence for the entropic pairing.  A float for
-        one point against one reference.  For a stack of points, the
-        ``(n,)`` array whose row ``i`` equals the one-point call on
-        ``x[i]``.  For a stack of references, the ``(m, n)`` array (``(m,)``
-        for one point) whose row ``i`` equals, bit for bit, the
-        one-reference call on ``y[i]``.
+        ``0.5 * ||x - y||_2^2`` on a ball or a box, the generalized
+        Kullback-Leibler divergence on the simplex.  A float for one point
+        against one reference.  For a stack of points, the ``(n,)`` array
+        whose row ``i`` equals the one-point call on ``x[i]``.  For a stack
+        of references, the ``(m, n)`` array (``(m,)`` for one point) whose
+        row ``i`` equals, bit for bit, the one-reference call on ``y[i]``.
 
     Raises
     ------
     DimensionMismatchError
-        A row of ``x`` or of ``y`` does not have dimension ``geom.dim``.
+        A row of ``x`` or of ``y`` does not have dimension ``base.dim``.
     DomainError
-        Entropic pairing with an input that is negative or NaN, or some
-        ``y_i == 0`` in any reference row while ``x_i > 0`` in any row.
+        On the simplex, an input that is negative or NaN, or some ``y_i ==
+        0`` in any reference row while ``x_i > 0`` in any row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if base.dim != geom.dim:
-        raise DimensionMismatchError("geometry and base set disagree on dimension")
-    if (x.shape[-1:] != (geom.dim,) or y.shape[-1:] != (geom.dim,)
-            or x.ndim > 2 or y.ndim > 2):
+    d = base.dim
+    if x.shape[-1:] != (d,) or y.shape[-1:] != (d,) or x.ndim > 2 or y.ndim > 2:
         raise DimensionMismatchError(
-            f"bregman expects vectors or stacks of vectors of dimension "
-            f"{geom.dim}"
-        )
-    if geom.kind == EUCLIDEAN:
-        diff = x - _reference_rows(x, y)
-        # row-wise dot product, the same reduction as ``diff @ diff``
-        val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-    else:
+            f"bregman expects vectors or stacks of vectors of dimension {d}")
+    if isinstance(base, Simplex):
         # ``>= 0`` is False for NaN, which ``< 0`` would let through
         if not (np.all(x >= 0) and np.all(y >= 0)):
             raise DomainError("entropic divergence needs nonnegative inputs")
         # some x row has mass on a coordinate where some y row has none
-        if np.any((x > 0).reshape(-1, geom.dim).any(axis=0)
-                  & (y == 0).reshape(-1, geom.dim).any(axis=0)):
+        if np.any((x > 0).reshape(-1, d).any(axis=0)
+                  & (y == 0).reshape(-1, d).any(axis=0)):
             raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
         val = _entropic(x, y)
+    else:
+        diff = x - _reference_rows(x, y)
+        # row-wise dot product, the same reduction as ``diff @ diff``
+        val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     return float(val) if x.ndim == y.ndim == 1 else val
 
 
@@ -312,7 +261,6 @@ def _float_array(v) -> np.ndarray:
 
 
 def mirror_step(
-    geom: Geometry,
     base: BaseSet,
     anchor: np.ndarray,
     h: np.ndarray,
@@ -322,11 +270,11 @@ def mirror_step(
 
     Parameters
     ----------
-    geom : Geometry
     base : BaseSet
+        The set stepped in; it decides the pairing.
     anchor : ndarray
         Proximity reference point inside the base set.  Must be strictly
-        positive for the entropic pairing.
+        positive on the simplex.
     h : ndarray
         Linear coefficient vector.
     alpha : float
@@ -335,16 +283,16 @@ def mirror_step(
     Returns
     -------
     ndarray
-        The minimizer.  Euclidean: projection of ``anchor - h / alpha``.
-        Entropic: multiplicative reweighting ``x_i
+        The minimizer.  On a ball or a box: the projection of ``anchor - h
+        / alpha``.  On the simplex: multiplicative reweighting ``x_i
         proportional to anchor_i * exp(-h_i / alpha)``, evaluated in log
         space with the maximum exponent subtracted so no overflow occurs.
     """
     anchor, h = _float_array(anchor), _float_array(h)
-    if anchor.shape != (geom.dim,) or h.shape != (geom.dim,):
+    d = base.dim
+    if anchor.shape != (d,) or h.shape != (d,):
         raise DimensionMismatchError(
-            f"mirror_step expects vectors of dimension {geom.dim}"
-        )
+            f"mirror_step expects vectors of dimension {d}")
     if alpha <= 0:
         raise ValueError("mirror_step needs alpha > 0")
     # one scalar test, and the exact one only when it fails: a finite h
@@ -352,7 +300,7 @@ def mirror_step(
     # ``h @ h``)
     if not math.isfinite(h.dot(h)) and not np.isfinite(h).all():
         raise ValueError("mirror_step got a non-finite coefficient vector")
-    if geom.kind == EUCLIDEAN:
+    if not isinstance(base, Simplex):
         return _project(base, anchor - h / alpha)
     if np.any(anchor <= 0):
         raise DomainError("entropic mirror_step needs a strictly positive anchor")
@@ -378,18 +326,16 @@ def sample(base: BaseSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return rng.dirichlet(np.ones(base.dim), size=n)
 
 
-def diameter_bound(geom: Geometry, base: BaseSet) -> float:
+def diameter_bound(base: BaseSet) -> float:
     """Finite upper bound ``R`` with ``D(x, y) <= R^2`` over the base set.
 
-    Only the euclidean pairing admits a finite bound; the entropic
-    divergence is unbounded near the simplex boundary.
+    Only a ball or a box admits a finite bound; the entropic divergence is
+    unbounded near the simplex boundary.
     """
-    if geom.kind == ENTROPIC:
-        raise DomainError("entropic divergence has no finite diameter bound")
     if isinstance(base, Ball):
         diam = 2.0 * base.radius
     elif isinstance(base, Box):
         diam = float(np.linalg.norm(base.upper - base.lower))
     else:
-        diam = float(np.sqrt(2.0))
+        raise DomainError("entropic divergence has no finite diameter bound")
     return float(np.sqrt(0.5) * diam)

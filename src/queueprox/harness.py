@@ -82,6 +82,8 @@ class ScenarioConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
@@ -158,7 +160,7 @@ def _build_base(config: ScenarioConfig) -> geo.BaseSet:
     return geo.Simplex(spec["dim"])
 
 
-def _build_block(config: ScenarioConfig, geom, base, rng) -> prob.ConstraintBlock:
+def _build_block(config: ScenarioConfig, base, rng) -> prob.ConstraintBlock:
     if config.constraints is None:
         return prob.empty_block(base.dim)
     specs = (config.constraints if isinstance(config.constraints, list)
@@ -178,15 +180,15 @@ def _build_block(config: ScenarioConfig, geom, base, rng) -> prob.ConstraintBloc
                 anchor = geo.center(base)
                 A = rng.uniform(-amplitude, amplitude, size=(count, base.dim))
                 b = A @ anchor + margin
-                blocks.append(prob.linear_block(geom, base, A, b,
+                blocks.append(prob.linear_block(base, A, b,
                                                 slater_point=anchor))
             else:
                 blocks.append(prob.linear_block(
-                    geom, base, _numbers(spec, "A"), _numbers(spec, "b"),
+                    base, _numbers(spec, "A"), _numbers(spec, "b"),
                     slater_point=_numbers(spec, "slater_point", optional=True)))
         else:
             blocks.append(prob.quadratic_block(
-                geom, base, _numbers(spec, "centers"),
+                base, _numbers(spec, "centers"),
                 _numbers(spec, "offsets"),
                 slater_point=_numbers(spec, "slater_point", optional=True)))
     return blocks[0] if len(blocks) == 1 else prob.stack_blocks(blocks)
@@ -197,15 +199,15 @@ def _unit(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
+def _build_loss(config: ScenarioConfig, base, rng) -> prob.LossSequence:
     spec = dict(config.loss)
     family = spec["family"]
     T = config.horizon
     if family == "fixed":
         if spec.get("form", "linear") == "quadratic":
-            return prob.fixed_quadratic(geom, base, _numbers(spec, "target"), T,
+            return prob.fixed_quadratic(base, _numbers(spec, "target"), T,
                                         scale=_number(spec, "scale", 1.0))
-        return prob.fixed_linear(geom, base, _numbers(spec, "coeffs"), T,
+        return prob.fixed_linear(base, _numbers(spec, "coeffs"), T,
                                  grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "linear-drift":
         if spec.get("schedule", "line") == "rotate":
@@ -214,10 +216,10 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
             else:
                 plane = None
             return prob.rotating_drift(
-                geom, base, amplitude=_number(spec, "amplitude"),
+                base, amplitude=_number(spec, "amplitude"),
                 rate=_number(spec, "rate"), horizon=T, plane=plane,
                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
-        return prob.linear_drift(geom, base, _numbers(spec, "start"),
+        return prob.linear_drift(base, _numbers(spec, "start"),
                                  _numbers(spec, "drift"), T,
                                  grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "alternating":
@@ -227,11 +229,11 @@ def _build_loss(config: ScenarioConfig, geom, base, rng) -> prob.LossSequence:
             second = amplitude * _unit(rng, base.dim)
         else:
             first, second = _numbers(spec, "first"), _numbers(spec, "second")
-        return prob.alternating(geom, base, first, second, T,
+        return prob.alternating(base, first, second, T,
                                 grad_lipschitz=_number(spec, "grad_lipschitz", 1.0))
     if family == "quadratic-drift":
         return prob.quadratic_drift(
-            geom, base, _numbers(spec, "target0"),
+            base, _numbers(spec, "target0"),
             _numbers(spec, "target_drift") if "target_drift" in spec
             else np.zeros(base.dim), T, scale0=_number(spec, "scale0", 1.0),
             scale_drift=_number(spec, "scale_drift", 0.0))
@@ -283,14 +285,16 @@ def _building(part: str, build, *args):
 
 
 def build_scenario(config: ScenarioConfig) -> alg.Scenario:
-    """Materialize geometry, base set, constraints, losses, and constants."""
+    """Materialize the base set, constraints, losses, and constants.
+
+    The base set decides the geometry; ``config.geometry``, which
+    ``validate`` has checked against it, is not read here.
+    """
     config.validate()
     base = _building("base", _build_base, config)
-    geom = (geo.euclidean if config.geometry == "euclidean" else geo.entropic)(
-        base.dim)
     rng = np.random.default_rng(config.seed)
-    block = _building("constraints", _build_block, config, geom, base, rng)
-    seq = _building("loss", _build_loss, config, geom, base, rng)
+    block = _building("constraints", _build_block, config, base, rng)
+    seq = _building("loss", _build_loss, config, base, rng)
     if config.v_cap["mode"] == "supplied":
         v_cap = float(config.v_cap["value"])
     else:
@@ -298,7 +302,7 @@ def build_scenario(config: ScenarioConfig) -> alg.Scenario:
     hp = alg.hyperparams_from_variation(
         v_cap, seq.grad_lipschitz, horizon=config.horizon,
         variant=config.variant)
-    return alg.Scenario(geom=geom, base=base, block=block, seq=seq, hp=hp)
+    return alg.Scenario(base=base, block=block, seq=seq, hp=hp)
 
 
 def run_scenario(
@@ -328,7 +332,6 @@ def run_scenario(
         scenario_id=config.scenario_id, horizon=config.horizon,
         regret=met.regret(trace, comparator, built.seq, built.block),
         violations=met.violation(trace),
-        clipped_violations=met.clipped_violation(trace),
         queue_bound=queue_bound, v_cap=built.hp.v_cap, v_empirical=v_emp,
         extras={"runtime_s": elapsed, "comparator": comparator,
                 "seed": config.seed},

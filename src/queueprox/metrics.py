@@ -83,11 +83,11 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     """Sampling-based lower estimate of the gradient-variation total.
 
     Sums, over the trace's rounds 2..T, the largest observed
-    ``||grad f_t(x) - grad f_{t-1}(x)||_*^2`` across sample points drawn
-    from the run's own visited decisions (plus the start point), so every
-    probe lies in the base set.  A max over a subset never exceeds the
-    true supremum, which makes this a certified lower bound able to
-    validate overestimated variation caps.
+    ``||grad f_t(x) - grad f_{t-1}(x)||_*^2``, in the dual norm of
+    ``seq.base``, across sample points drawn from the run's own visited
+    decisions (plus the start point), so every probe lies in the base set.
+    A max over a subset never exceeds the true supremum, which makes this
+    a certified lower bound able to validate overestimated variation caps.
 
     The probes form one ``(n, d)`` stack.  A sequence with a coefficient
     table has x-independent gradients, so its total is a blocked pass over
@@ -102,11 +102,9 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
-    geom = (geo.entropic(trace.dim) if trace.variant == "ompd-simplex"
-            else geo.euclidean(trace.dim))
     horizon = min(trace.horizon, seq.horizon)
     if seq.coeffs is not None:
-        return coeff_variation(geom, seq.coeffs, horizon)
+        return coeff_variation(seq.base, seq.coeffs, horizon)
     idx = np.linspace(0, trace.horizon - 1, min(sample_budget, trace.horizon),
                       dtype=int)
     idx = idx[np.diff(idx, prepend=-1) > 0]     # non-decreasing: drop repeats
@@ -121,7 +119,7 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
             grads = np.subtract(points, by_round(seq.targets, lo, hi)[:, None])
             grads *= by_round(seq.scales, lo, hi)[:, None, None]
         deltas = np.diff(grads, axis=0)
-        norms = geo.dual_norm(geom, deltas.reshape(-1, trace.dim))
+        norms = geo.dual_norm(seq.base, deltas.reshape(-1, trace.dim))
         maxima = norms.reshape(len(deltas), -1).max(axis=1)
         total = in_order_sum(np.float_power(maxima, 2), total)
     return float(total)
@@ -135,7 +133,6 @@ class MetricsReport:
     horizon: int
     regret: float
     violations: np.ndarray
-    clipped_violations: np.ndarray
     queue_bound: float
     v_cap: float
     v_empirical: float

@@ -56,9 +56,9 @@ class ConstraintBlock:
     value_bounds : ndarray
         Per-constraint bounds ``sup_x |g_k(x)|`` over the base set.
     lipschitz : ndarray
-        Per-constraint value Lipschitz constants in the geometry norm.
+        Per-constraint value Lipschitz constants in the base set's norm.
     curvature : float
-        Gradient Lipschitz constant shared by the block, in the geometry
+        Gradient Lipschitz constant shared by the block, in the base set's
         norm / dual-norm pairing.
     slater : tuple or None
         ``(point, margin)`` with ``g_k(point) <= -margin`` for every k.
@@ -204,12 +204,12 @@ def _coordinate_sup(base: geo.BaseSet, c: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(c), np.abs(1.0 - c))
 
 
-def _reach(geom: geo.Geometry, base: geo.BaseSet, c: np.ndarray) -> float:
-    """Bound on ``sup ||x - c||_*`` over the base set: exact on a euclidean
-    ball, the dual norm of the per-coordinate supremum elsewhere."""
-    if geom.kind == geo.EUCLIDEAN and isinstance(base, geo.Ball):
+def _reach(base: geo.BaseSet, c: np.ndarray) -> float:
+    """Bound on ``sup ||x - c||_*`` over the base set: exact on a ball, the
+    dual norm of the per-coordinate supremum elsewhere."""
+    if isinstance(base, geo.Ball):
         return float(np.linalg.norm(base.center - c)) + base.radius
-    return geo.dual_norm(geom, _coordinate_sup(base, c))
+    return geo.dual_norm(base, _coordinate_sup(base, c))
 
 
 def builtin_constants(spec: dict, base: geo.BaseSet) -> tuple[float, float, float]:
@@ -228,31 +228,24 @@ def builtin_constants(spec: dict, base: geo.BaseSet) -> tuple[float, float, floa
     make = {"linear": linear_block, "quadratic": quadratic_block}.get(family)
     if make is None:
         raise UnsupportedFamilyError(f"no built-in constants for family {family!r}")
-    block = make(_geometry_for(base), base, **spec)
+    block = make(base, **spec)
     return block.value_bound_total, block.lipschitz_total, float(block.curvature)
 
 
-def _geometry_for(base: geo.BaseSet) -> geo.Geometry:
-    if isinstance(base, geo.Simplex):
-        return geo.entropic(base.dim)
-    return geo.euclidean(base.dim)
-
-
-def _family_constants(geom: geo.Geometry, base: geo.BaseSet, family: str,
-                      **tables) -> dict:
+def _family_constants(base: geo.BaseSet, family: str, **tables) -> dict:
     """Per-constraint constants of a built-in family's tables:
     ``value_bounds`` (``sup |g_k|`` over the base set), ``lipschitz``
-    (value Lipschitz constants in the geometry norm) and ``curvature`` (the
-    shared gradient Lipschitz constant)."""
+    (value Lipschitz constants in the base set's norm) and ``curvature``
+    (the shared gradient Lipschitz constant)."""
     if family == "linear":
         rows, offsets = tables["A"], tables["b"]
         ranges = [_linear_interval(base, a) for a in rows]
-        lips = [geo.dual_norm(geom, a) for a in rows]
+        lips = [geo.dual_norm(base, a) for a in rows]
     else:
         rows, offsets = tables["centers"], tables["offsets"]
         ranges = [_sq_dist_range(base, c) for c in rows]
-        lips = [2.0 * (np.sqrt(hi) if geom.kind == geo.EUCLIDEAN
-                       else _reach(geom, base, c))
+        lips = [2.0 * (_reach(base, c) if isinstance(base, geo.Simplex)
+                       else np.sqrt(hi))
                 for c, (_, hi) in zip(rows, ranges)]
     bounds = [max(abs(lo - s), abs(hi - s)) for (lo, hi), s in zip(ranges, offsets)]
     # gradient 2(x - c) is 2-Lipschitz in both norm pairings
@@ -260,7 +253,7 @@ def _family_constants(geom: geo.Geometry, base: geo.BaseSet, family: str,
             "curvature": 0.0 if family == "linear" else 2.0}
 
 
-def _table_block(geom, base, family, slater_point, **tables) -> ConstraintBlock:
+def _table_block(base, family, slater_point, **tables) -> ConstraintBlock:
     """A built-in block on finite tables, made read-only, with the family's
     constants and an optional Slater certificate."""
     for table in tables.values():
@@ -269,7 +262,7 @@ def _table_block(geom, base, family, slater_point, **tables) -> ConstraintBlock:
         table.setflags(write=False)
     block = ConstraintBlock(
         size=len(next(iter(tables.values()))), dim=base.dim, eval_fn=None,
-        **_family_constants(geom, base, family, **tables), **tables)
+        **_family_constants(base, family, **tables), **tables)
     if slater_point is None:
         return block
     point = np.asarray(slater_point, dtype=float)
@@ -282,7 +275,6 @@ def _table_block(geom, base, family, slater_point, **tables) -> ConstraintBlock:
 
 
 def linear_block(
-    geom: geo.Geometry,
     base: geo.BaseSet,
     A,
     b,
@@ -293,11 +285,10 @@ def linear_block(
     b = np.array(b, dtype=float).reshape(A.shape[0])
     if A.shape[1] != base.dim:
         raise DimensionMismatchError("constraint matrix does not match the base set")
-    return _table_block(geom, base, "linear", slater_point, A=A, b=b)
+    return _table_block(base, "linear", slater_point, A=A, b=b)
 
 
 def quadratic_block(
-    geom: geo.Geometry,
     base: geo.BaseSet,
     centers,
     offsets,
@@ -308,7 +299,7 @@ def quadratic_block(
     offsets = np.array(offsets, dtype=float).reshape(centers.shape[0])
     if centers.shape[1] != base.dim:
         raise DimensionMismatchError("constraint centers do not match the base set")
-    return _table_block(geom, base, "quadratic", slater_point,
+    return _table_block(base, "quadratic", slater_point,
                         centers=centers, offsets=offsets)
 
 
@@ -390,15 +381,17 @@ class LossSequence:
 
     Every built-in family is held as read-only tables whose row ``t % P``
     fixes round ``t`` (``P`` is 1, 2 or ``horizon + 1``).  Audits walk them
-    in blocks of ``BLOCK_ROUNDS`` rounds, and gradients at a stack of points
-    come from them.  A custom sequence has none.
+    in blocks of ``BLOCK_ROUNDS`` rounds.  A custom sequence has none.
 
     Attributes
     ----------
+    base : BaseSet
+        The set the losses are played on; it fixes the dimension and the
+        norm pairing every constant is measured in.
     grad_bound : float
         Bound on gradient dual norms over the base set.
     grad_lipschitz : float
-        Gradient Lipschitz constant in the geometry pairing.  Must be
+        Gradient Lipschitz constant in the base set's norm pairing.  Must be
         strictly positive; for linear losses any positive value is valid.
     coeffs : ndarray or None
         The linear families' ``(P, d)`` table: ``f_t(x) = <coeffs[t % P], x>``.
@@ -408,7 +401,7 @@ class LossSequence:
     """
 
     horizon: int
-    dim: int
+    base: geo.BaseSet
     value_fn: Callable[[int, np.ndarray], float]
     grad_fn: Callable[[int, np.ndarray], np.ndarray]
     grad_bound: float
@@ -421,6 +414,10 @@ class LossSequence:
     scales: np.ndarray | None = None
     targets: np.ndarray | None = None
 
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
     def _index(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"round index {t} outside [0, {self.horizon}]")
@@ -432,18 +429,13 @@ class LossSequence:
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         """Gradient of ``f_t`` at one point ``x``, or at each row of an
         ``(n, d)`` stack ``x``, shaped like ``x``; a stack row equals the
-        one-point call on it, bit for bit.  A linear family's gradient is
-        a read-only row of its table (broadcast over a stack); a custom
-        sequence's oracle is called once per row."""
+        one-point call on it, bit for bit, since ``grad_fn`` is called once
+        per row.  A linear family's one-point gradient is a read-only row of
+        its table."""
         t = self._index(t)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.asarray(self.grad_fn(t, x), dtype=float)
-        if self.coeffs is not None:
-            return np.broadcast_to(self.coeffs[t % len(self.coeffs)], x.shape)
-        if self.scales is not None:
-            row = t % len(self.scales)
-            return self.scales[row] * (x - self.targets[row])
         return np.array([self.grad_fn(t, row) for row in x],
                         dtype=float).reshape(x.shape)
 
@@ -482,7 +474,7 @@ def in_order_sum(values: np.ndarray, total=0.0) -> np.ndarray:
     return np.cumsum(np.concatenate([start, values]), axis=0)[-1]
 
 
-def coeff_variation(geom: geo.Geometry, coeffs: np.ndarray,
+def coeff_variation(base: geo.BaseSet, coeffs: np.ndarray,
                     horizon: int) -> float:
     """``sum_{t=2..horizon} ||c_t - c_{t-1}||_*^2`` of a coefficient table.
 
@@ -493,7 +485,7 @@ def coeff_variation(geom: geo.Geometry, coeffs: np.ndarray,
     total = 0.0
     for lo, hi in row_blocks(1, horizon + 1, overlap=1):
         deltas = np.diff(by_round(coeffs, lo, hi), axis=0)
-        total = in_order_sum(np.float_power(geo.dual_norm(geom, deltas), 2),
+        total = in_order_sum(np.float_power(geo.dual_norm(base, deltas), 2),
                              total)
     return float(total)
 
@@ -525,7 +517,6 @@ def total_loss(seq: LossSequence, x: np.ndarray, n: int) -> float:
 
 
 def _linear_family(
-    geom: geo.Geometry,
     base: geo.BaseSet,
     coeffs: np.ndarray,
     horizon: int,
@@ -543,16 +534,16 @@ def _linear_family(
     grad_bound, total = 0.0, 0.0
     for lo, hi in row_blocks(1, horizon + 1):
         rows = by_round(coeffs, lo, hi)
-        grad_bound = float(np.max(geo.dual_norm(geom, rows), initial=grad_bound))
+        grad_bound = float(np.max(geo.dual_norm(base, rows), initial=grad_bound))
         total = in_order_sum(rows, total)
     mean = total / horizon
 
     return LossSequence(
-        horizon=horizon, dim=base.dim,
+        horizon=horizon, base=base,
         value_fn=lambda t, x: float(coeffs[t % period] @ x),
         grad_fn=lambda t, x: coeffs[t % period],
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        variation_fn=lambda: coeff_variation(geom, coeffs, horizon),
+        variation_fn=lambda: coeff_variation(base, coeffs, horizon),
         mean_value_fn=lambda x: float(mean @ x),
         mean_grad_fn=lambda x: mean.copy(),
         mean_curvature=0.0, coeffs=coeffs,
@@ -572,22 +563,22 @@ def _loss_vectors(base: geo.BaseSet, *vectors) -> list[np.ndarray]:
     return out
 
 
-def fixed_linear(geom, base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequence:
+def fixed_linear(base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Time-invariant linear loss ``f_t(x) = <c, x>``; variation total 0."""
     c, = _loss_vectors(base, coeffs)
-    return _linear_family(geom, base, c[None], horizon, grad_lipschitz)
+    return _linear_family(base, c[None], horizon, grad_lipschitz)
 
 
-def linear_drift(geom, base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
+def linear_drift(base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Coefficients sliding along a segment: ``c_t = start + (t/T) * drift``."""
     start, drift = _loss_vectors(base, start, drift)
     _check_horizon(horizon)
     table = start + (np.arange(horizon + 1) / horizon)[:, None] * drift
-    return _linear_family(geom, base, table, horizon, grad_lipschitz)
+    return _linear_family(base, table, horizon, grad_lipschitz)
 
 
 def rotating_drift(
-    geom, base, amplitude, rate, horizon,
+    base, amplitude, rate, horizon,
     plane=None, grad_lipschitz=1.0,
 ) -> LossSequence:
     """Linear loss whose coefficient rotates with decaying angular steps.
@@ -612,25 +603,25 @@ def rotating_drift(
     angles[2:] = np.cumsum(steps)
     table = amplitude * (np.cos(angles)[:, None] * e1
                          + np.sin(angles)[:, None] * e2)
-    return _linear_family(geom, base, table, horizon, grad_lipschitz)
+    return _linear_family(base, table, horizon, grad_lipschitz)
 
 
-def alternating(geom, base, first, second, horizon, grad_lipschitz=1.0) -> LossSequence:
+def alternating(base, first, second, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Coefficients flipping between two vectors: odd rounds use ``first``."""
     first, second = _loss_vectors(base, first, second)
-    return _linear_family(geom, base, np.stack([second, first]), horizon,
+    return _linear_family(base, np.stack([second, first]), horizon,
                           grad_lipschitz)
 
 
-def fixed_quadratic(geom, base, target, horizon, scale=1.0) -> LossSequence:
+def fixed_quadratic(base, target, horizon, scale=1.0) -> LossSequence:
     """Time-invariant quadratic loss ``f_t(x) = (scale/2) ||x - target||_2^2``."""
     target, = _loss_vectors(base, target)
-    return _quadratic_family(geom, base, np.array([scale], dtype=float),
+    return _quadratic_family(base, np.array([scale], dtype=float),
                              target[None], horizon)
 
 
 def quadratic_drift(
-    geom, base, target0, target_drift, horizon,
+    base, target0, target_drift, horizon,
     scale0=1.0, scale_drift=0.0,
 ) -> LossSequence:
     """Quadratic loss with drifting target and curvature.
@@ -641,13 +632,12 @@ def quadratic_drift(
     target0, target_drift = _loss_vectors(base, target0, target_drift)
     _check_horizon(horizon)
     fractions = np.arange(horizon + 1) / horizon
-    return _quadratic_family(geom, base, scale0 + fractions * scale_drift,
+    return _quadratic_family(base, scale0 + fractions * scale_drift,
                              target0 + fractions[:, None] * target_drift,
                              horizon)
 
 
 def _quadratic_family(
-    geom: geo.Geometry,
     base: geo.BaseSet,
     scales: np.ndarray,
     targets: np.ndarray,
@@ -681,11 +671,11 @@ def _quadratic_family(
 
     # sup_x ||x - z||_* is convex in z, so along the targets' segment it
     # peaks at an end
-    reach = max(_reach(geom, base, z_rows[0]), _reach(geom, base, z_rows[-1]))
-    x_reach = geo.dual_norm(geom, _coordinate_sup(base, np.zeros(base.dim)))
+    reach = max(_reach(base, z_rows[0]), _reach(base, z_rows[-1]))
+    x_reach = geo.dual_norm(base, _coordinate_sup(base, np.zeros(base.dim)))
     moments = s_rows[:, None] * z_rows
     steps = (np.abs(np.diff(s_rows)) * x_reach
-             + geo.dual_norm(geom, np.diff(moments, axis=0)))
+             + geo.dual_norm(base, np.diff(moments, axis=0)))
     variation = float(in_order_sum(np.float_power(steps, 2)))
 
     if period == 1:             # the row's own loss
@@ -704,7 +694,7 @@ def _quadratic_family(
             return mean_curvature * x - mean_m
 
     return LossSequence(
-        horizon=horizon, dim=base.dim, value_fn=value_fn, grad_fn=grad_fn,
+        horizon=horizon, base=base, value_fn=value_fn, grad_fn=grad_fn,
         grad_bound=float(s_rows.max()) * reach,
         grad_lipschitz=float(s_rows.max()), variation_fn=lambda: variation,
         mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
@@ -713,7 +703,7 @@ def _quadratic_family(
 
 
 def custom_sequence(
-    geom, base, value_fn, grad_fn, horizon,
+    base, value_fn, grad_fn, horizon,
     grad_bound, grad_lipschitz, variation=None,
     mean_value_fn=None, mean_grad_fn=None, mean_curvature=0.0,
 ) -> LossSequence:
@@ -726,7 +716,7 @@ def custom_sequence(
     queried at ``x_{t-1}``).
     """
     return LossSequence(
-        horizon=horizon, dim=base.dim,
+        horizon=horizon, base=base,
         value_fn=value_fn,
         grad_fn=lambda t, x: np.asarray(grad_fn(t, x), dtype=float),
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,

@@ -61,7 +61,7 @@ def grid_comparator(base, objective, feasible=None, resolution=1e-3):
     return pts[best], float(totals[best])
 
 
-def brute_force_variation(seq, geom, base, n_samples=512, seed=0):
+def brute_force_variation(seq, base, n_samples=512, seed=0):
     """Per-step max of squared dual-norm gradient deltas over sampled x."""
     rng = np.random.default_rng(seed)
     points = qp.sample(base, rng, n_samples)
@@ -70,7 +70,7 @@ def brute_force_variation(seq, geom, base, n_samples=512, seed=0):
         worst = 0.0
         for x in points:
             delta = seq.grad(t, x) - seq.grad(t - 1, x)
-            worst = max(worst, qp.dual_norm(geom, delta) ** 2)
+            worst = max(worst, qp.dual_norm(base, delta) ** 2)
         total += worst
     return total
 
@@ -82,8 +82,6 @@ def scalar_empirical_variation(trace, seq, sample_budget=32):
     evenly spaced decisions) and, per round, takes one gradient and one
     dual norm per probe, keeping the running max and sum in plain floats.
     """
-    geom = (qp.entropic(trace.dim) if trace.variant == "ompd-simplex"
-            else qp.euclidean(trace.dim))
     points = [trace.x0]
     if seq.coeffs is None:
         count = min(sample_budget, trace.horizon)
@@ -94,7 +92,7 @@ def scalar_empirical_variation(trace, seq, sample_budget=32):
         worst = 0.0
         for x in points:
             delta = seq.grad(t, x) - seq.grad(t - 1, x)
-            worst = max(worst, qp.dual_norm(geom, delta))
+            worst = max(worst, qp.dual_norm(seq.base, delta))
         total += worst ** 2
     return total
 
@@ -149,7 +147,7 @@ def golden_config(horizon=3):
 # ---------------------------------------------------------------------------
 
 
-def scalar_pushback_worst(geom, base, n_instances, n_z, seed):
+def scalar_pushback_worst(base, n_instances, n_z, seed):
     """Worst pushback residual from a plain loop over single probes.
 
     Draws the instances and probes in the order ``checks.check_pushback``
@@ -161,16 +159,16 @@ def scalar_pushback_worst(geom, base, n_instances, n_z, seed):
     worst = -np.inf
     for _ in range(n_instances):
         anchor = qp.sample(base, rng)[0]
-        if geom.kind == "entropic":
+        if isinstance(base, qp.Simplex):
             anchor = qp.mix_anchor(anchor, 1e-6)
-        h = rng.standard_normal(geom.dim)
+        h = rng.standard_normal(base.dim)
         alpha = float(rng.uniform(0.5, 5.0))
-        x_opt = qp.mirror_step(geom, base, anchor, h, alpha)
-        lhs = float(h @ x_opt) + alpha * qp.bregman(geom, base, x_opt, anchor)
+        x_opt = qp.mirror_step(base, anchor, h, alpha)
+        lhs = float(h @ x_opt) + alpha * qp.bregman(base, x_opt, anchor)
         for z in qp.sample(base, rng, n_z):
             rhs = (float(h @ z)
-                   + alpha * (qp.bregman(geom, base, z, anchor)
-                              - qp.bregman(geom, base, z, x_opt)))
+                   + alpha * (qp.bregman(base, z, anchor)
+                              - qp.bregman(base, z, x_opt)))
             worst = max(worst, lhs - rhs)
     return worst
 
@@ -472,19 +470,19 @@ def linear_coeff_at(family, horizon, **params):
                                   + np.sin(angles[t]) * e2)
 
 
-def scalar_linear_constants(geom, coeff_at, horizon):
+def scalar_linear_constants(base, coeff_at, horizon):
     """``(grad_bound, mean coefficient, variation total)`` of ``f_t(x) =
     <c_t, x>`` by plain loops over the rounds: a running max of dual norms,
     a running vector sum, and a running float sum of squared delta norms."""
     grad_bound = 0.0
-    mean = np.zeros(geom.dim)
+    mean = np.zeros(base.dim)
     for t in range(1, horizon + 1):
-        grad_bound = max(grad_bound, qp.dual_norm(geom, coeff_at(t)))
+        grad_bound = max(grad_bound, qp.dual_norm(base, coeff_at(t)))
         mean += coeff_at(t)
     mean /= horizon
     variation = 0.0
     for t in range(2, horizon + 1):
-        variation += qp.dual_norm(geom, coeff_at(t) - coeff_at(t - 1)) ** 2
+        variation += qp.dual_norm(base, coeff_at(t) - coeff_at(t - 1)) ** 2
     return grad_bound, mean, variation
 
 
@@ -510,7 +508,7 @@ def quadratic_at(family, horizon, **params):
                       z_at(t))
 
 
-def scalar_quadratic_constants(geom, base, family, at, horizon):
+def scalar_quadratic_constants(base, family, at, horizon):
     """``(grad_lipschitz, mean_curvature, mean value oracle, mean gradient
     oracle, variation total)`` of ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` by
     plain loops over the rounds.
@@ -547,11 +545,11 @@ def scalar_quadratic_constants(geom, base, family, at, horizon):
         sup_x = np.abs(base.center) + base.radius
     else:
         sup_x = np.maximum(np.abs(base.lower), np.abs(base.upper))
-    x_reach = qp.dual_norm(geom, sup_x)
+    x_reach = qp.dual_norm(base, sup_x)
     variation = 0.0
     for (prev_s, prev_z), (cur_s, cur_z) in zip(rounds, rounds[1:]):
-        variation += (abs(cur_s - prev_s) * x_reach
-                      + qp.dual_norm(geom, cur_s * cur_z - prev_s * prev_z)) ** 2
+        moment_step = qp.dual_norm(base, cur_s * cur_z - prev_s * prev_z)
+        variation += (abs(cur_s - prev_s) * x_reach + moment_step) ** 2
     return grad_lipschitz, curvature, mean_value, mean_grad, variation
 
 

@@ -17,7 +17,6 @@ from queueprox import geometry as geo
 from oracles import grid_comparator
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
-EUC2 = qp.euclidean(2)
 
 GROWTH_HORIZONS = (1000, 3000, 10000)
 GROWTH_SEEDS = (0, 1, 2)
@@ -193,14 +192,14 @@ def test_criterion_08_per_round_bound_with_negative_control(shipped_runs):
     built, trace, _ = shipped_runs["golden-d2"]
     started = time.perf_counter()
     rep = chk.check_dpp_over_trace(trace, built.seq, built.block,
-                                   built.geom, built.base, n_z=20, seed=11)
+                                   built.base, n_z=20, seed=11)
     rng = np.random.default_rng(13)
     z = geo.sample(built.base, rng, 20)
     halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)
     control = -np.inf
     for t in rng.choice(trace.horizon, size=50, replace=False) + 1:
         control = max(control, chk._dpp_residual(
-            halved, int(t), built.seq, built.block, built.geom, built.base, z))
+            halved, int(t), built.seq, built.block, built.base, z))
     elapsed = time.perf_counter() - started
     ok = (rep.passed and rep.rounds == 100 and rep.samples == 2000
           and control > 1e-8 and elapsed < 5.0)
@@ -210,52 +209,48 @@ def test_criterion_08_per_round_bound_with_negative_control(shipped_runs):
 
 
 def test_criterion_09_pushback_and_descent_suites():
-    pairings = [(EUC2, BALL),
-                (qp.euclidean(3), qp.Box(lower=-np.ones(3),
-                                         upper=np.ones(3))),
-                (qp.entropic(4), qp.Simplex(d=4))]
+    bases = [BALL, qp.Box(lower=-np.ones(3), upper=np.ones(3)),
+             qp.Simplex(d=4)]
     push_ok = True
     worst_push = -np.inf
-    for geom, base in pairings:
-        rep = chk.check_pushback(geom, base, n_instances=50, seed=23)
+    for base in bases:
+        rep = chk.check_pushback(base, n_instances=50, seed=23)
         push_ok &= rep.passed
         worst_push = max(worst_push, rep.max_residual)
 
     box3 = qp.Box(lower=-np.ones(3), upper=np.ones(3))
-    euc3 = qp.euclidean(3)
     families = []
-    lin = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 5, grad_lipschitz=0.5)
-    families.append(("fixed-linear", lin, 1, EUC2, BALL))
-    quad = qp.fixed_quadratic(EUC2, BALL, [0.1, 0.55], 5)
-    families.append(("fixed-quadratic", quad, 3, EUC2, BALL))
-    rot = qp.rotating_drift(EUC2, BALL, 1.0, 0.05, 9)
-    families.append(("rotating-drift", rot, 7, EUC2, BALL))
-    alt = qp.alternating(EUC2, BALL, [0.5, -0.2], [-0.3, 0.4], 6)
-    families.append(("alternating", alt, 2, EUC2, BALL))
-    qdrift = qp.quadratic_drift(euc3, box3, np.zeros(3), 0.1 * np.ones(3),
+    lin = qp.fixed_linear(BALL, [-1.0, 0.0], 5, grad_lipschitz=0.5)
+    families.append(("fixed-linear", lin, 1, BALL))
+    quad = qp.fixed_quadratic(BALL, [0.1, 0.55], 5)
+    families.append(("fixed-quadratic", quad, 3, BALL))
+    rot = qp.rotating_drift(BALL, 1.0, 0.05, 9)
+    families.append(("rotating-drift", rot, 7, BALL))
+    alt = qp.alternating(BALL, [0.5, -0.2], [-0.3, 0.4], 6)
+    families.append(("alternating", alt, 2, BALL))
+    qdrift = qp.quadratic_drift(box3, np.zeros(3), 0.1 * np.ones(3),
                                 8, scale0=1.0, scale_drift=0.5)
-    families.append(("quadratic-drift", qdrift, 8, euc3, box3))
+    families.append(("quadratic-drift", qdrift, 8, box3))
 
     descent_ok = True
-    for label, seq, t, geom, base in families:
+    for label, seq, t, base in families:
         rep = chk.check_descent_lemma(
             lambda x, s=seq, r=t: float(s.value(r, x)),
             lambda x, s=seq, r=t: s.grad(r, x),
-            seq.grad_lipschitz, geom, base, n_pairs=300, seed=5)
+            seq.grad_lipschitz, base, n_pairs=300, seed=5)
         descent_ok &= rep.passed
 
-    lin_block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
-    quad_block = qp.quadratic_block(euc3, box3, [np.zeros(3)], [0.5])
-    for block, geom, base in ((lin_block, EUC2, BALL),
-                              (quad_block, euc3, box3)):
+    lin_block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
+    quad_block = qp.quadratic_block(box3, [np.zeros(3)], [0.5])
+    for block, base in ((lin_block, BALL), (quad_block, box3)):
         rep = chk.check_descent_lemma(
             lambda x, b=block: float(qp.constraint_eval(b, x)[0][0]),
             lambda x, b=block: qp.constraint_eval(b, x)[1][0],
-            block.curvature, geom, base, n_pairs=300, seed=5)
+            block.curvature, base, n_pairs=300, seed=5)
         descent_ok &= rep.passed
 
     bad = chk.check_descent_lemma(
-        lambda x: float(x @ x), lambda x: 2.0 * x, 0.5, EUC2, BALL,
+        lambda x: float(x @ x), lambda x: 2.0 * x, 0.5, BALL,
         n_pairs=300, seed=5)
     ok = push_ok and descent_ok and not bad.passed
     report(9, ok, f"pushback worst residual {worst_push:.3e} over 3 "
@@ -272,8 +267,8 @@ def test_criterion_10_comparator_matches_grid_oracle():
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         offset = float(rng.uniform(0.05, 0.5))
-        seq = qp.fixed_quadratic(EUC2, BALL, target, 10)
-        block = qp.linear_block(EUC2, BALL, [direction], [offset],
+        seq = qp.fixed_quadratic(BALL, target, 10)
+        block = qp.linear_block(BALL, [direction], [offset],
                                 slater_point=[0.0, 0.0])
         x = qp.hindsight_comparator(seq, block, BALL)
         mine = sum(seq.value(t, x) for t in range(1, 11))

@@ -11,7 +11,6 @@ from oracles import (DIGEST_HORIZON, GOLDEN, TRACE_DIGESTS, golden_config,
                      trace_digest)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
-EUC2 = qp.euclidean(2)
 
 
 def run_shipped(name, horizon=None, seed=None):
@@ -147,9 +146,9 @@ def test_trace_matches_frozen_digest(name, variant):
 
 
 def _free_quadratic_scenario(horizon):
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.4, 0.2], horizon)
+    seq = qp.fixed_quadratic(BALL, [0.4, 0.2], horizon)
     hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
-    return qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    return qp.Scenario(base=BALL, block=qp.empty_block(2),
                        seq=seq, hp=hp)
 
 
@@ -169,15 +168,15 @@ def test_round_one_reduces_to_projected_gradient_without_constraints():
 
 
 def test_gamma_zero_disables_queue_entirely():
-    seq = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 20, grad_lipschitz=0.5)
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
+    seq = qp.fixed_linear(BALL, [-1.0, 0.0], 20, grad_lipschitz=0.5)
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
     hp = qp.HyperParams(eta=1.0, gamma=0.0)
-    scenario = qp.Scenario(geom=EUC2, base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
     trace = qp.run("ompd", scenario)
     assert np.all(trace.queues == 0.0)
     assert np.all(trace.xis == 0.0)
     # with the queue dead this is unconstrained online mirror prox
-    unconstrained = qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    unconstrained = qp.Scenario(base=BALL, block=qp.empty_block(2),
                                 seq=seq, hp=hp)
     free = qp.run("ompd", unconstrained)
     assert np.allclose(trace.decisions, free.decisions, atol=1e-15)
@@ -189,10 +188,12 @@ def test_run_rejects_bad_variant_and_pairings():
         qp.run("nonsense", built)
     simplex_built = qp.build_scenario(qp.shipped_scenario("simplex-d10",
                                                           horizon=10))
-    with pytest.raises(ValueError):
-        qp.run("ompd", simplex_built)       # entropic needs the simplex variant
-    with pytest.raises(ValueError):
-        qp.run("ompd-simplex", built)
+    # the simplex runs the simplex variant only, which runs nowhere else
+    for variant, scenario in (("ompd", simplex_built),
+                              ("pd-baseline", simplex_built),
+                              ("ompd-simplex", built)):
+        with pytest.raises(ValueError, match="simplex variant runs on"):
+            qp.run(variant, scenario)
 
 
 def test_run_horizon_zero_and_one():
@@ -223,10 +224,10 @@ def test_nan_gradient_raises_oracle_error_with_round():
     def bad_grad(t, x):
         return np.array([np.nan, 0.0]) if t == 3 else np.zeros(2)
 
-    seq = qp.custom_sequence(EUC2, BALL, lambda t, x: 0.0, bad_grad,
+    seq = qp.custom_sequence(BALL, lambda t, x: 0.0, bad_grad,
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
-    scenario = qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    scenario = qp.Scenario(base=BALL, block=qp.empty_block(2),
                            seq=seq, hp=qp.HyperParams(eta=1.0, gamma=1.0))
     with pytest.raises(qp.OracleError) as err:
         qp.run("ompd", scenario)
@@ -236,16 +237,14 @@ def test_nan_gradient_raises_oracle_error_with_round():
 def _custom_scenario(variant, value_fn, block=None, base=None, grad_fn=None):
     """A five-round scenario, on zero gradients unless ``grad_fn`` is
     given, for oracle and start tests."""
-    if variant == qp.VARIANT_SIMPLEX:
-        geom, base = qp.entropic(2), base or qp.Simplex(2)
-    else:
-        geom, base = EUC2, base or BALL
-    seq = qp.custom_sequence(geom, base, value_fn,
+    if base is None:
+        base = qp.Simplex(2) if variant == qp.VARIANT_SIMPLEX else BALL
+    seq = qp.custom_sequence(base, value_fn,
                              grad_fn or (lambda t, x: np.zeros(2)),
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
     hp = qp.hyperparams_from_variation(0.0, 1.0, horizon=5, variant=variant)
-    return qp.Scenario(geom=geom, base=base, block=block or qp.empty_block(2),
+    return qp.Scenario(base=base, block=block or qp.empty_block(2),
                        seq=seq, hp=hp)
 
 
@@ -482,12 +481,11 @@ def test_replayed_rounds_satisfy_pushback_both_steps():
         ]
         for h, x_opt in steps:
             lhs = (float(h @ x_opt)
-                   + alpha * qp.bregman(built.geom, built.base, x_opt, anchor))
+                   + alpha * qp.bregman(built.base, x_opt, anchor))
             for z in qp.sample(built.base, rng, 100):
                 rhs = (float(h @ z)
-                       + alpha * (qp.bregman(built.geom, built.base, z, anchor)
-                                  - qp.bregman(built.geom, built.base, z,
-                                               x_opt)))
+                       + alpha * (qp.bregman(built.base, z, anchor)
+                                  - qp.bregman(built.base, z, x_opt)))
                 assert lhs <= rhs + 1e-8
 
 
@@ -515,8 +513,7 @@ def test_simplex_variant_uses_mixed_anchor_for_both_steps():
     mixed = qp.mix_anchor(trace.anchors[t - 1], trace.nu)
     assert np.allclose(mixed, trace.mixed_anchors[t - 1], atol=0)
     h = built.seq.grad(t - 1, x_prev) + penalty
-    redo = qp.mirror_step(built.geom, built.base, mixed, h,
-                          trace.alphas[t - 1])
+    redo = qp.mirror_step(built.base, mixed, h, trace.alphas[t - 1])
     assert np.allclose(redo, trace.decisions[t - 1], atol=1e-15)
 
 
@@ -526,10 +523,10 @@ def test_simplex_variant_uses_mixed_anchor_for_both_steps():
 
 
 def test_baseline_without_constraints_is_projected_gradient():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.4, 0.2], 30)
+    seq = qp.fixed_quadratic(BALL, [0.4, 0.2], 30)
     block = qp.empty_block(2)
     hp = qp.HyperParams(eta=1.0, gamma=1.0)
-    scenario = qp.Scenario(geom=EUC2, base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
     trace = qp.run("pd-baseline", scenario)
     x = qp.center(BALL)
     for t in range(1, 31):
@@ -541,13 +538,13 @@ def test_baseline_without_constraints_is_projected_gradient():
 def test_baseline_objective_gap_shrinks_with_horizon():
     # target outside the feasible region, so the optimum sits on the
     # constraint boundary and convergence is gradual
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3],
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3],
                             slater_point=[0.0, 0.0])
     gaps = {}
     for T in (100, 2000):
-        seq = qp.fixed_quadratic(EUC2, BALL, [1.2, 0.4], T)
+        seq = qp.fixed_quadratic(BALL, [1.2, 0.4], T)
         hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
-        scenario = qp.Scenario(geom=EUC2, base=BALL, block=block, seq=seq,
+        scenario = qp.Scenario(base=BALL, block=block, seq=seq,
                                hp=hp)
         trace = qp.run("pd-baseline", scenario)
         comparator = qp.hindsight_comparator(seq, block, BALL)
@@ -561,10 +558,10 @@ def test_baseline_objective_gap_shrinks_with_horizon():
 
 
 def test_baseline_zero_gamma_keeps_dual_at_zero():
-    seq = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 25, grad_lipschitz=0.5)
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
+    seq = qp.fixed_linear(BALL, [-1.0, 0.0], 25, grad_lipschitz=0.5)
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
     hp = qp.HyperParams(eta=1.0, gamma=0.0)
-    scenario = qp.Scenario(geom=EUC2, base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
     trace = qp.run("pd-baseline", scenario)
     assert np.all(trace.queues == 0.0)
 

@@ -284,7 +284,7 @@ def test_rotate_schedule_without_random_plane_uses_the_first_two_axes():
     del data["loss"]["random_plane"]
     built = qp.build_scenario(qp.ScenarioConfig.from_dict(data))
     loss = data["loss"]
-    fixed = qp.rotating_drift(built.geom, built.base, loss["amplitude"],
+    fixed = qp.rotating_drift(built.base, loss["amplitude"],
                               loss["rate"], 40)
     x = qp.center(built.base)
     for t in (1, 2, 17, 40):

@@ -15,7 +15,6 @@ from oracles import (DIGEST_HORIZON, REPORT_DIGESTS, ROUND_CSV_DIGESTS, GOLDEN,
                      report_digest, scalar_empirical_variation)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
-EUC2 = qp.euclidean(2)
 
 
 def golden_run():
@@ -25,8 +24,8 @@ def golden_run():
 
 
 def test_regret_zero_when_playing_the_comparator():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.2, 0.1], 5)
-    built = qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    seq = qp.fixed_quadratic(BALL, [0.2, 0.1], 5)
+    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
                         seq=seq,
                         hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built, x0=np.array([0.2, 0.1]))
@@ -36,11 +35,11 @@ def test_regret_zero_when_playing_the_comparator():
 
 
 def test_regret_single_round_example():
-    seq = qp.custom_sequence(EUC2, BALL, lambda t, x: float(x @ x),
+    seq = qp.custom_sequence(BALL, lambda t, x: float(x @ x),
                              lambda t, x: 2 * x, horizon=1,
                              grad_bound=2.0, grad_lipschitz=2.0,
                              variation=0.0)
-    built = qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
                         seq=seq, hp=qp.HyperParams(eta=1.0, gamma=1.0))
     trace = qp.run("ompd", built, x0=np.array([1.0, 0.0]))
     trace.decisions[0] = [1.0, 0.0]
@@ -65,11 +64,11 @@ def test_regret_shift_invariance():
     shift = 7.25
     seq = built.seq
     shifted = qp.custom_sequence(
-        EUC2, BALL, lambda t, x: seq.value(t, x) + shift, seq.grad,
+        BALL, lambda t, x: seq.value(t, x) + shift, seq.grad,
         horizon=3, grad_bound=seq.grad_bound,
         grad_lipschitz=seq.grad_lipschitz, variation=0.0)
     shifted_trace = qp.run("ompd", qp.Scenario(
-        geom=EUC2, base=BALL, block=built.block, seq=shifted, hp=built.hp))
+        base=BALL, block=built.block, seq=shifted, hp=built.hp))
     assert abs(qp.regret(shifted_trace, x_star, shifted)
                - base_value) <= 1e-9
 
@@ -93,15 +92,15 @@ def test_violation_examples_and_accessor():
 
 
 def test_violation_constant_feed():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.0, 0.0], 10)
-    block = qp.linear_block(EUC2, BALL, [[0.0, 0.0]], [0.1])  # g = -0.1
-    built = qp.Scenario(geom=EUC2, base=BALL, block=block, seq=seq,
+    seq = qp.fixed_quadratic(BALL, [0.0, 0.0], 10)
+    block = qp.linear_block(BALL, [[0.0, 0.0]], [0.1])  # g = -0.1
+    built = qp.Scenario(base=BALL, block=block, seq=seq,
                         hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built)
     assert qp.violation(trace, 1) == pytest.approx(-1.0, abs=1e-12)
 
-    zero_block = qp.linear_block(EUC2, BALL, [[0.0, 0.0]], [0.0])
-    built0 = qp.Scenario(geom=EUC2, base=BALL, block=zero_block, seq=seq,
+    zero_block = qp.linear_block(BALL, [[0.0, 0.0]], [0.0])
+    built0 = qp.Scenario(base=BALL, block=zero_block, seq=seq,
                          hp=built.hp)
     assert qp.violation(qp.run("ompd", built0), 1) == 0.0
 
@@ -125,8 +124,8 @@ def test_violation_bound_check_golden():
 
 
 def test_violation_bound_check_zero_constraints():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.2, 0.1], 5)
-    built = qp.Scenario(geom=EUC2, base=BALL, block=qp.empty_block(2),
+    seq = qp.fixed_quadratic(BALL, [0.2, 0.1], 5)
+    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
                         seq=seq, hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built)
     holds, slack = qp.violation_bound_check(trace)
@@ -226,22 +225,20 @@ def _x_dependent_run(variant, horizon, run_horizon=None):
     """A run of ``run_horizon`` rounds (default ``horizon``) on a custom
     loss whose gradients move with ``x`` and ``t``, through an oracle that
     only takes one point."""
-    if variant == qp.VARIANT_SIMPLEX:
-        geom, base = qp.entropic(3), qp.Simplex(3)
-    else:
-        geom, base = qp.euclidean(3), qp.Ball(center=np.zeros(3), radius=1.0)
+    base = (qp.Simplex(3) if variant == qp.VARIANT_SIMPLEX
+            else qp.Ball(center=np.zeros(3), radius=1.0))
     weights = np.array([1.0, -2.0, 0.5])
 
     def grad_fn(t, x):
         assert x.shape == (3,)
         return np.cos(t * x) * weights + 0.3 * np.sin(t) * x[::-1]
 
-    seq = qp.custom_sequence(geom, base, lambda t, x: float(weights @ x),
+    seq = qp.custom_sequence(base, lambda t, x: float(weights @ x),
                              grad_fn, horizon=horizon, grad_bound=3.0,
                              grad_lipschitz=1.0, variation=0.0)
     hp = qp.hyperparams_from_variation(1.0, 1.0, horizon=horizon,
                                        variant=variant)
-    scenario = qp.Scenario(geom=geom, base=base, block=qp.empty_block(3),
+    scenario = qp.Scenario(base=base, block=qp.empty_block(3),
                            seq=seq, hp=hp)
     return seq, qp.run(variant, scenario, horizon=run_horizon)
 
@@ -257,7 +254,7 @@ def test_empirical_variation_matches_per_point_reference(variant):
 
 def _table_runs():
     """Runs on a table-backed loss of every built-in family, some shorter
-    than their sequence, under both geometries; T=130 spans three blocks
+    than their sequence, on every kind of base set; T=130 spans three blocks
     of the quadratic variation pass, and its half-length run one."""
     configs = [qp.shipped_scenario(name, horizon=T)
                for name in ("golden-d2", "drift-rotate-d2", "alternating-d2",

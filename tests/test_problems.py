@@ -16,11 +16,10 @@ from oracles import (brute_force_variation, finite_diff_grad,
                      scalar_quadratic_constants)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
-EUC2 = qp.euclidean(2)
 
 
 def test_constraint_eval_linear_examples():
-    block = qp.linear_block(EUC2, BALL, [[1.0, 1.0]], [1.0])
+    block = qp.linear_block(BALL, [[1.0, 1.0]], [1.0])
     vals, jac = qp.constraint_eval(block, np.array([0.5, 0.5]))
     assert vals[0] == 0.0
     assert np.allclose(jac[0], [1.0, 1.0])
@@ -29,7 +28,7 @@ def test_constraint_eval_linear_examples():
 
 
 def test_constraint_eval_quadratic_example():
-    block = qp.quadratic_block(EUC2, BALL, [[0.0, 0.0]], [0.25])
+    block = qp.quadratic_block(BALL, [[0.0, 0.0]], [0.25])
     x = np.array([0.5, 0.0])
     vals, jac = qp.constraint_eval(block, x)
     assert vals[0] == pytest.approx(0.0, abs=1e-15)
@@ -40,7 +39,7 @@ def test_constraint_eval_quadratic_example():
 
 
 def test_constraint_eval_dimension_mismatch():
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
     with pytest.raises(qp.DimensionMismatchError):
         qp.constraint_eval(block, np.zeros(3))
 
@@ -82,18 +81,18 @@ def _one_point_block(dim):
 
 STACK_BLOCKS = {
     "linear-1x2": lambda: qp.linear_block(
-        EUC2, BALL, [[0.3, -1.1]], [0.2]),
+        BALL, [[0.3, -1.1]], [0.2]),
     "linear-2x10": lambda: qp.linear_block(
-        qp.euclidean(10), _ball(10),
+        _ball(10),
         np.random.default_rng(3).standard_normal((2, 10)), [0.1, -0.2]),
     "quadratic-1x3": lambda: qp.quadratic_block(
-        qp.euclidean(3), _ball(3), [[0.1, -0.2, 0.3]], [0.4]),
+        _ball(3), [[0.1, -0.2, 0.3]], [0.4]),
     "quadratic-3x3": lambda: qp.quadratic_block(
-        qp.euclidean(3), _ball(3),
+        _ball(3),
         np.random.default_rng(4).uniform(-1, 1, (3, 3)), [0.2, 0.5, 0.9]),
     "stacked": lambda: qp.stack_blocks([
-        qp.linear_block(qp.euclidean(3), _ball(3), [[1.0, 1.0, 1.0]], [1.0]),
-        qp.quadratic_block(qp.euclidean(3), _ball(3), [[0.0, 0.0, 0.0]],
+        qp.linear_block(_ball(3), [[1.0, 1.0, 1.0]], [1.0]),
+        qp.quadratic_block(_ball(3), [[0.0, 0.0, 0.0]],
                            [0.9])]),
     "empty": lambda: qp.empty_block(3),
     "one-point": lambda: _one_point_block(3),
@@ -152,7 +151,7 @@ def test_constraint_eval_stack_follows_a_swapped_eval_fn():
     cannot read the old tables for its closed form."""
     tables = ("A", "b", "centers", "offsets", "order")
     cases = [STACK_BLOCKS["stacked"](),
-             qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3],
+             qp.linear_block(BALL, [[1.0, 0.0]], [0.3],
                              slater_point=[0.0, 0.0])]
     for block in cases:
         assert block.eval_fn is None and block.A is not None
@@ -173,7 +172,7 @@ def test_constraint_eval_stack_follows_a_swapped_eval_fn():
             assert (qp.constraint_eval(swapped, x)[0].tobytes()
                     == one_values.tobytes())
     # the swapped cap x_1 <= 0.55 binds, not the old tables' x_1 <= 0.3
-    seq = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 10)
+    seq = qp.fixed_linear(BALL, [-1.0, 0.0], 10)
     x = qp.hindsight_comparator(seq, swapped, BALL)
     assert x[0] <= 0.55 + 1e-8 and x[0] == pytest.approx(0.55, abs=1e-6)
 
@@ -218,9 +217,9 @@ def test_builtin_constants_rejects_custom_family():
 
 
 @pytest.mark.parametrize("make_block", [
-    lambda: qp.linear_block(EUC2, BALL, [[0.7, -0.2], [0.1, 0.9]],
+    lambda: qp.linear_block(BALL, [[0.7, -0.2], [0.1, 0.9]],
                             [0.5, 0.4]),
-    lambda: qp.quadratic_block(EUC2, BALL, [[0.2, -0.1]], [0.3]),
+    lambda: qp.quadratic_block(BALL, [[0.2, -0.1]], [0.3]),
 ])
 def test_declared_constants_hold_on_samples(make_block):
     block = make_block()
@@ -241,7 +240,7 @@ def test_declared_constants_hold_on_samples(make_block):
 
 
 def test_slater_certificate_strictly_feasible():
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3],
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3],
                             slater_point=[0.0, 0.0])
     point, margin = block.slater
     vals, _ = qp.constraint_eval(block, point)
@@ -250,8 +249,8 @@ def test_slater_certificate_strictly_feasible():
 
 
 def test_stack_blocks_concatenates():
-    b1 = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3])
-    b2 = qp.quadratic_block(EUC2, BALL, [[0.0, 0.0]], [0.5])
+    b1 = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
+    b2 = qp.quadratic_block(BALL, [[0.0, 0.0]], [0.5])
     both = qp.stack_blocks([b1, b2])
     assert both.size == 2
     vals, jac = qp.constraint_eval(both, np.array([0.1, 0.2]))
@@ -263,10 +262,10 @@ def test_stack_blocks_concatenates():
 def test_stack_blocks_keeps_the_order_of_its_parts():
     """Rows come in the parts' order, quadratic before linear included, and
     each equals its part's row bit for bit, one point or a stack."""
-    euc3, ball3 = qp.euclidean(3), _ball(3)
-    lin = qp.linear_block(euc3, ball3, [[1.0, 1.0, 1.0], [0.5, -1.0, 0.2]],
+    ball3 = _ball(3)
+    lin = qp.linear_block(ball3, [[1.0, 1.0, 1.0], [0.5, -1.0, 0.2]],
                           [1.0, 0.3])
-    quad = qp.quadratic_block(euc3, ball3, [[0.1, 0.0, -0.2]], [0.5])
+    quad = qp.quadratic_block(ball3, [[0.1, 0.0, -0.2]], [0.5])
     inner = qp.stack_blocks([quad, lin])
     for parts in ([quad, lin], [lin, quad, lin], [quad, qp.empty_block(3)],
                   [inner, quad, lin], [lin]):
@@ -287,7 +286,7 @@ def test_stack_blocks_keeps_the_order_of_its_parts():
 
 def test_block_tables_are_finite_read_only_copies():
     A = np.array([[1.0, 0.0]])
-    block = qp.linear_block(EUC2, BALL, A, [0.3])
+    block = qp.linear_block(BALL, A, [0.3])
     A[0, 0] = 5.0
     assert block.A[0, 0] == 1.0
     with pytest.raises(ValueError):
@@ -296,9 +295,38 @@ def test_block_tables_are_finite_read_only_copies():
         qp.stack_blocks([block, qp.empty_block(2)]).b[0] = 1.0
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            qp.linear_block(EUC2, BALL, [[bad, 0.0]], [0.3])
+            qp.linear_block(BALL, [[bad, 0.0]], [0.3])
         with pytest.raises(ValueError, match="finite"):
-            qp.quadratic_block(EUC2, BALL, [[0.0, 0.0]], [bad])
+            qp.quadratic_block(BALL, [[0.0, 0.0]], [bad])
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+def test_simplex_block_constants_hold_in_the_l1_norm(dim):
+    """On the simplex a block's value bounds hold at every vertex and at
+    sampled points, and its Lipschitz constants hold in the l1 norm over
+    every pair of them."""
+    rng = np.random.default_rng(dim)
+    simplex = qp.Simplex(dim)
+    points = np.vstack([np.eye(dim), qp.sample(simplex, rng, 200)])
+    moves = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+    for block in (qp.linear_block(simplex, rng.normal(size=(3, dim)),
+                                  rng.normal(size=3)),
+                  qp.quadratic_block(simplex, rng.uniform(-0.5, 1.5, (3, dim)),
+                                     rng.uniform(0.0, 1.0, 3))):
+        values, _ = qp.constraint_eval(block, points)
+        assert np.all(np.abs(values) <= block.value_bounds)
+        changes = np.abs(values[:, None, :] - values[None, :, :])
+        assert np.all(changes <= block.lipschitz * moves[..., None] + 1e-12)
+
+
+def test_ball_constants_are_measured_in_the_l2_norm():
+    # sup ||x - c||_2 over the unit ball is 1 + ||c||_2 = 1 + sqrt(1/2), and
+    # each alternating step moves the gradient by (1.4, 1.4), of l2 norm
+    # squared 3.92, over 1999 steps
+    block = qp.quadratic_block(BALL, [[0.5, 0.5]], [1.2])
+    assert block.lipschitz[0] == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-15)
+    seq = qp.alternating(BALL, [0.7, 0.7], [-0.7, -0.7], 2000)
+    assert qp.gradient_variation(seq) == pytest.approx(7836.08, rel=1e-12)
     custom = qp.ConstraintBlock(size=1, dim=2, eval_fn=lambda x: (x[:1], A[:1]),
                                 value_bounds=np.ones(1), lipschitz=np.ones(1),
                                 curvature=0.0)
@@ -307,7 +335,7 @@ def test_block_tables_are_finite_read_only_copies():
 
 
 def test_loss_index_zero_aliases_round_one():
-    seq = qp.linear_drift(EUC2, BALL, [1.0, 0.0], [0.0, 1.0], horizon=10)
+    seq = qp.linear_drift(BALL, [1.0, 0.0], [0.0, 1.0], horizon=10)
     x = np.array([0.2, 0.1])
     assert np.allclose(seq.grad(0, x), seq.grad(1, x))
     assert seq.value(0, x) == seq.value(1, x)
@@ -316,13 +344,13 @@ def test_loss_index_zero_aliases_round_one():
 
 
 @pytest.mark.parametrize("make_seq", [
-    lambda: qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 20, grad_lipschitz=0.5),
-    lambda: qp.linear_drift(EUC2, BALL, [0.5, 0.0], [0.0, 0.4], 20),
-    lambda: qp.alternating(EUC2, BALL, [0.3, 0.1], [-0.2, 0.4], 20),
-    lambda: qp.rotating_drift(EUC2, BALL, amplitude=0.8, rate=0.6,
+    lambda: qp.fixed_linear(BALL, [-1.0, 0.0], 20, grad_lipschitz=0.5),
+    lambda: qp.linear_drift(BALL, [0.5, 0.0], [0.0, 0.4], 20),
+    lambda: qp.alternating(BALL, [0.3, 0.1], [-0.2, 0.4], 20),
+    lambda: qp.rotating_drift(BALL, amplitude=0.8, rate=0.6,
                               horizon=20),
-    lambda: qp.fixed_quadratic(EUC2, BALL, [0.1, 0.55], 20),
-    lambda: qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 20,
+    lambda: qp.fixed_quadratic(BALL, [0.1, 0.55], 20),
+    lambda: qp.quadratic_drift(BALL, [0.9, 0.0], [-0.4, 0.3], 20,
                                scale0=1.0, scale_drift=0.5),
 ])
 def test_loss_constants_hold_on_samples(make_seq):
@@ -347,18 +375,18 @@ def _one_point_custom_sequence(horizon):
         return np.array([np.sin(t * x[0]) + x[1] ** 2, t * x[0] * x[1]])
 
     return qp.custom_sequence(
-        EUC2, BALL, lambda t, x: float(x @ x), grad_fn, horizon=horizon,
+        BALL, lambda t, x: float(x @ x), grad_fn, horizon=horizon,
         grad_bound=10.0, grad_lipschitz=10.0)
 
 
 @pytest.mark.parametrize("make_seq", [
-    lambda: qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 20),
-    lambda: qp.fixed_quadratic(EUC2, BALL, [0.1, 0.55], 20, scale=0.7),
-    lambda: qp.linear_drift(EUC2, BALL, [0.5, 0.0], [0.0, 0.4], 20),
-    lambda: qp.rotating_drift(EUC2, BALL, amplitude=0.8, rate=0.6,
+    lambda: qp.fixed_linear(BALL, [-1.0, 0.0], 20),
+    lambda: qp.fixed_quadratic(BALL, [0.1, 0.55], 20, scale=0.7),
+    lambda: qp.linear_drift(BALL, [0.5, 0.0], [0.0, 0.4], 20),
+    lambda: qp.rotating_drift(BALL, amplitude=0.8, rate=0.6,
                               horizon=20),
-    lambda: qp.alternating(EUC2, BALL, [0.3, 0.1], [-0.2, 0.4], 20),
-    lambda: qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 20,
+    lambda: qp.alternating(BALL, [0.3, 0.1], [-0.2, 0.4], 20),
+    lambda: qp.quadratic_drift(BALL, [0.9, 0.0], [-0.4, 0.3], 20,
                                scale0=1.0, scale_drift=0.5),
     lambda: _one_point_custom_sequence(20),
 ], ids=["fixed-linear", "fixed-quadratic", "linear-drift", "rotating-drift",
@@ -375,7 +403,7 @@ def test_loss_grad_on_a_stack_equals_its_rows(make_seq):
 
 
 def test_quadratic_gradients_match_finite_differences():
-    seq = qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 10,
+    seq = qp.quadratic_drift(BALL, [0.9, 0.0], [-0.4, 0.3], 10,
                              scale0=1.0, scale_drift=0.5)
     rng = np.random.default_rng(9)
     for t in (1, 5, 10):
@@ -384,25 +412,25 @@ def test_quadratic_gradients_match_finite_differences():
             assert np.allclose(seq.grad(t, x), fd, atol=1e-7)
 
 
-def _random_linear(family, geom, base, horizon, rng):
+def _random_linear(family, base, horizon, rng):
     """A built-in linear sequence on random parameters, and its parameters."""
     d = base.dim
     if family == "fixed":
         params = {"coeffs": rng.normal(size=d)}
-        seq = qp.fixed_linear(geom, base, params["coeffs"], horizon)
+        seq = qp.fixed_linear(base, params["coeffs"], horizon)
     elif family == "linear-drift":
         params = {"start": rng.normal(size=d), "drift": rng.normal(size=d)}
-        seq = qp.linear_drift(geom, base, params["start"], params["drift"],
+        seq = qp.linear_drift(base, params["start"], params["drift"],
                               horizon)
     elif family == "alternating":
         params = {"first": rng.normal(size=d), "second": rng.normal(size=d)}
-        seq = qp.alternating(geom, base, params["first"], params["second"],
+        seq = qp.alternating(base, params["first"], params["second"],
                              horizon)
     else:
         plane = rng.normal(size=(2, d))
         params = {"amplitude": float(rng.uniform(0.5, 1.5)),
                   "rate": float(rng.uniform(0.2, 1.0))}
-        seq = qp.rotating_drift(geom, base, horizon=horizon, plane=plane,
+        seq = qp.rotating_drift(base, horizon=horizon, plane=plane,
                                 **params)
         e1 = plane[0] / np.linalg.norm(plane[0])
         e2 = plane[1] - (plane[1] @ e1) * e1
@@ -411,28 +439,26 @@ def _random_linear(family, geom, base, horizon, rng):
 
 
 LINEAR_FAMILIES = ("fixed", "linear-drift", "alternating", "rotating")
-TABLE_PAIRINGS = [(qp.euclidean(2), BALL),
-                  (qp.euclidean(10), qp.Box(-np.ones(10), np.ones(10))),
-                  (qp.entropic(10), qp.Simplex(10))]
+TABLE_BASES = [BALL, qp.Box(-np.ones(10), np.ones(10)), qp.Simplex(10)]
 
 
 @pytest.mark.parametrize("family", LINEAR_FAMILIES)
-@pytest.mark.parametrize("geom, base", TABLE_PAIRINGS,
+@pytest.mark.parametrize("base", TABLE_BASES,
                          ids=["ball-d2", "box-d10", "simplex-d10"])
-def test_linear_table_matches_the_per_round_formula(family, geom, base):
+def test_linear_table_matches_the_per_round_formula(family, base):
     # every row, gradient, value and constant equals the one computed
     # round by round, bit for bit
     rng = np.random.default_rng(31)
     x = geometry.sample(base, rng)[0]
     for horizon in (1, 2, 7, 500):
-        seq, params = _random_linear(family, geom, base, horizon, rng)
+        seq, params = _random_linear(family, base, horizon, rng)
         coeff_at = linear_coeff_at(family, horizon, **params)
         for t in range(horizon + 1):
             c = coeff_at(max(t, 1))
             assert seq.grad(t, x).tobytes() == c.tobytes()
             assert seq.value(t, x) == float(c @ x)
         grad_bound, mean, variation = scalar_linear_constants(
-            geom, coeff_at, horizon)
+            base, coeff_at, horizon)
         assert seq.grad_bound == grad_bound
         assert seq.mean_grad_fn(x).tobytes() == mean.tobytes()
         assert seq.mean_value_fn(x) == float(mean @ x)
@@ -452,14 +478,14 @@ def test_coeff_variation_squares_like_python_floats():
     for v in values:
         expect += v ** 2
         expect += v ** 2
-    assert coeff_variation(qp.entropic(2), table, len(table) - 1) == expect
+    assert coeff_variation(qp.Simplex(2), table, len(table) - 1) == expect
 
 
 @pytest.mark.parametrize("family, period", [
     ("fixed", 1), ("alternating", 2), ("linear-drift", 51), ("rotating", 51)])
 def test_linear_tables_are_small_and_read_only(family, period):
     # only the drifting families hold a row per round
-    seq, _ = _random_linear(family, EUC2, BALL, 50, np.random.default_rng(2))
+    seq, _ = _random_linear(family, BALL, 50, np.random.default_rng(2))
     assert seq.coeffs.shape == (period, 2)
     with pytest.raises(ValueError):
         seq.coeffs[0, 0] = 1.0
@@ -470,27 +496,27 @@ def test_linear_tables_are_small_and_read_only(family, period):
 def test_linear_families_reject_a_zero_horizon():
     for family in LINEAR_FAMILIES:
         with pytest.raises(ValueError, match="horizon"):
-            _random_linear(family, EUC2, BALL, 0, np.random.default_rng(3))
+            _random_linear(family, BALL, 0, np.random.default_rng(3))
     for family in QUADRATIC_FAMILIES:
         with pytest.raises(ValueError, match="horizon"):
-            _random_quadratic(family, EUC2, BALL, 0, np.random.default_rng(3))
+            _random_quadratic(family, BALL, 0, np.random.default_rng(3))
 
 
-def _random_quadratic(family, geom, base, horizon, rng):
+def _random_quadratic(family, base, horizon, rng):
     """A built-in quadratic sequence on random parameters, and its
     parameters."""
     d = base.dim
     if family == "fixed":
         params = {"target": rng.normal(size=d),
                   "scale": float(rng.uniform(0.5, 2.0))}
-        seq = qp.fixed_quadratic(geom, base, params["target"], horizon,
+        seq = qp.fixed_quadratic(base, params["target"], horizon,
                                  scale=params["scale"])
     else:
         params = {"target0": rng.normal(size=d),
                   "target_drift": rng.normal(size=d),
                   "scale0": float(rng.uniform(0.5, 2.0)),
                   "scale_drift": float(rng.uniform(-0.4, 1.0))}
-        seq = qp.quadratic_drift(geom, base, horizon=horizon, **params)
+        seq = qp.quadratic_drift(base, horizon=horizon, **params)
     return seq, params
 
 
@@ -498,17 +524,16 @@ QUADRATIC_FAMILIES = ("fixed", "quadratic-drift")
 
 
 @pytest.mark.parametrize("family", QUADRATIC_FAMILIES)
-@pytest.mark.parametrize("geom, base", [
-    (EUC2, BALL), (qp.euclidean(3), qp.Box(-np.ones(3), np.ones(3)))],
-    ids=["ball-d2", "box-d3"])
-def test_quadratic_tables_match_the_per_round_formula(family, geom, base):
+@pytest.mark.parametrize("base", [BALL, qp.Box(-np.ones(3), np.ones(3))],
+                         ids=["ball-d2", "box-d3"])
+def test_quadratic_tables_match_the_per_round_formula(family, base):
     # every row, value, gradient and constant but grad_bound equals the one
     # computed round by round, bit for bit
     rng = np.random.default_rng(41)
     x = geometry.sample(base, rng)[0]
     points = geometry.sample(base, rng, 5)
     for horizon in (1, 2, 7, 500):
-        seq, params = _random_quadratic(family, geom, base, horizon, rng)
+        seq, params = _random_quadratic(family, base, horizon, rng)
         at = quadratic_at(family, horizon, **params)
         period = 1 if family == "fixed" else horizon + 1
         assert seq.scales.shape == (period,)
@@ -523,7 +548,7 @@ def test_quadratic_tables_match_the_per_round_formula(family, geom, base):
             stacked = np.array([s * (p - z) for p in points])
             assert seq.grad(t, points).tobytes() == stacked.tobytes()
         lipschitz, curvature, mean_value, mean_grad, variation = (
-            scalar_quadratic_constants(geom, base, family, at, horizon))
+            scalar_quadratic_constants(base, family, at, horizon))
         assert seq.grad_lipschitz == lipschitz
         assert seq.mean_curvature == curvature
         assert seq.mean_value_fn(x) == mean_value(x)
@@ -539,13 +564,13 @@ def test_quadratic_variation_squares_like_python_floats():
     # a horizon-2 drift whose target stays at the origin has one variation
     # step, |s_2 - s_1| * sup ||x||; only the scale drifts whose step has a
     # libm square (Python's x ** 2) other than step * step are checked
-    x_reach = qp.dual_norm(EUC2, np.ones(2))
+    x_reach = qp.dual_norm(BALL, np.ones(2))
     checked = 0
     for drift in np.random.default_rng(5).uniform(0.1, 10.0, 20000).tolist():
         step = abs((1.0 + drift) - (1.0 + 0.5 * drift)) * x_reach
         if step ** 2 == step * step:
             continue
-        seq = qp.quadratic_drift(EUC2, BALL, np.zeros(2), np.zeros(2), 2,
+        seq = qp.quadratic_drift(BALL, np.zeros(2), np.zeros(2), 2,
                                  scale0=1.0, scale_drift=drift)
         assert qp.gradient_variation(seq) == step ** 2
         checked += 1
@@ -556,7 +581,7 @@ def test_quadratic_variation_squares_like_python_floats():
     ("fixed", "target"), ("quadratic-drift", "target0"),
     ("quadratic-drift", "target_drift")])
 def test_quadratic_families_keep_no_reference_to_their_inputs(family, key):
-    seq, params = _random_quadratic(family, EUC2, BALL, 9,
+    seq, params = _random_quadratic(family, BALL, 9,
                                     np.random.default_rng(8))
     x = np.array([0.3, -0.2])
 
@@ -571,40 +596,40 @@ def test_quadratic_families_keep_no_reference_to_their_inputs(family, key):
 
 
 def test_gradient_variation_fixed_is_zero():
-    seq = qp.fixed_linear(EUC2, BALL, [0.4, -0.2], 50)
+    seq = qp.fixed_linear(BALL, [0.4, -0.2], 50)
     assert qp.gradient_variation(seq) == 0.0
-    seq_q = qp.fixed_quadratic(EUC2, BALL, [0.1, 0.2], 50)
+    seq_q = qp.fixed_quadratic(BALL, [0.1, 0.2], 50)
     assert qp.gradient_variation(seq_q) == 0.0
 
 
 def test_gradient_variation_alternating_closed_form():
     c, cp = np.array([0.3, 0.1]), np.array([-0.2, 0.4])
-    seq = qp.alternating(EUC2, BALL, c, cp, horizon=10)
+    seq = qp.alternating(BALL, c, cp, horizon=10)
     expect = 9 * float((c - cp) @ (c - cp))
     assert qp.gradient_variation(seq) == pytest.approx(expect, rel=1e-12)
     assert qp.gradient_variation(seq) == pytest.approx(
-        brute_force_variation(seq, EUC2, BALL), rel=1e-9)
+        brute_force_variation(seq, BALL), rel=1e-9)
 
 
 def test_gradient_variation_linear_drift_closed_form():
     u = np.array([0.0, 0.4])
-    seq = qp.linear_drift(EUC2, BALL, [0.5, 0.0], u, horizon=20)
+    seq = qp.linear_drift(BALL, [0.5, 0.0], u, horizon=20)
     expect = 19 * float(u @ u) / 20**2
     assert qp.gradient_variation(seq) == pytest.approx(expect, rel=1e-12)
     assert qp.gradient_variation(seq) == pytest.approx(
-        brute_force_variation(seq, EUC2, BALL), rel=1e-9)
+        brute_force_variation(seq, BALL), rel=1e-9)
 
 
 def test_gradient_variation_quadratic_certified_overestimate():
-    seq = qp.quadratic_drift(EUC2, BALL, [0.9, 0.0], [-0.4, 0.3], 15,
+    seq = qp.quadratic_drift(BALL, [0.9, 0.0], [-0.4, 0.3], 15,
                              scale0=1.0, scale_drift=0.5)
     v = qp.gradient_variation(seq)
-    assert v >= brute_force_variation(seq, EUC2, BALL, n_samples=256) - 1e-12
+    assert v >= brute_force_variation(seq, BALL, n_samples=256) - 1e-12
     assert v >= 0.0
 
 
 def test_gradient_variation_base_dimension_check():
-    seq = qp.fixed_linear(EUC2, BALL, [0.4, -0.2], 5)
+    seq = qp.fixed_linear(BALL, [0.4, -0.2], 5)
     assert qp.gradient_variation(seq, BALL) == 0.0
     with pytest.raises(qp.DimensionMismatchError):
         qp.gradient_variation(seq, qp.Ball(np.zeros(3), 1.0))
@@ -612,7 +637,7 @@ def test_gradient_variation_base_dimension_check():
 
 def test_gradient_variation_custom_without_bound_unsupported():
     seq = qp.custom_sequence(
-        EUC2, BALL, lambda t, x: float(x @ x), lambda t, x: 2 * x,
+        BALL, lambda t, x: float(x @ x), lambda t, x: 2 * x,
         horizon=5, grad_bound=2.0, grad_lipschitz=2.0)
     with pytest.raises(qp.UnsupportedFamilyError):
         qp.gradient_variation(seq)
@@ -620,12 +645,12 @@ def test_gradient_variation_custom_without_bound_unsupported():
 
 def test_gradient_variation_additive_over_concatenation():
     c, cp = np.array([0.3, 0.1]), np.array([-0.2, 0.4])
-    long = qp.alternating(EUC2, BALL, c, cp, horizon=8)
-    head = qp.alternating(EUC2, BALL, c, cp, horizon=4)
+    long = qp.alternating(BALL, c, cp, horizon=8)
+    head = qp.alternating(BALL, c, cp, horizon=4)
     # the 4-round tail (starting with c' at its first round) is another
     # alternating sequence whose boundary round matches head's last loss,
     # so splitting only re-labels the t=5 term from one sum to the other
-    tail = qp.alternating(EUC2, BALL, cp, c, horizon=4)
+    tail = qp.alternating(BALL, cp, c, horizon=4)
     boundary = float((c - cp) @ (c - cp))
     assert (qp.gradient_variation(head) + boundary
             + qp.gradient_variation(tail)
@@ -633,15 +658,15 @@ def test_gradient_variation_additive_over_concatenation():
 
 
 def test_comparator_unconstrained_quadratic_projects_radially():
-    seq = qp.fixed_quadratic(EUC2, BALL, [2.0, 0.0], 10)
+    seq = qp.fixed_quadratic(BALL, [2.0, 0.0], 10)
     block = qp.empty_block(2)
     x = qp.hindsight_comparator(seq, block, BALL)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
 
 
 def test_comparator_active_linear_constraint():
-    seq = qp.fixed_linear(EUC2, BALL, [-1.0, 0.0], 10)
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [0.3],
+    seq = qp.fixed_linear(BALL, [-1.0, 0.0], 10)
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3],
                             slater_point=[0.0, 0.0])
     x = qp.hindsight_comparator(seq, block, BALL)
     assert np.allclose(x, [0.3, 0.0], atol=1e-4)
@@ -650,8 +675,8 @@ def test_comparator_active_linear_constraint():
 
 
 def test_comparator_symmetric_inactive_constraint():
-    seq = qp.fixed_quadratic(EUC2, BALL, [0.0, 0.0], 10)
-    block = qp.linear_block(EUC2, BALL, [[0.0, 0.0]], [1.0])
+    seq = qp.fixed_quadratic(BALL, [0.0, 0.0], 10)
+    block = qp.linear_block(BALL, [[0.0, 0.0]], [1.0])
     x = qp.hindsight_comparator(seq, block, BALL)
     assert np.allclose(x, [0.0, 0.0], atol=1e-6)
 
@@ -661,8 +686,8 @@ def test_comparator_matches_grid_oracle_on_random_instances():
     for trial in range(10):
         c = rng.uniform(-1, 1, size=2)
         b = float(rng.uniform(0.1, 0.6))
-        seq = qp.fixed_linear(EUC2, BALL, c, 10)
-        block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [b],
+        seq = qp.fixed_linear(BALL, c, 10)
+        block = qp.linear_block(BALL, [[1.0, 0.0]], [b],
                                 slater_point=[0.0, 0.0])
         x = qp.hindsight_comparator(seq, block, BALL)
         # hand-written totals: ten identical linear rounds, one halfspace
@@ -677,11 +702,45 @@ def test_comparator_matches_grid_oracle_on_random_instances():
 
 def test_comparator_infeasible_instance_errors():
     # two parallel halfspaces with empty intersection inside the ball
-    block = qp.linear_block(EUC2, BALL, [[1.0, 0.0], [-1.0, 0.0]],
+    block = qp.linear_block(BALL, [[1.0, 0.0], [-1.0, 0.0]],
                             [-2.0, -2.0])
-    seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 5)
+    seq = qp.fixed_linear(BALL, [1.0, 0.0], 5)
     with pytest.raises((qp.InfeasibleError, qp.ConvergenceError)):
         qp.hindsight_comparator(seq, block, BALL)
+
+
+def test_staged_comparator_names_the_row_no_point_satisfies():
+    # a custom block 2 - x_1 <= 0 without a Slater point: the feasibility
+    # probe ends at (1, 0), where the row still reads 1
+    block = qp.ConstraintBlock(
+        size=1, dim=2,
+        eval_fn=lambda x: (np.array([2.0 - x[0]]), np.array([[-1.0, 0.0]])),
+        value_bounds=np.array([3.0]), lipschitz=np.ones(1), curvature=0.0)
+    seq = qp.fixed_linear(BALL, [1.0, 0.0], 5)
+    with pytest.raises(qp.InfeasibleError,
+                       match="constraint 0 stays at 1.000e[+]00") as err:
+        qp.hindsight_comparator(seq, block, BALL)
+    assert err.value.constraint_index == 0
+
+
+def test_staged_comparator_reports_a_stalled_solve(monkeypatch):
+    # a custom sequence has no tables, so the staged path solves it: one
+    # FISTA iteration cannot reach the projected target
+    target = np.array([0.3, -0.6])
+    seq = qp.custom_sequence(
+        BALL, lambda t, x: float((x - target) @ (x - target)),
+        lambda t, x: 2.0 * (x - target), horizon=5, grad_bound=4.0,
+        grad_lipschitz=2.0,
+        mean_value_fn=lambda x: float((x - target) @ (x - target)),
+        mean_grad_fn=lambda x: 2.0 * (x - target), mean_curvature=2.0)
+    block = qp.empty_block(2)
+    assert np.allclose(qp.hindsight_comparator(seq, block, BALL), target,
+                       atol=1e-6)
+    monkeypatch.setattr(problems, "FISTA_MAX_ITER", 1)
+    with pytest.raises(qp.ConvergenceError,
+                       match="comparator solve stalled") as err:
+        qp.hindsight_comparator(seq, block, BALL)
+    assert err.value.residual > 1e-8
 
 
 @pytest.mark.parametrize("name", ["golden-d2", "box-mixed-d3", "simplex-d10"])
@@ -737,7 +796,7 @@ def test_comparator_bytes_match_the_reference(name, kind):
         block = qp.empty_block(dim)
     elif kind == "no-slater":
         axis, cap = BINDING_CAPS[name]
-        block = qp.linear_block(built.geom, built.base, [np.eye(dim)[axis]],
+        block = qp.linear_block(built.base, [np.eye(dim)[axis]],
                                 [cap])
     else:
         block = built.block
@@ -876,8 +935,8 @@ def _cap_instance(kind, dim, center, radius, coeffs, direction, u):
         slater = (base.center - 0.95 * radius * a / norm_a if norm_a
                   else base.center)
         assume(float(a @ slater) - b < -1e-3)
-    seq = qp.alternating(qp.euclidean(dim), base, c + 0.25, c - 0.25, 40)
-    block = qp.linear_block(qp.euclidean(dim), base, [a], [b],
+    seq = qp.alternating(base, c + 0.25, c - 0.25, 40)
+    block = qp.linear_block(base, [a], [b],
                             slater_point=slater)
     return seq, block, base
 
@@ -965,13 +1024,13 @@ def test_closed_form_comparator_on_pinned_caps(kind):
     ``-x_1 + 5.96e-8 x_2 <= -0.8`` its residual passes 1e-12 while the loss
     is still 3.6e-8 above the optimum."""
     if kind == "inactive":
-        seq = qp.alternating(EUC2, BALL, [0.25, 1.25], [-0.25, 0.75], 40)
+        seq = qp.alternating(BALL, [0.25, 1.25], [-0.25, 0.75], 40)
         a, b = [1.0, 1.0], -0.99
     else:
-        seq = qp.fixed_linear(EUC2, BALL, [1.0, 0.0], 40)
+        seq = qp.fixed_linear(BALL, [1.0, 0.0], 40)
         a, b = [-1.0, 5.96e-8], -0.8
     a = np.array(a)
-    block = qp.linear_block(EUC2, BALL, [a], [b],
+    block = qp.linear_block(BALL, [a], [b],
                             slater_point=-0.95 * a / np.linalg.norm(a))
     _assert_closed_form(kind, seq, block, BALL)
 
@@ -984,7 +1043,7 @@ def test_closed_form_comparator_on_shipped_instances(name, kind):
     not below the Lagrangian bound at all."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     block = {"empty": qp.empty_block(2),
-             "no-slater": qp.linear_block(built.geom, built.base,
+             "no-slater": qp.linear_block(built.base,
                                           [[1.0, 0.0]], [0.2]),
              "staged": built.block}[kind]
     x, nu = problems._dual_solution(built.seq, block, built.base)
@@ -1004,9 +1063,8 @@ def _mixed_cap_instance(rng):
     dim = int(rng.integers(2, 5))
     base = qp.Ball(center=rng.uniform(-1, 1, dim),
                    radius=float(rng.uniform(0.3, 2.0)))
-    geom = qp.euclidean(dim)
     first, second = rng.uniform(-1, 1, (2, dim))
-    seq = qp.alternating(geom, base, first, second, 20)
+    seq = qp.alternating(base, first, second, 20)
     c = seq.mean_grad_fn(base.center)
     free = base.center - base.radius * c / np.linalg.norm(c)
     direction = rng.standard_normal(dim)
@@ -1022,7 +1080,7 @@ def _mixed_cap_instance(rng):
             at_free = (free - row) @ (free - row)
             make = qp.quadratic_block
         cut = rng.uniform(0.0, 1.5) * max(at_free - at_slater, 0.0)
-        parts.append(make(geom, base, [row], [at_slater + 0.02 + cut],
+        parts.append(make(base, [row], [at_slater + 0.02 + cut],
                           slater_point=slater))
     return seq, qp.stack_blocks(parts), base
 
@@ -1068,13 +1126,13 @@ def _dual_instances(draw, family):
         lower = draw(vec) - 0.5
         base = qp.Box(lower=lower, upper=lower + draw(
             st.lists(st.floats(0.3, 2.0), min_size=dim, max_size=dim)))
-    geom, middle = qp.euclidean(dim), qp.center(base)
+    middle = qp.center(base)
     target = middle + 2.0 * draw(vec)
     if family == "fixed":
-        seq = qp.fixed_quadratic(geom, base, target, 20,
+        seq = qp.fixed_quadratic(base, target, 20,
                                  scale=draw(st.floats(0.2, 3.0)))
     else:
-        seq = qp.quadratic_drift(geom, base, target, draw(vec), 20,
+        seq = qp.quadratic_drift(base, target, draw(vec), 20,
                                  scale0=draw(st.floats(0.2, 3.0)),
                                  scale_drift=draw(st.floats(-0.1, 1.0)))
     free = qp.project(base, seq.mean_grad_fn(np.zeros(dim))
@@ -1089,13 +1147,13 @@ def _dual_instances(draw, family):
         if kind == "linear":
             at_slater, at_free = row @ slater, row @ free
             parts.append(qp.linear_block(
-                geom, base, [row], [at_slater + 0.02 + cut * max(
+                base, [row], [at_slater + 0.02 + cut * max(
                     at_free - at_slater, 0.0)], slater_point=slater))
         else:
             at_slater = float((slater - row) @ (slater - row))
             at_free = float((free - row) @ (free - row))
             parts.append(qp.quadratic_block(
-                geom, base, [row], [at_slater + 0.02 + cut * max(
+                base, [row], [at_slater + 0.02 + cut * max(
                     at_free - at_slater, 0.0)], slater_point=slater))
     block = qp.stack_blocks(parts) if parts else qp.empty_block(dim)
     return seq, block, base
@@ -1123,9 +1181,9 @@ def test_dual_comparator_reaches_a_target_on_the_box_boundary():
     the cap, the penalty throws the iterates to a far corner, and they
     creep back more slowly than the stall limit allows."""
     base = qp.Box(lower=-0.5 * np.ones(3), upper=np.array([0.5, 1.5, 0.5]))
-    seq = qp.fixed_quadratic(qp.euclidean(3), base, [0.0, 1.5, 0.0], 20,
+    seq = qp.fixed_quadratic(base, [0.0, 1.5, 0.0], 20,
                              scale=0.5)
-    block = qp.linear_block(qp.euclidean(3), base, [[0.0, 1.0, 1.0]], [1.52],
+    block = qp.linear_block(base, [[0.0, 1.0, 1.0]], [1.52],
                             slater_point=[0.0, 0.5, 0.0])
     x = qp.hindsight_comparator(seq, block, base)
     assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
@@ -1142,9 +1200,9 @@ def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
     from the flat Lagrangian; box-mixed-d3 has one active and one inactive
     cap, fixed-quadratic-ball one inactive cap."""
     if name in ("active", "inactive"):
-        seq, base = qp.fixed_linear(EUC2, BALL, [-1.0, -0.5], 10), BALL
+        seq, base = qp.fixed_linear(BALL, [-1.0, -0.5], 10), BALL
         # the ball minimizer has x_1 = 0.894
-        block = qp.linear_block(EUC2, BALL, [[1.0, 0.0]],
+        block = qp.linear_block(BALL, [[1.0, 0.0]],
                                 [0.3 if name == "active" else 0.95],
                                 slater_point=[0.0, 0.0])
     else:
@@ -1171,11 +1229,11 @@ def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape,
     """The row test raises before the dual Newton solve starts."""
     base = (BALL if shape == "ball"
             else qp.Box(lower=-np.ones(2), upper=np.ones(2)))
-    fine = qp.linear_block(EUC2, base, [[0.0, 1.0]], [0.5])
-    missing = (qp.linear_block(EUC2, base, [[1.0, 0.0]], [-2.0])
+    fine = qp.linear_block(base, [[0.0, 1.0]], [0.5])
+    missing = (qp.linear_block(base, [[1.0, 0.0]], [-2.0])
                if kind == "linear"
-               else qp.quadratic_block(EUC2, base, [[5.0, 0.0]], [1.0]))
-    seq = qp.fixed_quadratic(EUC2, base, [0.3, 0.9], 10)
+               else qp.quadratic_block(base, [[5.0, 0.0]], [1.0]))
+    seq = qp.fixed_quadratic(base, [0.3, 0.9], 10)
     calls = []
     monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: calls.append(args))
@@ -1192,12 +1250,12 @@ def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
     quadratic cap touching the ball from outside gives its touching point
     too.  A cap 1e-9 inside the ball is not tangent: its answer lies on
     the small disc the cap cuts, 4.5e-5 from the touching point."""
-    seq = qp.fixed_linear(EUC2, BALL, [0.0, -1.0], 10)
-    tangent = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [-1.0])
+    seq = qp.fixed_linear(BALL, [0.0, -1.0], 10)
+    tangent = qp.linear_block(BALL, [[1.0, 0.0]], [-1.0])
     assert qp.hindsight_comparator(seq, tangent, BALL).tolist() == [-1.0, 0.0]
-    outside = qp.quadratic_block(EUC2, BALL, [[2.0, 0.0]], [1.0])
+    outside = qp.quadratic_block(BALL, [[2.0, 0.0]], [1.0])
     assert qp.hindsight_comparator(seq, outside, BALL).tolist() == [1.0, 0.0]
-    inside = qp.linear_block(EUC2, BALL, [[1.0, 0.0]], [-1.0 + 1e-9])
+    inside = qp.linear_block(BALL, [[1.0, 0.0]], [-1.0 + 1e-9])
     assert problems._check_rows_reach_base(inside, BALL) is None
     x = qp.hindsight_comparator(seq, inside, BALL)
     assert float(qp.constraint_eval(inside, x)[0][0]) <= 1e-8
@@ -1207,10 +1265,10 @@ def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
 def test_comparator_tangent_cap_names_the_row_that_fails_there():
     """Another row that exceeds 1e-6 at the one feasible point makes the
     instance infeasible, and the error names that row."""
-    seq = qp.fixed_linear(EUC2, BALL, [0.0, -1.0], 10)
+    seq = qp.fixed_linear(BALL, [0.0, -1.0], 10)
     block = qp.stack_blocks([
-        qp.quadratic_block(EUC2, BALL, [[2.0, 0.0]], [1.0]),
-        qp.linear_block(EUC2, BALL, [[0.0, -1.0]], [-0.5])])
+        qp.quadratic_block(BALL, [[2.0, 0.0]], [1.0]),
+        qp.linear_block(BALL, [[0.0, -1.0]], [-0.5])])
     with pytest.raises(qp.InfeasibleError) as info:
         qp.hindsight_comparator(seq, block, BALL)
     assert info.value.constraint_index == 1
@@ -1220,8 +1278,8 @@ def test_comparator_tangent_cap_on_a_box_takes_the_staged_path():
     """A linear cap tangent to a box touches a whole face, so the row test
     returns no point and a linear loss takes the staged path."""
     box = qp.Box(lower=-np.ones(2), upper=np.ones(2))
-    seq = qp.fixed_linear(EUC2, box, [0.0, -1.0], 10)
-    block = qp.linear_block(EUC2, box, [[1.0, 0.0]], [-1.0])
+    seq = qp.fixed_linear(box, [0.0, -1.0], 10)
+    block = qp.linear_block(box, [[1.0, 0.0]], [-1.0])
     assert problems._check_rows_reach_base(block, box) is None
     x = qp.hindsight_comparator(seq, block, box)
     assert x.tobytes() == problems._staged_comparator(seq, block, box).tobytes()

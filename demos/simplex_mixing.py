@@ -39,5 +39,5 @@ print("\nmixing check over", report.rounds, "rounds:",
       f"{report.skipped} infinite-divergence probes skipped)")
 
 # mixing costs almost nothing in regret but keeps the updates stable
-comparator = qp.hindsight_comparator(built.seq, built.block, built.base)
+comparator = qp.hindsight_comparator(built.seq, built.block)
 print("regret:", round(qp.regret(trace, comparator, built.seq), 3))

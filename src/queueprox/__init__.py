@@ -10,7 +10,7 @@ covers the probability simplex under the entropic geometry.
 from .algorithm import (VARIANT_BASELINE, VARIANT_GENERAL, VARIANT_SIMPLEX,
                         VARIANTS, HyperParams, Scenario, alpha_closed_form,
                         alpha_update, hyperparams_from_variation, mix_anchor,
-                        queue_update, run, xi_value)
+                        queue_update, run, run_batch, xi_value)
 from .checks import (CheckReport, check_descent_lemma, check_dpp_over_trace,
                      check_mixing, check_pushback, check_queue_lemma,
                      write_check_csv)
@@ -33,7 +33,7 @@ from .problems import (ConstraintBlock, LossSequence, alternating,
                        gradient_variation, hindsight_comparator,
                        linear_block, linear_drift, quadratic_block,
                        quadratic_drift, rotating_drift, stack_blocks)
-from .trace import RunTrace
+from .trace import RunSummary, RunTrace
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "VARIANT_BASELINE", "VARIANT_GENERAL", "VARIANT_SIMPLEX", "VARIANTS",
     "HyperParams", "Scenario", "alpha_closed_form", "alpha_update",
     "hyperparams_from_variation", "mix_anchor", "queue_update", "run",
-    "xi_value",
+    "run_batch", "xi_value",
     "CheckReport", "check_descent_lemma", "check_dpp_over_trace",
     "check_mixing", "check_pushback", "check_queue_lemma", "write_check_csv",
     "ConfigError", "ConvergenceError", "DimensionMismatchError",
@@ -60,5 +60,5 @@ __all__ = [
     "fixed_linear", "fixed_quadratic", "gradient_variation",
     "hindsight_comparator", "linear_block", "linear_drift",
     "quadratic_block", "quadratic_drift", "rotating_drift", "stack_blocks",
-    "RunTrace",
+    "RunSummary", "RunTrace",
 ]

@@ -21,7 +21,7 @@ from . import geometry as geo
 from . import metrics as met
 from . import problems as prob
 from .errors import ConfigError
-from .trace import RunTrace
+from .trace import RunSummary, RunTrace
 
 # tuples, not sets: a membership test on an unhashable JSON value (a list
 # or an object) is then False, not a TypeError
@@ -314,7 +314,8 @@ def run_scenario(
 
     Returns the trace and a metrics report with regret against the
     hindsight comparator, cumulative violations, the queue-certified
-    violation bound, and both variation numbers.
+    violation bound, and both variation numbers.  ``runtime_s`` in the
+    report's extras is the wall time of ``algorithm.run``.
     """
     built = build_scenario(config)
     started = time.perf_counter()
@@ -324,18 +325,9 @@ def run_scenario(
     trace.config_hash = config.config_hash()
     trace.scenario_id = config.scenario_id
 
-    comparator = prob.hindsight_comparator(built.seq, built.block, built.base)
-    v_emp = met.empirical_variation(trace, built.seq,
-                                    sample_budget=variation_budget)
-    queue_bound = float(np.linalg.norm(trace.final_queue)) / built.hp.gamma
-    report = met.MetricsReport(
-        scenario_id=config.scenario_id, horizon=config.horizon,
-        regret=met.regret(trace, comparator, built.seq, built.block),
-        violations=met.violation(trace),
-        queue_bound=queue_bound, v_cap=built.hp.v_cap, v_empirical=v_emp,
-        extras={"runtime_s": elapsed, "comparator": comparator,
-                "seed": config.seed},
-    )
+    summary = alg.summarize(trace, built.seq, met.probe_rounds(
+        trace.horizon, variation_budget))
+    report = _report(config, built, summary, elapsed)
 
     target = out_dir if out_dir is not None else config.out
     if target:
@@ -344,6 +336,26 @@ def run_scenario(
         met.write_round_csv(trace, os.path.join(target, name))
         met.append_summary_row(report, os.path.join(target, "summary.csv"))
     return trace, report
+
+
+def _report(config: ScenarioConfig, built: alg.Scenario,
+            summary: RunSummary, runtime_s: float) -> met.MetricsReport:
+    """The metrics report of one run from its summary: regret against the
+    hindsight comparator, cumulative violations, the queue-certified bound
+    ``||Q(T+1)||_2 / gamma`` and the variation estimate at the summary's
+    probes."""
+    comparator = prob.hindsight_comparator(built.seq, built.block)
+    return met.MetricsReport(
+        scenario_id=config.scenario_id, horizon=config.horizon,
+        regret=met.regret(summary, comparator, built.seq, built.block),
+        violations=met.violation(summary),
+        queue_bound=float(np.linalg.norm(summary.final_queue)) / built.hp.gamma,
+        v_cap=built.hp.v_cap,
+        v_empirical=met.probe_variation(built.seq, summary.probes,
+                                        summary.horizon),
+        extras={"runtime_s": runtime_s, "comparator": comparator,
+                "seed": config.seed},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +413,60 @@ def fit_loglog_slope(horizons, values) -> tuple[float, float]:
 
 
 def thread_cap() -> int:
-    """1: sweep runs its cells one at a time (read by bench run metadata)."""
+    """1: sweep starts no thread; it steps the cells of a batch together on
+    the calling thread (read by bench run metadata)."""
     return 1
+
+
+def _batch_size(variant: str, built: alg.Scenario, horizon: int,
+                n_probes: int) -> int:
+    """How many cells like ``built`` one batch may hold: as many as keep
+    their loss tables and lean outputs (losses, constraint values, final
+    queue and probes) within the bytes of one full ``RunTrace`` at
+    ``horizon``, and at least one."""
+    seq, d, K = built.seq, built.base.dim, built.block.size
+    T = horizon
+    decisions = 0 if variant == alg.VARIANT_BASELINE else T * d
+    trace = 8 * (decisions + (T + 1) * d + (T + 2) * K + (T + 1) * K + 3 * T)
+    tables = sum(table.nbytes for table in (seq.coeffs, seq.scales, seq.targets)
+                 if table is not None)
+    probes = 0 if seq.coeffs is not None else (n_probes + 1) * d
+    lean = 8 * (T + (T + 1) * K + K + probes)
+    return max(1, trace // (tables + lean))
 
 
 def sweep(spec: SweepSpec, out_dir: str | None = None) -> SweepResult:
     """Run every (horizon, seed) cell and fit growth slopes.
 
-    Cells run one at a time in (T, seed) order.  Regret and worst
-    cumulative violation are averaged over seeds at each horizon before
-    the log-log fit.
+    Cells are taken in (T, seed) order, on the calling thread.  The seeds of
+    one horizon run as batches through ``algorithm.run_batch``, which
+    steps a batch's cells together and keeps only what their reports read.
+    A batch holds as many cells as keep their loss tables and lean outputs
+    within the bytes of one full ``RunTrace`` at that horizon
+    (``_batch_size``, sized from the batch's first cell, which is built
+    first; no cell is built before its batch starts).  Each report equals,
+    bit for bit, the one ``run_scenario`` gives for its cell, except for
+    ``runtime_s``, which is the wall time of its batch's loop.  Regret and
+    worst cumulative violation are averaged over seeds at each horizon
+    before the log-log fit.
     """
+    cells = sorted((T, s) for T in spec.horizons for s in spec.seeds)
     reports = []
-    for T, seed in sorted((T, s) for T in spec.horizons for s in spec.seeds):
-        config = replace(spec.config, horizon=T, seed=seed, out=None)
-        # index, not unpack: a name bound to the trace would keep it alive
-        # while the next cell runs
-        reports.append(run_scenario(config, out_dir=None)[1])
+    while len(reports) < len(cells):
+        T = cells[len(reports)][0]
+        configs = [replace(spec.config, horizon=T, seed=seed, out=None)
+                   for horizon, seed in cells[len(reports):] if horizon == T]
+        rounds = met.probe_rounds(T)
+        built = [build_scenario(configs[0])]
+        size = _batch_size(spec.config.variant, built[0], T, len(rounds))
+        built += [build_scenario(config) for config in configs[1:size]]
+        started = time.perf_counter()
+        summaries = alg.run_batch(spec.config.variant, built, T, rounds)
+        elapsed = time.perf_counter() - started
+        reports += [_report(config, cell, summary, elapsed)
+                    for config, cell, summary in zip(configs, built, summaries)]
+        # drop the batch's tables and outputs before the next one is built
+        del built, summaries
 
     distinct = sorted(set(spec.horizons))
     mean_regret = []

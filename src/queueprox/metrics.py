@@ -17,14 +17,14 @@ from . import geometry as geo
 from .problems import (ConstraintBlock, LossSequence, by_round,
                        coeff_variation, constraint_eval, in_order_sum,
                        row_blocks, total_loss)
-from .trace import RunTrace
+from .trace import RunSummary, RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
                    "queue_bound", "V_cap", "V_empirical")
 
 
-def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
-           block: ConstraintBlock | None = None) -> float:
+def regret(trace: RunTrace | RunSummary, comparator: np.ndarray,
+           seq: LossSequence, block: ConstraintBlock | None = None) -> float:
     """Cumulative loss of the run minus that of the fixed comparator.
 
     The comparator's losses (``problems.total_loss``: a built-in family's
@@ -39,7 +39,7 @@ def regret(trace: RunTrace, comparator: np.ndarray, seq: LossSequence,
                  - total_loss(seq, comparator, trace.horizon))
 
 
-def violation(trace: RunTrace, k: int | None = None):
+def violation(trace: RunTrace | RunSummary, k: int | None = None):
     """Cumulative constraint values ``sum_t g_k(x_t)``.
 
     With ``k`` (1-based) returns that constraint's cumulative value; without
@@ -78,37 +78,53 @@ def violation_bound_check(trace: RunTrace, gamma: float | None = None
     return worst <= bound + 1e-9, bound - worst
 
 
+def probe_rounds(horizon: int, sample_budget: int = 32) -> np.ndarray:
+    """The 0-based rounds whose decisions the variation estimate probes:
+    at most ``sample_budget`` rounds spread evenly over ``0..horizon - 1``,
+    ascending and without repeats."""
+    if sample_budget < 1:
+        raise ValueError("sample_budget must be at least 1")
+    idx = np.linspace(0, horizon - 1, min(sample_budget, horizon), dtype=int)
+    return idx[np.diff(idx, prepend=-1) > 0]    # non-decreasing: drop repeats
+
+
 def empirical_variation(trace: RunTrace, seq: LossSequence,
                         sample_budget: int = 32) -> float:
     """Sampling-based lower estimate of the gradient-variation total.
 
-    Sums, over the trace's rounds 2..T, the largest observed
-    ``||grad f_t(x) - grad f_{t-1}(x)||_*^2``, in the dual norm of
-    ``seq.base``, across sample points drawn from the run's own visited
-    decisions (plus the start point), so every probe lies in the base set.
-    A max over a subset never exceeds the true supremum, which makes this
-    a certified lower bound able to validate overestimated variation caps.
-
-    The probes form one ``(n, d)`` stack.  A sequence with a coefficient
-    table has x-independent gradients, so its total is a blocked pass over
-    the table's deltas.  Any other sequence takes its gradients at every
-    probe ``problems.BLOCK_ROUNDS`` rounds at a time, with one stacked
-    ``dual_norm`` call per block: a quadratic family's ``s_t (x - z_t)``
-    built in place from its tables' rows, a custom sequence's from one
-    stacked ``LossSequence.grad`` call per round.  Either way the rounds'
-    maxima are squared with libm ``pow`` and added in round order, block
-    after block, so every path gives the bits of the per-round loop, and a
-    trace of fewer than two rounds gives 0.0.
+    ``probe_variation`` over the trace's first ``min(trace.horizon,
+    seq.horizon)`` rounds, probed at the start point and the decisions of
+    ``probe_rounds(trace.horizon, sample_budget)``, so every probe lies in
+    the base set.
     """
-    if sample_budget < 1:
-        raise ValueError("sample_budget must be at least 1")
-    horizon = min(trace.horizon, seq.horizon)
+    idx = probe_rounds(trace.horizon, sample_budget)
+    points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
+    return probe_variation(seq, points, min(trace.horizon, seq.horizon))
+
+
+def probe_variation(seq: LossSequence, points: np.ndarray | None,
+                    horizon: int) -> float:
+    """Sampling-based lower estimate of the gradient-variation total.
+
+    Sums, over rounds 2..``horizon``, the largest observed ``||grad f_t(x)
+    - grad f_{t-1}(x)||_*^2``, in the dual norm of ``seq.base``, across the
+    ``(n, d)`` probe ``points``.  A max over a subset never exceeds the
+    true supremum, which makes this a certified lower bound able to
+    validate overestimated variation caps.
+
+    A sequence with a coefficient table has x-independent gradients, so
+    its total is a blocked pass over the table's deltas and ``points`` is
+    not read (it may be None).  Any other sequence takes its gradients at
+    every probe ``problems.BLOCK_ROUNDS`` rounds at a time, with one
+    stacked ``dual_norm`` call per block: a quadratic family's ``s_t (x -
+    z_t)`` built in place from its tables' rows, a custom sequence's from
+    one stacked ``LossSequence.grad`` call per round.  Either way the
+    rounds' maxima are squared with libm ``pow`` and added in round order,
+    block after block, so every path gives the bits of the per-round loop,
+    and fewer than two rounds give 0.0.
+    """
     if seq.coeffs is not None:
         return coeff_variation(seq.base, seq.coeffs, horizon)
-    idx = np.linspace(0, trace.horizon - 1, min(sample_budget, trace.horizon),
-                      dtype=int)
-    idx = idx[np.diff(idx, prepend=-1) > 0]     # non-decreasing: drop repeats
-    points = np.vstack([trace.x0[None, :], trace.decisions[idx]])
     total = 0.0
     for lo, hi in row_blocks(1, horizon + 1, overlap=1):
         # rounds lo .. hi - 1: their gradients at every probe, then the
@@ -119,7 +135,7 @@ def empirical_variation(trace: RunTrace, seq: LossSequence,
             grads = np.subtract(points, by_round(seq.targets, lo, hi)[:, None])
             grads *= by_round(seq.scales, lo, hi)[:, None, None]
         deltas = np.diff(grads, axis=0)
-        norms = geo.dual_norm(seq.base, deltas.reshape(-1, trace.dim))
+        norms = geo.dual_norm(seq.base, deltas.reshape(-1, seq.dim))
         maxima = norms.reshape(len(deltas), -1).max(axis=1)
         total = in_order_sum(np.float_power(maxima, 2), total)
     return float(total)

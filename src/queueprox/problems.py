@@ -598,11 +598,23 @@ def rotating_drift(
         e1 = e1 / np.linalg.norm(e1)
         e2 = e2 - (e2 @ e1) * e1
         e2 = e2 / np.linalg.norm(e2)
+    # the elementwise expressions of ``amplitude * (cos(angles)[:, None] *
+    # e1 + sin(angles)[:, None] * e2)``, ``angles[2:]`` the cumulative steps
+    # ``rate * t**-0.25``, built a column at a time with one scratch row
+    steps = np.arange(2, horizon + 1, dtype=float)
+    np.power(steps, -0.25, out=steps)
+    steps *= rate
     angles = np.zeros(horizon + 1)
-    steps = rate * np.arange(2, horizon + 1, dtype=float) ** -0.25
-    angles[2:] = np.cumsum(steps)
-    table = amplitude * (np.cos(angles)[:, None] * e1
-                         + np.sin(angles)[:, None] * e2)
+    np.cumsum(steps, out=angles[2:])
+    del steps
+    scratch = np.sin(angles)
+    table = np.empty((horizon + 1, base.dim))
+    for j in range(base.dim):
+        np.multiply(scratch, e2[j], out=table[:, j])
+    np.cos(angles, out=angles)
+    for j in range(base.dim):
+        table[:, j] += np.multiply(angles, e1[j], out=scratch)
+    table *= amplitude
     return _linear_family(base, table, horizon, grad_lipschitz)
 
 
@@ -726,19 +738,15 @@ def custom_sequence(
     )
 
 
-def gradient_variation(seq: LossSequence, base: geo.BaseSet | None = None) -> float:
+def gradient_variation(seq: LossSequence) -> float:
     """Total gradient variation of the sequence, exact or overestimated.
 
     Sums ``sup_x ||grad f_t(x) - grad f_{t-1}(x)||_*^2`` over rounds
-    ``2..T`` (the round-1 term is zero by the before-the-start convention).
-    Exact for families whose gradients do not depend on ``x``; a certified
-    overestimate for the quadratic drift family.  The supremum's domain is
-    baked in at construction time; passing the base set here only validates
-    that it matches.
+    ``2..T`` (the round-1 term is zero by the before-the-start convention),
+    the supremum over ``seq.base``.  Exact for families whose gradients do
+    not depend on ``x``; a certified overestimate for the quadratic drift
+    family.
     """
-    if base is not None and base.dim != seq.dim:
-        raise DimensionMismatchError("loss sequence and base set disagree "
-                                     "on dimension")
     if seq.variation_fn is None:
         raise UnsupportedFamilyError(
             "custom loss family needs an explicit variation total"
@@ -846,12 +854,11 @@ def _squared_violation(block: ConstraintBlock, x: np.ndarray):
 def hindsight_comparator(
     seq: LossSequence,
     block: ConstraintBlock,
-    base: geo.BaseSet,
 ) -> np.ndarray:
     """Best fixed feasible decision in hindsight.
 
-    Minimizes the averaged loss over the base set intersected with
-    ``g_k(x) <= 0``.  A built-in block on a ball or a box is first tested
+    Minimizes the averaged loss over the sequence's base set ``seq.base``
+    intersected with ``g_k(x) <= 0``.  A built-in block on a ball or a box is first tested
     row by row (``_check_rows_reach_base``): a row whose least value over
     the base set exceeds 1e-6 raises before any solve, and on a ball a
     tangent row leaves one feasible point, the answer.  Otherwise one
@@ -876,6 +883,7 @@ def hindsight_comparator(
         raise UnsupportedFamilyError(
             "hindsight comparator needs averaged-loss oracles"
         )
+    base = seq.base
     if block.eval_fn is None and isinstance(base, (geo.Ball, geo.Box)):
         point = _check_rows_reach_base(block, base)
         if point is not None:

@@ -1,4 +1,5 @@
-"""Run traces: everything a finished run exposes for metrics and checks."""
+"""Run traces: everything a finished run exposes for metrics and checks,
+and the lean summary that a metrics report reads."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -58,3 +59,25 @@ class RunTrace:
     def final_queue(self) -> np.ndarray:
         """Queue state after the extra post-run dual update."""
         return self.queues[-1]
+
+
+@dataclass
+class RunSummary:
+    """What a metrics report reads of one run.
+
+    ``losses`` (``(T,)``), ``g_values`` (``(T+1, K)``, row 0 at the start
+    point) and ``final_queue`` (``(K,)``) as in ``RunTrace``; ``probes`` is
+    the start point stacked on the decisions that ``empirical_variation``
+    probes, or None for a loss with a coefficient table, whose variation
+    estimate reads no point.
+    """
+
+    horizon: int
+    losses: np.ndarray
+    g_values: np.ndarray
+    final_queue: np.ndarray
+    probes: np.ndarray | None = None
+
+    @property
+    def n_constraints(self) -> int:
+        return self.g_values.shape[1]

@@ -43,15 +43,18 @@ def shipped_runs():
 
 @pytest.fixture(scope="module")
 def growth_runs():
-    """Both drift scenarios over the horizon/seed grid, plus total time."""
+    """Both drift scenarios over the horizon/seed grid, plus total time.
+
+    One ``sweep`` per scenario; its reports equal ``run_scenario``'s bit
+    for bit (``test_sweep_orders_unsorted_grid_and_matches_single_runs``).
+    """
     started = time.perf_counter()
     cells = {}
     for name in ("drift-rotate-d2", "alternating-d2"):
-        for horizon in GROWTH_HORIZONS:
-            for seed in GROWTH_SEEDS:
-                cfg = qp.shipped_scenario(name, horizon=horizon, seed=seed)
-                _, rep = qp.run_scenario(cfg)
-                cells[name, horizon, seed] = rep
+        spec = qp.SweepSpec(config=qp.shipped_scenario(name),
+                            horizons=GROWTH_HORIZONS, seeds=GROWTH_SEEDS)
+        for rep in qp.sweep(spec).reports:
+            cells[name, rep.horizon, rep.extras["seed"]] = rep
     return cells, time.perf_counter() - started
 
 
@@ -270,7 +273,7 @@ def test_criterion_10_comparator_matches_grid_oracle():
         seq = qp.fixed_quadratic(BALL, target, 10)
         block = qp.linear_block(BALL, [direction], [offset],
                                 slater_point=[0.0, 0.0])
-        x = qp.hindsight_comparator(seq, block, BALL)
+        x = qp.hindsight_comparator(seq, block)
         mine = sum(seq.value(t, x) for t in range(1, 11))
         _, oracle = grid_comparator(
             BALL,

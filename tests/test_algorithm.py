@@ -1,9 +1,13 @@
 """Solver rounds: queue, schedule, both variants, baseline, full runs."""
+import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import queueprox as qp
 from queueprox import algorithm as alg
@@ -547,7 +551,7 @@ def test_baseline_objective_gap_shrinks_with_horizon():
         scenario = qp.Scenario(base=BALL, block=block, seq=seq,
                                hp=hp)
         trace = qp.run("pd-baseline", scenario)
-        comparator = qp.hindsight_comparator(seq, block, BALL)
+        comparator = qp.hindsight_comparator(seq, block)
         best = sum(seq.value(t, comparator) for t in range(1, T + 1))
         # approach is from the infeasible side, so the signed gap is
         # negative; convergence means its magnitude decays
@@ -616,3 +620,169 @@ def test_trace_views_share_the_anchors(name, variant):
     if aliased:
         assert np.array_equal(trace.decisions, trace.anchors[1:])
     assert (trace.mixed_anchors is None) == (variant != qp.VARIANT_SIMPLEX)
+
+
+# ---------------------------------------------------------------------------
+# batched rounds
+# ---------------------------------------------------------------------------
+
+_BASES = {
+    "ball": {"kind": "ball", "center": [0.1, -0.2], "radius": 1.3},
+    "box": {"kind": "box", "lower": [-1.0, -0.5, -1.0],
+            "upper": [1.0, 1.5, 0.5]},
+    "simplex": {"kind": "simplex", "dim": 4},
+}
+
+
+def _losses(dim):
+    """Every built-in loss family a config can name, in dimension ``dim``."""
+    ones, tilt = [0.6] * dim, [(-1.0) ** k * 0.3 for k in range(dim)]
+    return [
+        {"family": "fixed", "coeffs": tilt, "grad_lipschitz": 0.5},
+        {"family": "linear-drift", "start": ones, "drift": tilt},
+        {"family": "linear-drift", "schedule": "rotate", "amplitude": 0.8,
+         "rate": 0.6, "random_plane": True},
+        {"family": "alternating", "random": {"amplitude": 0.7}},
+        {"family": "fixed", "form": "quadratic", "target": tilt,
+         "scale": 1.5},
+        {"family": "quadratic-drift", "target0": ones, "target_drift": tilt,
+         "scale0": 1.0, "scale_drift": 0.5},
+    ]
+
+
+def _blocks(kind, dim):
+    """Empty, linear, quadratic and stacked blocks around the center."""
+    inside = qp.center(qp.harness._build_base(qp.ScenarioConfig(
+        "b", "euclidean", _BASES[kind], {}, 1))).tolist()
+    linear = {"family": "linear", "random": {"count": 2,
+                                             "slater_margin": 0.1}}
+    quadratic = {"family": "quadratic", "centers": [inside],
+                 "offsets": [0.3], "slater_point": inside}
+    return [None, linear, quadratic, [linear, quadratic], [quadratic, linear]]
+
+
+@st.composite
+def _batch_configs(draw):
+    kind = draw(st.sampled_from(sorted(_BASES)))
+    dim = 4 if kind == "simplex" else len(_BASES[kind].get("lower", [0, 0]))
+    variant = (qp.VARIANT_SIMPLEX if kind == "simplex" else
+               draw(st.sampled_from([qp.VARIANT_GENERAL, qp.VARIANT_BASELINE])))
+    template = qp.ScenarioConfig.from_dict({
+        "scenario_id": "batch", "base": _BASES[kind], "variant": variant,
+        "geometry": "entropic" if kind == "simplex" else "euclidean",
+        "loss": draw(st.sampled_from(_losses(dim))),
+        "constraints": draw(st.sampled_from(_blocks(kind, dim))),
+        "horizon": draw(st.integers(1, 150))})
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=4))
+    return [dataclasses.replace(template, seed=s) for s in seeds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_configs())
+def test_batch_matches_scalar_runs_bit_for_bit(configs):
+    T = configs[0].horizon
+    built = [qp.build_scenario(c) for c in configs]
+    rounds = qp.metrics.probe_rounds(T)
+    batched = alg.run_batch(configs[0].variant, built, T, rounds)
+    comparators = {}
+
+    def comparator(seq, block):        # one solve per cell for both reports
+        key = id(seq)
+        if key not in comparators:
+            comparators[key] = hindsight_comparator(seq, block)
+        return comparators[key]
+
+    hindsight_comparator = qp.harness.prob.hindsight_comparator
+    with mock.patch.object(qp.harness.prob, "hindsight_comparator",
+                           comparator):
+        for config, scenario, lean in zip(configs, built, batched):
+            trace = qp.run(config.variant, scenario, T)
+            scalar = alg.summarize(trace, scenario.seq, rounds)
+            for name in ("losses", "g_values", "final_queue", "probes"):
+                a, b = getattr(lean, name), getattr(scalar, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            mine = qp.harness._report(config, scenario, lean, 0.0)
+            theirs = qp.harness._report(config, scenario, scalar, 0.0)
+            assert repr(mine.summary_row()) == repr(theirs.summary_row())
+            assert mine.violations.tobytes() == theirs.violations.tobytes()
+
+
+def _overflowing(kind):
+    """golden-d2 with one piece large enough to overflow a round."""
+    cfg = qp.shipped_scenario("golden-d2", horizon=200)
+    data = cfg.to_dict()
+    if kind == "late-loss-value":  # the target passes 1.34e154 in round 135
+        data["loss"] = {"family": "quadratic-drift", "target0": [0.0, 0.0],
+                        "target_drift": [2.0e154, 0.0]}
+    elif kind == "loss-value":      # finite coefficients, an infinite <c, x>
+        data["base"] = {"kind": "box", "lower": [-1.0, -1.0],
+                        "upper": [1.0, 1.0]}
+        data["loss"] = {"family": "fixed", "coeffs": [1.5e308, 1.5e308]}
+    elif kind == "loss-gradient":
+        data["loss"] = {"family": "fixed", "coeffs": [math.inf, 0.0]}
+    elif kind == "constraint":    # a cap whose value overflows off center
+        data["constraints"] = {"family": "quadratic",
+                               "centers": [[1e200, 0.0]],
+                               "offsets": [1e300]}
+    else:                         # G = inf with L_g = 0 makes alpha NaN
+        data["constraints"] = {"family": "linear", "A": [[1e308, 1e308]],
+                               "b": [0.0]}
+    return qp.ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("kind", ["loss-value", "late-loss-value",
+                                  "loss-gradient", "constraint", "schedule"])
+def test_batch_overflow_raises_the_scalar_error(kind):
+    cfg = _overflowing(kind)
+    built = qp.build_scenario(cfg)
+    with pytest.raises(qp.QueueproxError) as scalar:
+        qp.run(cfg.variant, built, cfg.horizon)
+    if kind == "late-loss-value":
+        assert scalar.value.round_index == 135
+    others = [qp.build_scenario(dataclasses.replace(cfg, seed=s))
+              for s in (1, 2)]
+    for cells in ([built], [built] + others, others + [built]):
+        with pytest.raises(type(scalar.value)) as batched:
+            alg.run_batch(cfg.variant, cells, cfg.horizon)
+        assert str(batched.value) == str(scalar.value)
+        assert (getattr(batched.value, "oracle", None)
+                == getattr(scalar.value, "oracle", None))
+        assert (getattr(batched.value, "round_index", None)
+                == getattr(scalar.value, "round_index", None))
+    with pytest.raises(type(scalar.value)) as swept:
+        qp.sweep(qp.SweepSpec(config=cfg, horizons=(cfg.horizon,),
+                              seeds=(0, 1)))
+    assert str(swept.value) == str(scalar.value)
+
+
+def test_batch_rejects_mixed_layouts_and_custom_pieces():
+    golden = qp.build_scenario(golden_config(horizon=20))
+    box = qp.build_scenario(qp.shipped_scenario("box-mixed-d3", horizon=20))
+    with pytest.raises(ValueError, match="must share"):
+        alg.run_batch("ompd", [golden, box], 20)
+    custom = qp.Scenario(base=golden.base, block=golden.block, hp=golden.hp,
+                         seq=qp.custom_sequence(
+                             golden.base, lambda t, x: 0.0,
+                             lambda t, x: np.zeros(2), 20, 1.0, 1.0,
+                             variation=0.0))
+    with pytest.raises(qp.UnsupportedFamilyError):
+        alg.run_batch("ompd", [custom], 20)
+    assert alg.run_batch("ompd", [], 20) == []
+
+
+def test_run_rejects_a_sequence_built_on_another_base_set():
+    built = qp.build_scenario(golden_config(horizon=20))
+    same = qp.Ball(center=np.zeros(2), radius=1.0)   # equal, another object
+    moved = qp.Ball(center=np.zeros(2), radius=2.0)
+    box = qp.Box(-np.ones(2), np.ones(2))
+    assert qp.run("ompd", dataclasses.replace(built, base=same)).horizon == 20
+    for other in (moved, box):
+        scenario = dataclasses.replace(built, base=other)
+        for call in (lambda: qp.run("ompd", scenario),
+                     lambda: alg.run_batch("ompd", [scenario], 20)):
+            with pytest.raises(ValueError, match="another base set"):
+                call()

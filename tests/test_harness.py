@@ -150,36 +150,64 @@ def test_trace_metadata_stamped_by_run_scenario():
     assert report.horizon == 20
 
 
-def test_sweep_runs_every_cell_on_the_calling_thread(monkeypatch):
+def test_sweep_runs_every_batch_on_the_calling_thread(monkeypatch):
     threads = []
-    run_scenario = harness.run_scenario
-
-    def recording(config, out_dir=None):
-        threads.append(threading.get_ident())
-        return run_scenario(config, out_dir=out_dir)
-
-    monkeypatch.setattr(harness, "run_scenario", recording)
-    spec = qp.SweepSpec(config=small_config(), horizons=(20, 40), seeds=(0, 1))
-    qp.sweep(spec)
-    assert threads == [threading.get_ident()] * 4
-
-
-def test_sweep_keeps_no_finished_trace_alive(monkeypatch):
-    # one cell's trace at a time: the previous one must be freed before
-    # the next cell runs
-    traces = []
-    run = harness.alg.run
+    run_batch = harness.alg.run_batch
 
     def recording(*args, **kwargs):
-        assert all(ref() is None for ref in traces)
-        trace = run(*args, **kwargs)
-        traces.append(weakref.ref(trace))
-        return trace
+        threads.append(threading.get_ident())
+        return run_batch(*args, **kwargs)
 
-    monkeypatch.setattr(harness.alg, "run", recording)
+    monkeypatch.setattr(harness.alg, "run_batch", recording)
+    before = threading.active_count()
     spec = qp.SweepSpec(config=small_config(), horizons=(20, 40), seeds=(0, 1))
-    qp.sweep(spec)
-    assert len(traces) == 4
+    assert len(qp.sweep(spec).reports) == 4
+    assert threads and threads == [threading.get_ident()] * len(threads)
+    assert threading.active_count() == before
+
+
+def _trace_bytes(trace):
+    """Bytes of a full trace's arrays, each counted once."""
+    arrays = [trace.anchors, trace.queues, trace.g_values, trace.losses,
+              trace.alphas, trace.xis]
+    if trace.decisions.base is not trace.anchors:
+        arrays.append(trace.decisions)
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_batches_hold_at_most_one_trace_of_bytes(monkeypatch, name):
+    # a batch's loss tables and lean outputs fit in the bytes of one full
+    # trace at its horizon, and no finished batch's outputs stay alive
+    # while the next batch runs
+    held = []
+    batches = []
+    run_batch = harness.alg.run_batch
+
+    def recording(variant, scenarios, horizon, probe_rounds=()):
+        assert all(ref() is None for ref in held)
+        summaries = run_batch(variant, scenarios, horizon, probe_rounds)
+        outputs = {id(a.base if a.base is not None else a): (
+                       a.base if a.base is not None else a).nbytes
+                   for s in summaries
+                   for a in (s.losses, s.g_values, s.final_queue, s.probes)
+                   if a is not None}
+        tables = sum(t.nbytes for sc in scenarios
+                     for t in (sc.seq.coeffs, sc.seq.scales, sc.seq.targets)
+                     if t is not None)
+        trace = harness.alg.run(variant, scenarios[0], horizon)
+        assert tables + sum(outputs.values()) <= _trace_bytes(trace)
+        batches.append((horizon, len(scenarios)))
+        held.extend(weakref.ref(s) for s in summaries)
+        return summaries
+
+    monkeypatch.setattr(harness.alg, "run_batch", recording)
+    spec = qp.SweepSpec(config=sweep_templates()[name],
+                        horizons=SWEEP_HORIZONS, seeds=SWEEP_SEEDS)
+    assert len(qp.sweep(spec).reports) == 9
+    # rotating drift's tables have T + 1 rows: its seeds go two at a time
+    sizes = [2, 1] if name == "rotating-drift" else [3]
+    assert batches == [(T, k) for T in SWEEP_HORIZONS for k in sizes]
 
 
 def _bits(value):

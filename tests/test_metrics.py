@@ -214,7 +214,7 @@ def test_regret_and_variation_memory_does_not_grow_with_the_horizon():
     cfg = qp.shipped_scenario("drift-rotate-d2", horizon=20_000)
     built = qp.build_scenario(cfg)
     trace = qp.run(cfg.variant, built, horizon=cfg.horizon)
-    comparator = qp.hindsight_comparator(built.seq, built.block, built.base)
+    comparator = qp.hindsight_comparator(built.seq, built.block)
     peak = _peak_bytes(lambda: (
         qp.regret(trace, comparator, built.seq, built.block),
         qp.empirical_variation(trace, built.seq)))

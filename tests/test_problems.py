@@ -173,7 +173,7 @@ def test_constraint_eval_stack_follows_a_swapped_eval_fn():
                     == one_values.tobytes())
     # the swapped cap x_1 <= 0.55 binds, not the old tables' x_1 <= 0.3
     seq = qp.fixed_linear(BALL, [-1.0, 0.0], 10)
-    x = qp.hindsight_comparator(seq, swapped, BALL)
+    x = qp.hindsight_comparator(seq, swapped)
     assert x[0] <= 0.55 + 1e-8 and x[0] == pytest.approx(0.55, abs=1e-6)
 
 
@@ -628,11 +628,18 @@ def test_gradient_variation_quadratic_certified_overestimate():
     assert v >= 0.0
 
 
-def test_gradient_variation_base_dimension_check():
-    seq = qp.fixed_linear(BALL, [0.4, -0.2], 5)
-    assert qp.gradient_variation(seq, BALL) == 0.0
-    with pytest.raises(qp.DimensionMismatchError):
-        qp.gradient_variation(seq, qp.Ball(np.zeros(3), 1.0))
+def test_gradient_variation_and_comparator_read_the_sequence_base():
+    # neither takes a base set of its own: the supremum and the comparator
+    # are over ``seq.base``, so no other set can be passed in
+    seq = qp.fixed_linear(BALL, [-1.0, 0.0], 50)
+    assert qp.gradient_variation(seq) == 0.0
+    box = qp.Box(-3.0 * np.ones(2), 3.0 * np.ones(2))
+    with pytest.raises(TypeError):
+        qp.gradient_variation(seq, box)
+    with pytest.raises(TypeError):
+        qp.hindsight_comparator(seq, qp.empty_block(2), box)
+    assert np.allclose(qp.hindsight_comparator(seq, qp.empty_block(2)),
+                       [1.0, 0.0], atol=1e-9)
 
 
 def test_gradient_variation_custom_without_bound_unsupported():
@@ -660,7 +667,7 @@ def test_gradient_variation_additive_over_concatenation():
 def test_comparator_unconstrained_quadratic_projects_radially():
     seq = qp.fixed_quadratic(BALL, [2.0, 0.0], 10)
     block = qp.empty_block(2)
-    x = qp.hindsight_comparator(seq, block, BALL)
+    x = qp.hindsight_comparator(seq, block)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
 
 
@@ -668,7 +675,7 @@ def test_comparator_active_linear_constraint():
     seq = qp.fixed_linear(BALL, [-1.0, 0.0], 10)
     block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3],
                             slater_point=[0.0, 0.0])
-    x = qp.hindsight_comparator(seq, block, BALL)
+    x = qp.hindsight_comparator(seq, block)
     assert np.allclose(x, [0.3, 0.0], atol=1e-4)
     vals, _ = qp.constraint_eval(block, x)
     assert np.all(vals <= 1e-8)
@@ -677,7 +684,7 @@ def test_comparator_active_linear_constraint():
 def test_comparator_symmetric_inactive_constraint():
     seq = qp.fixed_quadratic(BALL, [0.0, 0.0], 10)
     block = qp.linear_block(BALL, [[0.0, 0.0]], [1.0])
-    x = qp.hindsight_comparator(seq, block, BALL)
+    x = qp.hindsight_comparator(seq, block)
     assert np.allclose(x, [0.0, 0.0], atol=1e-6)
 
 
@@ -689,7 +696,7 @@ def test_comparator_matches_grid_oracle_on_random_instances():
         seq = qp.fixed_linear(BALL, c, 10)
         block = qp.linear_block(BALL, [[1.0, 0.0]], [b],
                                 slater_point=[0.0, 0.0])
-        x = qp.hindsight_comparator(seq, block, BALL)
+        x = qp.hindsight_comparator(seq, block)
         # hand-written totals: ten identical linear rounds, one halfspace
         _, oracle_obj = grid_comparator(
             BALL, objective=lambda P: 10.0 * (P @ c),
@@ -706,7 +713,7 @@ def test_comparator_infeasible_instance_errors():
                             [-2.0, -2.0])
     seq = qp.fixed_linear(BALL, [1.0, 0.0], 5)
     with pytest.raises((qp.InfeasibleError, qp.ConvergenceError)):
-        qp.hindsight_comparator(seq, block, BALL)
+        qp.hindsight_comparator(seq, block)
 
 
 def test_staged_comparator_names_the_row_no_point_satisfies():
@@ -719,7 +726,7 @@ def test_staged_comparator_names_the_row_no_point_satisfies():
     seq = qp.fixed_linear(BALL, [1.0, 0.0], 5)
     with pytest.raises(qp.InfeasibleError,
                        match="constraint 0 stays at 1.000e[+]00") as err:
-        qp.hindsight_comparator(seq, block, BALL)
+        qp.hindsight_comparator(seq, block)
     assert err.value.constraint_index == 0
 
 
@@ -734,12 +741,12 @@ def test_staged_comparator_reports_a_stalled_solve(monkeypatch):
         mean_value_fn=lambda x: float((x - target) @ (x - target)),
         mean_grad_fn=lambda x: 2.0 * (x - target), mean_curvature=2.0)
     block = qp.empty_block(2)
-    assert np.allclose(qp.hindsight_comparator(seq, block, BALL), target,
+    assert np.allclose(qp.hindsight_comparator(seq, block), target,
                        atol=1e-6)
     monkeypatch.setattr(problems, "FISTA_MAX_ITER", 1)
     with pytest.raises(qp.ConvergenceError,
                        match="comparator solve stalled") as err:
-        qp.hindsight_comparator(seq, block, BALL)
+        qp.hindsight_comparator(seq, block)
     assert err.value.residual > 1e-8
 
 
@@ -983,7 +990,7 @@ def _assert_closed_form(kind, seq, block, base):
     and a certified dual solution is no better than it."""
     if kind == "missing":
         with pytest.raises(qp.InfeasibleError) as info:
-            qp.hindsight_comparator(seq, block, base)
+            qp.hindsight_comparator(seq, block)
         assert info.value.constraint_index == 0
         with pytest.raises(qp.InfeasibleError):
             reference_comparator(seq, block, base)
@@ -991,7 +998,7 @@ def _assert_closed_form(kind, seq, block, base):
     x, nu = problems._dual_solution(seq, block, base)
     if kind == "tangent":
         a = block.A[0]
-        touch = qp.hindsight_comparator(seq, block, base)
+        touch = qp.hindsight_comparator(seq, block)
         assert np.allclose(touch, base.center - base.radius * a
                            / np.linalg.norm(a), rtol=0, atol=1e-12)
         gap = float(qp.constraint_eval(block, touch)[0][0])
@@ -1003,7 +1010,7 @@ def _assert_closed_form(kind, seq, block, base):
                              + 1e-12 * (1.0 + abs(value)))
         return
     assert problems._certified(seq, block, base, x, nu)
-    assert qp.hindsight_comparator(seq, block, base).tobytes() == x.tobytes()
+    assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
     reference = seq.mean_value_fn(reference_comparator(seq, block, base))
     assert value <= reference + 1e-10 * (1.0 + abs(value))
@@ -1048,7 +1055,7 @@ def test_closed_form_comparator_on_shipped_instances(name, kind):
              "staged": built.block}[kind]
     x, nu = problems._dual_solution(built.seq, block, built.base)
     assert problems._certified(built.seq, block, built.base, x, nu)
-    assert (qp.hindsight_comparator(built.seq, block, built.base).tobytes()
+    assert (qp.hindsight_comparator(built.seq, block).tobytes()
             == x.tobytes())
     value = _assert_certified_answer(built.seq, block, built.base, x, nu)
     assert lagrangian_lower_bound(built.seq, block, built.base, nu) <= value
@@ -1097,7 +1104,7 @@ def test_dual_comparator_on_linear_losses_under_mixed_caps():
     for _ in range(20):
         seq, block, base = _mixed_cap_instance(rng)
         x, nu = problems._dual_solution(seq, block, base)
-        chosen = qp.hindsight_comparator(seq, block, base)
+        chosen = qp.hindsight_comparator(seq, block)
         if problems._certified(seq, block, base, x, nu):
             assert chosen.tobytes() == x.tobytes()
             _assert_certified_answer(seq, block, base, x, nu)
@@ -1168,7 +1175,7 @@ def test_dual_comparator_on_random_caps(family, data):
     seq, block, base = data.draw(_dual_instances(family))
     x, nu = problems._dual_solution(seq, block, base)
     assert problems._certified(seq, block, base, x, nu)
-    assert qp.hindsight_comparator(seq, block, base).tobytes() == x.tobytes()
+    assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
     reference = seq.mean_value_fn(reference_comparator(seq, block, base))
     assert value <= reference + 1e-10 * (1.0 + abs(value))
@@ -1185,7 +1192,7 @@ def test_dual_comparator_reaches_a_target_on_the_box_boundary():
                              scale=0.5)
     block = qp.linear_block(base, [[0.0, 1.0, 1.0]], [1.52],
                             slater_point=[0.0, 0.5, 0.0])
-    x = qp.hindsight_comparator(seq, block, base)
+    x = qp.hindsight_comparator(seq, block)
     assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
 
 
@@ -1218,7 +1225,7 @@ def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
     monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: (solve(*args)[0], off))
     staged = problems._staged_comparator(seq, block, base)
-    assert (qp.hindsight_comparator(seq, block, base).tobytes()
+    assert (qp.hindsight_comparator(seq, block).tobytes()
             == staged.tobytes())
 
 
@@ -1238,7 +1245,7 @@ def test_dual_comparator_cap_missing_the_base_set_raises(kind, shape,
     monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: calls.append(args))
     with pytest.raises(qp.InfeasibleError) as info:
-        qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]), base)
+        qp.hindsight_comparator(seq, qp.stack_blocks([fine, missing]))
     assert info.value.constraint_index == 1
     assert calls == []
 
@@ -1252,12 +1259,12 @@ def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
     the small disc the cap cuts, 4.5e-5 from the touching point."""
     seq = qp.fixed_linear(BALL, [0.0, -1.0], 10)
     tangent = qp.linear_block(BALL, [[1.0, 0.0]], [-1.0])
-    assert qp.hindsight_comparator(seq, tangent, BALL).tolist() == [-1.0, 0.0]
+    assert qp.hindsight_comparator(seq, tangent).tolist() == [-1.0, 0.0]
     outside = qp.quadratic_block(BALL, [[2.0, 0.0]], [1.0])
-    assert qp.hindsight_comparator(seq, outside, BALL).tolist() == [1.0, 0.0]
+    assert qp.hindsight_comparator(seq, outside).tolist() == [1.0, 0.0]
     inside = qp.linear_block(BALL, [[1.0, 0.0]], [-1.0 + 1e-9])
     assert problems._check_rows_reach_base(inside, BALL) is None
-    x = qp.hindsight_comparator(seq, inside, BALL)
+    x = qp.hindsight_comparator(seq, inside)
     assert float(qp.constraint_eval(inside, x)[0][0]) <= 1e-8
     assert x[1] > 4e-5
 
@@ -1270,7 +1277,7 @@ def test_comparator_tangent_cap_names_the_row_that_fails_there():
         qp.quadratic_block(BALL, [[2.0, 0.0]], [1.0]),
         qp.linear_block(BALL, [[0.0, -1.0]], [-0.5])])
     with pytest.raises(qp.InfeasibleError) as info:
-        qp.hindsight_comparator(seq, block, BALL)
+        qp.hindsight_comparator(seq, block)
     assert info.value.constraint_index == 1
 
 
@@ -1281,6 +1288,6 @@ def test_comparator_tangent_cap_on_a_box_takes_the_staged_path():
     seq = qp.fixed_linear(box, [0.0, -1.0], 10)
     block = qp.linear_block(box, [[1.0, 0.0]], [-1.0])
     assert problems._check_rows_reach_base(block, box) is None
-    x = qp.hindsight_comparator(seq, block, box)
+    x = qp.hindsight_comparator(seq, block)
     assert x.tobytes() == problems._staged_comparator(seq, block, box).tobytes()
     assert np.allclose(x, [-1.0, 1.0], atol=1e-8)

@@ -16,8 +16,7 @@ built = qp.build_scenario(cfg)
 trace = qp.run(cfg.variant, built, horizon=cfg.horizon)
 
 print(checks.check_queue_lemma(trace))
-print(checks.check_dpp_over_trace(trace, built.seq, built.block,
-                                  built.base, seed=1))
+print(checks.check_dpp_over_trace(trace, built.seq, built.block, seed=1))
 print(checks.check_pushback(built.base, n_instances=50, seed=1))
 print(checks.check_descent_lemma(
     lambda x: float(built.seq.value(5, x)),
@@ -29,8 +28,7 @@ print(checks.check_descent_lemma(
 # enough
 halved = dataclasses.replace(trace, alphas=trace.alphas / 2)
 control = checks.check_dpp_over_trace(halved, built.seq, built.block,
-                                      built.base, rounds=[17],
-                                      n_z=50, seed=2)
+                                      rounds=[17], n_z=50, seed=2)
 print("\nhalved prox weight:", control)
 assert not control.passed
 

@@ -40,7 +40,8 @@ print("\n||g||_* on a ball:     ", qp.dual_norm(qp.Ball(np.zeros(3), 1.0), g))
 print("||g||_* on the simplex:", qp.dual_norm(simplex, g))
 
 # strong convexity is what makes the proximity terms usable: D(x, y)
-# always dominates (rho/2) ||x - y||^2 in the base set's norm
+# always dominates (1/2) ||x - y||^2 in the base set's norm (on the simplex
+# this is Pinsker's inequality)
 rng = np.random.default_rng(0)
 worst = np.inf
 for _ in range(200):

@@ -38,14 +38,12 @@ class HyperParams:
 
     ``eta`` scales like the inverse square root of the variation cap and
     trades off against regret; ``gamma`` is the queue step and penalty
-    scale; ``rho`` is the strong-convexity modulus of the geometry
-    (1 for both shipped pairings); ``nu`` is the uniform-mixing weight of
-    the simplex variant, ``1 / horizon``.
+    scale; ``nu`` is the uniform-mixing weight of the simplex variant,
+    ``1 / horizon``.
     """
 
     eta: float
     gamma: float
-    rho: float = 1.0
     nu: float | None = None
     v_cap: float = 0.0
 
@@ -60,12 +58,15 @@ class HyperParams:
 
 @dataclass
 class Scenario:
-    """Everything one run needs: base set, problem, constants."""
+    """Everything one run needs: problem and constants, on ``seq.base``."""
 
-    base: geo.BaseSet
     block: ConstraintBlock
     seq: LossSequence
     hp: HyperParams
+
+    @property
+    def base(self) -> geo.BaseSet:
+        return self.seq.base
 
 
 def hyperparams_from_variation(
@@ -73,7 +74,6 @@ def hyperparams_from_variation(
     grad_lipschitz: float,
     horizon: int | None = None,
     variant: str = VARIANT_GENERAL,
-    rho: float = 1.0,
 ) -> HyperParams:
     """Set ``eta`` and ``gamma`` from the variation cap.
 
@@ -91,8 +91,8 @@ def hyperparams_from_variation(
         if horizon is None or horizon < 1:
             raise ValueError("simplex variant needs a positive horizon")
         nu = 1.0 / horizon
-    return HyperParams(eta=level**-0.5, gamma=level**0.25, rho=rho,
-                       nu=nu, v_cap=float(v_cap))
+    return HyperParams(eta=level**-0.5, gamma=level**0.25, nu=nu,
+                       v_cap=float(v_cap))
 
 
 def queue_update(queue: np.ndarray, g_prev: np.ndarray, gamma: float) -> np.ndarray:
@@ -125,7 +125,6 @@ def alpha_update(
     xi: float,
     eta: float,
     gamma: float,
-    rho: float,
     grad_lipschitz: float,
     curvature: float,
     value_bound: float,
@@ -133,9 +132,9 @@ def alpha_update(
 ) -> float:
     """Nondecreasing proximal weight schedule.
 
-    General variant: ``max{(2 / rho) * (gamma^2 L_g G + eta L_f^2 +
-    1 / eta + xi), alpha_prev}``.  Simplex variant: ``max{3 (eta L_f^2 +
-    gamma^2 L_g G) + 2 / eta + 3 xi, alpha_prev}``.
+    General variant: ``max{2 * (gamma^2 L_g G + eta L_f^2 + 1 / eta + xi),
+    alpha_prev}``.  Simplex variant: ``max{3 (eta L_f^2 + gamma^2 L_g G) +
+    2 / eta + 3 xi, alpha_prev}``.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -143,10 +142,8 @@ def alpha_update(
         branch = (3.0 * (eta * grad_lipschitz**2 + gamma**2 * curvature * value_bound)
                   + 2.0 / eta + 3.0 * xi)
     else:
-        branch = (2.0 / rho) * (
-            gamma**2 * curvature * value_bound
-            + eta * grad_lipschitz**2 + 1.0 / eta + xi
-        )
+        branch = 2.0 * (gamma**2 * curvature * value_bound
+                        + eta * grad_lipschitz**2 + 1.0 / eta + xi)
     return max(branch, alpha_prev)
 
 
@@ -154,7 +151,6 @@ def alpha_closed_form(
     queue_l1_max: float,
     eta: float,
     gamma: float,
-    rho: float,
     grad_lipschitz: float,
     curvature: float,
     value_bound: float,
@@ -164,20 +160,18 @@ def alpha_closed_form(
     """Closed form of the running-max weight schedule.
 
     Unrolling the recursion, only the running maximum of l1 queue norms
-    survives: for the general variant ``alpha_t = (2 / rho) * (eta L_f^2 +
-    gamma^2 (2 L_g G + H^2)) + 2 / (rho eta) + (2 gamma L_g / rho) *
-    max_{t' <= t} ||Q(t')||_1``, and with coefficients 3, 3, 2, 3 in place
-    of the ``2 / rho`` factors for the simplex variant.
+    survives: for the general variant ``alpha_t = 2 * (eta L_f^2 + gamma^2
+    (2 L_g G + H^2)) + 2 / eta + 2 gamma L_g * max_{t' <= t} ||Q(t')||_1``,
+    and with coefficients 3, 3, 2, 3 in place of the 2s for the simplex one.
     """
     if variant == VARIANT_SIMPLEX:
         return (3.0 * eta * grad_lipschitz**2
                 + 3.0 * gamma**2 * (2.0 * curvature * value_bound + lipschitz_total**2)
                 + 2.0 / eta + 3.0 * gamma * curvature * queue_l1_max)
-    return ((2.0 / rho) * (eta * grad_lipschitz**2
-                           + gamma**2 * (2.0 * curvature * value_bound
-                                         + lipschitz_total**2))
-            + 2.0 / (rho * eta)
-            + (2.0 * gamma * curvature / rho) * queue_l1_max)
+    return (2.0 * (eta * grad_lipschitz**2
+                   + gamma**2 * (2.0 * curvature * value_bound
+                                 + lipschitz_total**2))
+            + 2.0 / eta + (2.0 * gamma * curvature) * queue_l1_max)
 
 
 def mix_anchor(anchor: np.ndarray, nu: float) -> np.ndarray:
@@ -216,11 +210,8 @@ def _check_pieces(variant: str, scenario: Scenario,
                   horizon: int | None) -> int:
     """Raise ``ValueError`` unless ``variant`` can run ``scenario`` for
     ``horizon`` rounds (None: the sequence horizon); return that horizon.
-
-    The variant must suit the base set, the pieces must agree on the
-    dimension, and the loss sequence must have been built on the
-    scenario's base set: the same kind with the same parameter bytes.
-    """
+    The variant must suit the base set, and the block and the sequence
+    must share one base set (``geometry.same_set``)."""
     base, block, seq, hp = scenario.base, scenario.block, scenario.seq, scenario.hp
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -229,23 +220,12 @@ def _check_pieces(variant: str, scenario: Scenario,
                          "other variants on a ball or a box")
     if variant == VARIANT_SIMPLEX and hp.nu is None:
         raise ValueError("simplex variant needs a mixing weight")
-    if block.dim != base.dim or seq.dim != base.dim:
-        raise ValueError("problem pieces disagree on dimension")
-    if seq.base is not base and _set_key(seq.base) != _set_key(base):
-        raise ValueError("the loss sequence was built on another base set")
+    if not geo.same_set(block.base, base):
+        raise ValueError("the constraint block was built on another base set")
     T = seq.horizon if horizon is None else int(horizon)
     if T < 0 or T > seq.horizon:
         raise ValueError("horizon must lie in [0, sequence horizon]")
     return T
-
-
-def _set_key(base: geo.BaseSet) -> tuple:
-    """A base set's kind and the bytes of its parameters."""
-    if isinstance(base, geo.Ball):
-        return base.kind, base.center.tobytes(), float(base.radius)
-    if isinstance(base, geo.Box):
-        return base.kind, base.lower.tobytes(), base.upper.tobytes()
-    return base.kind, base.d
 
 
 def run(
@@ -344,9 +324,8 @@ def run(
             queue = queues[t] = queue_update(queues[t - 1], g_values[t - 1], gamma)
             xi = xis[t - 1] = xi_value(queue, gamma, curvature, value_bound,
                                        lipschitz_total)
-            alpha = alpha_update(alpha, xi, hp.eta, gamma, hp.rho,
-                                 seq.grad_lipschitz, curvature, value_bound,
-                                 variant)
+            alpha = alpha_update(alpha, xi, hp.eta, gamma, seq.grad_lipschitz,
+                                 curvature, value_bound, variant)
             if not alpha > 0:
                 raise ScheduleError(
                     f"proximal weight collapsed to {alpha} at round {t}")
@@ -431,11 +410,11 @@ def run_batch(variant: str, scenarios: list[Scenario], horizon: int,
     with a coefficient table); no ``(T, d)`` array of decisions or anchors
     is held.  Finiteness is tested once per block, on the losses, the
     constraint values and the proximal weights (which must be positive),
-    and on the mirror steps' arguments ``anchor - h / alpha`` (``log(anchor)
-    - h / alpha`` on the simplex), which carry every gradient and penalty,
-    or on the baseline's gradients.  Each cell that fails is rerun through
-    ``run``, which raises its typed error naming the oracle and the round;
-    where ``run`` lets the value through, its trace gives the summary.
+    and on the steps' ``out`` of ``_batch_step``, which carries every
+    gradient and penalty and, on a ball, overflows where ``run``'s
+    projection rescales.  Each cell that fails is rerun through ``run``,
+    which raises its typed error naming the oracle and the round; where
+    ``run`` lets the value through, its trace gives the summary.
     """
     T = int(horizon)
     for scenario in scenarios:
@@ -517,12 +496,12 @@ def _batch_step(bases: list[geo.BaseSet], shape: tuple):
     """``geometry.mirror_step`` for a batch, on ``shape`` stacks of rows:
     ``(S, d)``, or ``(2, S, d)`` for both steps of a round.
 
-    ``step(anchor, scaled, out, dest)`` writes the step's argument into
-    ``out`` (``anchor - scaled`` on a ball or a box, ``log(anchor) -
-    scaled`` on the simplex, with ``scaled = h / alpha`` and ``anchor`` of
-    shape ``(S, d)``) and the minimizers into ``dest``, row ``j`` on base
-    set ``j`` in the same expressions.  On a ball or a box this is the
+    ``step(anchor, scaled, out, dest)`` writes the minimizers into ``dest``,
+    row ``j`` on base set ``j`` in the same expressions, with ``scaled = h
+    / alpha`` and ``anchor`` of shape ``(S, d)``: on a ball or a box the
     projection of ``anchor - scaled``, which the baseline's step is too.
+    ``out`` gets ``anchor - scaled`` on a box, ``log(anchor) - scaled`` on
+    the simplex, and on a ball that point's distance from the center.
     """
     first = bases[0]
     if isinstance(first, geo.Simplex):
@@ -542,13 +521,14 @@ def _batch_step(bases: list[geo.BaseSet], shape: tuple):
             np.minimum(dest, upper, out=dest)
         return step
     center = _expand([base.center for base in bases], shape)
-    radius = _expand([base.radius for base in bases], shape[:-1] + (1,))
+    radius = _expand([base.radius for base in bases], shape)
 
     def step(anchor, scaled, out, dest):
-        y = np.subtract(anchor, scaled, out=out)
+        y = anchor - scaled
         offset = y - center
         # row-wise dot products, the same reduction as ``offset @ offset``
-        dist = np.sqrt(np.matmul(offset[..., None, :], offset[..., None])[..., 0])
+        dist = np.sqrt(np.matmul(offset[..., None, :], offset[..., None])[..., 0],
+                       out=out)
         np.multiply(offset, radius / dist, out=dest)
         dest += center
         np.copyto(dest, y, where=dist <= radius)
@@ -670,19 +650,18 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
     xc = _expand([hp.gamma**2 * (b.curvature * b.value_bound_total
                                  + b.lipschitz_total**2)
                   for hp, b in zip(hps, blocks)], shape)
+    scale = _expand([3.0 if simplex else 2.0] * S, shape)
     if simplex:
         c0 = _expand([3.0 * (hp.eta * seq.grad_lipschitz**2
                              + hp.gamma**2 * b.curvature * b.value_bound_total)
                       + 2.0 / hp.eta
                       for hp, b, seq in zip(hps, blocks, seqs)], shape)
-        scale = _expand([3.0] * S, shape)
         keep = _expand([1.0 - hp.nu for hp in hps], (S, d))
         shift = _expand([hp.nu / d for hp in hps], (S, d))
     else:
         c0 = _expand([hp.gamma**2 * b.curvature * b.value_bound_total
                       + hp.eta * seq.grad_lipschitz**2 + 1.0 / hp.eta
                       for hp, b, seq in zip(hps, blocks, seqs)], shape)
-        scale = _expand([2.0 / hp.rho for hp in hps], shape)
     spread = _expand(np.arange(S), shape).astype(np.intp)   # cell of each entry
     gamma_p = _expand([hp.gamma for hp in hps], (S, d))[:, None, :]
 
@@ -690,7 +669,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
     g_values = batch.g_values
     queue = np.zeros((S, K))
     alpha = np.zeros(shape)
-    argument = np.empty(shape)      # a step's argument, not kept
+    argument = np.empty(shape)      # a step's ``out``, not kept
     anchors = None if coeffs else np.empty((2, S, d))
     for lo, hi in row_blocks(1, T + 1):
         n = hi - lo
@@ -703,7 +682,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
             z_rows = rows[1]
             if lo == 1:
                 grad = np.subtract(anchor, z_rows[0]) * s_rows[0]
-        # the block's sum of the steps' arguments: finite while each is
+        # the block's sum of the steps' ``out``: finite while each is
         tested = np.zeros((2, S, d))
         # round i's decision goes to row i; a coefficient table's round
         # steps to rows i and i + 1 together, the next anchor in row i + 1,
@@ -778,32 +757,31 @@ def _baseline_rounds(batch: _Batch) -> np.ndarray:
 
     x, jac = batch.x0, batch.jac0
     queue = np.zeros((S, K))
-    moved = np.empty((S, d))        # the step's argument, not kept
+    moved = np.empty((S, d))        # a step's ``out``, not kept
     for lo, hi in row_blocks(1, batch.T + 1):
         n = hi - lo
         rows = batch.loss_rows(lo, hi)
         # round t's step ``1 / (max(L_f, 1) * sqrt(t))``, one row per cell
         steps = 1.0 / (scale * np.sqrt(np.arange(lo, hi, dtype=float))[:, None])
         steps = steps[:, :, None]
-        if coeffs:
-            grads = rows
-        else:
+        if not coeffs:
             s_rows = np.repeat(rows[0][:, :, None], d, axis=2)
             half = (0.5 * rows[0])[:, :, None, None]
             z_rows = rows[1]
-            grads = batch.buffer("grads", (n, S, d))
         points = batch.buffer("points", (n, S, d))
+        tested = np.zeros((S, d))   # the block's sum of the steps' ``out``
         for i in range(n):
             # the gradient of index t - 1 (1 in round 1) at x_{t-1}
             if coeffs:
-                grad = grads[i]
+                grad = rows[i]
             else:
-                grad = np.subtract(x, z_rows[i], out=grads[i])
+                grad = x - z_rows[i]
                 grad *= s_rows[i]
             direction = np.matmul(queue[:, None, :], jac)[:, 0]
             direction += grad
             direction *= steps[i]
             step_fn(x, direction, moved, points[i])
+            tested += moved
             x = points[i]
             g = batch.g_values[lo + i]
             jac = tables(x, g)
@@ -818,5 +796,5 @@ def _baseline_rounds(batch: _Batch) -> np.ndarray:
             np.multiply(half[1:], np.matmul(diffs[:, :, None, :],
                                             diffs[..., None]),
                         out=batch.block_losses(lo, hi))
-        batch.finish_block(lo, hi, points, grads)
+        batch.finish_block(lo, hi, points, tested)
     return queue

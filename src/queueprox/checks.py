@@ -128,8 +128,7 @@ def check_queue_lemma(trace: RunTrace, tol: float = 1e-9) -> CheckReport:
 
 
 def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
-                  block: ConstraintBlock, base: geo.BaseSet,
-                  z: np.ndarray) -> float:
+                  block: ConstraintBlock, z: np.ndarray) -> float:
     """Largest residual of the round-``t`` drift-plus-penalty bound over the
     probes ``z`` (one point or an ``(n, d)`` stack), read from the trace.
 
@@ -154,7 +153,7 @@ def _dpp_residual(trace: RunTrace, t: int, seq: LossSequence,
     alpha, xi = float(trace.alphas[t - 1]), float(trace.xis[t - 1])
     grad_prev, grad_curr = seq.grad(t - 1, x_prev), seq.grad(t, x_curr)
     g_prev, g_curr = trace.g_values[t - 1], trace.g_values[t]
-    gamma = trace.gamma
+    gamma, base = trace.gamma, seq.base
 
     lhs = (0.5 * (float(queue_next @ queue_next) - float(queue @ queue))
            + float(grad_prev @ x_curr)
@@ -186,7 +185,6 @@ def check_dpp_over_trace(
     trace: RunTrace,
     seq: LossSequence,
     block: ConstraintBlock,
-    base: geo.BaseSet,
     rounds: list[int] | None = None,
     n_z: int = 20,
     seed: int = 0,
@@ -195,7 +193,7 @@ def check_dpp_over_trace(
     """Run the per-round bound check over sampled rounds of a trace.
 
     Without ``rounds``, up to 100 distinct rounds are drawn first; then
-    each round draws its ``n_z`` probes from the base set in turn.
+    each round draws its ``n_z`` probes from ``seq.base`` in turn.
     """
     rng = np.random.default_rng(seed)
     if rounds is None:
@@ -203,9 +201,8 @@ def check_dpp_over_trace(
         rounds = sorted(rng.choice(trace.horizon, size=count, replace=False) + 1)
     worst = -np.inf
     for t in rounds:
-        z = geo.sample(base, rng, n_z)
-        worst = _fold(worst, _dpp_residual(trace, int(t), seq, block, base,
-                                           z))
+        z = geo.sample(seq.base, rng, n_z)
+        worst = _fold(worst, _dpp_residual(trace, int(t), seq, block, z))
     return CheckReport(
         check="dpp", rounds=len(rounds), samples=len(rounds) * n_z,
         max_residual=float(worst), passed=bool(worst <= tol), tolerance=tol,

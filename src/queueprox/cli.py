@@ -106,7 +106,7 @@ def _cmd_check(args) -> int:
             reports.append(chk.check_queue_lemma(trace))
         elif token == "dpp":
             reports.append(chk.check_dpp_over_trace(
-                trace, built.seq, built.block, built.base, seed=config.seed))
+                trace, built.seq, built.block, seed=config.seed))
         elif token == "pushback":
             reports.append(chk.check_pushback(built.base, seed=config.seed))
         elif token == "mixing":

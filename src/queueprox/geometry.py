@@ -7,9 +7,9 @@ The base set decides the norm and divergence pairing:
 * the probability simplex is entropic: negative entropy ``sum_i x_i log
   x_i``, measuring distances in the l1 norm with l-infinity dual norm.
 
-Both generating functions are 1-strongly convex with respect to their paired
-norm; the solver takes that modulus as ``HyperParams.rho``.  The convention
-``0 * log 0 = 0`` is used throughout.
+Both generating functions are 1-strongly convex in their paired norm (on the
+simplex by Pinsker's inequality), the modulus the solver's weights assume.
+The convention ``0 * log 0 = 0`` is used throughout.
 """
 from __future__ import annotations
 
@@ -93,6 +93,16 @@ class Simplex:
 
 
 BaseSet = Ball | Box | Simplex
+
+
+def same_set(a: BaseSet, b: BaseSet) -> bool:
+    """Whether ``a`` and ``b`` are one set: same kind, same parameter bytes."""
+    if isinstance(a, Ball) and isinstance(b, Ball):
+        return a.center.tobytes() == b.center.tobytes() and a.radius == b.radius
+    if isinstance(a, Box) and isinstance(b, Box):
+        return (a.lower.tobytes() == b.lower.tobytes()
+                and a.upper.tobytes() == b.upper.tobytes())
+    return isinstance(a, Simplex) and isinstance(b, Simplex) and a.d == b.d
 
 
 def center(base: BaseSet) -> np.ndarray:
@@ -241,6 +251,8 @@ def _project(base: BaseSet, y: np.ndarray) -> np.ndarray:
         dist = math.sqrt(offset @ offset)
         if dist <= base.radius:
             return y
+        if dist == math.inf:        # the squares overflowed
+            dist = math.hypot(*offset)
         return base.center + offset * (base.radius / dist)
     if isinstance(base, Box):
         return np.minimum(np.maximum(y, base.lower), base.upper)

@@ -162,7 +162,7 @@ def _build_base(config: ScenarioConfig) -> geo.BaseSet:
 
 def _build_block(config: ScenarioConfig, base, rng) -> prob.ConstraintBlock:
     if config.constraints is None:
-        return prob.empty_block(base.dim)
+        return prob.empty_block(base)
     specs = (config.constraints if isinstance(config.constraints, list)
              else [config.constraints])
     blocks = []
@@ -302,7 +302,7 @@ def build_scenario(config: ScenarioConfig) -> alg.Scenario:
     hp = alg.hyperparams_from_variation(
         v_cap, seq.grad_lipschitz, horizon=config.horizon,
         variant=config.variant)
-    return alg.Scenario(base=base, block=block, seq=seq, hp=hp)
+    return alg.Scenario(block=block, seq=seq, hp=hp)
 
 
 def run_scenario(

@@ -113,17 +113,20 @@ def probe_variation(seq: LossSequence, points: np.ndarray | None,
     validate overestimated variation caps.
 
     A sequence with a coefficient table has x-independent gradients, so
-    its total is a blocked pass over the table's deltas and ``points`` is
-    not read (it may be None).  Any other sequence takes its gradients at
-    every probe ``problems.BLOCK_ROUNDS`` rounds at a time, with one
-    stacked ``dual_norm`` call per block: a quadratic family's ``s_t (x -
-    z_t)`` built in place from its tables' rows, a custom sequence's from
-    one stacked ``LossSequence.grad`` call per round.  Either way the
+    its total is the exact one it stores (``coeff_variation`` at a shorter
+    horizon) and ``points`` is not read (it may be None).  Any other
+    sequence takes its gradients at every probe ``problems.BLOCK_ROUNDS``
+    rounds at a time, with one stacked ``dual_norm`` call per block: a
+    quadratic family's ``s_t (x - z_t)`` built in place from its tables'
+    rows, a custom sequence's from one stacked ``LossSequence.grad`` call
+    per round.  Either way the
     rounds' maxima are squared with libm ``pow`` and added in round order,
     block after block, so every path gives the bits of the per-round loop,
     and fewer than two rounds give 0.0.
     """
     if seq.coeffs is not None:
+        if horizon == seq.horizon:
+            return seq.variation_fn()
         return coeff_variation(seq.base, seq.coeffs, horizon)
     total = 0.0
     for lo, hi in row_blocks(1, horizon + 1, overlap=1):

@@ -50,6 +50,8 @@ class ConstraintBlock:
     ----------
     size : int
         Number of constraints ``K``.  May be zero.
+    base : BaseSet
+        The set the constants hold over; a custom block names its own.
     eval_fn : callable or None
         A custom block's oracle: maps one point ``x`` to ``(values,
         jacobian)`` with shapes ``(K,)`` and ``(K, d)``.
@@ -65,7 +67,7 @@ class ConstraintBlock:
     """
 
     size: int
-    dim: int
+    base: geo.BaseSet
     eval_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     value_bounds: np.ndarray
     lipschitz: np.ndarray
@@ -81,6 +83,10 @@ class ConstraintBlock:
         if self.eval_fn is not None:
             for name in ("A", "b", "centers", "offsets", "order"):
                 object.__setattr__(self, name, None)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
 
     @property
     def value_bound_total(self) -> float:
@@ -261,7 +267,7 @@ def _table_block(base, family, slater_point, **tables) -> ConstraintBlock:
             raise ValueError(f"{family} constraint tables must be finite")
         table.setflags(write=False)
     block = ConstraintBlock(
-        size=len(next(iter(tables.values()))), dim=base.dim, eval_fn=None,
+        size=len(next(iter(tables.values()))), base=base, eval_fn=None,
         **_family_constants(base, family, **tables), **tables)
     if slater_point is None:
         return block
@@ -303,16 +309,14 @@ def quadratic_block(
                         centers=centers, offsets=offsets)
 
 
-def empty_block(dim: int) -> ConstraintBlock:
-    """A block with zero constraints, a linear table with no rows; queues
-    and penalties degenerate."""
-    return ConstraintBlock(size=0, dim=dim, eval_fn=None,
-                           value_bounds=np.zeros(0), lipschitz=np.zeros(0),
-                           curvature=0.0, A=np.zeros((0, dim)), b=np.zeros(0))
+def empty_block(base: geo.BaseSet) -> ConstraintBlock:
+    """A block with zero constraints on ``base``, a linear table with no
+    rows; queues and penalties degenerate."""
+    return linear_block(base, np.zeros((0, base.dim)), np.zeros(0))
 
 
 def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
-    """Concatenate built-in constraint blocks over the same base set.
+    """Concatenate built-in blocks over one base set, else ``ValueError``.
 
     The parts' linear tables and quadratic tables are concatenated, and
     ``order`` keeps the rows in the parts' order when a quadratic row comes
@@ -321,13 +325,15 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
     """
     if not blocks:
         raise ValueError("stack_blocks needs at least one block")
-    dim = blocks[0].dim
-    if any(part.dim != dim for part in blocks):
+    base = blocks[0].base
+    if any(part.dim != base.dim for part in blocks):
         raise DimensionMismatchError("blocks disagree on dimension")
+    if not all(geo.same_set(part.base, base) for part in blocks):
+        raise ValueError("blocks were built on different base sets")
     if any(part.eval_fn is not None for part in blocks):
         raise UnsupportedFamilyError("stack_blocks takes built-in blocks")
 
-    linear = [p for p in blocks if p.A is not None and len(p.A)] or [empty_block(dim)]
+    linear = [p for p in blocks if p.A is not None and len(p.A)] or [empty_block(base)]
     quadratic = [p for p in blocks if p.centers is not None]
     tables = {"A": np.concatenate([p.A for p in linear]),
               "b": np.concatenate([p.b for p in linear])}
@@ -354,7 +360,7 @@ def stack_blocks(blocks: list[ConstraintBlock]) -> ConstraintBlock:
         if all(np.array_equal(c[0], point) for c in candidates):
             slater = (point, min(c[1] for c in candidates))
     return ConstraintBlock(
-        size=len(order), dim=dim, eval_fn=None,
+        size=len(order), base=base, eval_fn=None,
         value_bounds=np.concatenate([part.value_bounds for part in blocks]),
         lipschitz=np.concatenate([part.lipschitz for part in blocks]),
         curvature=max(part.curvature for part in blocks), slater=slater,
@@ -523,7 +529,7 @@ def _linear_family(
     grad_lipschitz: float,
 ) -> LossSequence:
     """Assemble ``f_t(x) = <c_t, x>`` from a ``(P, d)`` coefficient table
-    with ``c_t = coeffs[t % P]``."""
+    with ``c_t = coeffs[t % P]``, storing its exact variation total."""
     _check_horizon(horizon)
     if grad_lipschitz <= 0:
         raise ValueError("grad_lipschitz must be positive (any positive "
@@ -537,13 +543,14 @@ def _linear_family(
         grad_bound = float(np.max(geo.dual_norm(base, rows), initial=grad_bound))
         total = in_order_sum(rows, total)
     mean = total / horizon
+    variation = coeff_variation(base, coeffs, horizon)
 
     return LossSequence(
         horizon=horizon, base=base,
         value_fn=lambda t, x: float(coeffs[t % period] @ x),
         grad_fn=lambda t, x: coeffs[t % period],
         grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        variation_fn=lambda: coeff_variation(base, coeffs, horizon),
+        variation_fn=lambda: variation,
         mean_value_fn=lambda x: float(mean @ x),
         mean_grad_fn=lambda x: mean.copy(),
         mean_curvature=0.0, coeffs=coeffs,
@@ -857,20 +864,21 @@ def hindsight_comparator(
 ) -> np.ndarray:
     """Best fixed feasible decision in hindsight.
 
-    Minimizes the averaged loss over the sequence's base set ``seq.base``
-    intersected with ``g_k(x) <= 0``.  A built-in block on a ball or a box is first tested
-    row by row (``_check_rows_reach_base``): a row whose least value over
-    the base set exceeds 1e-6 raises before any solve, and on a ball a
-    tangent row leaves one feasible point, the answer.  Otherwise one
-    producer answers a linear or quadratic family on a ball and a quadratic
-    one on a box: ``_dual_solution``, by Newton's method on the Lagrange
-    dual, gives a point and its multipliers ``(x, nu)``, returned only if
-    ``_certified`` finds ``x`` feasible and the dual value at ``nu`` within
-    1e-12 relative of its loss.  Every other case (the simplex, custom
-    blocks and sequences, a linear family on a box), and a refused answer,
-    takes ``_staged_comparator``: accelerated projected gradient on a
-    quadratic hinge penalty whose weight escalates until the worst
-    violation is at most 1e-6.
+    Minimizes the averaged loss over the base set of ``seq`` and ``block``
+    (one set, else ``ValueError``) intersected with ``g_k(x) <= 0``.  A
+    built-in block on a ball or a box is first tested row by row
+    (``_check_rows_reach_base``): a row whose least value over the base set
+    exceeds 1e-6 raises before any solve, and on a ball a tangent row leaves
+    one feasible point, the answer.  Otherwise one producer answers a linear
+    or quadratic family on a ball and a quadratic one on a box:
+    ``_dual_solution``, by Newton's method on the Lagrange dual, gives a
+    point and its multipliers ``(x, nu)``, returned only if ``_certified``
+    finds ``x`` feasible and the dual value at ``nu`` within 1e-12 relative
+    of its loss.  Every other case (the simplex, custom blocks and
+    sequences, a linear family on a box), and a refused answer, takes
+    ``_staged_comparator``: accelerated projected gradient on a quadratic
+    hinge penalty whose weight escalates until the worst violation is at
+    most 1e-6.
 
     Raises
     ------
@@ -884,20 +892,21 @@ def hindsight_comparator(
             "hindsight comparator needs averaged-loss oracles"
         )
     base = seq.base
+    if not geo.same_set(block.base, base):
+        raise ValueError("the constraint block was built on another base set")
     if block.eval_fn is None and isinstance(base, (geo.Ball, geo.Box)):
-        point = _check_rows_reach_base(block, base)
+        point = _check_rows_reach_base(block)
         if point is not None:
             return point
         if seq.scales is not None or (isinstance(base, geo.Ball)
                                       and seq.coeffs is not None):
-            answer = _dual_solution(seq, block, base)
-            if _certified(seq, block, base, *answer):
+            answer = _dual_solution(seq, block)
+            if _certified(seq, block, *answer):
                 return answer[0]
-    return _staged_comparator(seq, block, base)
+    return _staged_comparator(seq, block)
 
 
-def _check_rows_reach_base(block: ConstraintBlock,
-                           base: geo.BaseSet) -> np.ndarray | None:
+def _check_rows_reach_base(block: ConstraintBlock) -> np.ndarray | None:
     """Raise ``InfeasibleError`` naming the row whose least value over the
     base set is largest, if that value exceeds 1e-6.  The least values come
     from ``_linear_interval`` and ``_sq_dist_range``, exact on a ball and a
@@ -905,6 +914,7 @@ def _check_rows_reach_base(block: ConstraintBlock,
     rounding of its terms holds at one point only, returned: ``x0 - r a /
     ||a||`` for a linear row, the ball point nearest ``c`` for a quadratic
     one; another row above 1e-6 there raises.  Otherwise None."""
+    base = block.base
     rows = []                   # (least, greatest, rhs, row, linear)
     if block.A is not None:
         rows += [(*_linear_interval(base, a), b, a, True)
@@ -992,8 +1002,7 @@ def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
     return (base.radius / dist) * (gram - np.outer(along, along))
 
 
-def _dual_solution(seq: LossSequence, block: ConstraintBlock,
-                   base: geo.BaseSet) -> tuple[np.ndarray, np.ndarray]:
+def _dual_solution(seq: LossSequence, block: ConstraintBlock) -> tuple:
     """``(x, nu)`` for multipliers ``nu >= 0`` that maximize the Lagrange
     dual ``phi(nu) = min over the base set of F(x) + nu . g(x)`` of a linear
     or quadratic family under a built-in block, by projected Newton
@@ -1017,7 +1026,7 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock,
     there are 0, with the least-squares multipliers; else the best point
     of the disc where they are 0, as the KKT conditions ask.
     """
-    pieces = _dual_pieces(seq, block)
+    base, pieces = seq.base, _dual_pieces(seq, block)
 
     def dual(nu):
         x, a, w = _lagrangian_argmin(base, pieces, nu)
@@ -1080,7 +1089,7 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock,
     return x + (reach / norm) * slope, nu
 
 
-def _certified(seq: LossSequence, block: ConstraintBlock, base: geo.BaseSet,
+def _certified(seq: LossSequence, block: ConstraintBlock,
                x: np.ndarray, nu: np.ndarray) -> bool:
     """Whether the multipliers ``nu`` certify ``x`` as the comparator of a
     built-in block on a ball or a box.
@@ -1094,7 +1103,7 @@ def _certified(seq: LossSequence, block: ConstraintBlock, base: geo.BaseSet,
     ``nu_k (|g_k| + |rhs_k|)`` above 1e3 (1 + |loss|), as one is where a
     nearly tangent cap makes a multiplier huge.
     """
-    pieces = _dual_pieces(seq, block)
+    base, pieces = seq.base, _dual_pieces(seq, block)
     at, _, _ = _lagrangian_argmin(base, pieces, nu)
     values, _ = _tables(block, at)
     bound = seq.mean_value_fn(at) + float(nu @ values)
@@ -1107,8 +1116,7 @@ def _certified(seq: LossSequence, block: ConstraintBlock, base: geo.BaseSet,
                 and float(np.max(terms, initial=0.0)) <= 1e3 * scale)
 
 
-def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
-                       base: geo.BaseSet, *,
+def _staged_comparator(seq: LossSequence, block: ConstraintBlock, *,
                        feas_tol: float = 1e-6) -> np.ndarray:
     """The comparator by penalty-staged FISTA, for any block and base set.
 
@@ -1119,12 +1127,12 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
     point), and a final pull toward the strictly feasible certificate point
     clears any residual violation.
     """
-    x0 = geo.center(base)
+    x0 = geo.center(seq.base)
 
     if block.size == 0:
         x, residual = _fista(
             lambda p: (seq.mean_value_fn(p), partial(seq.mean_grad_fn, p)),
-            base, x0,
+            seq.base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
         )
         if residual > 1e-8:
@@ -1137,7 +1145,7 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
             violation_sq, hinge, jac = _squared_violation(block, p)
             return violation_sq, lambda: 2.0 * (hinge @ jac)
 
-        probe, _ = _fista(violation, base, x0)
+        probe, _ = _fista(violation, seq.base, x0)
         values, _ = _evaluate(block, probe)
         if np.max(values) > 1e-6:
             worst = int(np.argmax(values))
@@ -1159,7 +1167,7 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock,
             return (seq.mean_value_fn(p) + w * violation_sq,
                     lambda: seq.mean_grad_fn(p) + w * (2.0 * (hinge @ jac)))
 
-        x, residual = _fista(penalized, base, x,
+        x, residual = _fista(penalized, seq.base, x,
                              lipschitz_guess=curvature_guess)
         values, _ = _evaluate(block, x)
         if float(np.max(values, initial=0.0)) <= stage_target:

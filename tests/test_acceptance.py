@@ -64,15 +64,15 @@ def closed_form_alphas(built, trace):
     H = float(np.sum(built.block.lipschitz))
     L_f = built.seq.grad_lipschitz
     L_g = built.block.curvature
-    eta, gamma, rho = built.hp.eta, built.hp.gamma, built.hp.rho
+    eta, gamma = built.hp.eta, built.hp.gamma
     l1 = np.abs(trace.queues).sum(axis=1)
     run_max = np.maximum.accumulate(l1[1:trace.horizon + 1])
     if trace.variant == "ompd-simplex":
         return (3.0 * eta * L_f**2
                 + 3.0 * gamma**2 * (2.0 * L_g * G + H**2)
                 + 2.0 / eta + 3.0 * gamma * L_g * run_max)
-    return ((2.0 / rho) * (eta * L_f**2 + gamma**2 * (2.0 * L_g * G + H**2))
-            + 2.0 / (rho * eta) + (2.0 * gamma * L_g / rho) * run_max)
+    return (2.0 * (eta * L_f**2 + gamma**2 * (2.0 * L_g * G + H**2))
+            + 2.0 / eta + (2.0 * gamma * L_g) * run_max)
 
 
 def test_criterion_01_violation_within_queue_bound(shipped_runs):
@@ -195,14 +195,14 @@ def test_criterion_08_per_round_bound_with_negative_control(shipped_runs):
     built, trace, _ = shipped_runs["golden-d2"]
     started = time.perf_counter()
     rep = chk.check_dpp_over_trace(trace, built.seq, built.block,
-                                   built.base, n_z=20, seed=11)
+                                   n_z=20, seed=11)
     rng = np.random.default_rng(13)
     z = geo.sample(built.base, rng, 20)
     halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)
     control = -np.inf
     for t in rng.choice(trace.horizon, size=50, replace=False) + 1:
         control = max(control, chk._dpp_residual(
-            halved, int(t), built.seq, built.block, built.base, z))
+            halved, int(t), built.seq, built.block, z))
     elapsed = time.perf_counter() - started
     ok = (rep.passed and rep.rounds == 100 and rep.samples == 2000
           and control > 1e-8 and elapsed < 5.0)

@@ -83,19 +83,19 @@ def test_xi_value_examples():
 
 
 def test_alpha_update_general_plug_in():
-    val = qp.alpha_update(0.0, 1.0, eta=1.0, gamma=1.0, rho=1.0,
+    val = qp.alpha_update(0.0, 1.0, eta=1.0, gamma=1.0,
                           grad_lipschitz=1.0, curvature=0.0, value_bound=0.0)
     assert val == 6.0
 
 
 def test_alpha_update_clamps_to_previous():
-    val = qp.alpha_update(50.0, 1.0, eta=1.0, gamma=1.0, rho=1.0,
+    val = qp.alpha_update(50.0, 1.0, eta=1.0, gamma=1.0,
                           grad_lipschitz=1.0, curvature=0.0, value_bound=0.0)
     assert val == 50.0
 
 
 def test_alpha_update_simplex_plug_in():
-    val = qp.alpha_update(0.0, 1.0, eta=1.0, gamma=1.0, rho=1.0,
+    val = qp.alpha_update(0.0, 1.0, eta=1.0, gamma=1.0,
                           grad_lipschitz=1.0, curvature=0.0, value_bound=0.0,
                           variant=qp.VARIANT_SIMPLEX)
     assert val == 8.0
@@ -103,7 +103,7 @@ def test_alpha_update_simplex_plug_in():
 
 def test_alpha_update_rejects_nonpositive_eta():
     with pytest.raises(ValueError):
-        qp.alpha_update(0.0, 1.0, eta=0.0, gamma=1.0, rho=1.0,
+        qp.alpha_update(0.0, 1.0, eta=0.0, gamma=1.0,
                         grad_lipschitz=1.0, curvature=0.0, value_bound=0.0)
 
 
@@ -152,8 +152,7 @@ def test_trace_matches_frozen_digest(name, variant):
 def _free_quadratic_scenario(horizon):
     seq = qp.fixed_quadratic(BALL, [0.4, 0.2], horizon)
     hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
-    return qp.Scenario(base=BALL, block=qp.empty_block(2),
-                       seq=seq, hp=hp)
+    return qp.Scenario(block=qp.empty_block(BALL), seq=seq, hp=hp)
 
 
 def test_run_anchored_at_center():
@@ -175,13 +174,12 @@ def test_gamma_zero_disables_queue_entirely():
     seq = qp.fixed_linear(BALL, [-1.0, 0.0], 20, grad_lipschitz=0.5)
     block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
     hp = qp.HyperParams(eta=1.0, gamma=0.0)
-    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(block=block, seq=seq, hp=hp)
     trace = qp.run("ompd", scenario)
     assert np.all(trace.queues == 0.0)
     assert np.all(trace.xis == 0.0)
     # with the queue dead this is unconstrained online mirror prox
-    unconstrained = qp.Scenario(base=BALL, block=qp.empty_block(2),
-                                seq=seq, hp=hp)
+    unconstrained = qp.Scenario(block=qp.empty_block(BALL), seq=seq, hp=hp)
     free = qp.run("ompd", unconstrained)
     assert np.allclose(trace.decisions, free.decisions, atol=1e-15)
 
@@ -231,25 +229,28 @@ def test_nan_gradient_raises_oracle_error_with_round():
     seq = qp.custom_sequence(BALL, lambda t, x: 0.0, bad_grad,
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
-    scenario = qp.Scenario(base=BALL, block=qp.empty_block(2),
-                           seq=seq, hp=qp.HyperParams(eta=1.0, gamma=1.0))
+    scenario = qp.Scenario(block=qp.empty_block(BALL), seq=seq,
+                           hp=qp.HyperParams(eta=1.0, gamma=1.0))
     with pytest.raises(qp.OracleError) as err:
         qp.run("ompd", scenario)
     assert err.value.round_index == 3
+
+
+def _variant_base(variant):
+    return qp.Simplex(2) if variant == qp.VARIANT_SIMPLEX else BALL
 
 
 def _custom_scenario(variant, value_fn, block=None, base=None, grad_fn=None):
     """A five-round scenario, on zero gradients unless ``grad_fn`` is
     given, for oracle and start tests."""
     if base is None:
-        base = qp.Simplex(2) if variant == qp.VARIANT_SIMPLEX else BALL
+        base = _variant_base(variant)
     seq = qp.custom_sequence(base, value_fn,
                              grad_fn or (lambda t, x: np.zeros(2)),
                              horizon=5, grad_bound=1.0, grad_lipschitz=1.0,
                              variation=0.0)
     hp = qp.hyperparams_from_variation(0.0, 1.0, horizon=5, variant=variant)
-    return qp.Scenario(base=base, block=block or qp.empty_block(2),
-                       seq=seq, hp=hp)
+    return qp.Scenario(block=block or qp.empty_block(base), seq=seq, hp=hp)
 
 
 @pytest.mark.parametrize("variant", qp.VARIANTS)
@@ -272,7 +273,8 @@ def test_nan_constraint_raises_oracle_error_with_round(variant, bad_call):
         value = np.nan if len(calls) == bad_call + 1 else -1.0
         return np.array([value]), np.zeros((1, 2))
 
-    block = qp.ConstraintBlock(size=1, dim=2, eval_fn=eval_fn,
+    block = qp.ConstraintBlock(size=1, base=_variant_base(variant),
+                               eval_fn=eval_fn,
                                value_bounds=np.ones(1), lipschitz=np.zeros(1),
                                curvature=0.0)
     scenario = _custom_scenario(variant, lambda t, x: 0.0, block)
@@ -344,12 +346,12 @@ BOX = qp.Box(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 2.0]))
 EUCLIDEAN_VARIANTS = (qp.VARIANT_GENERAL, qp.VARIANT_BASELINE)
 
 
-def _counting_block(calls):
+def _counting_block(calls, base):
     def eval_fn(x):
         calls.append(x)
         return np.array([-1.0]), np.zeros((1, 2))
 
-    return qp.ConstraintBlock(size=1, dim=2, eval_fn=eval_fn,
+    return qp.ConstraintBlock(size=1, base=base, eval_fn=eval_fn,
                               value_bounds=np.ones(1), lipschitz=np.zeros(1),
                               curvature=0.0)
 
@@ -369,7 +371,7 @@ def _counting_block(calls):
 def test_run_rejects_start_outside_base_set(variant, base, x0):
     calls = []
     scenario = _custom_scenario(variant, lambda t, x: 0.0,
-                                _counting_block(calls), base)
+                                _counting_block(calls, base), base)
     with pytest.raises(qp.DomainError, match="x0"):
         qp.run(variant, scenario, x0=np.array(x0))
     assert calls == []      # rejected before any oracle call
@@ -379,7 +381,7 @@ def test_run_rejects_start_outside_base_set(variant, base, x0):
 def test_run_rejects_start_of_wrong_shape(variant):
     calls = []
     scenario = _custom_scenario(variant, lambda t, x: 0.0,
-                                _counting_block(calls))
+                                _counting_block(calls, _variant_base(variant)))
     with pytest.raises(qp.DimensionMismatchError):
         qp.run(variant, scenario, x0=np.full(3, 1 / 3))
     assert calls == []
@@ -452,12 +454,12 @@ def test_alpha_running_max_matches_closed_form(name):
     run_max = np.maximum.accumulate(l1[1:trace.horizon + 1])
     for t in range(trace.horizon):
         closed = qp.alpha_closed_form(
-            run_max[t], built.hp.eta, built.hp.gamma, built.hp.rho,
+            run_max[t], built.hp.eta, built.hp.gamma,
             built.seq.grad_lipschitz, built.block.curvature, G, H,
             variant=trace.variant)
         assert abs(closed - trace.alphas[t]) <= 1e-12 * abs(trace.alphas[t])
     assert np.all(np.diff(trace.alphas) >= 0)
-    assert trace.alphas[0] >= 2.0 / (built.hp.rho * built.hp.eta) - 1e-15
+    assert trace.alphas[0] >= 2.0 / built.hp.eta - 1e-15
 
 
 @pytest.mark.parametrize("name", ["golden-d2", "simplex-d10"])
@@ -528,9 +530,9 @@ def test_simplex_variant_uses_mixed_anchor_for_both_steps():
 
 def test_baseline_without_constraints_is_projected_gradient():
     seq = qp.fixed_quadratic(BALL, [0.4, 0.2], 30)
-    block = qp.empty_block(2)
+    block = qp.empty_block(BALL)
     hp = qp.HyperParams(eta=1.0, gamma=1.0)
-    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(block=block, seq=seq, hp=hp)
     trace = qp.run("pd-baseline", scenario)
     x = qp.center(BALL)
     for t in range(1, 31):
@@ -548,8 +550,7 @@ def test_baseline_objective_gap_shrinks_with_horizon():
     for T in (100, 2000):
         seq = qp.fixed_quadratic(BALL, [1.2, 0.4], T)
         hp = qp.hyperparams_from_variation(0.0, seq.grad_lipschitz)
-        scenario = qp.Scenario(base=BALL, block=block, seq=seq,
-                               hp=hp)
+        scenario = qp.Scenario(block=block, seq=seq, hp=hp)
         trace = qp.run("pd-baseline", scenario)
         comparator = qp.hindsight_comparator(seq, block)
         best = sum(seq.value(t, comparator) for t in range(1, T + 1))
@@ -565,7 +566,7 @@ def test_baseline_zero_gamma_keeps_dual_at_zero():
     seq = qp.fixed_linear(BALL, [-1.0, 0.0], 25, grad_lipschitz=0.5)
     block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
     hp = qp.HyperParams(eta=1.0, gamma=0.0)
-    scenario = qp.Scenario(base=BALL, block=block, seq=seq, hp=hp)
+    scenario = qp.Scenario(block=block, seq=seq, hp=hp)
     trace = qp.run("pd-baseline", scenario)
     assert np.all(trace.queues == 0.0)
 
@@ -759,12 +760,31 @@ def test_batch_overflow_raises_the_scalar_error(kind):
     assert str(swept.value) == str(scalar.value)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("variant", EUCLIDEAN_VARIANTS)
+def test_batch_projects_a_step_whose_squares_overflow_as_run_does(variant):
+    """golden-d2 on the coefficients (1e200, -1e200): the squared offset of
+    every step from the center overflows, ``project`` measures it without
+    squaring, and the batch reruns such cells through ``run``, so ``sweep``
+    reports what ``run_scenario`` does."""
+    data = golden_config(horizon=50).to_dict()
+    data.update(variant=variant,
+                loss={"family": "fixed", "coeffs": [1e200, -1e200]})
+    cfg = qp.ScenarioConfig.from_dict(data)
+    trace, single = qp.run_scenario(cfg)
+    swept = qp.sweep(qp.SweepSpec(config=cfg, horizons=(cfg.horizon,),
+                                  seeds=(cfg.seed,)))
+    assert repr(swept.reports[0].summary_row()) == repr(single.summary_row())
+    # the loss pulls every decision to the ball's boundary
+    assert np.allclose(np.linalg.norm(trace.decisions, axis=1), 1.0)
+
+
 def test_batch_rejects_mixed_layouts_and_custom_pieces():
     golden = qp.build_scenario(golden_config(horizon=20))
     box = qp.build_scenario(qp.shipped_scenario("box-mixed-d3", horizon=20))
     with pytest.raises(ValueError, match="must share"):
         alg.run_batch("ompd", [golden, box], 20)
-    custom = qp.Scenario(base=golden.base, block=golden.block, hp=golden.hp,
+    custom = qp.Scenario(block=golden.block, hp=golden.hp,
                          seq=qp.custom_sequence(
                              golden.base, lambda t, x: 0.0,
                              lambda t, x: np.zeros(2), 20, 1.0, 1.0,
@@ -774,14 +794,40 @@ def test_batch_rejects_mixed_layouts_and_custom_pieces():
     assert alg.run_batch("ompd", [], 20) == []
 
 
+@pytest.mark.parametrize("call", ["run", "run_batch", "hindsight_comparator",
+                                  "stack_blocks"])
+def test_a_block_on_another_base_set_is_refused(call):
+    # certified on the unit ball, where |g| <= 1.3; on the box it reaches 3.3
+    block = qp.linear_block(BALL, [[1.0, 0.0]], [0.3])
+    box = qp.Box(-3.0 * np.ones(2), 3.0 * np.ones(2))
+    seq = qp.fixed_linear(box, [-1.0, 0.0], 20)
+    scenario = qp.Scenario(block=block, seq=seq,
+                           hp=qp.hyperparams_from_variation(0.0, 1.0))
+    assert scenario.base is seq.base
+    calls = {
+        "run": lambda: qp.run("ompd", scenario),
+        "run_batch": lambda: alg.run_batch("ompd", [scenario], 20),
+        "hindsight_comparator": lambda: qp.hindsight_comparator(seq, block),
+        "stack_blocks": lambda: qp.stack_blocks(
+            [block, qp.linear_block(box, [[0.0, 1.0]], [0.5])]),
+    }
+    with pytest.raises(ValueError, match="base set"):
+        calls[call]()
+
+
 def test_run_rejects_a_sequence_built_on_another_base_set():
     built = qp.build_scenario(golden_config(horizon=20))
     same = qp.Ball(center=np.zeros(2), radius=1.0)   # equal, another object
     moved = qp.Ball(center=np.zeros(2), radius=2.0)
     box = qp.Box(-np.ones(2), np.ones(2))
-    assert qp.run("ompd", dataclasses.replace(built, base=same)).horizon == 20
+
+    def block_on(base):
+        return dataclasses.replace(
+            built, block=dataclasses.replace(built.block, base=base))
+
+    assert qp.run("ompd", block_on(same)).horizon == 20
     for other in (moved, box):
-        scenario = dataclasses.replace(built, base=other)
+        scenario = block_on(other)
         for call in (lambda: qp.run("ompd", scenario),
                      lambda: alg.run_batch("ompd", [scenario], 20)):
             with pytest.raises(ValueError, match="another base set"):

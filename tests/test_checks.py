@@ -85,7 +85,7 @@ def test_queue_lemma_gamma_zero_everything_tight():
 def test_dpp_bound_holds_over_golden_trace(golden):
     built, trace = golden
     report = chk.check_dpp_over_trace(
-        trace, built.seq, built.block, built.base,
+        trace, built.seq, built.block,
         rounds=range(1, 61), n_z=10, seed=2)
     assert report.passed
     assert report.rounds == 60
@@ -96,7 +96,7 @@ def test_dpp_bound_holds_over_golden_trace(golden):
 def test_dpp_bound_holds_with_played_point_as_probe(golden):
     built, trace = golden
     residual = chk._dpp_residual(trace, 7, built.seq, built.block,
-                                 built.base, trace.decisions[6])
+                                 trace.decisions[6])
     assert residual <= 1e-8
 
 
@@ -110,7 +110,7 @@ def test_dpp_residual_ignores_a_general_run_mixing_weight(golden):
     assert carried.nu == 0.1 and trace.nu is None
     z = geo.sample(built.base, np.random.default_rng(5), 20)
     for t in (1, 2, 30, 60):
-        args = (t, built.seq, built.block, built.base, z)
+        args = (t, built.seq, built.block, z)
         assert (chk._dpp_residual(carried, *args)
                 == chk._dpp_residual(trace, *args))
 
@@ -123,7 +123,7 @@ def test_dpp_bound_fails_with_halved_alpha(golden):
     z = geo.sample(built.base, rng, 20)
     for t in range(1, 51):
         worst = max(worst, chk._dpp_residual(halved, t, built.seq, built.block,
-                                             built.base, z))
+                                             z))
     assert worst > 1e-8
 
 
@@ -132,13 +132,13 @@ def test_dpp_round_range(golden):
     for t in (0, 61):
         with pytest.raises(ValueError):
             chk.check_dpp_over_trace(trace, built.seq, built.block,
-                                     built.base, rounds=[t])
+                                     rounds=[t])
 
 
 def test_dpp_bound_on_simplex_variant(simplex_run):
     built, trace = simplex_run
     report = chk.check_dpp_over_trace(
-        trace, built.seq, built.block, built.base,
+        trace, built.seq, built.block,
         rounds=range(1, 121), n_z=5, seed=0)
     assert report.passed
 
@@ -147,8 +147,7 @@ def test_dpp_bound_on_simplex_variant(simplex_run):
 def test_dpp_over_trace_fails_with_halved_alpha(fixture, request):
     built, trace = request.getfixturevalue(fixture)
     halved = dataclasses.replace(trace, alphas=trace.alphas / 2.0)
-    report = chk.check_dpp_over_trace(halved, built.seq, built.block,
-                                      built.base)
+    report = chk.check_dpp_over_trace(halved, built.seq, built.block)
     assert not report.passed
     assert report.max_residual > 1e-8
 
@@ -344,7 +343,7 @@ def test_dpp_bound_fails_on_a_nan_gradient(golden):
     bad = dataclasses.replace(
         built.seq,
         grad_fn=lambda t, x: np.full(2, np.nan) if t == 7 else grad_fn(t, x))
-    report = chk.check_dpp_over_trace(trace, bad, built.block, built.base,
+    report = chk.check_dpp_over_trace(trace, bad, built.block,
                                       rounds=[7], n_z=300)
     assert _is_nan_failure(report)
 
@@ -353,7 +352,7 @@ def test_dpp_over_trace_fails_on_a_nan_queue(golden):
     built, trace = golden
     bad = dataclasses.replace(trace, queues=trace.queues.copy())
     bad.queues[7] = np.nan
-    report = chk.check_dpp_over_trace(bad, built.seq, built.block, built.base,
+    report = chk.check_dpp_over_trace(bad, built.seq, built.block,
                                       rounds=[3, 7, 9], n_z=10, seed=2)
     assert _is_nan_failure(report)
 

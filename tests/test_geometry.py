@@ -217,6 +217,17 @@ def test_project_examples():
                        [1 / 3, 1 / 3, 1 / 3])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_ball_projection_of_a_point_whose_squares_overflow():
+    # ``offset @ offset`` is inf, and the offset is rescaled before it is
+    # measured
+    x = qp.project(BALL, np.array([1e200, -1e200]))
+    assert np.allclose(x, [math.sqrt(0.5), -math.sqrt(0.5)], rtol=0,
+                       atol=1e-15)
+    assert np.allclose(qp.project(qp.Ball(np.ones(2), 2.0),
+                                  np.array([1e200, 1.0])), [3.0, 1.0])
+
+
 @pytest.mark.parametrize("base", [BALL, BOX, SIMPLEX3])
 def test_project_idempotent_and_nonexpansive(base):
     rng = np.random.default_rng(11)

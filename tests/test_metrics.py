@@ -25,8 +25,7 @@ def golden_run():
 
 def test_regret_zero_when_playing_the_comparator():
     seq = qp.fixed_quadratic(BALL, [0.2, 0.1], 5)
-    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
-                        seq=seq,
+    built = qp.Scenario(block=qp.empty_block(BALL), seq=seq,
                         hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built, x0=np.array([0.2, 0.1]))
     # from the optimum, every step stays put
@@ -39,8 +38,8 @@ def test_regret_single_round_example():
                              lambda t, x: 2 * x, horizon=1,
                              grad_bound=2.0, grad_lipschitz=2.0,
                              variation=0.0)
-    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
-                        seq=seq, hp=qp.HyperParams(eta=1.0, gamma=1.0))
+    built = qp.Scenario(block=qp.empty_block(BALL), seq=seq,
+                        hp=qp.HyperParams(eta=1.0, gamma=1.0))
     trace = qp.run("ompd", built, x0=np.array([1.0, 0.0]))
     trace.decisions[0] = [1.0, 0.0]
     trace.losses[0] = 1.0
@@ -68,7 +67,7 @@ def test_regret_shift_invariance():
         horizon=3, grad_bound=seq.grad_bound,
         grad_lipschitz=seq.grad_lipschitz, variation=0.0)
     shifted_trace = qp.run("ompd", qp.Scenario(
-        base=BALL, block=built.block, seq=shifted, hp=built.hp))
+        block=built.block, seq=shifted, hp=built.hp))
     assert abs(qp.regret(shifted_trace, x_star, shifted)
                - base_value) <= 1e-9
 
@@ -94,14 +93,13 @@ def test_violation_examples_and_accessor():
 def test_violation_constant_feed():
     seq = qp.fixed_quadratic(BALL, [0.0, 0.0], 10)
     block = qp.linear_block(BALL, [[0.0, 0.0]], [0.1])  # g = -0.1
-    built = qp.Scenario(base=BALL, block=block, seq=seq,
+    built = qp.Scenario(block=block, seq=seq,
                         hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built)
     assert qp.violation(trace, 1) == pytest.approx(-1.0, abs=1e-12)
 
     zero_block = qp.linear_block(BALL, [[0.0, 0.0]], [0.0])
-    built0 = qp.Scenario(base=BALL, block=zero_block, seq=seq,
-                         hp=built.hp)
+    built0 = qp.Scenario(block=zero_block, seq=seq, hp=built.hp)
     assert qp.violation(qp.run("ompd", built0), 1) == 0.0
 
 
@@ -125,8 +123,8 @@ def test_violation_bound_check_golden():
 
 def test_violation_bound_check_zero_constraints():
     seq = qp.fixed_quadratic(BALL, [0.2, 0.1], 5)
-    built = qp.Scenario(base=BALL, block=qp.empty_block(2),
-                        seq=seq, hp=qp.hyperparams_from_variation(0.0, 1.0))
+    built = qp.Scenario(block=qp.empty_block(BALL), seq=seq,
+                        hp=qp.hyperparams_from_variation(0.0, 1.0))
     trace = qp.run("ompd", built)
     holds, slack = qp.violation_bound_check(trace)
     assert holds and slack == 0.0
@@ -238,8 +236,7 @@ def _x_dependent_run(variant, horizon, run_horizon=None):
                              grad_lipschitz=1.0, variation=0.0)
     hp = qp.hyperparams_from_variation(1.0, 1.0, horizon=horizon,
                                        variant=variant)
-    scenario = qp.Scenario(base=base, block=qp.empty_block(3),
-                           seq=seq, hp=hp)
+    scenario = qp.Scenario(block=qp.empty_block(base), seq=seq, hp=hp)
     return seq, qp.run(variant, scenario, horizon=run_horizon)
 
 
@@ -309,6 +306,33 @@ def test_empirical_variation_exact_for_linear_families():
     trace = qp.run(cfg.variant, built, horizon=60)
     v = qp.empirical_variation(trace, built.seq, sample_budget=1)
     assert v == pytest.approx(qp.gradient_variation(built.seq), rel=1e-12)
+
+
+def test_a_report_on_a_coefficient_table_takes_one_variation_pass(
+        monkeypatch):
+    """A linear family stores its total when it is built; the build's exact
+    ``v_cap`` and the report's ``v_empirical`` read it, and only a shorter
+    horizon takes its own pass."""
+    calls = []
+    variation = qp.problems.coeff_variation
+
+    def counted(base, coeffs, horizon):
+        calls.append(horizon)
+        return variation(base, coeffs, horizon)
+
+    monkeypatch.setattr(qp.problems, "coeff_variation", counted)
+    monkeypatch.setattr(qp.metrics, "coeff_variation", counted)
+    _, report = qp.run_scenario(
+        qp.shipped_scenario("alternating-d2", horizon=60))
+    assert calls == [60]
+    assert report.v_empirical == report.v_cap
+    seq = qp.alternating(BALL, [0.3, 0.1], [-0.2, 0.4], 60)
+    calls.clear()
+    assert qp.metrics.probe_variation(seq, None, 60) == variation(
+        BALL, seq.coeffs, 60)
+    assert qp.metrics.probe_variation(seq, None, 30) == variation(
+        BALL, seq.coeffs, 30)
+    assert calls == [30]
 
 
 def test_quadratic_run_leaves_numpy_ma_unimported():

@@ -49,7 +49,7 @@ def test_constraint_eval_accepts_huge_finite_outputs_and_rejects_inf():
     # finite, but their squares overflow: only the scalar test fails, and
     # the exact test behind it passes them
     out = {"values": np.array([1e200]), "jac": np.array([[-1e200, 0.0]])}
-    block = qp.ConstraintBlock(size=1, dim=2,
+    block = qp.ConstraintBlock(size=1, base=BALL,
                                eval_fn=lambda x: (out["values"], out["jac"]),
                                value_bounds=np.ones(1), lipschitz=np.ones(1),
                                curvature=0.0)
@@ -74,7 +74,7 @@ def _one_point_block(dim):
         assert x.shape == (dim,)
         return A @ x - 0.5, A
 
-    return qp.ConstraintBlock(size=2, dim=dim, eval_fn=eval_fn,
+    return qp.ConstraintBlock(size=2, base=_ball(dim), eval_fn=eval_fn,
                               value_bounds=np.ones(2), lipschitz=np.ones(2),
                               curvature=0.0)
 
@@ -94,7 +94,7 @@ STACK_BLOCKS = {
         qp.linear_block(_ball(3), [[1.0, 1.0, 1.0]], [1.0]),
         qp.quadratic_block(_ball(3), [[0.0, 0.0, 0.0]],
                            [0.9])]),
-    "empty": lambda: qp.empty_block(3),
+    "empty": lambda: qp.empty_block(_ball(3)),
     "one-point": lambda: _one_point_block(3),
 }
 
@@ -128,7 +128,7 @@ def test_constraint_eval_normalizes_custom_outputs(wrap):
     one point or a stack at a time, to what a built-in block returns."""
     A = np.array([[0.5, -1.0, 0.25], [1.0, 1.0, 1.0]])
     b = np.array([0.1, 0.9])
-    block = qp.ConstraintBlock(size=2, dim=3,
+    block = qp.ConstraintBlock(size=2, base=_ball(3),
                                eval_fn=lambda x: wrap(A @ x - b, A),
                                value_bounds=np.ones(2), lipschitz=np.ones(2),
                                curvature=0.0)
@@ -267,7 +267,7 @@ def test_stack_blocks_keeps_the_order_of_its_parts():
                           [1.0, 0.3])
     quad = qp.quadratic_block(ball3, [[0.1, 0.0, -0.2]], [0.5])
     inner = qp.stack_blocks([quad, lin])
-    for parts in ([quad, lin], [lin, quad, lin], [quad, qp.empty_block(3)],
+    for parts in ([quad, lin], [lin, quad, lin], [quad, qp.empty_block(ball3)],
                   [inner, quad, lin], [lin]):
         block = qp.stack_blocks(parts)
         assert block.size == sum(p.size for p in parts)
@@ -292,7 +292,7 @@ def test_block_tables_are_finite_read_only_copies():
     with pytest.raises(ValueError):
         block.A[0, 0] = 2.0
     with pytest.raises(ValueError):
-        qp.stack_blocks([block, qp.empty_block(2)]).b[0] = 1.0
+        qp.stack_blocks([block, qp.empty_block(BALL)]).b[0] = 1.0
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             qp.linear_block(BALL, [[bad, 0.0]], [0.3])
@@ -327,7 +327,7 @@ def test_ball_constants_are_measured_in_the_l2_norm():
     assert block.lipschitz[0] == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-15)
     seq = qp.alternating(BALL, [0.7, 0.7], [-0.7, -0.7], 2000)
     assert qp.gradient_variation(seq) == pytest.approx(7836.08, rel=1e-12)
-    custom = qp.ConstraintBlock(size=1, dim=2, eval_fn=lambda x: (x[:1], A[:1]),
+    custom = qp.ConstraintBlock(size=1, base=BALL, eval_fn=lambda x: (x[:1], A[:1]),
                                 value_bounds=np.ones(1), lipschitz=np.ones(1),
                                 curvature=0.0)
     with pytest.raises(qp.UnsupportedFamilyError):
@@ -637,8 +637,8 @@ def test_gradient_variation_and_comparator_read_the_sequence_base():
     with pytest.raises(TypeError):
         qp.gradient_variation(seq, box)
     with pytest.raises(TypeError):
-        qp.hindsight_comparator(seq, qp.empty_block(2), box)
-    assert np.allclose(qp.hindsight_comparator(seq, qp.empty_block(2)),
+        qp.hindsight_comparator(seq, qp.empty_block(BALL), box)
+    assert np.allclose(qp.hindsight_comparator(seq, qp.empty_block(BALL)),
                        [1.0, 0.0], atol=1e-9)
 
 
@@ -666,7 +666,7 @@ def test_gradient_variation_additive_over_concatenation():
 
 def test_comparator_unconstrained_quadratic_projects_radially():
     seq = qp.fixed_quadratic(BALL, [2.0, 0.0], 10)
-    block = qp.empty_block(2)
+    block = qp.empty_block(BALL)
     x = qp.hindsight_comparator(seq, block)
     assert np.allclose(x, [1.0, 0.0], atol=1e-6)
 
@@ -720,7 +720,7 @@ def test_staged_comparator_names_the_row_no_point_satisfies():
     # a custom block 2 - x_1 <= 0 without a Slater point: the feasibility
     # probe ends at (1, 0), where the row still reads 1
     block = qp.ConstraintBlock(
-        size=1, dim=2,
+        size=1, base=BALL,
         eval_fn=lambda x: (np.array([2.0 - x[0]]), np.array([[-1.0, 0.0]])),
         value_bounds=np.array([3.0]), lipschitz=np.ones(1), curvature=0.0)
     seq = qp.fixed_linear(BALL, [1.0, 0.0], 5)
@@ -740,7 +740,7 @@ def test_staged_comparator_reports_a_stalled_solve(monkeypatch):
         grad_lipschitz=2.0,
         mean_value_fn=lambda x: float((x - target) @ (x - target)),
         mean_grad_fn=lambda x: 2.0 * (x - target), mean_curvature=2.0)
-    block = qp.empty_block(2)
+    block = qp.empty_block(BALL)
     assert np.allclose(qp.hindsight_comparator(seq, block), target,
                        atol=1e-6)
     monkeypatch.setattr(problems, "FISTA_MAX_ITER", 1)
@@ -769,8 +769,7 @@ def test_comparator_evaluates_the_block_once_per_new_point(name, monkeypatch):
     # golden-d2 takes the dual solution, so the staged path is called
     # directly
     problems._staged_comparator(built.seq,
-                                replace(built.block, eval_fn=counted_eval),
-                                built.base)
+                                replace(built.block, eval_fn=counted_eval))
     # a FISTA iteration visits one projected point per backtracking
     # candidate and at most one extrapolated point, so it has at most
     # twice as many new points as projections; beyond one evaluation per
@@ -800,7 +799,7 @@ def test_comparator_bytes_match_the_reference(name, kind):
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
     dim = built.base.dim
     if kind == "empty":
-        block = qp.empty_block(dim)
+        block = qp.empty_block(built.base)
     elif kind == "no-slater":
         axis, cap = BINDING_CAPS[name]
         block = qp.linear_block(built.base, [np.eye(dim)[axis]],
@@ -810,7 +809,7 @@ def test_comparator_bytes_match_the_reference(name, kind):
     counts = {}
     expected = reference_comparator(built.seq, block, built.base,
                                     counts=counts)
-    x = problems._staged_comparator(built.seq, block, built.base)
+    x = problems._staged_comparator(built.seq, block)
     violation = np.maximum(qp.constraint_eval(block, x)[0], 0.0)
     assert violation.max(initial=0.0) <= 1e-8
     value = built.seq.mean_value_fn(x)
@@ -849,7 +848,7 @@ def test_comparator_projects_at_most_0_7x_the_reference(name, monkeypatch):
                         counting("library", geometry.project))
     monkeypatch.setattr(qp, "project", counting("reference", qp.project))
     # box-mixed-d3 takes the dual path, so the staged path is called directly
-    problems._staged_comparator(built.seq, built.block, built.base)
+    problems._staged_comparator(built.seq, built.block)
     reference_comparator(built.seq, built.block, built.base)
     assert 0 < calls["library"] <= 0.7 * calls["reference"]
 
@@ -883,10 +882,10 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
     # drift-rotate-d2 takes the dual solution, so the staged path is called
     # directly
     staged = problems._staged_comparator
-    expected = staged(seq, built.block, built.base)
+    expected = staged(seq, built.block)
     monkeypatch.setattr(geometry, "project", counted_project)
     monkeypatch.setattr(problems, "_fista", counted_fista)
-    x = staged(counted, built.block, built.base)
+    x = staged(counted, built.block)
     assert x.tobytes() == expected.tobytes()
     # a backtracking candidate needs only its value.  Each iteration steps
     # from one point with one gradient and projects at least once, and a
@@ -975,7 +974,7 @@ def _assert_certified_answer(seq, block, base, x, nu):
     slack = 1e-12 * (1.0 + abs(value))
     bound = lagrangian_lower_bound(seq, block, base, nu)
     assert bound - slack <= value <= bound + slack
-    staged = problems._staged_comparator(seq, block, base, feas_tol=1e-10)
+    staged = problems._staged_comparator(seq, block, feas_tol=1e-10)
     violation = np.maximum(qp.constraint_eval(block, staged)[0], 0.0)
     assert value <= (seq.mean_value_fn(staged) + float(nu @ violation)
                      + 1e-10 * (1.0 + abs(value)))
@@ -995,7 +994,7 @@ def _assert_closed_form(kind, seq, block, base):
         with pytest.raises(qp.InfeasibleError):
             reference_comparator(seq, block, base)
         return
-    x, nu = problems._dual_solution(seq, block, base)
+    x, nu = problems._dual_solution(seq, block)
     if kind == "tangent":
         a = block.A[0]
         touch = qp.hindsight_comparator(seq, block)
@@ -1003,13 +1002,13 @@ def _assert_closed_form(kind, seq, block, base):
                            / np.linalg.norm(a), rtol=0, atol=1e-12)
         gap = float(qp.constraint_eval(block, touch)[0][0])
         assert abs(gap) <= 1e-12
-        if problems._certified(seq, block, base, x, nu):
+        if problems._certified(seq, block, x, nu):
             # weak duality at the touching point bounds the dual value
             value = seq.mean_value_fn(x)
             assert value <= (seq.mean_value_fn(touch) + nu[0] * gap
                              + 1e-12 * (1.0 + abs(value)))
         return
-    assert problems._certified(seq, block, base, x, nu)
+    assert problems._certified(seq, block, x, nu)
     assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
     reference = seq.mean_value_fn(reference_comparator(seq, block, base))
@@ -1049,12 +1048,12 @@ def test_closed_form_comparator_on_shipped_instances(name, kind):
     are linear on a ball take the dual solution, a certified answer that is
     not below the Lagrangian bound at all."""
     built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
-    block = {"empty": qp.empty_block(2),
+    block = {"empty": qp.empty_block(built.base),
              "no-slater": qp.linear_block(built.base,
                                           [[1.0, 0.0]], [0.2]),
              "staged": built.block}[kind]
-    x, nu = problems._dual_solution(built.seq, block, built.base)
-    assert problems._certified(built.seq, block, built.base, x, nu)
+    x, nu = problems._dual_solution(built.seq, block)
+    assert problems._certified(built.seq, block, x, nu)
     assert (qp.hindsight_comparator(built.seq, block).tobytes()
             == x.tobytes())
     value = _assert_certified_answer(built.seq, block, built.base, x, nu)
@@ -1103,13 +1102,13 @@ def test_dual_comparator_on_linear_losses_under_mixed_caps():
     rng = np.random.default_rng(13)
     for _ in range(20):
         seq, block, base = _mixed_cap_instance(rng)
-        x, nu = problems._dual_solution(seq, block, base)
+        x, nu = problems._dual_solution(seq, block)
         chosen = qp.hindsight_comparator(seq, block)
-        if problems._certified(seq, block, base, x, nu):
+        if problems._certified(seq, block, x, nu):
             assert chosen.tobytes() == x.tobytes()
             _assert_certified_answer(seq, block, base, x, nu)
         else:
-            staged = problems._staged_comparator(seq, block, base)
+            staged = problems._staged_comparator(seq, block)
             assert chosen.tobytes() == staged.tobytes()
 
 
@@ -1162,7 +1161,7 @@ def _dual_instances(draw, family):
             parts.append(qp.quadratic_block(
                 base, [row], [at_slater + 0.02 + cut * max(
                     at_free - at_slater, 0.0)], slater_point=slater))
-    block = qp.stack_blocks(parts) if parts else qp.empty_block(dim)
+    block = qp.stack_blocks(parts) if parts else qp.empty_block(base)
     return seq, block, base
 
 
@@ -1173,8 +1172,8 @@ def test_dual_comparator_on_random_caps(family, data):
     """The dual solution is certified, taken by ``hindsight_comparator``, a
     certified answer and no worse than the reference FISTA comparator."""
     seq, block, base = data.draw(_dual_instances(family))
-    x, nu = problems._dual_solution(seq, block, base)
-    assert problems._certified(seq, block, base, x, nu)
+    x, nu = problems._dual_solution(seq, block)
+    assert problems._certified(seq, block, x, nu)
     assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
     reference = seq.mean_value_fn(reference_comparator(seq, block, base))
@@ -1216,15 +1215,15 @@ def test_dual_comparator_falls_back_when_its_multipliers_are_off(name,
         built = qp.build_scenario(qp.shipped_scenario(name, horizon=200))
         seq, block, base = built.seq, built.block, built.base
     solve = problems._dual_solution
-    x, nu = solve(seq, block, base)
-    assert problems._certified(seq, block, base, x, nu)
+    x, nu = solve(seq, block)
+    assert problems._certified(seq, block, x, nu)
     if name in ("active", "inactive"):
         assert (nu[0] > 0) == (name == "active")
     off = 1.1 * nu + 0.01
-    assert not problems._certified(seq, block, base, x, off)
+    assert not problems._certified(seq, block, x, off)
     monkeypatch.setattr(problems, "_dual_solution",
                         lambda *args: (solve(*args)[0], off))
-    staged = problems._staged_comparator(seq, block, base)
+    staged = problems._staged_comparator(seq, block)
     assert (qp.hindsight_comparator(seq, block).tobytes()
             == staged.tobytes())
 
@@ -1263,7 +1262,7 @@ def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
     outside = qp.quadratic_block(BALL, [[2.0, 0.0]], [1.0])
     assert qp.hindsight_comparator(seq, outside).tolist() == [1.0, 0.0]
     inside = qp.linear_block(BALL, [[1.0, 0.0]], [-1.0 + 1e-9])
-    assert problems._check_rows_reach_base(inside, BALL) is None
+    assert problems._check_rows_reach_base(inside) is None
     x = qp.hindsight_comparator(seq, inside)
     assert float(qp.constraint_eval(inside, x)[0][0]) <= 1e-8
     assert x[1] > 4e-5
@@ -1287,7 +1286,7 @@ def test_comparator_tangent_cap_on_a_box_takes_the_staged_path():
     box = qp.Box(lower=-np.ones(2), upper=np.ones(2))
     seq = qp.fixed_linear(box, [0.0, -1.0], 10)
     block = qp.linear_block(box, [[1.0, 0.0]], [-1.0])
-    assert problems._check_rows_reach_base(block, box) is None
+    assert problems._check_rows_reach_base(block) is None
     x = qp.hindsight_comparator(seq, block)
-    assert x.tobytes() == problems._staged_comparator(seq, block, box).tobytes()
+    assert x.tobytes() == problems._staged_comparator(seq, block).tobytes()
     assert np.allclose(x, [-1.0, 1.0], atol=1e-8)

@@ -24,15 +24,15 @@ from .harness import (SHIPPED_SCENARIOS, ScenarioConfig, SweepResult,
                       SweepSpec, build_scenario, fit_loglog_slope,
                       run_scenario, shipped_scenario, sweep,
                       write_shipped_configs)
-from .metrics import (MetricsReport, append_summary_row, clipped_violation,
-                      empirical_variation, regret, violation,
-                      violation_bound_check, write_round_csv)
+from .metrics import (MetricsReport, append_summary_row, empirical_variation,
+                      regret, violation, violation_bound_check,
+                      write_round_csv)
 from .problems import (ConstraintBlock, LossSequence, alternating,
-                       builtin_constants, constraint_eval, custom_sequence,
-                       empty_block, fixed_linear, fixed_quadratic,
-                       gradient_variation, hindsight_comparator,
-                       linear_block, linear_drift, quadratic_block,
-                       quadratic_drift, rotating_drift, stack_blocks)
+                       constraint_eval, custom_sequence, empty_block,
+                       fixed_linear, fixed_quadratic, gradient_variation,
+                       hindsight_comparator, linear_block, linear_drift,
+                       quadratic_block, quadratic_drift, rotating_drift,
+                       stack_blocks)
 from .trace import RunSummary, RunTrace
 
 __version__ = "0.1.0"
@@ -52,11 +52,10 @@ __all__ = [
     "SHIPPED_SCENARIOS", "ScenarioConfig", "SweepResult", "SweepSpec",
     "build_scenario", "fit_loglog_slope", "run_scenario",
     "shipped_scenario", "sweep", "write_shipped_configs",
-    "MetricsReport", "append_summary_row", "clipped_violation",
-    "empirical_variation", "regret", "violation", "violation_bound_check",
-    "write_round_csv",
+    "MetricsReport", "append_summary_row", "empirical_variation", "regret",
+    "violation", "violation_bound_check", "write_round_csv",
     "ConstraintBlock", "LossSequence", "alternating",
-    "builtin_constants", "constraint_eval", "custom_sequence", "empty_block",
+    "constraint_eval", "custom_sequence", "empty_block",
     "fixed_linear", "fixed_quadratic", "gradient_variation",
     "hindsight_comparator", "linear_block", "linear_drift",
     "quadratic_block", "quadratic_drift", "rotating_drift", "stack_blocks",

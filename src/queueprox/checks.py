@@ -28,6 +28,15 @@ CHECK_COLUMNS = ("check", "rounds", "samples", "max_residual", "pass")
 PROBE_BLOCK = 128
 
 
+def _mixing_block(n_z: int) -> int:
+    """Anchors per ``check_mixing`` pass against ``n_z`` probes (at least
+    one): about ``4 * PROBE_BLOCK`` anchor-probe pairs.  A pair costs little
+    arithmetic, so ``PROBE_BLOCK`` pairs would spend most of a pass on call
+    overhead; four times as many keep the temporaries (about 137 kB for 20
+    probes in d = 10) below ``check_pushback``'s."""
+    return max(1, 4 * PROBE_BLOCK // n_z)
+
+
 def _fold(worst: float, value: float) -> float:
     """The larger of two residuals, NaN if either is: Python's ``max``
     keeps its first argument against a NaN, which would let a NaN residual
@@ -275,9 +284,9 @@ def check_mixing(
     ``nu log d``; it is at most ``log(d / nu)`` outright; and
     ``||y - x||_1 <= 2 nu``.  Probe pairs whose divergence against ``x``
     is +inf cannot witness the first inequality; they are skipped and the
-    skip count reported (a NaN divergence is not skipped: it fails).  Anchors are taken ``PROBE_BLOCK // n_z`` at
-    a time (at least one), so each divergence pass covers about
-    ``PROBE_BLOCK`` anchor-probe pairs.
+    skip count reported (a NaN divergence is not skipped: it fails).
+    Anchors are taken ``_mixing_block(n_z)`` at a time, so each divergence
+    pass covers about ``4 * PROBE_BLOCK`` anchor-probe pairs.
     """
     anchors = np.atleast_2d(np.asarray(x_tilde, dtype=float))
     z_mat = np.atleast_2d(np.asarray(z_samples, dtype=float))
@@ -289,7 +298,7 @@ def check_mixing(
     skipped = 0
     cap_shift = nu * np.log(d)
     cap_abs = np.log(d / nu)
-    step = max(1, PROBE_BLOCK // z_mat.shape[0])
+    step = _mixing_block(z_mat.shape[0])
     for lo in range(0, anchors.shape[0], step):
         x_blk = anchors[lo:lo + step]
         y_blk = mix_anchor(x_blk, nu)

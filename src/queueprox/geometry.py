@@ -195,13 +195,17 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         raise DimensionMismatchError(
             f"bregman expects vectors or stacks of vectors of dimension {d}")
     if isinstance(base, Simplex):
-        # ``>= 0`` is False for NaN, which ``< 0`` would let through
-        if not (np.all(x >= 0) and np.all(y >= 0)):
-            raise DomainError("entropic divergence needs nonnegative inputs")
-        # some x row has mass on a coordinate where some y row has none
-        if np.any((x > 0).reshape(-1, d).any(axis=0)
-                  & (y == 0).reshape(-1, d).any(axis=0)):
-            raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
+        # one scalar accept (a NaN minimum fails it, and a strictly positive
+        # y has no zero), and the exact tests only when it fails; an empty
+        # stack has no minimum
+        if not (x.size and y.size and x.min() >= 0 and y.min() > 0):
+            # ``>= 0`` is False for NaN, which ``< 0`` would let through
+            if not (np.all(x >= 0) and np.all(y >= 0)):
+                raise DomainError("entropic divergence needs nonnegative inputs")
+            # some x row has mass on a coordinate where some y row has none
+            if np.any((x > 0).reshape(-1, d).any(axis=0)
+                      & (y == 0).reshape(-1, d).any(axis=0)):
+                raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
         val = _entropic(x, y)
     else:
         diff = x - _reference_rows(x, y)
@@ -248,11 +252,9 @@ def _project(base: BaseSet, y: np.ndarray) -> np.ndarray:
     inside a ball comes back as ``y`` itself."""
     if isinstance(base, Ball):
         offset = y - base.center
-        dist = math.sqrt(offset @ offset)
+        dist = _length(offset)
         if dist <= base.radius:
             return y
-        if dist == math.inf:        # the squares overflowed
-            dist = math.hypot(*offset)
         return base.center + offset * (base.radius / dist)
     if isinstance(base, Box):
         return np.minimum(np.maximum(y, base.lower), base.upper)
@@ -262,6 +264,13 @@ def _project(base: BaseSet, y: np.ndarray) -> np.ndarray:
     rho = int(np.nonzero(u * indices > cumulative)[0][-1])
     theta = cumulative[rho] / (rho + 1.0)
     return np.maximum(y - theta, 0.0)
+
+
+def _length(v: np.ndarray) -> float:
+    """``||v||_2`` as ``math.sqrt(v @ v)``, measured by ``math.hypot`` where
+    the squares of a finite vector overflow."""
+    dist = math.sqrt(v @ v)
+    return math.hypot(*v) if dist == math.inf else dist
 
 
 def _float_array(v) -> np.ndarray:
@@ -314,12 +323,14 @@ def mirror_step(
         raise ValueError("mirror_step got a non-finite coefficient vector")
     if not isinstance(base, Simplex):
         return _project(base, anchor - h / alpha)
-    if np.any(anchor <= 0):
+    # the same two-step screen; a NaN minimum falls through to the exact test
+    if not anchor.min() > 0 and np.any(anchor <= 0):
         raise DomainError("entropic mirror_step needs a strictly positive anchor")
     exponent = np.log(anchor) - h / alpha
-    exponent -= exponent.max()
+    # the ufunc reductions ``max`` and ``sum`` call, without their wrappers
+    exponent -= np.maximum.reduce(exponent)
     weights = np.exp(exponent)
-    return weights / weights.sum()
+    return weights / np.add.reduce(weights)
 
 
 def sample(base: BaseSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:

@@ -53,15 +53,6 @@ def violation(trace: RunTrace | RunSummary, k: int | None = None):
     return float(totals[k - 1])
 
 
-def clipped_violation(trace: RunTrace) -> np.ndarray:
-    """Cumulative positive parts ``sum_t max(g_k(x_t), 0)``.
-
-    Never smaller than the plain cumulative value; useful when negative
-    excursions should not cancel past violations.
-    """
-    return np.maximum(trace.g_values[1:], 0.0).sum(axis=0)
-
-
 def violation_bound_check(trace: RunTrace, gamma: float | None = None
                           ) -> tuple[bool, float]:
     """Certify cumulative violations against the final queue state.

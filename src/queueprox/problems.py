@@ -218,26 +218,6 @@ def _reach(base: geo.BaseSet, c: np.ndarray) -> float:
     return geo.dual_norm(base, _coordinate_sup(base, c))
 
 
-def builtin_constants(spec: dict, base: geo.BaseSet) -> tuple[float, float, float]:
-    """Certified constants ``(G, H, L_g)`` for a built-in constraint family.
-
-    ``spec`` carries the family name and its parameters, e.g.
-    ``{"family": "linear", "A": ..., "b": ...}`` or ``{"family":
-    "quadratic", "centers": ..., "offsets": ...}``.  ``G`` bounds
-    ``sum_k |g_k(x)|`` over the base set, ``H`` sums the per-constraint
-    value Lipschitz constants, and ``L_g`` is the shared gradient
-    Lipschitz constant.  All three may be overestimates; validity, not
-    tightness, is the contract.
-    """
-    spec = dict(spec)
-    family = spec.pop("family", None)
-    make = {"linear": linear_block, "quadratic": quadratic_block}.get(family)
-    if make is None:
-        raise UnsupportedFamilyError(f"no built-in constants for family {family!r}")
-    block = make(base, **spec)
-    return block.value_bound_total, block.lipschitz_total, float(block.curvature)
-
-
 def _family_constants(base: geo.BaseSet, family: str, **tables) -> dict:
     """Per-constraint constants of a built-in family's tables:
     ``value_bounds`` (``sup |g_k|`` over the base set), ``lipschitz``
@@ -933,7 +913,7 @@ def _check_rows_reach_base(block: ConstraintBlock) -> np.ndarray | None:
     for k, (lo, hi, rhs, row, linear) in enumerate(
             rows if isinstance(base, geo.Ball) else []):
         if hi > lo and abs(lo - rhs) <= 1e-15 * (abs(lo) + abs(hi) + abs(rhs)):
-            point = (base.center - (base.radius / math.sqrt(row @ row)) * row
+            point = (base.center - (base.radius / geo._length(row)) * row
                      if linear else geo._project(base, row))
             values = _tables(block, point)[0]
             worst = int(np.argmax(values))
@@ -977,7 +957,7 @@ def _lagrangian_argmin(base: geo.BaseSet, pieces, nu: np.ndarray):
     a = s + float(nu @ q)
     w = m - nu @ p
     if a == 0:
-        norm = math.sqrt(w @ w)
+        norm = geo._length(w)
         return (base.center + (base.radius / norm) * w if norm > 0
                 else base.center), a, w
     w = w / a
@@ -997,7 +977,7 @@ def _projected_gram(base: geo.BaseSet, x: np.ndarray, w: np.ndarray,
     if x is w:                  # inside the ball, ``_project`` returns w
         return gram
     offset = w - base.center if a else w
-    dist = math.sqrt(offset @ offset)
+    dist = geo._length(offset)
     along = rows @ (offset / dist)
     return (base.radius / dist) * (gram - np.outer(along, along))
 
@@ -1064,7 +1044,7 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock) -> tuple:
         if moved <= 1e-15 * (1.0 + float(nu.max())):
             break
     s, m, p, q, _ = pieces
-    tol = 1e-12 * (1.0 + math.sqrt(m @ m))
+    tol = 1e-12 * (1.0 + geo._length(m))
     if s > 0 or at[1] > tol:
         return at[0], nu
     nu = np.where(q > 0, 0.0, nu)
@@ -1073,7 +1053,7 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock) -> tuple:
     fit[active] = np.linalg.lstsq(rows.T, m, rcond=None)[0]
     slope = m - fit @ p         # a second pass drops rounding along the rows
     slope -= np.linalg.lstsq(rows.T, slope, rcond=None)[0] @ rows
-    norm = math.sqrt(slope @ slope)
+    norm = geo._length(slope)
     values, jac = _tables(block, base.center)
 
     def nearest(tight):         # nearest the center where the tight rows,

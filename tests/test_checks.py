@@ -259,7 +259,7 @@ def test_mixing_blocks_match_scalar_loop_on_trace(simplex_run):
 def test_mixing_blocks_match_scalar_loop_at_block_edges(simplex_run, extra):
     built, trace = simplex_run
     z = geo.sample(built.base, np.random.default_rng(5), 20)
-    block = max(1, chk.PROBE_BLOCK // len(z))
+    block = chk._mixing_block(len(z))
     count = 1 if extra < 0 else block - 1 + extra
     # a vertex last: every probe against it is skipped, so a dropped tail
     # block shows in the skip count

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import queueprox as qp
+from queueprox import geometry
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 BOX = qp.Box(lower=np.zeros(2), upper=np.ones(2))
@@ -125,6 +126,70 @@ def test_bregman_reference_stack_domain_errors():
         qp.bregman(SIMPLEX3, x, np.vstack([ok, [1.1, 0.0, -0.1]]))
     with pytest.raises(qp.DomainError):
         qp.bregman(SIMPLEX3, np.vstack([x, [1.1, 0.0, -0.1]]), ok)
+
+
+def _exact_mirror_step(anchor, h, alpha):
+    """The entropic step with its anchor screen as one exact test."""
+    if np.any(anchor <= 0):
+        raise qp.DomainError(
+            "entropic mirror_step needs a strictly positive anchor")
+    exponent = np.log(anchor) - h / alpha
+    exponent -= exponent.max()
+    weights = np.exp(exponent)
+    return weights / weights.sum()
+
+
+def _exact_bregman(x, y):
+    """The entropic divergence with its input screens as exact tests."""
+    d = x.shape[-1]
+    if not (np.all(x >= 0) and np.all(y >= 0)):
+        raise qp.DomainError("entropic divergence needs nonnegative inputs")
+    if np.any((x > 0).reshape(-1, d).any(axis=0)
+              & (y == 0).reshape(-1, d).any(axis=0)):
+        raise qp.DomainError(
+            "entropic divergence undefined: y_i = 0 with x_i > 0")
+    val = geometry._entropic(x, y)
+    return float(val) if x.ndim == y.ndim == 1 else val
+
+
+def _outcome(fn, *args):
+    """What a call does: its error's type and message, or its result's
+    shape and bits."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except Exception as err:
+            return type(err), str(err)
+    return np.shape(out), np.asarray(out).tobytes()
+
+
+# entries written over the first coordinates of a simplex point
+SCREEN_VALUES = {
+    "zero": [0.0], "minus-zero": [-0.0], "negative": [-0.25],
+    "nan": [np.nan], "nan-and-negative": [np.nan, -0.25], "inf": [np.inf],
+    "subnormal": [5e-324],
+}
+
+
+@pytest.mark.parametrize("values", SCREEN_VALUES.values(),
+                         ids=SCREEN_VALUES.keys())
+def test_simplex_screens_raise_and_return_as_exact_tests_do(values):
+    base = qp.Simplex(4)
+    rng = np.random.default_rng(0)
+    points = rng.dirichlet(np.ones(base.dim), size=3)
+    odd = points[0].copy()
+    odd[:len(values)] = values
+    h = rng.standard_normal(base.dim)
+    for anchor in (odd, points[1]):
+        assert (_outcome(qp.mirror_step, base, anchor, h, 0.7)
+                == _outcome(_exact_mirror_step, anchor, h, 0.7))
+    # the odd point as x or as y: alone, in a stack, against empty stacks
+    stack, empty = np.vstack([points[1:], odd]), np.zeros((0, base.dim))
+    inputs = [odd, points[1], stack, points[:2], empty]
+    for x in inputs:
+        for y in inputs:
+            assert (_outcome(qp.bregman, base, x, y)
+                    == _outcome(_exact_bregman, x, y))
 
 
 def test_mirror_step_euclidean_interior_gradient_step():

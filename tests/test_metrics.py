@@ -103,14 +103,6 @@ def test_violation_constant_feed():
     assert qp.violation(qp.run("ompd", built0), 1) == 0.0
 
 
-def test_clipped_violation_nonnegative_parts_only():
-    built, trace = golden_run()
-    clipped = qp.clipped_violation(trace)
-    assert clipped[0] == pytest.approx(
-        float(np.maximum(trace.g_values[1:], 0.0).sum()), abs=1e-15)
-    assert np.all(clipped >= 0)
-
-
 def test_violation_bound_check_golden():
     built, trace = golden_run()
     holds, slack = qp.violation_bound_check(trace)

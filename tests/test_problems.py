@@ -190,32 +190,6 @@ def test_constraint_eval_stack_rejects_nan_rows_and_bad_shapes(name):
             qp.constraint_eval(block, np.zeros(shape))
 
 
-def test_builtin_constants_halfspace_on_ball():
-    G, H, L_g = qp.builtin_constants(
-        {"family": "linear", "A": [[1.0, 0.0]], "b": [0.3]}, BALL)
-    assert H == 1.0
-    assert L_g == 0.0
-    assert G == pytest.approx(1.3)
-
-
-def test_builtin_constants_zero_constraint():
-    G, H, L_g = qp.builtin_constants(
-        {"family": "linear", "A": [[0.0, 0.0]], "b": [0.0]}, BALL)
-    assert (G, H, L_g) == (0.0, 0.0, 0.0)
-
-
-def test_builtin_constants_quadratic_curvature():
-    G, H, L_g = qp.builtin_constants(
-        {"family": "quadratic", "centers": [[0.0, 0.0]], "offsets": [1.0]},
-        BALL)
-    assert L_g == 2.0
-
-
-def test_builtin_constants_rejects_custom_family():
-    with pytest.raises(qp.UnsupportedFamilyError):
-        qp.builtin_constants({"family": "custom"}, BALL)
-
-
 @pytest.mark.parametrize("make_block", [
     lambda: qp.linear_block(BALL, [[0.7, -0.2], [0.1, 0.9]],
                             [0.5, 0.4]),
@@ -1266,6 +1240,27 @@ def test_comparator_returns_the_point_where_a_cap_touches_the_ball():
     x = qp.hindsight_comparator(seq, inside)
     assert float(qp.constraint_eval(inside, x)[0][0]) <= 1e-8
     assert x[1] > 4e-5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_comparator_of_coefficients_whose_squares_overflow():
+    """golden-d2 on the coefficients (1e200, -1e200): the flat Lagrangian's
+    ``w @ w`` overflows, and is measured without squaring, so the
+    comparator is the ball point against the loss, where the run plays,
+    and not the ball's center, which ``_certified`` refuses."""
+    data = qp.shipped_scenario("golden-d2", horizon=50).to_dict()
+    data["loss"] = {"family": "fixed", "coeffs": [1e200, -1e200]}
+    cfg = qp.ScenarioConfig.from_dict(data)
+    built = qp.build_scenario(cfg)
+    x = qp.hindsight_comparator(built.seq, built.block)
+    assert np.allclose(x, [-0.5**0.5, 0.5**0.5], rtol=0.0, atol=1e-12)
+    x_dual, nu = problems._dual_solution(built.seq, built.block)
+    assert x_dual.tobytes() == x.tobytes()
+    assert not problems._certified(built.seq, built.block,
+                                   built.base.center, nu)
+    _, report = qp.run_scenario(cfg)
+    # near 0 against the scale of 50 losses of size 1.4e200 each
+    assert abs(report.regret) <= 1e-12 * 50 * np.hypot(1e200, 1e200)
 
 
 def test_comparator_tangent_cap_names_the_row_that_fails_there():

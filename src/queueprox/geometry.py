@@ -123,13 +123,23 @@ def contains(base: BaseSet, x: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
 
 
-def norm(base: BaseSet, v: np.ndarray) -> float:
+def norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
     """Primal norm of the base set's geometry: l1 on the simplex, l2 on a
-    ball or a box."""
+    ball or a box.
+
+    ``v`` is one vector, or an ``(n, d)`` stack of vectors.  Returns a
+    float for one vector; for a stack, the ``(n,)`` array whose row ``i``
+    equals the one-vector call on ``v[i]``.
+    """
     v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DimensionMismatchError("norm expects a vector or a stack of "
+                                     "vectors")
     if isinstance(base, Simplex):
-        return float(np.abs(v).sum())
-    return float(np.sqrt(v @ v))
+        val = np.abs(v).sum(axis=-1)
+    else:
+        val = np.sqrt(v @ v if v.ndim == 1 else _row_dot(v, v))
+    return float(val) if v.ndim == 1 else val
 
 
 def dual_norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
@@ -148,10 +158,16 @@ def dual_norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
     if isinstance(base, Simplex):
         val = np.abs(v).max(axis=-1, initial=0.0)
     else:
-        # row-wise dot products, the same reduction as ``v @ v``
-        val = np.sqrt(v @ v if v.ndim == 1
-                      else (v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        val = np.sqrt(v @ v if v.ndim == 1 else _row_dot(v, v))
     return float(val) if v.ndim == 1 else val
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row of two ``(n, k)`` stacks, bit for bit:
+    a stacked matmul of one row against one column makes the same BLAS dot
+    call per row as ``a[i] @ b[i]``, which ``np.einsum`` and a reduction
+    of ``a * b`` do not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -164,11 +180,14 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         The set both points belong to; it decides the pairing and the
         dimension ``d``.
     x : ndarray
-        One point of dimension ``d``, or an ``(n, d)`` stack of points.
+        One point of dimension ``d``, an ``(n, d)`` stack of points, or a
+        ``(b, n, d)`` batch of stacks.
     y : ndarray
-        One reference point of dimension ``d``, or an ``(m, d)`` stack of
-        them.  On the simplex every reference row must be strictly positive
-        on every coordinate where ``x`` (any row of the stack) is positive.
+        One reference point of dimension ``d``, an ``(m, d)`` stack of
+        them, or a ``(b, m, d)`` batch of stacks (exactly when ``x`` is a
+        batch, with the same ``b``).  On the simplex every reference row
+        must be strictly positive on every coordinate where ``x`` (any row
+        of the stack, or of the same batch entry) is positive.
 
     Returns
     -------
@@ -179,21 +198,29 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         whose row ``i`` equals the one-point call on ``x[i]``.  For a stack
         of references, the ``(m, n)`` array (``(m,)`` for one point) whose
         row ``i`` equals, bit for bit, the one-reference call on ``y[i]``.
+        For batches, the ``(b, m, n)`` array whose entry ``k`` equals, bit
+        for bit, the call on ``x[k]`` and ``y[k]``.
 
     Raises
     ------
     DimensionMismatchError
-        A row of ``x`` or of ``y`` does not have dimension ``base.dim``.
+        A row of ``x`` or of ``y`` does not have dimension ``base.dim``, or
+        only one of them is a batch, or their batches differ in length.
     DomainError
         On the simplex, an input that is negative or NaN, or some ``y_i ==
-        0`` in any reference row while ``x_i > 0`` in any row.
+        0`` in any reference row while ``x_i > 0`` in any row (of the same
+        batch entry).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = base.dim
-    if x.shape[-1:] != (d,) or y.shape[-1:] != (d,) or x.ndim > 2 or y.ndim > 2:
+    batched = x.ndim == 3
+    if (x.shape[-1:] != (d,) or y.shape[-1:] != (d,) or x.ndim > 3
+            or y.ndim > 3 or (y.ndim == 3) != batched
+            or (batched and x.shape[0] != y.shape[0])):
         raise DimensionMismatchError(
-            f"bregman expects vectors or stacks of vectors of dimension {d}")
+            f"bregman expects vectors, stacks or equal batches of stacks of "
+            f"vectors of dimension {d}")
     if isinstance(base, Simplex):
         # one scalar accept (a NaN minimum fails it, and a strictly positive
         # y has no zero), and the exact tests only when it fails; an empty
@@ -202,32 +229,48 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
             # ``>= 0`` is False for NaN, which ``< 0`` would let through
             if not (np.all(x >= 0) and np.all(y >= 0)):
                 raise DomainError("entropic divergence needs nonnegative inputs")
-            # some x row has mass on a coordinate where some y row has none
-            if np.any((x > 0).reshape(-1, d).any(axis=0)
-                      & (y == 0).reshape(-1, d).any(axis=0)):
+            # some x row has mass on a coordinate where some y row (of the
+            # same batch entry) has none
+            lead = x.shape[:1] if batched else ()
+            if np.any((x > 0).reshape(lead + (-1, d)).any(axis=-2)
+                      & (y == 0).reshape(lead + (-1, d)).any(axis=-2)):
                 raise DomainError("entropic divergence undefined: y_i = 0 with x_i > 0")
         val = _entropic(x, y)
     else:
-        diff = x - _reference_rows(x, y)
+        points, refs = _pairs(x, y)
+        diff = np.empty(np.broadcast(points, refs).shape)
+        diff[...] = points
+        diff -= refs
         # row-wise dot product, the same reduction as ``diff @ diff``
         val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
     return float(val) if x.ndim == y.ndim == 1 else val
 
 
-def _reference_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``y`` shaped to broadcast against ``x``: an ``(m, d)`` stack of
-    references against an ``(n, d)`` stack of points becomes ``(m, 1, d)``."""
-    return y[:, None, :] if y.ndim == 2 and x.ndim == 2 else y
+def _pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` shaped to broadcast into every (reference, point)
+    pair: ``(..., m, d)`` references against ``(..., n, d)`` points become
+    ``(..., 1, n, d)`` and ``(..., m, 1, d)``; a single point or reference
+    broadcasts as it is.
+
+    Callers make the pairs' array at the broadcast shape, fill it with
+    the first operand and work on it in place: a ufunc that broadcasts
+    copies each broadcast operand into a buffer as large as its output,
+    so one taking two broadcast operands holds three outputs' worth.
+    """
+    if x.ndim >= 2 and y.ndim >= 2:
+        return x[..., None, :, :], y[..., :, None, :]
+    return x, y
 
 
 def _entropic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Generalized KL divergence of ``bregman``'s entropic pairing, without
     its validation: +inf where ``y_i = 0`` while ``x_i > 0``.  Shapes as in
     ``bregman``; always returns an array."""
-    y = _reference_rows(x, y)
+    x, y = _pairs(x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # one temporary of the broadcast shape, worked on in place
-        terms = np.log(x) - np.log(y)
+        terms = np.empty(np.broadcast(x, y).shape)
+        terms[...] = np.log(x)
+        terms -= np.log(y)
         terms *= x
     np.copyto(terms, 0.0, where=x <= 0)    # the 0 log 0 = 0 convention
     # generalized KL correction, exactly zero when both inputs are normalized
@@ -295,7 +338,8 @@ def mirror_step(
         The set stepped in; it decides the pairing.
     anchor : ndarray
         Proximity reference point inside the base set.  Must be strictly
-        positive on the simplex.
+        positive and finite on the simplex, where anything else raises
+        ``DomainError``.
     h : ndarray
         Linear coefficient vector.
     alpha : float
@@ -323,12 +367,19 @@ def mirror_step(
         raise ValueError("mirror_step got a non-finite coefficient vector")
     if not isinstance(base, Simplex):
         return _project(base, anchor - h / alpha)
-    # the same two-step screen; a NaN minimum falls through to the exact test
-    if not anchor.min() > 0 and np.any(anchor <= 0):
+    # the same two-step screen; a NaN minimum falls through to the exact
+    # test, which it fails
+    if not anchor.min() > 0 and not np.all(anchor > 0):
         raise DomainError("entropic mirror_step needs a strictly positive anchor")
     exponent = np.log(anchor) - h / alpha
-    # the ufunc reductions ``max`` and ``sum`` call, without their wrappers
-    exponent -= np.maximum.reduce(exponent)
+    # the ufunc reductions ``max`` and ``sum`` call, without their wrappers;
+    # the maximum is +inf for an infinite anchor entry and NaN for a NaN
+    # ``h / alpha``, and subtracting either would give NaN weights
+    top = np.maximum.reduce(exponent)
+    if not math.isfinite(top):
+        raise DomainError("entropic mirror_step needs a finite anchor and a "
+                          "finite h / alpha")
+    exponent -= top
     weights = np.exp(exponent)
     return weights / np.add.reduce(weights)
 
@@ -347,6 +398,26 @@ def sample(base: BaseSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         u = rng.random((n, base.dim))
         return base.lower + u * (base.upper - base.lower)
     return rng.dirichlet(np.ones(base.dim), size=n)
+
+
+def sample_blocks(base: BaseSet, rng: np.random.Generator, n: int,
+                  rows: int):
+    """Yield the ``n`` points of ``sample(base, rng, n)`` as blocks of
+    ``rows`` points (the last one ragged), bit for bit, leaving ``rng``
+    where that call leaves it once every block is taken.
+
+    A box or the simplex draws each block as it is asked for: its stream
+    is row-major, so blocks of draws are one whole draw.  A ball draws
+    every direction before any radius, so it draws all ``n`` points at
+    once and yields views of them.
+    """
+    if isinstance(base, Ball):
+        points = sample(base, rng, n)
+        for lo in range(0, n, rows):
+            yield points[lo:lo + rows]
+        return
+    for lo in range(0, n, rows):
+        yield sample(base, rng, min(rows, n - lo))
 
 
 def diameter_bound(base: BaseSet) -> float:

@@ -174,6 +174,60 @@ def scalar_pushback_worst(base, n_instances, n_z, seed):
 
 
 # ---------------------------------------------------------------------------
+# drift-plus-penalty: the per-round bound, one round at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_dpp_residual(trace, t, seq, block, z):
+    """Largest residual of the round-``t`` drift-plus-penalty bound over the
+    probes ``z`` (one point or an ``(n, d)`` stack), from per-round scalars.
+
+    The one-round formula as ``checks`` evaluated it before it stacked its
+    rounds: every term of round ``t`` read from the trace on its own, the
+    probes taken 128 rows at a time, their divergences against the anchor
+    and the next anchor in one ``bregman`` call.
+    """
+    if not 1 <= t <= trace.horizon:
+        raise ValueError(f"round {t} outside the recorded horizon")
+    x_prev = trace.decisions[t - 2] if t >= 2 else trace.x0
+    x_curr = trace.decisions[t - 1]
+    anchor = trace.anchors[t - 1]
+    if trace.variant == qp.VARIANT_SIMPLEX:
+        anchor = qp.mix_anchor(anchor, trace.nu)
+    anchor_next = trace.anchors[t]
+    queue, queue_next = trace.queues[t], trace.queues[t + 1]
+    alpha, xi = float(trace.alphas[t - 1]), float(trace.xis[t - 1])
+    grad_prev, grad_curr = seq.grad(t - 1, x_prev), seq.grad(t, x_curr)
+    g_prev, g_curr = trace.g_values[t - 1], trace.g_values[t]
+    gamma, base = trace.gamma, seq.base
+
+    lhs = (0.5 * (float(queue_next @ queue_next) - float(queue @ queue))
+           + float(grad_prev @ x_curr)
+           + alpha * qp.bregman(base, x_curr, anchor))
+    move = qp.norm(base, x_curr - x_prev)
+    fixed_terms = (0.5 * xi * move**2
+                   + 0.5 * gamma**2 * (float(g_curr @ g_curr)
+                                       - float(g_prev @ g_prev))
+                   + float((grad_prev - grad_curr) @ anchor_next)
+                   - alpha * qp.bregman(base, anchor_next, x_curr))
+    weights = queue + gamma * g_prev
+    refs = np.stack([anchor, anchor_next])
+
+    worst = -np.inf
+    z_mat = np.atleast_2d(np.asarray(z, dtype=float))
+    for lo in range(0, z_mat.shape[0], 128):
+        z_blk = z_mat[lo:lo + 128]
+        g_blk, _ = qp.constraint_eval(block, z_blk)
+        rhs = (fixed_terms
+               + z_blk @ grad_curr
+               + alpha * np.subtract(*qp.bregman(base, z_blk, refs))
+               + gamma * (g_blk @ weights))
+        value = float(np.max(lhs - rhs))
+        worst = value if value > worst or value != value else worst
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # uniform mixing: the three inequalities, one anchor at a time
 # ---------------------------------------------------------------------------
 
@@ -431,13 +485,24 @@ CHECK_HORIZON = 500
 # scenario -> SHA-256 of ``checks.csv`` from ``queueprox check --lemmas all``
 # on the shipped scenario at CHECK_HORIZON; recorded before the mixing and
 # pushback checks moved to stacked-reference divergence passes, which had
-# to keep every bit
+# to keep every bit.  The ball, the one base whose pushback probes are
+# drawn whole, was recorded before the DPP check stacked its rounds and
+# pushback drew its probes block by block, which kept every bit too
 CHECK_DIGESTS = {
     "simplex-d10":
         "2cd21d3e939d290096948b5bd9bddcf5c4a665b356c6043da604f3e6f9ca6d35",
     "box-mixed-d3":
         "a9546595161f320b6a1218037dc0be16cb278e429ae9d6e786efc878ce72e97f",
+    "fixed-quadratic-ball":
+        "1e087cd2e966cbdfbf0c32c111d7a98afee50936ee50c3d3d489db3e8c4c32e8",
 }
+
+# ``checks.PROBE_FLOATS`` when a check digest is checked again: at 60
+# floats each DPP round of 20 probes is split into pieces of four, and at
+# 7600 a DPP group takes 3, 11 or 21 whole rounds (simplex, box, ball), so
+# the last group of 100 rounds is ragged, as are the last pushback, mixing
+# and queue blocks
+SMALL_PROBE_FLOATS = (60, 7600)
 
 # ---------------------------------------------------------------------------
 # linear families: per-round coefficients and their constants, round by round

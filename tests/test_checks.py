@@ -7,8 +7,8 @@ import pytest
 import queueprox as qp
 from queueprox import checks as chk
 from queueprox import geometry as geo
-from oracles import (SMALL_BLOCK_ROUNDS, golden_config, scalar_mixing_worst,
-                     scalar_pushback_worst)
+from oracles import (SMALL_PROBE_FLOATS, golden_config, scalar_dpp_residual,
+                     scalar_mixing_worst, scalar_pushback_worst)
 
 BALL = qp.Ball(center=np.zeros(2), radius=1.0)
 
@@ -63,11 +63,14 @@ def test_queue_lemma_rejects_truncated_trace(golden):
 def test_queue_lemma_residuals_keep_their_bits_in_small_blocks(
         simplex_run, monkeypatch):
     """Every residual of the 121 updates, taken in one block and in blocks
-    of seven rows with a ragged last one."""
+    of seven updates (140 floats, at 20 an update of two queues) with a
+    ragged last one."""
     _, trace = simplex_run
-    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", 10**6)
+    assert trace.queues.shape[1] == 2
+    monkeypatch.setattr(chk, "PROBE_FLOATS", 10**6)
     whole = chk.check_queue_lemma(trace).notes
-    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    monkeypatch.setattr(chk, "PROBE_FLOATS", 140)
+    assert chk._rows(4 * 2 + 12) == 7
     assert chk.check_queue_lemma(trace).notes == whole
 
 
@@ -150,6 +153,119 @@ def test_dpp_over_trace_fails_with_halved_alpha(fixture, request):
     report = chk.check_dpp_over_trace(halved, built.seq, built.block)
     assert not report.passed
     assert report.max_residual > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the stacked DPP pass against the one-round scalar formula, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _shipped_run(name, horizon=150):
+    cfg = qp.shipped_scenario(name, horizon=horizon)
+    built = qp.build_scenario(cfg)
+    return built, qp.run(cfg.variant, built, horizon=horizon)
+
+
+def _dpp_pair(built, trace, rounds, n_z, seed):
+    """Per-round residuals of the stacked pass on probes drawn as
+    ``check_dpp_over_trace`` draws them, and of the scalar reference on
+    the same probes, each as bytes."""
+    seq, block = built.seq, built.block
+    blocks = chk._drawn_dpp_blocks(seq.base, np.random.default_rng(seed),
+                                   len(rounds), n_z,
+                                   chk._dpp_rows(seq, block))
+    stacked = chk._dpp_residuals(trace, seq, block, rounds, blocks)
+    rng = np.random.default_rng(seed)
+    scalar = np.array([scalar_dpp_residual(trace, int(t), seq, block,
+                                           geo.sample(seq.base, rng, n_z))
+                       for t in rounds])
+    assert stacked.shape == (len(rounds),)
+    return stacked.tobytes(), scalar.tobytes()
+
+
+@pytest.mark.parametrize("name", qp.SHIPPED_SCENARIOS)
+def test_dpp_stacked_rounds_match_the_scalar_formula(name):
+    built, trace = _shipped_run(name)
+    seed = 4
+    report = chk.check_dpp_over_trace(trace, built.seq, built.block,
+                                      seed=seed)
+    # the rounds the check draws, then its probes, round by round
+    rng = np.random.default_rng(seed)
+    rounds = sorted(rng.choice(trace.horizon, size=100, replace=False) + 1)
+    residuals = [scalar_dpp_residual(trace, int(t), built.seq, built.block,
+                                     geo.sample(built.base, rng, 20))
+                 for t in rounds]
+    assert report.max_residual == max(residuals)
+    assert report.passed
+    stacked, scalar = _dpp_pair(built, trace, rounds, 20, seed=8)
+    assert stacked == scalar
+
+
+def test_dpp_stacked_rounds_match_on_a_custom_block_and_sequence():
+    golden = qp.build_scenario(golden_config(horizon=80))
+    base = golden.base
+    targets = np.random.default_rng(2).uniform(-0.5, 0.5, (81, 2))
+
+    def grad_fn(t, x):
+        return (1.0 + 0.01 * t) * (x - targets[t])
+
+    seq = qp.custom_sequence(
+        base, lambda t, x: 0.5 * float((x - targets[t]) @ (x - targets[t])),
+        grad_fn, 80, grad_bound=3.0, grad_lipschitz=1.8, variation=4.0)
+
+    def eval_fn(x):
+        values = np.array([x[0] + x[1] - 0.5, float(x @ x) - 0.8, -x[1]])
+        jac = np.array([[1.0, 1.0], 2.0 * x, [0.0, -1.0]])
+        return values, jac
+
+    block = qp.ConstraintBlock(size=3, base=base, eval_fn=eval_fn,
+                               value_bounds=np.array([2.0, 1.0, 1.0]),
+                               lipschitz=np.array([1.5, 2.0, 1.0]),
+                               curvature=2.0)
+    built = qp.Scenario(block=block, seq=seq, hp=golden.hp)
+    trace = qp.run(qp.VARIANT_GENERAL, built, horizon=80)
+    stacked, scalar = _dpp_pair(built, trace, list(range(1, 81)), 20, seed=3)
+    assert stacked == scalar
+
+
+@pytest.mark.parametrize("budget", [None, *SMALL_PROBE_FLOATS])
+@pytest.mark.parametrize("name", ["golden-d2", "box-mixed-d3", "simplex-d10"])
+def test_dpp_stacked_rounds_match_below_at_and_above_one_block(
+        name, budget, monkeypatch):
+    """Rounds of one probe fewer than a block, of one block, and of one
+    more than a block, in blocks of the default and of two small budgets.
+    The counts step by four: a block is a multiple of four probes, and
+    the scalar formula took its probes in blocks of 128, so both split a
+    round only where BLAS keeps the bits of a matrix-vector product."""
+    if budget is not None:
+        monkeypatch.setattr(chk, "PROBE_FLOATS", budget)
+    built, trace = _shipped_run(name)
+    rows = chk._dpp_rows(built.seq, built.block)
+    rounds = [1, 2, 75, 150, 33]
+    for n_z in (max(rows - 4, 1), rows, rows + 4):
+        stacked, scalar = _dpp_pair(built, trace, rounds, n_z, seed=n_z)
+        assert stacked == scalar, n_z
+
+
+def test_dpp_over_trace_takes_unsorted_rounds():
+    built, trace = _shipped_run("simplex-d10")
+    rounds = [150, 9, 1, 77, 9, 42]
+    stacked, scalar = _dpp_pair(built, trace, rounds, 20, seed=6)
+    assert stacked == scalar
+    report = chk.check_dpp_over_trace(trace, built.seq, built.block,
+                                      rounds=rounds, seed=6)
+    assert report.rounds == 6 and report.samples == 120
+    assert report.max_residual == np.frombuffer(scalar).max()
+
+
+def test_dpp_residual_is_the_one_round_pass(golden):
+    built, trace = golden
+    z = geo.sample(built.base, np.random.default_rng(1), 300)
+    for t in (1, 2, 59, 60):
+        for probes in (z, z[:20], z[0]):
+            assert (chk._dpp_residual(trace, t, built.seq, built.block, probes)
+                    == scalar_dpp_residual(trace, t, built.seq, built.block,
+                                           probes))
 
 
 def test_pushback_sampled_instances():
@@ -259,7 +375,9 @@ def test_mixing_blocks_match_scalar_loop_on_trace(simplex_run):
 def test_mixing_blocks_match_scalar_loop_at_block_edges(simplex_run, extra):
     built, trace = simplex_run
     z = geo.sample(built.base, np.random.default_rng(5), 20)
-    block = chk._mixing_block(len(z))
+    # anchors per block: as many as the budget holds at 5 n_z d / 2 floats
+    block = chk._rows(5 * z.size // 2)
+    assert block == max(1, chk.PROBE_FLOATS // (5 * 20 * trace.dim // 2))
     count = 1 if extra < 0 else block - 1 + extra
     # a vertex last: every probe against it is skipped, so a dropped tail
     # block shows in the skip count
@@ -332,7 +450,7 @@ def test_queue_lemma_fails_on_a_nan_feed(golden):
 
 
 def test_queue_lemma_nan_survives_later_blocks(golden, monkeypatch):
-    monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
+    monkeypatch.setattr(chk, "PROBE_FLOATS", 7)
     test_queue_lemma_fails_on_a_nan_feed(golden)
 
 

@@ -1,12 +1,15 @@
 """The run / sweep / check entry points and their exit codes."""
 import hashlib
 import json
+import warnings
 
 import pytest
 
 import queueprox as qp
+from queueprox import checks as chk
 from queueprox.cli import _parse_int_list, main
-from oracles import CHECK_DIGESTS, CHECK_HORIZON, SMALL_BLOCK_ROUNDS
+from oracles import (CHECK_DIGESTS, CHECK_HORIZON, SMALL_BLOCK_ROUNDS,
+                     SMALL_PROBE_FLOATS)
 
 
 @pytest.fixture
@@ -96,7 +99,22 @@ def test_check_csv_is_frozen(tmp_path, scenario):
 def test_check_csv_digest_holds_in_small_blocks(tmp_path, scenario,
                                                 monkeypatch):
     monkeypatch.setattr(qp.problems, "BLOCK_ROUNDS", SMALL_BLOCK_ROUNDS)
-    test_check_csv_is_frozen(tmp_path, scenario)
+    for budget in SMALL_PROBE_FLOATS:
+        monkeypatch.setattr(chk, "PROBE_FLOATS", budget)
+        (tmp_path / str(budget)).mkdir()
+        test_check_csv_is_frozen(tmp_path / str(budget), scenario)
+
+
+@pytest.mark.parametrize("scenario", [
+    name for name in qp.SHIPPED_SCENARIOS
+    if qp.shipped_scenario(name).variant != qp.VARIANT_BASELINE])
+def test_check_path_lets_no_warning_escape(tmp_path, scenario, capsys):
+    path = tmp_path / "config.json"
+    qp.shipped_scenario(scenario).to_json(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", str(path), "--lemmas", "all"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_check_subset_of_lemmas(golden_path, capsys):

@@ -1,5 +1,6 @@
 """Base sets and their geometries: divergences, mirror steps, projections."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,45 @@ def test_bregman_reference_stack_matches_rows_bit_for_bit(geom, base):
         assert one[i] == qp.bregman(base, stack[1], y)
 
 
+@pytest.mark.parametrize("geom,base", PAIRINGS, ids=["ball", "box", "simplex"])
+def test_bregman_batches_match_their_entries_bit_for_bit(geom, base):
+    rng = np.random.default_rng(12)
+    points = qp.sample(base, rng, 4 * 7).reshape(4, 7, base.dim)
+    refs = qp.sample(base, rng, 4 * 2).reshape(4, 2, base.dim)
+    if base.kind == "simplex":
+        points[1, 0] = [1.0, 0.0, 0.0]    # the 0 log 0 convention
+    vals = qp.bregman(base, points, refs)
+    assert vals.shape == (4, 2, 7)
+    for k in range(4):
+        assert vals[k].tobytes() == qp.bregman(base, points[k],
+                                               refs[k]).tobytes()
+    # one point against one reference per entry: the one-point calls
+    pairs = qp.bregman(base, points[:, :1], refs[:, :1])[:, 0, 0]
+    assert pairs.tolist() == [qp.bregman(base, points[k, 0], refs[k, 0])
+                              for k in range(4)]
+
+
+def test_bregman_batches_must_agree():
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(BALL, np.zeros((3, 4, 2)), np.zeros((2, 4, 2)))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(BALL, np.zeros((3, 4, 2)), np.zeros((4, 2)))
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.bregman(BALL, np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4, 2)))
+
+
+def test_bregman_batch_zero_mass_is_judged_per_entry():
+    # entry 0's reference has no mass on coordinate 2, where only entry
+    # 1's points have mass: defined; a point of entry 0 with mass there is
+    # not
+    points = np.array([[[0.5, 0.5, 0.0]], [[0.2, 0.2, 0.6]]])
+    refs = np.array([[[0.5, 0.5, 0.0]], [[1 / 3, 1 / 3, 1 / 3]]])
+    vals = qp.bregman(SIMPLEX3, points, refs)
+    assert vals.shape == (2, 1, 1) and vals[0, 0, 0] == 0.0
+    with pytest.raises(qp.DomainError):
+        qp.bregman(SIMPLEX3, points[::-1], refs)
+
+
 def test_bregman_reference_stack_domain_errors():
     x = np.array([[0.2, 0.8, 0.0], [0.5, 0.5, 0.0]])
     ok = np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]])
@@ -129,11 +169,14 @@ def test_bregman_reference_stack_domain_errors():
 
 
 def _exact_mirror_step(anchor, h, alpha):
-    """The entropic step with its anchor screen as one exact test."""
-    if np.any(anchor <= 0):
+    """The entropic step with its anchor screens as exact tests."""
+    if not np.all(anchor > 0):
         raise qp.DomainError(
             "entropic mirror_step needs a strictly positive anchor")
     exponent = np.log(anchor) - h / alpha
+    if not np.isfinite(exponent).all():
+        raise qp.DomainError("entropic mirror_step needs a finite anchor and "
+                             "a finite h / alpha")
     exponent -= exponent.max()
     weights = np.exp(exponent)
     return weights / weights.sum()
@@ -183,6 +226,9 @@ def test_simplex_screens_raise_and_return_as_exact_tests_do(values):
     for anchor in (odd, points[1]):
         assert (_outcome(qp.mirror_step, base, anchor, h, 0.7)
                 == _outcome(_exact_mirror_step, anchor, h, 0.7))
+    # a NaN or an infinite anchor entry is refused, not stepped to NaN
+    if not np.isfinite(values).all():
+        assert _outcome(qp.mirror_step, base, odd, h, 0.7)[0] is qp.DomainError
     # the odd point as x or as y: alone, in a stack, against empty stacks
     stack, empty = np.vstack([points[1:], odd]), np.zeros((0, base.dim))
     inputs = [odd, points[1], stack, points[:2], empty]
@@ -190,6 +236,15 @@ def test_simplex_screens_raise_and_return_as_exact_tests_do(values):
         for y in inputs:
             assert (_outcome(qp.bregman, base, x, y)
                     == _outcome(_exact_bregman, x, y))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mirror_step_refuses_a_non_finite_simplex_anchor(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qp.DomainError):
+            qp.mirror_step(qp.Simplex(3), np.array([value, 0.5, 0.5]),
+                           np.zeros(3), 1.0)
 
 
 def test_mirror_step_euclidean_interior_gradient_step():
@@ -386,6 +441,36 @@ def test_dual_norm_stack_matches_rows(geom):
     assert norms.tobytes() == rows.tobytes()
     assert np.allclose(norms, np.linalg.norm(stack, order, axis=1),
                        rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("geom", DUAL_NORMS)
+def test_norm_stack_matches_rows(geom):
+    base, _ = geom
+    rng = np.random.default_rng(18)
+    stack = rng.standard_normal((9, base.dim)) * np.logspace(-8, 8, 9)[:, None]
+    stack[0] = 0.0
+    norms = qp.norm(base, stack)
+    assert norms.shape == (9,)
+    assert norms.tobytes() == np.array([qp.norm(base, v)
+                                        for v in stack]).tobytes()
+    with pytest.raises(qp.DimensionMismatchError):
+        qp.norm(base, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("base", [BALL, qp.Ball(center=np.ones(3), radius=2.0),
+                                  BOX, SIMPLEX3, qp.Simplex(10)],
+                         ids=["ball", "ball-d3", "box", "simplex", "simplex-d10"])
+@pytest.mark.parametrize("rows", [1, 4, 7, 64])
+def test_sample_blocks_are_one_whole_draw(base, rows):
+    for seed in range(20):
+        whole_rng = np.random.default_rng(seed)
+        whole = qp.sample(base, whole_rng, 130)
+        rng = np.random.default_rng(seed)
+        blocks = list(geometry.sample_blocks(base, rng, 130, rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        # the stream goes on where the whole draw leaves it
+        assert rng.random() == whole_rng.random()
 
 
 @pytest.mark.parametrize("geom", DUAL_NORMS[:2])

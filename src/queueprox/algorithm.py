@@ -23,7 +23,7 @@ from . import geometry as geo
 from .errors import (DimensionMismatchError, DomainError, OracleError,
                      ScheduleError, UnsupportedFamilyError)
 from .problems import (ConstraintBlock, LossSequence, by_round,
-                       constraint_eval, row_blocks)
+                       constraint_eval, loss_oracles, row_blocks)
 from .trace import RunSummary, RunTrace
 
 VARIANT_GENERAL = "ompd"
@@ -116,8 +116,16 @@ def xi_value(queue: np.ndarray, gamma: float, curvature: float,
     """
     q_l1 = float(np.abs(queue).sum())
     return gamma * curvature * q_l1 + gamma**2 * (
-        curvature * value_bound + lipschitz_total**2
+        curvature * value_bound + _square(lipschitz_total)
     )
+
+
+def _square(v: float) -> float:
+    """``v ** 2``, inf where it overflows (a Python float raises there)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
 def alpha_update(
@@ -166,11 +174,12 @@ def alpha_closed_form(
     """
     if variant == VARIANT_SIMPLEX:
         return (3.0 * eta * grad_lipschitz**2
-                + 3.0 * gamma**2 * (2.0 * curvature * value_bound + lipschitz_total**2)
+                + 3.0 * gamma**2 * (2.0 * curvature * value_bound
+                                    + _square(lipschitz_total))
                 + 2.0 / eta + 3.0 * gamma * curvature * queue_l1_max)
     return (2.0 * (eta * grad_lipschitz**2
                    + gamma**2 * (2.0 * curvature * value_bound
-                                 + lipschitz_total**2))
+                                 + _square(lipschitz_total)))
             + 2.0 / eta + (2.0 * gamma * curvature) * queue_l1_max)
 
 
@@ -299,7 +308,7 @@ def run(
     xis = np.zeros(T)
 
     gamma = hp.gamma
-    grad_fn, value_fn = seq.grad_fn, seq.value_fn
+    value_fn, grad_fn = loss_oracles(seq)
     curvature = block.curvature
     value_bound, lipschitz_total = block.value_bound_total, block.lipschitz_total
     g_values[0], jac = constraint_eval(block, start, round_index=0)
@@ -648,7 +657,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
     # branch ``(c0 + xi) * scale`` (general) or ``c0 + 3 * xi`` (simplex)
     gc = _expand([hp.gamma * b.curvature for hp, b in zip(hps, blocks)], shape)
     xc = _expand([hp.gamma**2 * (b.curvature * b.value_bound_total
-                                 + b.lipschitz_total**2)
+                                 + _square(b.lipschitz_total))
                   for hp, b in zip(hps, blocks)], shape)
     scale = _expand([3.0 if simplex else 2.0] * S, shape)
     if simplex:
@@ -727,7 +736,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
                 tested[1] += argument
                 anchor = anchors[(lo + i) % 2]
             jac = tables(x, g_values[lo + i])
-        # the block's losses, one stacked product per round as ``value_fn``
+        # the block's losses, one stacked product per round as ``seq.value``
         if coeffs:
             np.matmul(pairs[1:, :, None, :], points[:n, :, :, None],
                       out=batch.block_losses(lo, hi))
@@ -787,7 +796,7 @@ def _baseline_rounds(batch: _Batch) -> np.ndarray:
             jac = tables(x, g)
             queue = queue + gamma * g
             queue = np.maximum(queue, zero, out=queue)
-        # the block's losses, one stacked product per round as ``value_fn``
+        # the block's losses, one stacked product per round as ``seq.value``
         if coeffs:
             np.matmul(rows[1:, :, None, :], points[..., None],
                       out=batch.block_losses(lo, hi))

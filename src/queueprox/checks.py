@@ -156,7 +156,7 @@ def _dpp_terms(trace: RunTrace, seq: LossSequence, t: np.ndarray):
     ``t``, each stacked over the rounds: ``(lhs, fixed_terms, grad_curr,
     alpha, weights, refs)``, the last the ``(len(t), 2, d)`` anchor and
     next anchor."""
-    base, gamma, d = seq.base, trace.gamma, trace.dim
+    base, gamma = seq.base, trace.gamma
     x_curr = trace.decisions[t - 1]
     x_prev = trace.decisions[t - 2]       # row -1 for round 1, set below
     x_prev[t == 1] = trace.x0
@@ -167,11 +167,7 @@ def _dpp_terms(trace: RunTrace, seq: LossSequence, t: np.ndarray):
     anchor_next = trace.anchors[t]
     queue, queue_next = trace.queues[t], trace.queues[t + 1]
     alpha, xi = trace.alphas[t - 1], trace.xis[t - 1]
-    rounds = t.tolist()
-    grad_prev = np.array([seq.grad(s - 1, x) for s, x in zip(rounds, x_prev)],
-                         dtype=float).reshape(-1, d)
-    grad_curr = np.array([seq.grad(s, x) for s, x in zip(rounds, x_curr)],
-                         dtype=float).reshape(-1, d)
+    grad_prev, grad_curr = seq.grad(t - 1, x_prev), seq.grad(t, x_curr)
     g_prev, g_curr = trace.g_values[t - 1], trace.g_values[t]
 
     def paired(x, y):
@@ -182,9 +178,10 @@ def _dpp_terms(trace: RunTrace, seq: LossSequence, t: np.ndarray):
     lhs = (0.5 * (row_dot(queue_next, queue_next) - row_dot(queue, queue))
            + row_dot(grad_prev, x_curr)
            + alpha * paired(x_curr, anchor))
-    # Python's float power, which the one-round formula has always taken;
-    # it rounds apart from ``move * move`` in about 1 case in 1300
-    move_sq = np.array([m**2 for m in geo.norm(base, x_curr - x_prev).tolist()])
+    # libm ``pow``, as Python's float power which the one-round formula has
+    # always taken; it rounds apart from ``move * move`` in 1 case in 1300
+    with np.errstate(over="ignore"):
+        move_sq = np.float_power(geo.norm(base, x_curr - x_prev), 2)
     fixed_terms = (0.5 * xi * move_sq
                    + 0.5 * gamma**2 * (row_dot(g_curr, g_curr)
                                        - row_dot(g_prev, g_prev))
@@ -440,10 +437,12 @@ def check_descent_lemma(
     rng = np.random.default_rng(seed)
     xs = geo.sample(base, rng, n_pairs)
     ys = geo.sample(base, rng, n_pairs)
+    # libm ``pow`` with no overflow warning, as Python's ``**`` squares
+    with np.errstate(over="ignore"):
+        bounds = 0.5 * lipschitz * np.float_power(geo.norm(base, xs - ys), 2)
     worst = -np.inf
-    for x, y in zip(xs, ys):
-        gap = (value_fn(x) - value_fn(y) - float(grad_fn(y) @ (x - y))
-               - 0.5 * lipschitz * geo.norm(base, x - y) ** 2)
+    for x, y, bound in zip(xs, ys, bounds.tolist()):
+        gap = value_fn(x) - value_fn(y) - float(grad_fn(y) @ (x - y)) - bound
         worst = _fold(worst, gap)
     return CheckReport(
         check="descent", rounds=n_pairs, samples=n_pairs,

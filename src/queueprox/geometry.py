@@ -125,21 +125,8 @@ def contains(base: BaseSet, x: np.ndarray, tol: float = 1e-9) -> bool:
 
 def norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
     """Primal norm of the base set's geometry: l1 on the simplex, l2 on a
-    ball or a box.
-
-    ``v`` is one vector, or an ``(n, d)`` stack of vectors.  Returns a
-    float for one vector; for a stack, the ``(n,)`` array whose row ``i``
-    equals the one-vector call on ``v[i]``.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2):
-        raise DimensionMismatchError("norm expects a vector or a stack of "
-                                     "vectors")
-    if isinstance(base, Simplex):
-        val = np.abs(v).sum(axis=-1)
-    else:
-        val = np.sqrt(v @ v if v.ndim == 1 else _row_dot(v, v))
-    return float(val) if v.ndim == 1 else val
+    ball or a box; shapes as in ``dual_norm``."""
+    return _norm(base, v, "norm")
 
 
 def dual_norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
@@ -149,25 +136,38 @@ def dual_norm(base: BaseSet, v: np.ndarray) -> float | np.ndarray:
     ``v`` is one vector, or an ``(n, d)`` stack of vectors.  Returns a
     float for one vector; for a stack, the ``(n,)`` array whose row ``i``
     equals the one-vector call on ``v[i]``.  A vector with no entries has
-    norm 0.
+    norm 0.  A finite vector whose squares overflow is measured by
+    ``math.hypot``, as in ``_length``, with no warning.
     """
+    return _norm(base, v, "dual_norm")
+
+
+def _norm(base: BaseSet, v: np.ndarray, name: str):
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2):
-        raise DimensionMismatchError("dual_norm expects a vector or a stack "
-                                     "of vectors")
+        raise DimensionMismatchError(f"{name} expects a vector or a stack of "
+                                     "vectors")
     if isinstance(base, Simplex):
-        val = np.abs(v).max(axis=-1, initial=0.0)
-    else:
-        val = np.sqrt(v @ v if v.ndim == 1 else _row_dot(v, v))
-    return float(val) if v.ndim == 1 else val
+        val = (np.abs(v).max(axis=-1, initial=0.0) if name == "dual_norm"
+               else np.abs(v).sum(axis=-1))
+        return float(val) if v.ndim == 1 else val
+    with np.errstate(over="ignore"):
+        if v.ndim == 1:
+            return _length(v)
+        val = np.sqrt(_row_dot(v, v))
+        overflowed = not np.add.reduce(val) < math.inf    # one scalar screen
+    for i in np.flatnonzero(val == math.inf) if overflowed else ():
+        val[i] = math.hypot(*v[i])
+    return val
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] @ b[i]`` for each row of two ``(n, k)`` stacks, bit for bit:
-    a stacked matmul of one row against one column makes the same BLAS dot
-    call per row as ``a[i] @ b[i]``, which ``np.einsum`` and a reduction
-    of ``a * b`` do not."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+def _row_dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` along the last axis, the leading axes broadcast: a float
+    for two vectors, else an array of the 1-D ``@``'s bits, one stacked
+    BLAS dot call per row (``np.einsum`` and ``(a * b).sum`` round apart)."""
+    if a.ndim == b.ndim == 1:
+        return float(a @ b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -207,9 +207,9 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         A row of ``x`` or of ``y`` does not have dimension ``base.dim``, or
         only one of them is a batch, or their batches differ in length.
     DomainError
-        On the simplex, an input that is negative or NaN, or some ``y_i ==
-        0`` in any reference row while ``x_i > 0`` in any row (of the same
-        batch entry).
+        On the simplex, an input that is negative, NaN or infinite, or some
+        ``y_i == 0`` in any reference row while ``x_i > 0`` in any row (of
+        the same batch entry).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -222,13 +222,16 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
             f"bregman expects vectors, stacks or equal batches of stacks of "
             f"vectors of dimension {d}")
     if isinstance(base, Simplex):
-        # one scalar accept (a NaN minimum fails it, and a strictly positive
+        # one scalar accept (a NaN extreme fails it, and a strictly positive
         # y has no zero), and the exact tests only when it fails; an empty
         # stack has no minimum
-        if not (x.size and y.size and x.min() >= 0 and y.min() > 0):
+        if not (x.size and y.size and 0 <= x.min() and x.max() < math.inf
+                and 0 < y.min() and y.max() < math.inf):
             # ``>= 0`` is False for NaN, which ``< 0`` would let through
             if not (np.all(x >= 0) and np.all(y >= 0)):
                 raise DomainError("entropic divergence needs nonnegative inputs")
+            if np.isinf(x).any() or np.isinf(y).any():
+                raise DomainError("entropic divergence needs finite inputs")
             # some x row has mass on a coordinate where some y row (of the
             # same batch entry) has none
             lead = x.shape[:1] if batched else ()
@@ -241,8 +244,7 @@ def bregman(base: BaseSet, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         diff = np.empty(np.broadcast(points, refs).shape)
         diff[...] = points
         diff -= refs
-        # row-wise dot product, the same reduction as ``diff @ diff``
-        val = 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        val = 0.5 * _row_dot(diff, diff)
     return float(val) if x.ndim == y.ndim == 1 else val
 
 

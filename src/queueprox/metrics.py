@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .problems import (ConstraintBlock, LossSequence, by_round,
-                       coeff_variation, constraint_eval, in_order_sum,
-                       row_blocks, total_loss)
+from .problems import (ConstraintBlock, LossSequence, coeff_variation,
+                       constraint_eval, in_order_sum, row_blocks,
+                       total_loss)
 from .trace import RunSummary, RunTrace
 
 SUMMARY_COLUMNS = ("scenario_id", "T", "regret", "max_violation",
@@ -107,28 +107,21 @@ def probe_variation(seq: LossSequence, points: np.ndarray | None,
     its total is the exact one it stores (``coeff_variation`` at a shorter
     horizon) and ``points`` is not read (it may be None).  Any other
     sequence takes its gradients at every probe ``problems.BLOCK_ROUNDS``
-    rounds at a time, with one stacked ``dual_norm`` call per block: a
-    quadratic family's ``s_t (x - z_t)`` built in place from its tables'
-    rows, a custom sequence's from one stacked ``LossSequence.grad`` call
-    per round.  Either way the
-    rounds' maxima are squared with libm ``pow`` and added in round order,
-    block after block, so every path gives the bits of the per-round loop,
-    and fewer than two rounds give 0.0.
+    rounds at a time, one ``LossSequence.grad`` call (a custom sequence's
+    callback once per round and probe) and one stacked ``dual_norm`` per
+    block.  The rounds' maxima are squared with libm ``pow`` and added in
+    round order, so the total has the bits of the per-round loop, and fewer
+    than two rounds give 0.0.
     """
     if seq.coeffs is not None:
         if horizon == seq.horizon:
-            return seq.variation_fn()
+            return seq.variation
         return coeff_variation(seq.base, seq.coeffs, horizon)
     total = 0.0
     for lo, hi in row_blocks(1, horizon + 1, overlap=1):
         # rounds lo .. hi - 1: their gradients at every probe, then the
         # block's round-to-round deltas
-        if seq.scales is None:
-            grads = np.stack([seq.grad(t, points) for t in range(lo, hi)])
-        else:
-            grads = np.subtract(points, by_round(seq.targets, lo, hi)[:, None])
-            grads *= by_round(seq.scales, lo, hi)[:, None, None]
-        deltas = np.diff(grads, axis=0)
+        deltas = np.diff(seq.grad(np.arange(lo, hi)[:, None], points), axis=0)
         norms = geo.dual_norm(seq.base, deltas.reshape(-1, seq.dim))
         maxima = norms.reshape(len(deltas), -1).max(axis=1)
         total = in_order_sum(np.float_power(maxima, 2), total)

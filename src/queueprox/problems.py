@@ -21,13 +21,8 @@ from typing import Callable
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    InfeasibleError,
-    OracleError,
-    UnsupportedFamilyError,
-)
+from .errors import (ConvergenceError, DimensionMismatchError, DomainError,
+                     InfeasibleError, OracleError, UnsupportedFamilyError)
 
 # ---------------------------------------------------------------------------
 # constraint blocks
@@ -260,12 +255,7 @@ def _table_block(base, family, slater_point, **tables) -> ConstraintBlock:
     return replace(block, slater=(point, margin))
 
 
-def linear_block(
-    base: geo.BaseSet,
-    A,
-    b,
-    slater_point=None,
-) -> ConstraintBlock:
+def linear_block(base: geo.BaseSet, A, b, slater_point=None) -> ConstraintBlock:
     """Constraints ``g_k(x) = <A_k, x> - b_k`` with exact constants."""
     A = np.atleast_2d(np.array(A, dtype=float))
     b = np.array(b, dtype=float).reshape(A.shape[0])
@@ -274,12 +264,8 @@ def linear_block(
     return _table_block(base, "linear", slater_point, A=A, b=b)
 
 
-def quadratic_block(
-    base: geo.BaseSet,
-    centers,
-    offsets,
-    slater_point=None,
-) -> ConstraintBlock:
+def quadratic_block(base: geo.BaseSet, centers, offsets,
+                    slater_point=None) -> ConstraintBlock:
     """Constraints ``g_k(x) = ||x - c_k||_2^2 - s_k``."""
     centers = np.atleast_2d(np.array(centers, dtype=float))
     offsets = np.array(offsets, dtype=float).reshape(centers.shape[0])
@@ -360,70 +346,147 @@ class LossSequence:
     The query index runs over ``1..horizon``.  Index 0 is a documented alias
     for index 1 (the before-the-start convention), so the first round's
     lookback gradient is well-defined and the variation total starts at
-    round 2.  ``value_fn`` and ``grad_fn`` take an index in ``1..horizon``
-    and a float point of shape ``(dim,)``; ``grad_fn`` returns a float
-    array of that shape.  Both must be pure functions of ``(t, x)``: the
-    solver queries each ``(t, x)`` gradient once and reuses it.
+    round 2.
 
-    Every built-in family is held as read-only tables whose row ``t % P``
-    fixes round ``t`` (``P`` is 1, 2 or ``horizon + 1``).  Audits walk them
-    in blocks of ``BLOCK_ROUNDS`` rounds.  A custom sequence has none.
+    A sequence holds one of three loss forms.  A built-in family is
+    read-only tables whose row ``t % P`` fixes round ``t`` (``P`` is 1, 2 or
+    ``horizon + 1``), walked by audits in blocks of ``BLOCK_ROUNDS`` rounds,
+    and constants computed from them once.  A custom sequence holds its
+    user oracles in ``callbacks``, the only callables the class holds.  A
+    constant that is not finite, or a negative variation total, raises
+    ``DomainError`` naming it when the sequence is made.
 
     Attributes
     ----------
     base : BaseSet
         The set the losses are played on; it fixes the dimension and the
         norm pairing every constant is measured in.
-    grad_bound : float
-        Bound on gradient dual norms over the base set.
-    grad_lipschitz : float
-        Gradient Lipschitz constant in the base set's norm pairing.  Must be
-        strictly positive; for linear losses any positive value is valid.
+    grad_bound, grad_lipschitz : float
+        Bound on gradient dual norms over the base set, and the gradient
+        Lipschitz constant in its norm pairing (strictly positive; any
+        positive value is valid for linear losses).
+    variation : float or None
+        The total gradient variation: exact for a coefficient table, a
+        certified overestimate for a quadratic family, or a custom
+        sequence's supplied total.
     coeffs : ndarray or None
         The linear families' ``(P, d)`` table: ``f_t(x) = <coeffs[t % P], x>``.
     scales, targets : ndarray or None
         The quadratic families' ``(P,)`` and ``(P, d)`` tables: ``f_t(x) =
         (scales[t % P] / 2) ||x - targets[t % P]||_2^2``.
+    mean : tuple
+        ``(s, m, c)`` of a table's averaged loss ``F(x) = (s/2) ||x||_2^2 -
+        <m, x> + c``; a custom sequence's mean curvature ``s`` alone.
+    callbacks : tuple or None
+        A custom sequence's ``(value_fn, grad_fn, mean_value_fn,
+        mean_grad_fn)``.
     """
 
     horizon: int
     base: geo.BaseSet
-    value_fn: Callable[[int, np.ndarray], float]
-    grad_fn: Callable[[int, np.ndarray], np.ndarray]
     grad_bound: float
     grad_lipschitz: float
-    variation_fn: Callable[[], float] | None = None
-    mean_value_fn: Callable[[np.ndarray], float] | None = None
-    mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    mean_curvature: float = 0.0
+    variation: float | None = None
     coeffs: np.ndarray | None = None
     scales: np.ndarray | None = None
     targets: np.ndarray | None = None
+    mean: tuple = (0.0, None, None)
+    callbacks: tuple | None = None
+
+    def __post_init__(self):
+        names = ("grad_bound", "variation total", "mean curvature",
+                 "mean moment", "mean constant")
+        for name, value in zip(names, (self.grad_bound, self.variation, *self.mean)):
+            if value is not None and not np.isfinite(value).all():
+                raise DomainError(f"the loss sequence's {name} is not finite")
+        if self.variation is not None and self.variation < 0:
+            raise DomainError("the loss sequence's variation total is negative")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def _index(self, t: int) -> int:
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"round index {t} outside [0, {self.horizon}]")
-        return max(t, 1)
+    @property
+    def mean_curvature(self) -> float:
+        return self.mean[0]
 
-    def value(self, t: int, x: np.ndarray) -> float:
-        return float(self.value_fn(self._index(t), np.asarray(x, dtype=float)))
+    def _index(self, t):
+        """``t`` checked to lie in ``0..horizon``, index 0 read as 1."""
+        bad = np.asarray(t)
+        bad = bad[(bad < 0) | (bad > self.horizon)]
+        if bad.size:
+            raise ValueError(f"round index {bad.flat[0]} outside "
+                             f"[0, {self.horizon}]")
+        return max(int(t), 1) if np.ndim(t) == 0 else np.maximum(t, 1)
 
-    def grad(self, t: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of ``f_t`` at one point ``x``, or at each row of an
-        ``(n, d)`` stack ``x``, shaped like ``x``; a stack row equals the
-        one-point call on it, bit for bit, since ``grad_fn`` is called once
-        per row.  A linear family's one-point gradient is a read-only row of
-        its table."""
-        t = self._index(t)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(self.grad_fn(t, x), dtype=float)
-        return np.array([self.grad_fn(t, row) for row in x],
-                        dtype=float).reshape(x.shape)
+    def value(self, t, x):
+        """``f_t(x)`` for a round index ``t`` in ``0..horizon``, or an int
+        array of them broadcast against the leading axes of ``x``: a float
+        for one round at one point, else an array whose every entry equals
+        the one-point call bit for bit."""
+        return _loss(self, False, self._index(t), np.asarray(x, dtype=float))
+
+    def grad(self, t, x):
+        """``grad f_t(x)``, broadcast as in ``value`` with a trailing axis
+        of length ``dim``; a linear family's one-point gradient is a
+        read-only row of its table."""
+        return _loss(self, True, self._index(t), np.asarray(x, dtype=float))
+
+    def mean_value(self, x) -> float:
+        """The averaged loss at one point ``x``."""
+        return _loss(self, False, None, np.asarray(x, dtype=float))
+
+    def mean_grad(self, x) -> np.ndarray:
+        """The averaged loss's gradient at one point ``x``."""
+        return _loss(self, True, None, np.asarray(x, dtype=float))
+
+
+def _loss(seq: LossSequence, gradient: bool, t, x: np.ndarray):
+    """The one evaluator of every loss form: ``f_t(x)``, or its gradient
+    with ``gradient``, for ``t`` a round index in ``1..horizon`` or an int
+    array of them broadcast against the leading axes of ``x``, and the
+    averaged loss at one point for ``t`` None.
+
+    A table's rows are gathered and evaluated in one pass, each entry with
+    the bits of the one-point call; a fixed quadratic loss is its own mean.
+    A custom sequence's callbacks are called once per (round, point), in
+    row-major order, their outputs converted to floats.
+    """
+    if seq.callbacks is not None:
+        fn = seq.callbacks[(2 if t is None else 0) + gradient]
+        if t is None or (np.ndim(t) == 0 and x.ndim == 1):
+            out = fn(x) if t is None else fn(t, x)
+            return np.asarray(out, dtype=float) if gradient else float(out)
+        shape, d = np.broadcast_shapes(np.shape(t), x.shape[:-1]), x.shape[-1]
+        points = np.broadcast_to(x, shape + (d,)).reshape(-1, d)
+        out = np.array([fn(r, p) for r, p in zip(
+            np.broadcast_to(t, shape).ravel().tolist(), points)], dtype=float)
+        return out.reshape(shape + (d,) if gradient else shape)
+    if seq.coeffs is not None:
+        row = -seq.mean[1] if t is None else seq.coeffs[t % len(seq.coeffs)]
+        if not gradient:
+            return geo._row_dot(row, x)
+        if row.shape == x.shape:
+            return row
+        return np.broadcast_to(row, np.broadcast_shapes(row.shape, x.shape))
+    if t is None and len(seq.scales) > 1:
+        s, m, c = seq.mean
+        if gradient:
+            return s * x - m
+        return 0.5 * s * float(x @ x) - float(m @ x) + c
+    row = 0 if t is None else t % len(seq.scales)
+    s = seq.scales[row]
+    diff = x - seq.targets[row]
+    if not gradient:
+        return 0.5 * s * geo._row_dot(diff, diff)
+    diff *= s if diff.ndim == 1 else s[..., None]
+    return diff
+
+
+def loss_oracles(seq: LossSequence) -> tuple:
+    """``(value, grad)``: ``_loss`` bound to ``seq``, called as ``f(t, x)``
+    on one index in ``1..horizon`` and one float point, unchecked."""
+    return partial(_loss, seq, False), partial(_loss, seq, True)
 
 
 # rounds per block of every whole-horizon pass over a trace or a loss table:
@@ -476,70 +539,51 @@ def coeff_variation(base: geo.BaseSet, coeffs: np.ndarray,
     return float(total)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``a[i] @ b[i]`` (or ``a[i] @ b``), each the 1-D reduction."""
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
-
-
 def total_loss(seq: LossSequence, x: np.ndarray, n: int) -> float:
-    """``f_1(x) + ... + f_n(x)`` added in round order, each term bit for bit
-    ``seq.value(t, x)``: a built-in family's from its tables, one block of
-    rounds at a time, a custom one's from one call per round."""
-    if n > seq.horizon:
-        raise ValueError(f"round index {seq.horizon + 1} outside "
-                         f"[0, {seq.horizon}]")
-    x = np.asarray(x, dtype=float)
+    """``f_1(x) + ... + f_n(x)`` in round order, one ``seq.value`` call per
+    block of ``BLOCK_ROUNDS`` rounds: each term has ``seq.value(t, x)``'s
+    bits, and a custom sequence, the one callback form, is called per round."""
     total = 0.0
     for lo, hi in row_blocks(1, n + 1):
-        if seq.coeffs is not None:
-            values = _row_dots(by_round(seq.coeffs, lo, hi), x)
-        elif seq.scales is not None:
-            diffs = x - by_round(seq.targets, lo, hi)
-            values = 0.5 * by_round(seq.scales, lo, hi) * _row_dots(diffs, diffs)
-        else:
-            values = np.array([seq.value(t, x) for t in range(lo, hi)])
-        total = in_order_sum(values, total)
+        total = in_order_sum(seq.value(np.arange(lo, hi), x), total)
     return float(total)
 
 
-def _linear_family(
-    base: geo.BaseSet,
-    coeffs: np.ndarray,
-    horizon: int,
-    grad_lipschitz: float,
-) -> LossSequence:
+def _loss_tables(horizon: int, **tables) -> list[np.ndarray]:
+    """The rows of a built-in family's tables that rounds ``1..horizon``
+    read (row 0 of a ``horizon + 1``-row table is not), checked finite
+    (else ``DomainError``); each table is made read-only."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    period = len(next(iter(tables.values())))
+    rows = slice(1, None) if period == horizon + 1 else slice(None)
+    for name, table in tables.items():
+        if not np.isfinite(table[rows]).all():
+            raise DomainError(f"loss {name} must be finite")
+        table.setflags(write=False)
+    return [table[rows] for table in tables.values()]
+
+
+@np.errstate(all="ignore")
+def _linear_family(base: geo.BaseSet, coeffs: np.ndarray, horizon: int,
+                   grad_lipschitz: float) -> LossSequence:
     """Assemble ``f_t(x) = <c_t, x>`` from a ``(P, d)`` coefficient table
-    with ``c_t = coeffs[t % P]``, storing its exact variation total."""
-    _check_horizon(horizon)
+    with ``c_t = coeffs[t % P]`` and its constants, computed with numpy's
+    warnings off: the variation total is exact."""
+    _loss_tables(horizon, coeffs=coeffs)
     if grad_lipschitz <= 0:
         raise ValueError("grad_lipschitz must be positive (any positive "
                          "value is valid for linear losses)")
-    coeffs.setflags(write=False)
-    period = len(coeffs)
-
     grad_bound, total = 0.0, 0.0
     for lo, hi in row_blocks(1, horizon + 1):
         rows = by_round(coeffs, lo, hi)
         grad_bound = float(np.max(geo.dual_norm(base, rows), initial=grad_bound))
         total = in_order_sum(rows, total)
-    mean = total / horizon
-    variation = coeff_variation(base, coeffs, horizon)
-
     return LossSequence(
-        horizon=horizon, base=base,
-        value_fn=lambda t, x: float(coeffs[t % period] @ x),
-        grad_fn=lambda t, x: coeffs[t % period],
-        grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        variation_fn=lambda: variation,
-        mean_value_fn=lambda x: float(mean @ x),
-        mean_grad_fn=lambda x: mean.copy(),
-        mean_curvature=0.0, coeffs=coeffs,
-    )
-
-
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        horizon=horizon, base=base, grad_bound=grad_bound,
+        grad_lipschitz=grad_lipschitz,
+        variation=coeff_variation(base, coeffs, horizon), coeffs=coeffs,
+        mean=(0.0, -(total / horizon), 0.0))
 
 
 def _loss_vectors(base: geo.BaseSet, *vectors) -> list[np.ndarray]:
@@ -556,18 +600,17 @@ def fixed_linear(base, coeffs, horizon, grad_lipschitz=1.0) -> LossSequence:
     return _linear_family(base, c[None], horizon, grad_lipschitz)
 
 
+@np.errstate(all="ignore")
 def linear_drift(base, start, drift, horizon, grad_lipschitz=1.0) -> LossSequence:
     """Coefficients sliding along a segment: ``c_t = start + (t/T) * drift``."""
     start, drift = _loss_vectors(base, start, drift)
-    _check_horizon(horizon)
     table = start + (np.arange(horizon + 1) / horizon)[:, None] * drift
     return _linear_family(base, table, horizon, grad_lipschitz)
 
 
-def rotating_drift(
-    base, amplitude, rate, horizon,
-    plane=None, grad_lipschitz=1.0,
-) -> LossSequence:
+@np.errstate(all="ignore")
+def rotating_drift(base, amplitude, rate, horizon, plane=None,
+                   grad_lipschitz=1.0) -> LossSequence:
     """Linear loss whose coefficient rotates with decaying angular steps.
 
     The coefficient traces ``amplitude * (cos(theta_t) e1 + sin(theta_t) e2)``
@@ -619,55 +662,38 @@ def fixed_quadratic(base, target, horizon, scale=1.0) -> LossSequence:
                              target[None], horizon)
 
 
-def quadratic_drift(
-    base, target0, target_drift, horizon,
-    scale0=1.0, scale_drift=0.0,
-) -> LossSequence:
+@np.errstate(all="ignore")
+def quadratic_drift(base, target0, target_drift, horizon, scale0=1.0,
+                    scale_drift=0.0) -> LossSequence:
     """Quadratic loss with drifting target and curvature.
 
     ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` with ``s_t = scale0 +
     (t/T) * scale_drift`` and ``z_t = target0 + (t/T) * target_drift``.
     """
     target0, target_drift = _loss_vectors(base, target0, target_drift)
-    _check_horizon(horizon)
     fractions = np.arange(horizon + 1) / horizon
     return _quadratic_family(base, scale0 + fractions * scale_drift,
                              target0 + fractions[:, None] * target_drift,
                              horizon)
 
 
-def _quadratic_family(
-    base: geo.BaseSet,
-    scales: np.ndarray,
-    targets: np.ndarray,
-    horizon: int,
-) -> LossSequence:
+@np.errstate(all="ignore")
+def _quadratic_family(base: geo.BaseSet, scales: np.ndarray,
+                      targets: np.ndarray, horizon: int) -> LossSequence:
     """Assemble ``f_t(x) = (s_t / 2) ||x - z_t||_2^2`` from a ``(P,)`` scale
     table and a ``(P, d)`` target table with ``s_t = scales[t % P]`` and
-    ``z_t = targets[t % P]``, where P is 1 or ``horizon + 1``.
+    ``z_t = targets[t % P]``, where P is 1 or ``horizon + 1``, and its
+    constants, computed with numpy's warnings off.
 
     The variation total is a certified overestimate assembled from the
     triangle inequality: ``|s_t - s_{t-1}| * sup ||x|| + ||s_t z_t -
-    s_{t-1} z_{t-1}||``, both measured in the dual norm.
+    s_{t-1} z_{t-1}||``, both measured in the dual norm.  The averaged
+    loss's ``(s, m, c)`` are the means of ``s_t``, ``s_t z_t`` and ``(s_t /
+    2) ||z_t||^2``.
     """
-    _check_horizon(horizon)
-    period = len(scales)
-    # the rounds' rows: a view of a drifting table, a fixed table's one row
-    rows = slice(0, 1) if period == 1 else slice(1, horizon + 1)
-    s_rows, z_rows = scales[rows], targets[rows]
-    if not (np.all((s_rows > 0) & (s_rows < np.inf))
-            and np.isfinite(z_rows).all()):
-        raise ValueError("scales must be positive and finite, targets finite")
-    scales.setflags(write=False)
-    targets.setflags(write=False)
-
-    def value_fn(t, x):
-        diff = x - targets[t % period]
-        return 0.5 * scales[t % period] * float(diff @ diff)
-
-    def grad_fn(t, x):
-        return scales[t % period] * (x - targets[t % period])
-
+    s_rows, z_rows = _loss_tables(horizon, scales=scales, targets=targets)
+    if not np.all(s_rows > 0):
+        raise DomainError("loss scales must be positive")
     # sup_x ||x - z||_* is convex in z, so along the targets' segment it
     # peaks at an end
     reach = max(_reach(base, z_rows[0]), _reach(base, z_rows[-1]))
@@ -675,73 +701,46 @@ def _quadratic_family(
     moments = s_rows[:, None] * z_rows
     steps = (np.abs(np.diff(s_rows)) * x_reach
              + geo.dual_norm(base, np.diff(moments, axis=0)))
-    variation = float(in_order_sum(np.float_power(steps, 2)))
-
-    if period == 1:             # the row's own loss
-        mean_curvature = float(scales[0])
-        mean_value_fn, mean_grad_fn = partial(value_fn, 1), partial(grad_fn, 1)
-    else:                       # expanded: (s/2)||x||^2 - <m, x> + const
-        mean_curvature = float(s_rows.mean())
-        mean_m = np.mean(moments, axis=0)
-        mean_const = float(np.mean(0.5 * s_rows * _row_dots(z_rows, z_rows)))
-
-        def mean_value_fn(x):
-            return (0.5 * mean_curvature * float(x @ x) - float(mean_m @ x)
-                    + mean_const)
-
-        def mean_grad_fn(x):
-            return mean_curvature * x - mean_m
-
     return LossSequence(
-        horizon=horizon, base=base, value_fn=value_fn, grad_fn=grad_fn,
-        grad_bound=float(s_rows.max()) * reach,
-        grad_lipschitz=float(s_rows.max()), variation_fn=lambda: variation,
-        mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
-        mean_curvature=mean_curvature, scales=scales, targets=targets,
-    )
+        horizon=horizon, base=base, grad_bound=float(s_rows.max()) * reach,
+        grad_lipschitz=float(s_rows.max()),
+        variation=float(in_order_sum(np.float_power(steps, 2))),
+        scales=scales, targets=targets,
+        mean=(float(s_rows.mean()), np.mean(moments, axis=0),
+              float(np.mean(0.5 * s_rows * geo._row_dot(z_rows, z_rows)))))
 
 
-def custom_sequence(
-    base, value_fn, grad_fn, horizon,
-    grad_bound, grad_lipschitz, variation=None,
-    mean_value_fn=None, mean_grad_fn=None, mean_curvature=0.0,
-) -> LossSequence:
-    """Wrap user oracles; a variation total must be supplied to run adaptively.
+def custom_sequence(base, value_fn, grad_fn, horizon, grad_bound,
+                    grad_lipschitz, variation=None, mean_value_fn=None,
+                    mean_grad_fn=None, mean_curvature=0.0) -> LossSequence:
+    """Wrap user oracles, the only callback form of a ``LossSequence``; a
+    variation total, checked here, must be supplied to run adaptively.
 
     ``value_fn(t, x)`` and ``grad_fn(t, x)`` see one round index in
     ``1..horizon`` and one point.  They must be pure functions of ``(t,
     x)``: the solver queries each ``(t, x)`` gradient once and reuses it
     (round ``t`` steps first with the gradient that round ``t - 1``
-    queried at ``x_{t-1}``).
+    queried at ``x_{t-1}``).  ``mean_value_fn(x)`` and ``mean_grad_fn(x)``
+    give the averaged loss that ``hindsight_comparator`` minimizes.
     """
     return LossSequence(
-        horizon=horizon, base=base,
-        value_fn=value_fn,
-        grad_fn=lambda t, x: np.asarray(grad_fn(t, x), dtype=float),
-        grad_bound=grad_bound, grad_lipschitz=grad_lipschitz,
-        variation_fn=(lambda: float(variation)) if variation is not None else None,
-        mean_value_fn=mean_value_fn, mean_grad_fn=mean_grad_fn,
-        mean_curvature=mean_curvature,
-    )
+        horizon=horizon, base=base, grad_bound=grad_bound,
+        grad_lipschitz=grad_lipschitz, mean=(mean_curvature, None, None),
+        variation=None if variation is None else float(variation),
+        callbacks=(value_fn, grad_fn, mean_value_fn, mean_grad_fn))
 
 
 def gradient_variation(seq: LossSequence) -> float:
-    """Total gradient variation of the sequence, exact or overestimated.
-
-    Sums ``sup_x ||grad f_t(x) - grad f_{t-1}(x)||_*^2`` over rounds
+    """``seq.variation``, computed and checked when ``seq`` was made: the
+    sum of ``sup_x ||grad f_t(x) - grad f_{t-1}(x)||_*^2`` over rounds
     ``2..T`` (the round-1 term is zero by the before-the-start convention),
     the supremum over ``seq.base``.  Exact for families whose gradients do
-    not depend on ``x``; a certified overestimate for the quadratic drift
-    family.
-    """
-    if seq.variation_fn is None:
+    not depend on ``x``, a certified overestimate for the quadratic ones; a
+    custom sequence must supply it."""
+    if seq.variation is None:
         raise UnsupportedFamilyError(
-            "custom loss family needs an explicit variation total"
-        )
-    v = float(seq.variation_fn())
-    if v < 0 or not np.isfinite(v):
-        raise ValueError("variation total must be finite and nonnegative")
-    return v
+            "custom loss family needs an explicit variation total")
+    return seq.variation
 
 
 # ---------------------------------------------------------------------------
@@ -838,10 +837,7 @@ def _squared_violation(block: ConstraintBlock, x: np.ndarray):
     return float((hinge ** 2).sum()), hinge, jac
 
 
-def hindsight_comparator(
-    seq: LossSequence,
-    block: ConstraintBlock,
-) -> np.ndarray:
+def hindsight_comparator(seq: LossSequence, block: ConstraintBlock) -> np.ndarray:
     """Best fixed feasible decision in hindsight.
 
     Minimizes the averaged loss over the base set of ``seq`` and ``block``
@@ -867,10 +863,9 @@ def hindsight_comparator(
     ConvergenceError
         The solve stalled above its tolerance (carries the residual).
     """
-    if seq.mean_value_fn is None or seq.mean_grad_fn is None:
+    if seq.callbacks is not None and None in seq.callbacks[2:]:
         raise UnsupportedFamilyError(
-            "hindsight comparator needs averaged-loss oracles"
-        )
+            "hindsight comparator needs averaged-loss oracles")
     base = seq.base
     if not geo.same_set(block.base, base):
         raise ValueError("the constraint block was built on another base set")
@@ -942,7 +937,7 @@ def _dual_pieces(seq: LossSequence, block: ConstraintBlock):
     if block.order is not None:
         q, rhs = q[block.order], rhs[block.order]
     origin = np.zeros(block.dim)
-    return (seq.mean_curvature, -seq.mean_grad_fn(origin),
+    return (seq.mean_curvature, -seq.mean_grad(origin),
             _tables(block, origin)[1], q, rhs)
 
 
@@ -1011,7 +1006,7 @@ def _dual_solution(seq: LossSequence, block: ConstraintBlock) -> tuple:
     def dual(nu):
         x, a, w = _lagrangian_argmin(base, pieces, nu)
         values, jac = _tables(block, x)
-        return (seq.mean_value_fn(x) + float(nu @ values), values,
+        return (seq.mean_value(x) + float(nu @ values), values,
                 (x, a, w, jac))
 
     nu = np.zeros(block.size)
@@ -1086,8 +1081,8 @@ def _certified(seq: LossSequence, block: ConstraintBlock,
     base, pieces = seq.base, _dual_pieces(seq, block)
     at, _, _ = _lagrangian_argmin(base, pieces, nu)
     values, _ = _tables(block, at)
-    bound = seq.mean_value_fn(at) + float(nu @ values)
-    value = seq.mean_value_fn(x)
+    bound = seq.mean_value(at) + float(nu @ values)
+    value = seq.mean_value(x)
     scale = 1.0 + abs(value)
     terms = nu * (np.abs(values) + np.abs(pieces[-1]))
     return bool(np.all(nu >= 0) and geo.contains(base, x)
@@ -1111,7 +1106,7 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock, *,
 
     if block.size == 0:
         x, residual = _fista(
-            lambda p: (seq.mean_value_fn(p), partial(seq.mean_grad_fn, p)),
+            lambda p: (seq.mean_value(p), partial(seq.mean_grad, p)),
             seq.base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
         )
@@ -1144,8 +1139,8 @@ def _staged_comparator(seq: LossSequence, block: ConstraintBlock, *,
     for _ in range(6):
         def penalized(p, w=weight):
             violation_sq, hinge, jac = _squared_violation(block, p)
-            return (seq.mean_value_fn(p) + w * violation_sq,
-                    lambda: seq.mean_grad_fn(p) + w * (2.0 * (hinge @ jac)))
+            return (seq.mean_value(p) + w * violation_sq,
+                    lambda: seq.mean_grad(p) + w * (2.0 * (hinge @ jac)))
 
         x, residual = _fista(penalized, seq.base, x,
                              lipschitz_guess=curvature_guess)

@@ -697,7 +697,7 @@ def reference_comparator(seq, block, base, *, feas_tol=1e-6, max_iter=20000,
 
     if block.size == 0:
         x, residual = _reference_fista(
-            lambda p: (seq.mean_value_fn(p), seq.mean_grad_fn(p)), base, x0,
+            lambda p: (seq.mean_value(p), seq.mean_grad(p)), base, x0,
             lipschitz_guess=max(seq.mean_curvature, 1.0),
             max_iter=max_iter, counts=counts,
         )
@@ -728,8 +728,8 @@ def reference_comparator(seq, block, base, *, feas_tol=1e-6, max_iter=20000,
 
         def penalized(p, w=weight):
             violation_sq, violation_grad = _reference_squared_violation(block, p)
-            return (seq.mean_value_fn(p) + w * violation_sq,
-                    seq.mean_grad_fn(p) + w * violation_grad)
+            return (seq.mean_value(p) + w * violation_sq,
+                    seq.mean_grad(p) + w * violation_grad)
 
         x, residual = _reference_fista(penalized, base, x,
                                        lipschitz_guess=curvature_guess,
@@ -787,8 +787,8 @@ def reference_stage_multipliers(seq, block, base, stages):
 
         def penalized(p, w=weight):
             violation_sq, violation_grad = _reference_squared_violation(block, p)
-            return (seq.mean_value_fn(p) + w * violation_sq,
-                    seq.mean_grad_fn(p) + w * violation_grad)
+            return (seq.mean_value(p) + w * violation_sq,
+                    seq.mean_grad(p) + w * violation_grad)
 
         x, _ = _reference_fista(penalized, base, x,
                                 lipschitz_guess=curvature_guess)
@@ -817,7 +817,7 @@ def lagrangian_lower_bound(seq, block, base, multipliers):
     _, jac1 = qp.constraint_eval(block, np.eye(base.dim)[0])
     curvatures = np.reshape(jac1 - jac0, (block.size, base.dim))[:, 0]
     a = seq.mean_curvature + float(multipliers @ curvatures)
-    q = seq.mean_grad_fn(origin) + multipliers @ np.reshape(
+    q = seq.mean_grad(origin) + multipliers @ np.reshape(
         jac0, (block.size, base.dim))
     if a > 0:
         x = qp.project(base, -q / a)
@@ -829,5 +829,5 @@ def lagrangian_lower_bound(seq, block, base, multipliers):
     else:
         x = np.eye(base.dim)[int(np.argmin(q))]
     values, _ = qp.constraint_eval(block, x)
-    return seq.mean_value_fn(x) + float(multipliers @ np.reshape(values,
+    return seq.mean_value(x) + float(multipliers @ np.reshape(values,
                                                                  block.size))

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -714,15 +715,15 @@ def _overflowing(kind):
     """golden-d2 with one piece large enough to overflow a round."""
     cfg = qp.shipped_scenario("golden-d2", horizon=200)
     data = cfg.to_dict()
-    if kind == "late-loss-value":  # the target passes 1.34e154 in round 135
-        data["loss"] = {"family": "quadratic-drift", "target0": [0.0, 0.0],
-                        "target_drift": [2.0e154, 0.0]}
+    if kind == "late-loss-value":  # c_1 * x_1 passes -1.8e308 in round 135
+        data["base"] = {"kind": "box", "lower": [-2.68e154, -2.68e154],
+                        "upper": [2.68e154, 2.68e154]}
+        data["loss"] = {"family": "linear-drift", "start": [0.0, 0.0],
+                        "drift": [1.0e154, 0.0]}
     elif kind == "loss-value":      # finite coefficients, an infinite <c, x>
-        data["base"] = {"kind": "box", "lower": [-1.0, -1.0],
-                        "upper": [1.0, 1.0]}
-        data["loss"] = {"family": "fixed", "coeffs": [1.5e308, 1.5e308]}
-    elif kind == "loss-gradient":
-        data["loss"] = {"family": "fixed", "coeffs": [math.inf, 0.0]}
+        data["base"] = {"kind": "box", "lower": [-1e3, -1e3],
+                        "upper": [1e3, 1e3]}
+        data["loss"] = {"family": "fixed", "coeffs": [5e305, 0.0]}
     elif kind == "constraint":    # a cap whose value overflows off center
         data["constraints"] = {"family": "quadratic",
                                "centers": [[1e200, 0.0]],
@@ -736,7 +737,7 @@ def _overflowing(kind):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("kind", ["loss-value", "late-loss-value",
-                                  "loss-gradient", "constraint", "schedule"])
+                                  "constraint", "schedule"])
 def test_batch_overflow_raises_the_scalar_error(kind):
     cfg = _overflowing(kind)
     built = qp.build_scenario(cfg)
@@ -758,6 +759,26 @@ def test_batch_overflow_raises_the_scalar_error(kind):
         qp.sweep(qp.SweepSpec(config=cfg, horizons=(cfg.horizon,),
                               seeds=(0, 1)))
     assert str(swept.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("loss, refused", [
+    ({"family": "fixed", "coeffs": [math.inf, 0.0]},
+     "loss coeffs must be finite"),
+    ({"family": "fixed", "coeffs": [1.5e308, 1.5e308]},
+     "grad_bound is not finite"),
+    ({"family": "quadratic-drift", "target0": [0.0, 0.0],
+      "target_drift": [2.0e154, 0.0]}, "grad_bound is not finite"),
+], ids=["loss-gradient", "loss-value", "late-loss-value"])
+def test_non_finite_loss_pieces_are_refused_at_build(loss, refused):
+    # the loss pieces that once overflowed a round: a built-in loss whose
+    # table or stored constant is not finite never reaches the loop, so no
+    # table gives a non-finite gradient there
+    data = qp.shipped_scenario("golden-d2", horizon=200).to_dict()
+    data["loss"] = loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qp.ConfigError, match=refused):
+            qp.build_scenario(qp.ScenarioConfig.from_dict(data))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

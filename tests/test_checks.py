@@ -456,11 +456,12 @@ def test_queue_lemma_nan_survives_later_blocks(golden, monkeypatch):
 
 def test_dpp_bound_fails_on_a_nan_gradient(golden):
     built, trace = golden
-    grad_fn = built.seq.grad_fn
+    seq = built.seq
     # only round 7's own gradient is NaN, so the left side stays finite
-    bad = dataclasses.replace(
-        built.seq,
-        grad_fn=lambda t, x: np.full(2, np.nan) if t == 7 else grad_fn(t, x))
+    bad = qp.custom_sequence(
+        seq.base, seq.value,
+        lambda t, x: np.full(2, np.nan) if t == 7 else seq.grad(t, x),
+        seq.horizon, seq.grad_bound, seq.grad_lipschitz)
     report = chk.check_dpp_over_trace(trace, bad, built.block,
                                       rounds=[7], n_z=300)
     assert _is_nan_failure(report)

@@ -105,15 +105,28 @@ def test_check_csv_digest_holds_in_small_blocks(tmp_path, scenario,
         test_check_csv_is_frozen(tmp_path / str(budget), scenario)
 
 
-@pytest.mark.parametrize("scenario", [
-    name for name in qp.SHIPPED_SCENARIOS
-    if qp.shipped_scenario(name).variant != qp.VARIANT_BASELINE])
-def test_check_path_lets_no_warning_escape(tmp_path, scenario, capsys):
+def _run_variants(name):
+    """A shipped scenario's own variant, and the baseline off the simplex."""
+    own = qp.shipped_scenario(name).variant
+    return [own] if own == qp.VARIANT_SIMPLEX else [own, qp.VARIANT_BASELINE]
+
+
+@pytest.mark.parametrize("command, scenario, variant", [
+    pytest.param("check", name, None, id=name)
+    for name in qp.SHIPPED_SCENARIOS
+    if qp.shipped_scenario(name).variant != qp.VARIANT_BASELINE] + [
+    pytest.param("run", name, variant, id=f"run-{variant}-{name}")
+    for name in qp.SHIPPED_SCENARIOS for variant in _run_variants(name)])
+def test_check_path_lets_no_warning_escape(tmp_path, command, scenario,
+                                           variant, capsys):
     path = tmp_path / "config.json"
-    qp.shipped_scenario(scenario).to_json(str(path))
+    data = qp.shipped_scenario(scenario).to_dict()
+    data["variant"] = variant or data["variant"]
+    path.write_text(json.dumps(data))
+    lemmas = ["--lemmas", "all"] if command == "check" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["check", "--config", str(path), "--lemmas", "all"]) == 0
+        assert main([command, "--config", str(path), *lemmas]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -300,6 +313,27 @@ def test_non_finite_variation_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert "loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loss, refused", [
+    ({"family": "linear-drift", "start": [1e308, 0.0],
+      "drift": [1e308, 0.0]}, "coeffs must be finite"),
+    ({"family": "quadratic-drift", "target0": [0.0, 0.0],
+      "target_drift": [1e300, 0.0], "scale0": 1e10},
+     "grad_bound is not finite"),
+], ids=["linear-drift-table", "quadratic-drift-grad-bound"])
+def test_overflowing_loss_constants_are_usage_errors(tmp_path, capsys, loss,
+                                                     refused):
+    # finite config numbers whose table or constant overflows: refused when
+    # the loss is built, with no numpy warning
+    data = qp.shipped_scenario("golden-d2", horizon=50).to_dict()
+    data["loss"] = loss
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path)]) == 2
+    assert refused in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario,index,key,value", [

@@ -187,6 +187,8 @@ def _exact_bregman(x, y):
     d = x.shape[-1]
     if not (np.all(x >= 0) and np.all(y >= 0)):
         raise qp.DomainError("entropic divergence needs nonnegative inputs")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise qp.DomainError("entropic divergence needs finite inputs")
     if np.any((x > 0).reshape(-1, d).any(axis=0)
               & (y == 0).reshape(-1, d).any(axis=0)):
         raise qp.DomainError(
@@ -238,13 +240,35 @@ def test_simplex_screens_raise_and_return_as_exact_tests_do(values):
                     == _outcome(_exact_bregman, x, y))
 
 
+def test_l2_norms_measure_rows_whose_squares_overflow():
+    # a finite row whose squares overflow is measured by math.hypot, with no
+    # warning; a row with an infinite or NaN entry keeps its inf or NaN
+    rows = np.array([[1e200, -1e200], [3.0, 4.0], [np.inf, 1.0],
+                     [np.nan, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (qp.norm, qp.dual_norm):
+            stacked = fn(BALL, rows)
+            assert stacked[:3].tolist() == [math.hypot(1e200, 1e200), 5.0,
+                                            math.inf]
+            assert np.isnan(stacked[3])
+            assert [fn(BALL, row) for row in rows[:3]] == stacked[:3].tolist()
+        seq = qp.fixed_linear(BALL, [1e200, -1e200], 50)
+    assert seq.grad_bound == math.hypot(1e200, 1e200)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_mirror_step_refuses_a_non_finite_simplex_anchor(value):
+    point, uniform = np.array([value, 0.5, 0.5]), np.full(3, 1 / 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(qp.DomainError):
-            qp.mirror_step(qp.Simplex(3), np.array([value, 0.5, 0.5]),
-                           np.zeros(3), 1.0)
+            qp.mirror_step(qp.Simplex(3), point, np.zeros(3), 1.0)
+        # and bregman, with the point as x or as y, alone or in a stack
+        for x, y in ((point, uniform), (uniform, point),
+                     (np.vstack([uniform, point]), uniform)):
+            with pytest.raises(qp.DomainError):
+                qp.bregman(qp.Simplex(3), x, y)
 
 
 def test_mirror_step_euclidean_interior_gradient_step():

@@ -1,4 +1,5 @@
 """Constraint blocks, loss sequences, constants, variation, comparator."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -353,7 +354,9 @@ def _one_point_custom_sequence(horizon):
         grad_bound=10.0, grad_lipschitz=10.0)
 
 
-@pytest.mark.parametrize("make_seq", [
+# one sequence of every loss form: tables of P = 1, horizon + 1 and 2 rows,
+# and a custom sequence
+EVERY_FORM = pytest.mark.parametrize("make_seq", [
     lambda: qp.fixed_linear(BALL, [-1.0, 0.0], 20),
     lambda: qp.fixed_quadratic(BALL, [0.1, 0.55], 20, scale=0.7),
     lambda: qp.linear_drift(BALL, [0.5, 0.0], [0.0, 0.4], 20),
@@ -365,6 +368,9 @@ def _one_point_custom_sequence(horizon):
     lambda: _one_point_custom_sequence(20),
 ], ids=["fixed-linear", "fixed-quadratic", "linear-drift", "rotating-drift",
         "alternating", "quadratic-drift", "custom"])
+
+
+@EVERY_FORM
 def test_loss_grad_on_a_stack_equals_its_rows(make_seq):
     seq = make_seq()
     points = qp.sample(BALL, np.random.default_rng(12), 7)
@@ -374,6 +380,79 @@ def test_loss_grad_on_a_stack_equals_its_rows(make_seq):
         rows = np.array([seq.grad(t, p) for p in points])
         assert stacked.tobytes() == rows.tobytes()
     assert seq.grad(3, points[:0]).shape == (0, 2)
+
+
+@EVERY_FORM
+def test_loss_over_round_arrays_equals_one_point_calls(make_seq):
+    # an int array of rounds broadcasts against the points' leading axes,
+    # and every value and gradient is the one-point call's, bit for bit
+    seq = make_seq()
+    points = qp.sample(BALL, np.random.default_rng(13), 5)
+    rounds = np.arange(seq.horizon + 1)
+    for t, x in ((rounds[:, None], points), (rounds[[0, 4, 9, 16, 20]], points),
+                 (rounds, points[0]), (rounds[[7]], points), (3, points)):
+        shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
+        values, grads = seq.value(t, x), seq.grad(t, x)
+        assert values.shape == shape and grads.shape == shape + (2,)
+        t, x = np.broadcast_to(t, shape), np.broadcast_to(x, shape + (2,))
+        for at in np.ndindex(shape):
+            one = seq.value(int(t[at]), x[at])
+            assert np.float64(values[at]).tobytes() == np.float64(one).tobytes()
+            assert grads[at].tobytes() == seq.grad(int(t[at]), x[at]).tobytes()
+    with pytest.raises(ValueError, match="round index 21 outside"):
+        seq.value(np.array([3, 21, 22]), points)
+
+
+def test_custom_sequence_is_called_once_per_round_and_point_in_order():
+    calls = []
+
+    def grad_fn(t, x):
+        calls.append((type(t), t, x.tolist()))
+        return t * x
+
+    seq = qp.custom_sequence(BALL, lambda t, x: 0.0, grad_fn, 5, 1.0, 1.0)
+    points = np.array([[0.1, 0.2], [0.3, 0.4]])
+    grads = seq.grad(np.array([[0], [2], [5]]), points)
+    assert calls == [(int, t, p) for t in (1, 2, 5) for p in points.tolist()]
+    assert grads.tobytes() == np.array(
+        [[t * p for p in points] for t in (1, 2, 5)]).tobytes()
+
+
+def _zero_loss(t, x):
+    return 0.0
+
+
+@pytest.mark.parametrize("build, refused", [
+    (lambda: qp.fixed_linear(BALL, [np.nan, 0.0], 5), "coeffs must be finite"),
+    (lambda: qp.alternating(BALL, [0.0, 1.0], [np.inf, 0.0], 5),
+     "coeffs must be finite"),
+    (lambda: qp.fixed_quadratic(BALL, [np.nan, 0.0], 5),
+     "targets must be finite"),
+    (lambda: qp.linear_drift(BALL, [1e308, 0.0], [1e308, 0.0], 50),
+     "coeffs must be finite"),
+    (lambda: qp.quadratic_drift(BALL, [0.0, 0.0], [1e300, 0.0], 50,
+                                scale0=1e10), "grad_bound is not finite"),
+    (lambda: qp.alternating(BALL, [1e200, 0.0], [-1e200, 0.0], 5),
+     "variation total is not finite"),
+    (lambda: qp.fixed_linear(BALL, [1e306, 0.0], 500),
+     "mean moment is not finite"),
+    (lambda: qp.quadratic_drift(qp.Box(-np.ones(2), np.ones(2)), [0.0, 0.0],
+                                [2e154, 0.0], 50, scale0=1e-6),
+     "mean constant is not finite"),
+    (lambda: qp.custom_sequence(BALL, _zero_loss, _zero_loss, 5, 1.0, 1.0,
+                                variation=np.nan),
+     "variation total is not finite"),
+    (lambda: qp.custom_sequence(BALL, _zero_loss, _zero_loss, 5, 1.0, 1.0,
+                                variation=-1.0), "variation total is negative"),
+])
+def test_a_non_finite_loss_table_or_constant_is_refused_when_made(build,
+                                                                  refused):
+    # each constant is computed once, with numpy's warnings off, and checked
+    # once; the error is a DomainError, so a ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qp.DomainError, match=refused):
+            build()
 
 
 def test_quadratic_gradients_match_finite_differences():
@@ -434,8 +513,8 @@ def test_linear_table_matches_the_per_round_formula(family, base):
         grad_bound, mean, variation = scalar_linear_constants(
             base, coeff_at, horizon)
         assert seq.grad_bound == grad_bound
-        assert seq.mean_grad_fn(x).tobytes() == mean.tobytes()
-        assert seq.mean_value_fn(x) == float(mean @ x)
+        assert seq.mean_grad(x).tobytes() == mean.tobytes()
+        assert seq.mean_value(x) == float(mean @ x)
         assert qp.gradient_variation(seq) == variation
 
 
@@ -525,8 +604,8 @@ def test_quadratic_tables_match_the_per_round_formula(family, base):
             scalar_quadratic_constants(base, family, at, horizon))
         assert seq.grad_lipschitz == lipschitz
         assert seq.mean_curvature == curvature
-        assert seq.mean_value_fn(x) == mean_value(x)
-        assert seq.mean_grad_fn(x).tobytes() == mean_grad(x).tobytes()
+        assert seq.mean_value(x) == mean_value(x)
+        assert seq.mean_grad(x).tobytes() == mean_grad(x).tobytes()
         assert qp.gradient_variation(seq) == variation
         with pytest.raises(ValueError):
             seq.targets[0, 0] = 1.0
@@ -562,7 +641,7 @@ def test_quadratic_families_keep_no_reference_to_their_inputs(family, key):
     def observed():
         return [(seq.value(t, x), seq.grad(t, x).tobytes(),
                  seq.grad(t, x[None]).tobytes()) for t in (1, 5, 9)] + [
-                    seq.mean_value_fn(x), seq.mean_grad_fn(x).tobytes()]
+                    seq.mean_value(x), seq.mean_grad(x).tobytes()]
 
     before = observed()
     params[key][:] = 7.0
@@ -786,8 +865,8 @@ def test_comparator_bytes_match_the_reference(name, kind):
     x = problems._staged_comparator(built.seq, block)
     violation = np.maximum(qp.constraint_eval(block, x)[0], 0.0)
     assert violation.max(initial=0.0) <= 1e-8
-    value = built.seq.mean_value_fn(x)
-    reference = built.seq.mean_value_fn(expected)
+    value = built.seq.mean_value(x)
+    reference = built.seq.mean_value(expected)
     assert value <= reference + 1e-10 * (1.0 + abs(reference))
     multipliers = (reference_stage_multipliers(built.seq, block, built.base,
                                                counts["stages"])
@@ -835,11 +914,11 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
 
     def counted_value(x):
         calls["value"] += 1
-        return seq.mean_value_fn(x)
+        return seq.mean_value(x)
 
     def counted_grad(x):
         calls["grad"] += 1
-        return seq.mean_grad_fn(x)
+        return seq.mean_grad(x)
 
     project, fista = geometry.project, problems._fista
 
@@ -851,8 +930,10 @@ def test_comparator_builds_a_gradient_only_where_it_steps(name, monkeypatch):
         calls["solves"] += 1
         return fista(*args, **kwargs)
 
-    counted = replace(seq, mean_value_fn=counted_value,
-                      mean_grad_fn=counted_grad)
+    counted = qp.custom_sequence(
+        seq.base, seq.value, seq.grad, seq.horizon, seq.grad_bound,
+        seq.grad_lipschitz, mean_value_fn=counted_value,
+        mean_grad_fn=counted_grad, mean_curvature=seq.mean_curvature)
     # drift-rotate-d2 takes the dual solution, so the staged path is called
     # directly
     staged = problems._staged_comparator
@@ -944,13 +1025,13 @@ def _assert_certified_answer(seq, block, base, x, nu):
     Returns the averaged loss."""
     assert float(qp.constraint_eval(block, x)[0].max(initial=0.0)) <= 1e-8
     assert qp.contains(base, x)
-    value = seq.mean_value_fn(x)
+    value = seq.mean_value(x)
     slack = 1e-12 * (1.0 + abs(value))
     bound = lagrangian_lower_bound(seq, block, base, nu)
     assert bound - slack <= value <= bound + slack
     staged = problems._staged_comparator(seq, block, feas_tol=1e-10)
     violation = np.maximum(qp.constraint_eval(block, staged)[0], 0.0)
-    assert value <= (seq.mean_value_fn(staged) + float(nu @ violation)
+    assert value <= (seq.mean_value(staged) + float(nu @ violation)
                      + 1e-10 * (1.0 + abs(value)))
     return value
 
@@ -978,14 +1059,14 @@ def _assert_closed_form(kind, seq, block, base):
         assert abs(gap) <= 1e-12
         if problems._certified(seq, block, x, nu):
             # weak duality at the touching point bounds the dual value
-            value = seq.mean_value_fn(x)
-            assert value <= (seq.mean_value_fn(touch) + nu[0] * gap
+            value = seq.mean_value(x)
+            assert value <= (seq.mean_value(touch) + nu[0] * gap
                              + 1e-12 * (1.0 + abs(value)))
         return
     assert problems._certified(seq, block, x, nu)
     assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
-    reference = seq.mean_value_fn(reference_comparator(seq, block, base))
+    reference = seq.mean_value(reference_comparator(seq, block, base))
     assert value <= reference + 1e-10 * (1.0 + abs(value))
 
 
@@ -1045,7 +1126,7 @@ def _mixed_cap_instance(rng):
                    radius=float(rng.uniform(0.3, 2.0)))
     first, second = rng.uniform(-1, 1, (2, dim))
     seq = qp.alternating(base, first, second, 20)
-    c = seq.mean_grad_fn(base.center)
+    c = seq.mean_grad(base.center)
     free = base.center - base.radius * c / np.linalg.norm(c)
     direction = rng.standard_normal(dim)
     slater = base.center + (rng.uniform(0, 0.9) * base.radius * direction
@@ -1115,7 +1196,7 @@ def _dual_instances(draw, family):
         seq = qp.quadratic_drift(base, target, draw(vec), 20,
                                  scale0=draw(st.floats(0.2, 3.0)),
                                  scale_drift=draw(st.floats(-0.1, 1.0)))
-    free = qp.project(base, seq.mean_grad_fn(np.zeros(dim))
+    free = qp.project(base, seq.mean_grad(np.zeros(dim))
                       / -seq.mean_curvature)
     slater = middle + 0.5 * (qp.project(base, middle + 2.0 * draw(vec))
                              - middle)
@@ -1150,7 +1231,7 @@ def test_dual_comparator_on_random_caps(family, data):
     assert problems._certified(seq, block, x, nu)
     assert qp.hindsight_comparator(seq, block).tobytes() == x.tobytes()
     value = _assert_certified_answer(seq, block, base, x, nu)
-    reference = seq.mean_value_fn(reference_comparator(seq, block, base))
+    reference = seq.mean_value(reference_comparator(seq, block, base))
     assert value <= reference + 1e-10 * (1.0 + abs(value))
 
 
@@ -1166,7 +1247,7 @@ def test_dual_comparator_reaches_a_target_on_the_box_boundary():
     block = qp.linear_block(base, [[0.0, 1.0, 1.0]], [1.52],
                             slater_point=[0.0, 0.5, 0.0])
     x = qp.hindsight_comparator(seq, block)
-    assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value_fn(x) == 0.0
+    assert x.tolist() == [0.0, 1.5, 0.0] and seq.mean_value(x) == 0.0
 
 
 @pytest.mark.parametrize("name", ["active", "inactive", "golden-d2",

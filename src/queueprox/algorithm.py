@@ -15,15 +15,15 @@ primitives, public so tests and audits can replay single steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import (DimensionMismatchError, DomainError, OracleError,
                      ScheduleError, UnsupportedFamilyError)
-from .problems import (ConstraintBlock, LossSequence, by_round,
-                       constraint_eval, loss_oracles, row_blocks)
+from .problems import (ConstraintBlock, LossSequence, _loss, _tables,
+                       by_round, constraint_eval, loss_oracles, row_blocks)
 from .trace import RunSummary, RunTrace
 
 VARIANT_GENERAL = "ompd"
@@ -400,13 +400,15 @@ def run_batch(variant: str, scenarios: list[Scenario], horizon: int,
     each round of ``run``, every expression evaluated in the same order on
     the same operands.  Per-cell constants are Python floats computed in
     ``run``'s order (the weight schedule's constant part is summed first,
-    ``xi`` added after it), and row-wise products take the stacked-matmul
-    idiom of ``problems._tables``, which keeps the bits of the 1-D ``@``.
-    So each cell's losses, constraint values, final queue and probes equal,
-    bit for bit, those of ``run(variant, scenario, horizon)``.  Loss-table
-    rows are gathered one ``problems.BLOCK_ROUNDS`` block at a time.  With
-    a coefficient table, whose gradient does not depend on the decision, a
-    mirror-prox round takes its two mirror steps as one stacked step.
+    ``xi`` added after it).  Constraint values and Jacobians come from
+    ``problems._tables`` on the cells' tables stacked over a cell axis, and
+    losses and quadratic gradients from ``problems._loss`` on the cells'
+    loss-table rows, gathered one ``problems.BLOCK_ROUNDS`` block at a
+    time on a cell axis.  So each cell's losses, constraint values, final
+    queue and probes equal, bit for bit, those of ``run(variant, scenario,
+    horizon)``.  With a coefficient table, whose gradient does not depend
+    on the decision, a mirror-prox round takes its two mirror steps as one
+    stacked step.
 
     The cells must share the base set's kind and dimension, the block's
     layout (its linear and quadratic row counts and their order) and the
@@ -440,8 +442,7 @@ def run_batch(variant: str, scenarios: list[Scenario], horizon: int,
             queue = _baseline_rounds(batch)
         else:
             queue = _mirror_prox_rounds(batch)
-        step = batch.gamma * batch.g_values[T]
-        final = np.maximum(-step, queue + step)     # ``queue_update``
+        final = queue_update(queue, batch.g_values[T], batch.gamma)
     return [batch.done[j] or RunSummary(
                 horizon=T, losses=batch.losses[:, j],
                 g_values=batch.g_values[:, j], final_queue=final[j],
@@ -449,11 +450,13 @@ def run_batch(variant: str, scenarios: list[Scenario], horizon: int,
             for j in range(len(scenarios))]
 
 
-# The round loops below keep the operands of a per-round numpy call the
-# same shape where they can (a broadcasting call costs about twice a plain
-# one on these small arrays): per-cell arrays are expanded to the shape
-# they meet.  Rounds write into per-block buffers, and each block's losses
-# and probes are taken from its decisions once the block is done.
+# The round loops below evaluate constraints and losses through
+# ``problems._tables`` and ``problems._loss``, and keep the operands of
+# their own per-round numpy calls the same shape where they can (a
+# broadcasting call costs about twice a plain one on these small arrays):
+# per-cell arrays are expanded to the shape they meet.  Rounds write into
+# per-block buffers, and each block's losses and probes are taken from its
+# decisions once the block is done.
 
 
 def _expand(values, shape) -> np.ndarray:
@@ -463,42 +466,6 @@ def _expand(values, shape) -> np.ndarray:
     if values.ndim == 1:
         values = values[:, None]
     return np.ascontiguousarray(np.broadcast_to(values, shape))
-
-
-def _batch_tables(blocks: list[ConstraintBlock]):
-    """``problems._tables`` for a batch: ``tables(x, out)`` writes the
-    ``(S, K)`` values at the ``(S, d)`` decisions into ``out`` and returns
-    the ``(S, K, d)`` Jacobians, row ``j`` from block ``j``'s tables in the
-    same expressions."""
-    first = blocks[0]
-    A = b = centers = offsets = None
-    if first.A is not None:
-        A, b = np.stack([p.A for p in blocks]), np.stack([p.b for p in blocks])
-    if first.centers is not None:
-        centers = np.stack([p.centers for p in blocks])
-        offsets = np.stack([p.offsets for p in blocks])
-    order = first.order
-
-    def tables(x, out):
-        if A is not None:
-            values = np.matmul(A, x[:, :, None])[:, :, 0]
-            if centers is None:
-                np.subtract(values, b, out=out)
-                return A
-            values -= b
-        diff = x[:, None, :] - centers
-        quadratic = np.einsum("...kd,...kd->...k", diff, diff) - offsets
-        if A is None:
-            out[...] = quadratic
-            return 2.0 * diff
-        values = np.concatenate([values, quadratic], axis=-1)
-        jac = np.concatenate([A, 2.0 * diff], axis=-2)
-        if order is not None:
-            values, jac = values[:, order], jac[:, order]
-        out[...] = values
-        return jac
-
-    return tables
 
 
 def _batch_step(bases: list[geo.BaseSet], shape: tuple):
@@ -555,10 +522,16 @@ class _Batch:
         self.seqs = [scenario.seq for scenario in scenarios]
         self.bases = [scenario.base for scenario in scenarios]
         self.probe_rounds = np.asarray(probe_rounds, dtype=np.intp)
-        self.tables = _batch_tables([scenario.block for scenario in scenarios])
+        # the cells' constraint tables, stacked on a cell axis
+        first = scenarios[0].block
+        self.block = replace(first, **{
+            name: np.stack([getattr(scenario.block, name)
+                            for scenario in scenarios])
+            for name in ("A", "b", "centers", "offsets")
+            if getattr(first, name) is not None})
         self.x0 = np.stack([geo.center(base) for base in self.bases])
         S, d = self.x0.shape
-        K = scenarios[0].block.size
+        K = first.size
         self.gamma = _expand([scenario.hp.gamma for scenario in scenarios],
                              (S, K))
         # round-major, so a round writes one contiguous row; a cell's
@@ -574,7 +547,8 @@ class _Batch:
                        for k, t in enumerate(self.probe_rounds)})
         self.done: list[RunSummary | None] = [None] * S
         self.buffers: dict[str, np.ndarray] = {}
-        self.jac0 = self.tables(self.x0, self.g_values[0])
+        self.rows: LossSequence | None = None
+        self.g_values[0], self.jac0 = _tables(self.block, self.x0)
         self.screen(~np.isfinite(self.g_values[0]).all(axis=1))
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
@@ -585,27 +559,27 @@ class _Batch:
             held = self.buffers[name] = np.empty(shape)
         return held[:shape[0]]
 
-    def loss_rows(self, lo: int, hi: int):
-        """The loss-table rows of indices ``lo - 1 .. hi - 1`` (index 0 read
-        as its alias, index 1): ``(n + 1, S, d)`` coefficients, or ``(n + 1,
-        S)`` scales and ``(n + 1, S, d)`` targets."""
-        def gather(name):
-            first = getattr(self.seqs[0], name)
+    def loss_rows(self, lo: int, hi: int) -> LossSequence:
+        """The first cell's sequence on the cells' loss-table rows of indices
+        ``lo - 1 .. hi - 1`` (index 0 read as its alias, index 1), stacked
+        on a cell axis: ``(n + 1, S, d)`` coefficients, or ``(n + 1, S)``
+        scales and ``(n + 1, S, d)`` targets; ``problems._loss`` reads
+        round ``lo - 1 + i`` as its index ``i``.  The sequence is made once,
+        on the first block's buffers: a later, never larger, block fills
+        their head, which its indices ``0..n`` read."""
+        first = self.seqs[0]
+        names = ("coeffs",) if self.probes is None else ("scales", "targets")
+        for name in names:
             rows = np.stack([by_round(getattr(seq, name), lo - 1, hi)
                              for seq in self.seqs], axis=1,
                             out=self.buffer(name, (hi - lo + 1, len(self.seqs))
-                                            + first.shape[1:]))
+                                            + getattr(first, name).shape[1:]))
             if lo == 1:
                 rows[0] = rows[1]
-            return rows
-        if self.probes is None:
-            return gather("coeffs")
-        return gather("scales"), gather("targets")
-
-    def block_losses(self, lo: int, hi: int) -> np.ndarray:
-        """Rounds ``lo..hi - 1``'s losses as an ``(n, S, 1, 1)`` view, the
-        shape of a stacked row-wise product."""
-        return self.losses[lo - 1:hi - 1, :, None, None]
+        if self.rows is None:
+            self.rows = replace(first, **{name: self.buffers[name]
+                                          for name in names})
+        return self.rows
 
     def finish_block(self, lo: int, hi: int, decisions: np.ndarray,
                      tested: np.ndarray, ok: np.ndarray | None = None) -> None:
@@ -649,7 +623,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
     K = batch.g_values.shape[2]
     shape = (2, S, d) if coeffs else (S, d)
     step_fn = _batch_step(batch.bases, shape)
-    tables, gamma = batch.tables, batch.gamma
+    block, gamma = batch.block, batch.gamma
     blocks = [scenario.block for scenario in scenarios]
     hps = [scenario.hp for scenario in scenarios]
     # ``xi_value`` and ``alpha_update`` with per-cell constants, each in
@@ -665,8 +639,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
                              + hp.gamma**2 * b.curvature * b.value_bound_total)
                       + 2.0 / hp.eta
                       for hp, b, seq in zip(hps, blocks, seqs)], shape)
-        keep = _expand([1.0 - hp.nu for hp in hps], (S, d))
-        shift = _expand([hp.nu / d for hp in hps], (S, d))
+        nu = _expand([hp.nu for hp in hps], (S, d))
     else:
         c0 = _expand([hp.gamma**2 * b.curvature * b.value_bound_total
                       + hp.eta * seq.grad_lipschitz**2 + 1.0 / hp.eta
@@ -683,21 +656,14 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
     for lo, hi in row_blocks(1, T + 1):
         n = hi - lo
         rows = batch.loss_rows(lo, hi)
-        if coeffs:
-            pairs = rows
-        else:
-            s_rows = np.repeat(rows[0][:, :, None], d, axis=2)
-            half = (0.5 * rows[0])[:, :, None, None]
-            z_rows = rows[1]
-            if lo == 1:
-                grad = np.subtract(anchor, z_rows[0]) * s_rows[0]
+        if not coeffs and lo == 1:
+            grad = _loss(rows, True, 0, anchor)
         # the block's sum of the steps' ``out``: finite while each is
         tested = np.zeros((2, S, d))
         # round i's decision goes to row i; a coefficient table's round
         # steps to rows i and i + 1 together, the next anchor in row i + 1,
         # which the next round reads before its step overwrites it
         points = batch.buffer("points", (n + 1, S, d))
-        diffs = None if coeffs else batch.buffer("diffs", (n, S, d))
         for i in range(n):
             step = gamma * g_values[lo + i - 1]
             queue = np.maximum(-step, queue + step)
@@ -709,7 +675,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
             if simplex:
                 xi *= scale
                 xi += c0
-                anchor = keep * anchor + shift     # ``mix_anchor``
+                anchor = mix_anchor(anchor, nu)
             else:
                 xi += c0
                 xi *= scale
@@ -718,7 +684,7 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
             penalty *= gamma_p
             x = points[i]
             if coeffs:
-                h = np.add(pairs[i:i + 2], penalty[:, 0])
+                h = np.add(rows.coeffs[i:i + 2], penalty[:, 0])
                 h /= alpha
                 step_fn(anchor, h, argument, points[i:i + 2])
                 tested += argument
@@ -728,23 +694,17 @@ def _mirror_prox_rounds(batch: _Batch) -> np.ndarray:
                 h /= alpha
                 step_fn(anchor, h, argument, x)
                 tested[0] += argument
-                diff = np.subtract(x, z_rows[i + 1], out=diffs[i])
-                grad = s_rows[i + 1] * diff
+                grad = _loss(rows, True, i + 1, x)
                 h = np.add(grad, penalty[:, 0])
                 h /= alpha
                 step_fn(anchor, h, argument, anchors[(lo + i) % 2])
                 tested[1] += argument
                 anchor = anchors[(lo + i) % 2]
-            jac = tables(x, g_values[lo + i])
-        # the block's losses, one stacked product per round as ``seq.value``
+            g_values[lo + i], jac = _tables(block, x)
+        batch.losses[lo - 1:hi - 1] = _loss(rows, False, np.arange(1, n + 1),
+                                            points[:n])
         if coeffs:
-            np.matmul(pairs[1:, :, None, :], points[:n, :, :, None],
-                      out=batch.block_losses(lo, hi))
             anchor = points[n].copy()
-        else:
-            np.multiply(half[1:], np.matmul(diffs[:, :, None, :],
-                                            diffs[..., None]),
-                        out=batch.block_losses(lo, hi))
         # the weight never decreases, a NaN stays, and a cell's branch keeps
         # one sign (c0 > 0): the block's last weight decides
         batch.finish_block(lo, hi, points[:n], tested,
@@ -760,7 +720,7 @@ def _baseline_rounds(batch: _Batch) -> np.ndarray:
     S, d = batch.x0.shape
     K = batch.g_values.shape[2]
     step_fn = _batch_step(batch.bases, (S, d))
-    tables, gamma = batch.tables, batch.gamma
+    block, gamma = batch.block, batch.gamma
     scale = np.array([max(seq.grad_lipschitz, 1.0) for seq in batch.seqs])
     zero = np.zeros((S, K))
 
@@ -773,37 +733,21 @@ def _baseline_rounds(batch: _Batch) -> np.ndarray:
         # round t's step ``1 / (max(L_f, 1) * sqrt(t))``, one row per cell
         steps = 1.0 / (scale * np.sqrt(np.arange(lo, hi, dtype=float))[:, None])
         steps = steps[:, :, None]
-        if not coeffs:
-            s_rows = np.repeat(rows[0][:, :, None], d, axis=2)
-            half = (0.5 * rows[0])[:, :, None, None]
-            z_rows = rows[1]
         points = batch.buffer("points", (n, S, d))
         tested = np.zeros((S, d))   # the block's sum of the steps' ``out``
         for i in range(n):
             # the gradient of index t - 1 (1 in round 1) at x_{t-1}
-            if coeffs:
-                grad = rows[i]
-            else:
-                grad = x - z_rows[i]
-                grad *= s_rows[i]
             direction = np.matmul(queue[:, None, :], jac)[:, 0]
-            direction += grad
+            direction += rows.coeffs[i] if coeffs else _loss(rows, True, i, x)
             direction *= steps[i]
             step_fn(x, direction, moved, points[i])
             tested += moved
             x = points[i]
-            g = batch.g_values[lo + i]
-            jac = tables(x, g)
+            g, jac = _tables(block, x)
+            batch.g_values[lo + i] = g
             queue = queue + gamma * g
             queue = np.maximum(queue, zero, out=queue)
-        # the block's losses, one stacked product per round as ``seq.value``
-        if coeffs:
-            np.matmul(rows[1:, :, None, :], points[..., None],
-                      out=batch.block_losses(lo, hi))
-        else:
-            diffs = points - z_rows[1:]
-            np.multiply(half[1:], np.matmul(diffs[:, :, None, :],
-                                            diffs[..., None]),
-                        out=batch.block_losses(lo, hi))
+        batch.losses[lo - 1:hi - 1] = _loss(rows, False, np.arange(1, n + 1),
+                                            points)
         batch.finish_block(lo, hi, points, tested)
     return queue

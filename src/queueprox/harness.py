@@ -299,16 +299,14 @@ def build_scenario(config: ScenarioConfig) -> alg.Scenario:
         v_cap = float(config.v_cap["value"])
     else:
         v_cap = _building("loss", prob.gradient_variation, seq)
-    hp = alg.hyperparams_from_variation(
-        v_cap, seq.grad_lipschitz, horizon=config.horizon,
-        variant=config.variant)
+    hp = _building("loss", alg.hyperparams_from_variation, v_cap,
+                   seq.grad_lipschitz, config.horizon, config.variant)
     return alg.Scenario(block=block, seq=seq, hp=hp)
 
 
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
-    variation_budget: int = 32,
 ) -> tuple[RunTrace, met.MetricsReport]:
     """Run one scenario end to end and optionally write its CSV files.
 
@@ -325,8 +323,7 @@ def run_scenario(
     trace.config_hash = config.config_hash()
     trace.scenario_id = config.scenario_id
 
-    summary = alg.summarize(trace, built.seq, met.probe_rounds(
-        trace.horizon, variation_budget))
+    summary = alg.summarize(trace, built.seq, met.probe_rounds(trace.horizon))
     report = _report(config, built, summary, elapsed)
 
     target = out_dir if out_dir is not None else config.out

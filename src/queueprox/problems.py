@@ -95,7 +95,14 @@ class ConstraintBlock:
 
 def _tables(block: ConstraintBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A built-in block's unscreened ``(values, jacobian)`` at one point or
-    at each row of an ``(n, d)`` stack."""
+    at each row of an ``(n, d)`` stack.
+
+    The tables may also carry a cell axis, stacked over ``S`` blocks of one
+    layout: ``A`` and ``centers`` of shape ``(S, K, d)``, ``b`` and
+    ``offsets`` of shape ``(S, K)``, one shared ``order``.  At ``(S, d)``
+    decisions, row ``j`` on block ``j``'s tables, that gives ``(S, K)``
+    values and ``(S, K, d)`` Jacobians whose rows equal each block's
+    one-point call bit for bit."""
     A, centers = block.A, block.centers
     if A is not None:
         if x.ndim == 1:
@@ -104,7 +111,7 @@ def _tables(block: ConstraintBlock, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
             # a stacked matmul of column vectors keeps each row's matvec
             # bits, which ``x @ A.T`` does not
             values = (A @ x[:, :, None])[:, :, 0] - block.b
-            jac = np.broadcast_to(A, x.shape[:1] + A.shape)
+            jac = A if A.ndim == 3 else np.broadcast_to(A, x.shape[:1] + A.shape)
         if centers is None:
             return values, jac
     diff = x[..., None, :] - centers
@@ -449,6 +456,12 @@ def _loss(seq: LossSequence, gradient: bool, t, x: np.ndarray):
 
     A table's rows are gathered and evaluated in one pass, each entry with
     the bits of the one-point call; a fixed quadratic loss is its own mean.
+    The rows may carry a cell axis, as in a sequence whose tables are the
+    ``(n + 1, S, d)`` coefficients, or ``(n + 1, S)`` scales and ``(n + 1,
+    S, d)`` targets, of ``S`` cells' rounds: then ``t`` indexes the rows,
+    and an ``(n,)`` array of rounds at ``(n, S, d)`` points gives ``(n,
+    S)`` losses, one round at ``(S, d)`` points ``(S, d)`` gradients, each
+    entry the cell's one-point call's bits.
     A custom sequence's callbacks are called once per (round, point), in
     row-major order, their outputs converted to floats.
     """

@@ -115,7 +115,8 @@ def _run_variants(name):
     pytest.param("check", name, None, id=name)
     for name in qp.SHIPPED_SCENARIOS
     if qp.shipped_scenario(name).variant != qp.VARIANT_BASELINE] + [
-    pytest.param("run", name, variant, id=f"run-{variant}-{name}")
+    pytest.param(command, name, variant, id=f"{command}-{variant}-{name}")
+    for command in ("run", "sweep")
     for name in qp.SHIPPED_SCENARIOS for variant in _run_variants(name)])
 def test_check_path_lets_no_warning_escape(tmp_path, command, scenario,
                                            variant, capsys):
@@ -123,10 +124,11 @@ def test_check_path_lets_no_warning_escape(tmp_path, command, scenario,
     data = qp.shipped_scenario(scenario).to_dict()
     data["variant"] = variant or data["variant"]
     path.write_text(json.dumps(data))
-    lemmas = ["--lemmas", "all"] if command == "check" else []
+    extra = {"check": ["--lemmas", "all"], "run": [],
+             "sweep": ["--T", "30,60", "--seeds", "0,1,2"]}[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", str(path), *lemmas]) == 0
+        assert main([command, "--config", str(path), *extra]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -367,15 +369,19 @@ def test_constraint_tables_must_be_finite(tmp_path, capsys, scenario, index,
     ("box-mixed-d3", "base", ("upper",), [1.0, float("inf"), 1.0]),
     ("simplex-d10", "base", ("dim",), 2.7),
     ("simplex-d10", "base", ("dim",), "3"),
+    ("fixed-quadratic-ball", "loss", ("scale",), 1e200),
+    ("alternating-d2", "loss", ("grad_lipschitz",), 1e160),
 ], ids=["form-cubic", "schedule-bogus", "cap-amplitude-nan",
         "cap-amplitude-overflow", "cap-margin-bool", "cap-count-float",
         "radius-nan", "radius-inf", "center-nan", "box-upper-inf",
-        "simplex-dim-float", "simplex-dim-string"])
+        "simplex-dim-float", "simplex-dim-string",
+        "quadratic-scale-squared-overflows", "lipschitz-squared-overflows"])
 def test_malformed_fields_fail_at_build_time(tmp_path, capsys, scenario,
                                              section, keys, value):
-    """Unknown enumeration values, malformed random-cap parameters and
-    non-finite or non-integer base sets are usage errors naming their
-    section, raised before round 1."""
+    """Unknown enumeration values, malformed random-cap parameters,
+    non-finite or non-integer base sets and a loss whose weight schedule
+    overflows are usage errors naming their section, raised before round
+    1."""
     data = qp.shipped_scenario(scenario, horizon=10).to_dict()
     target = data[section]
     for key in keys[:-1]:

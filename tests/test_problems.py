@@ -95,6 +95,9 @@ STACK_BLOCKS = {
         qp.linear_block(_ball(3), [[1.0, 1.0, 1.0]], [1.0]),
         qp.quadratic_block(_ball(3), [[0.0, 0.0, 0.0]],
                            [0.9])]),
+    "stacked-quadratic-first": lambda: qp.stack_blocks([
+        qp.quadratic_block(_ball(3), [[0.1, 0.0, -0.2]], [0.8]),
+        qp.linear_block(_ball(3), [[1.0, -0.5, 0.25]], [0.3])]),
     "empty": lambda: qp.empty_block(_ball(3)),
     "one-point": lambda: _one_point_block(3),
 }
@@ -356,18 +359,20 @@ def _one_point_custom_sequence(horizon):
 
 # one sequence of every loss form: tables of P = 1, horizon + 1 and 2 rows,
 # and a custom sequence
-EVERY_FORM = pytest.mark.parametrize("make_seq", [
-    lambda: qp.fixed_linear(BALL, [-1.0, 0.0], 20),
-    lambda: qp.fixed_quadratic(BALL, [0.1, 0.55], 20, scale=0.7),
-    lambda: qp.linear_drift(BALL, [0.5, 0.0], [0.0, 0.4], 20),
-    lambda: qp.rotating_drift(BALL, amplitude=0.8, rate=0.6,
-                              horizon=20),
-    lambda: qp.alternating(BALL, [0.3, 0.1], [-0.2, 0.4], 20),
-    lambda: qp.quadratic_drift(BALL, [0.9, 0.0], [-0.4, 0.3], 20,
-                               scale0=1.0, scale_drift=0.5),
-    lambda: _one_point_custom_sequence(20),
-], ids=["fixed-linear", "fixed-quadratic", "linear-drift", "rotating-drift",
-        "alternating", "quadratic-drift", "custom"])
+FORMS = {
+    "fixed-linear": lambda: qp.fixed_linear(BALL, [-1.0, 0.0], 20),
+    "fixed-quadratic": lambda: qp.fixed_quadratic(BALL, [0.1, 0.55], 20,
+                                                  scale=0.7),
+    "linear-drift": lambda: qp.linear_drift(BALL, [0.5, 0.0], [0.0, 0.4], 20),
+    "rotating-drift": lambda: qp.rotating_drift(BALL, amplitude=0.8, rate=0.6,
+                                                horizon=20),
+    "alternating": lambda: qp.alternating(BALL, [0.3, 0.1], [-0.2, 0.4], 20),
+    "quadratic-drift": lambda: qp.quadratic_drift(
+        BALL, [0.9, 0.0], [-0.4, 0.3], 20, scale0=1.0, scale_drift=0.5),
+    "custom": lambda: _one_point_custom_sequence(20),
+}
+EVERY_FORM = pytest.mark.parametrize("make_seq", list(FORMS.values()),
+                                     ids=list(FORMS))
 
 
 @EVERY_FORM
@@ -401,6 +406,60 @@ def test_loss_over_round_arrays_equals_one_point_calls(make_seq):
             assert grads[at].tobytes() == seq.grad(int(t[at]), x[at]).tobytes()
     with pytest.raises(ValueError, match="round index 21 outside"):
         seq.value(np.array([3, 21, 22]), points)
+
+
+def test_tables_and_loss_take_a_cell_axis():
+    """Tables stacked over 3 cells give each cell's one-point call, bit for
+    bit: a block's values and Jacobians at one decision per cell, and a
+    sequence's losses and gradients on a block of its rounds' rows."""
+    rng = np.random.default_rng(14)
+    for name, make_block in STACK_BLOCKS.items():
+        first = make_block()
+        if first.eval_fn is not None:
+            continue
+        names = [key for key in ("A", "b", "centers", "offsets")
+                 if getattr(first, key) is not None]
+        cells = [replace(first, **{key: getattr(first, key) + 0.25 * j
+                                   for key in names}) for j in range(3)]
+        stacked = replace(first, **{key: np.stack([getattr(c, key)
+                                                   for c in cells])
+                                    for key in names})
+        x = qp.sample(first.base, rng, 3)
+        values, jac = problems._tables(stacked, x)
+        assert values.shape == (3, first.size), name
+        assert jac.shape == (3, first.size, first.dim), name
+        for j, cell in enumerate(cells):
+            one_values, one_jac = qp.constraint_eval(cell, x[j])
+            assert values[j].tobytes() == one_values.tobytes(), name
+            assert jac[j].tobytes() == one_jac.tobytes(), name
+    for name, make_seq in FORMS.items():
+        seq = make_seq()
+        if seq.callbacks is not None:
+            continue
+        names = ("coeffs",) if seq.coeffs is not None else ("scales", "targets")
+        cells = [replace(seq, **{key: getattr(seq, key) * (1.0 + 0.25 * j)
+                                 for key in names}) for j in range(3)]
+        for lo, hi in ((1, 8), (8, seq.horizon + 1)):
+            # the rows of indices lo - 1 .. hi - 1, index 0 read as 1
+            rows = {key: np.stack([problems.by_round(getattr(c, key), lo - 1, hi)
+                                   for c in cells], axis=1) for key in names}
+            for table in rows.values():
+                table[0] = table[1] if lo == 1 else table[0]
+            block = replace(seq, **rows)
+            n = hi - lo
+            points = qp.sample(BALL, rng, 3 * (n + 1)).reshape(n + 1, 3, 2)
+            values = problems._loss(block, False, np.arange(1, n + 1),
+                                    points[1:])
+            assert values.shape == (n, 3), name
+            for i in range(n + 1):
+                grads = problems._loss(block, True, i, points[i])
+                assert grads.shape == (3, 2), name
+                for j, cell in enumerate(cells):
+                    t, x = lo - 1 + i, points[i, j]
+                    assert grads[j].tobytes() == cell.grad(t, x).tobytes(), name
+                    if i:
+                        one = np.float64(cell.value(t, x))
+                        assert values[i - 1, j].tobytes() == one.tobytes(), name
 
 
 def test_custom_sequence_is_called_once_per_round_and_point_in_order():
